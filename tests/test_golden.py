@@ -1,0 +1,48 @@
+"""Golden behaviour corpus: the search must match the records pinned on disk.
+
+``scripts/write_golden.py`` wrote ``tests/golden/corpus.jsonl``; this test
+re-solves every (instance, scheme) pair with the same record function and
+compares status, counters and trace hash.  A change that alters the search on
+purpose regenerates the corpus with that script and says so.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+
+_spec = importlib.util.spec_from_file_location("write_golden", ROOT / "scripts" / "write_golden.py")
+write_golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(write_golden)
+
+RECORDS = [
+    json.loads(line)
+    for line in (GOLDEN / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
+]
+
+
+def test_corpus_covers_every_source_and_scheme():
+    from branchbench.branching import SCHEME_NAMES
+
+    pairs = [(r["source"], r["scheme"]) for r in RECORDS]
+    assert pairs == [(s, k) for s in write_golden.SOURCES for k in SCHEME_NAMES]
+
+
+def test_nary_file_is_the_written_instance():
+    from branchbench.instance_io import serialize_instance
+
+    text = (GOLDEN / write_golden.NARY_FILE).read_text(encoding="utf-8")
+    assert text == serialize_instance(write_golden.nary_problem())
+
+
+@pytest.mark.parametrize("source", write_golden.SOURCES)
+def test_search_matches_golden_records(source):
+    problem = write_golden.load_source(source, GOLDEN)
+    for pinned in (r for r in RECORDS if r["source"] == source):
+        assert write_golden.record(source, problem, pinned["scheme"]) == pinned
