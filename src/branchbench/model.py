@@ -33,6 +33,9 @@ from .rng import Rng
 
 logger = logging.getLogger(__name__)
 
+# arc slack of non-binary arcs: larger than any domain size, so never skipped
+_NEVER_SKIP = 1 << 62
+
 
 @dataclass(frozen=True)
 class ExtensionalAllowed:
@@ -105,6 +108,7 @@ class _Tables:
         "values", "pos", "full_masks",
         "arity", "scopes",
         "bin_sup", "unary_masks",
+        "arcs", "arc_cid", "arc_var", "arc_partner", "arc_slack",
         "decision_arcs", "root_arcs",
         "neighbors", "var_constraints",
     )
@@ -120,6 +124,7 @@ class _Tables:
         self.scopes = [c.scope for c in cons]
         self.bin_sup: list = [None] * len(cons)
         self.unary_masks: list = [None] * len(cons)
+        bin_slack: list = [None] * len(cons)
 
         sup_cache: dict = {}
         for c in cons:
@@ -135,24 +140,49 @@ class _Tables:
                 key = (_relation_signature(c), self.values[u], self.values[v])
                 got = sup_cache.get(key)
                 if got is None:
-                    got = self._build_binary_support(c)
-                    sup_cache[key] = got
-                self.bin_sup[c.cid] = got
+                    sup = self._build_binary_support(c)
+                    # slack per side: the most partner values that any value
+                    # of this side conflicts with
+                    sup_u, sup_v = sup
+                    slack = (
+                        len(self.values[v]) - min(map(int.bit_count, sup_u)),
+                        len(self.values[u]) - min(map(int.bit_count, sup_v)),
+                    )
+                    got = sup_cache[key] = (sup, slack)
+                self.bin_sup[c.cid], bin_slack[c.cid] = got
 
-        # arcs (cid, target) seeded after a decision on x: every constraint on
-        # x revised at its other scope variables, ascending (cid, var)
-        per_var: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        # arc i is (cid, target) = arcs[i], numbered in ascending (cid, var)
+        # order; a binary arc also keeps its partner variable and slack, any
+        # other arc partner -1 and a slack no domain size exceeds.  The arcs
+        # seeded after a decision on x are every constraint on x revised at
+        # its other scope variables, ascending (cid, var).
+        arcs: list[tuple[int, int]] = []
+        partner: list[int] = []
+        arc_slack: list[int] = []
+        per_var: list[list[int]] = [[] for _ in range(n)]
         cons_of: list[list[int]] = [[] for _ in range(n)]
         for c in cons:
-            for x in set(c.scope):
-                cons_of[x].append(c.cid)
-                for y in c.scope:
-                    if y != x:
-                        per_var[x].append((c.cid, y))
-        self.decision_arcs = [tuple(sorted(set(a))) for a in per_var]
-        self.root_arcs = tuple(
-            sorted({(c.cid, y) for c in cons for y in c.scope})
-        )
+            cid, scope = c.cid, c.scope
+            first = len(arcs)
+            ordered = sorted(scope)
+            arcs += [(cid, y) for y in ordered]
+            if len(scope) == 2:
+                partner += ordered[::-1]
+                slack = bin_slack[cid]
+                arc_slack += slack if ordered[0] == scope[0] else slack[::-1]
+            else:
+                partner += [-1] * len(scope)
+                arc_slack += [_NEVER_SKIP] * len(scope)
+            for x in scope:
+                cons_of[x].append(cid)
+                per_var[x] += [first + k for k, y in enumerate(ordered) if y != x]
+        self.arcs = tuple(arcs)
+        self.arc_cid = [cid for cid, _ in arcs]
+        self.arc_var = [y for _, y in arcs]
+        self.arc_partner = partner
+        self.arc_slack = arc_slack
+        self.decision_arcs = [tuple(a) for a in per_var]
+        self.root_arcs = tuple(range(len(arcs)))
         self.var_constraints = [
             tuple((cid, tuple(z for z in cons[cid].scope if z != x)) for cid in cons_of[x])
             for x in range(n)

@@ -2,11 +2,25 @@
 
 An arc is a pair ``(constraint id, variable id)``; revising it deletes every
 value of the variable lacking a supporting tuple in the constraint over the
-current domains of the other scope variables.  ``propagate`` drives a FIFO
-queue with deduplication: when a revision shrinks a domain, all arcs of other
-constraints sharing that variable are re-enqueued.  A revision that empties a
-domain bumps the weight of exactly that constraint by one and stops
-propagation immediately.
+current domains of the other scope variables.  The compiled tables number
+the arcs in ascending ``(cid, var)`` order (``tables.arcs[i]`` is arc ``i``),
+and ``propagate`` works on those ids: a FIFO queue of ints with a
+``bytearray`` in-queue flag for deduplication.  When a revision shrinks a
+domain, all arcs of other constraints sharing that variable are re-enqueued.
+A revision that empties a domain bumps the weight of exactly that constraint
+by one and stops propagation immediately.
+
+Most revisions remove nothing, and many of them are skipped unrevised.  A
+binary arc's *slack* is the largest number of original partner values that
+any target value conflicts with (1 for ``ne``; the partner's whole original
+domain when some value has no support at all).  While the partner's current
+domain is larger than the slack, every target value still has a support, so
+the revision could remove nothing: ``propagate`` drops such an arc when it
+pops it.  The test is made at pop time, never at push time, so the queue's
+contents and order are exactly those of the plain AC-3 queue; the skipped
+revisions are exactly ones that would have returned False, and which
+revisions remove values, in what order, and which constraint takes a
+wipeout's weight are all unchanged.
 """
 
 from __future__ import annotations
@@ -64,7 +78,7 @@ def _supported_mask_nary(state: SearchState, cid: int, x: int) -> int:
     new = 0
     rel = constraint.relation
     if isinstance(rel, ExtensionalAllowed):
-        for t in sorted(rel.tuples):
+        for t in rel.tuples:
             bit = pos.get(t[pos_x])
             if bit is None or not (state.masks[x] >> bit) & 1 or (new >> bit) & 1:
                 continue
@@ -101,32 +115,39 @@ def revise(state: SearchState, cid: int, x: int) -> bool:
     return True
 
 
-def propagate(state: SearchState, arcs: Iterable[tuple[int, int]]) -> Optional[Wipeout]:
-    """Run the arc queue to fixpoint; None means consistent."""
-    queue = deque(arcs)
-    queued = set(queue)
+def propagate(state: SearchState, arc_ids: Iterable[int]) -> Optional[Wipeout]:
+    """Run the arc queue over ``arc_ids`` to fixpoint; None means consistent."""
     tables = state.tables
+    arc_cid = tables.arc_cid
+    arc_var = tables.arc_var
+    partner = tables.arc_partner
+    slack = tables.arc_slack
+    follows = tables.decision_arcs
     sizes = state.sizes
+    queue = deque(arc_ids)
+    queued = bytearray(len(arc_cid))
+    for a in queue:
+        queued[a] = 1
+    pop = queue.popleft
+    push = queue.append
     while queue:
-        arc = queue.popleft()
-        queued.discard(arc)
-        cid, x = arc
+        a = pop()
+        queued[a] = 0
+        # a non-binary arc has partner -1 and a slack no size exceeds
+        if sizes[partner[a]] > slack[a]:
+            continue
+        cid = arc_cid[a]
+        x = arc_var[a]
         if revise(state, cid, x):
             if sizes[x] == 0:
                 state.weights[cid] += 1
                 state.wipeouts += 1
                 return Wipeout(x, cid)
-            for follow in tables.decision_arcs[x]:
-                if follow[0] != cid and follow not in queued:
-                    queue.append(follow)
-                    queued.add(follow)
+            for f in follows[x]:
+                if not queued[f] and arc_cid[f] != cid:
+                    push(f)
+                    queued[f] = 1
     return None
-
-
-def decision_arcs(state: SearchState, x: int) -> tuple[tuple[int, int], ...]:
-    """Arcs to seed after a decision on ``x``: every constraint on ``x``,
-    revised at its other scope variables, ascending (cid, var)."""
-    return state.tables.decision_arcs[x]
 
 
 def establish_root_gac(state: SearchState) -> Optional[Wipeout]:

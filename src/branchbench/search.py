@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 from .branching import BranchPlan, BranchStyle, Scheme, plan
 from .heuristics import select_variable
 from .model import Problem, SearchState, check_tuple
-from .propagation import decision_arcs, establish_root_gac, propagate
+from .propagation import establish_root_gac, propagate
 
 _TIME_CHECK_MASK = 63  # wall clock consulted every 64 nodes
 
@@ -117,6 +117,7 @@ def solve(
         return finish(Status.SAT, values)
 
     names = problem.names
+    decision_arcs = state.tables.decision_arcs
     stack = [_Frame(plan(scheme, state, select_variable(state)))]
     result: Optional[Status] = None
     assignment: Optional[tuple[int, ...]] = None
@@ -178,7 +179,7 @@ def solve(
             joined = ",".join(str(v) for v in values)
             trace.append(f"{len(stack) - 1} {names[x]} {{{joined}}} {kind}")
 
-        if propagate(state, decision_arcs(state, x)) is None:
+        if propagate(state, decision_arcs[x]) is None:
             if state.all_singleton():
                 assignment = capture()
                 result = Status.SAT

@@ -9,7 +9,8 @@ the two routes is meaningful.
 from __future__ import annotations
 
 import itertools
-from typing import Optional, Sequence
+from collections import deque
+from typing import Iterable, Optional, Sequence
 
 from branchbench.clustering import bic
 from branchbench.model import Problem, check_tuple
@@ -85,6 +86,59 @@ def gac_fixpoint(
                 if not current[x]:
                     return None
     return current
+
+
+def reference_propagate(
+    problem: Problem,
+    domains: list[list[int]],
+    weights: list[int],
+    arcs: Iterable[tuple[int, int]],
+) -> Optional[tuple[int, int]]:
+    """The plain AC-3 queue over ``(cid, var)`` arcs, revising by enumeration.
+
+    A FIFO ``deque`` of arcs with a ``set`` of queued arcs: each popped arc
+    is revised by checking every value of its variable against every tuple
+    of the other scope variables' current domains.  When a revision shrinks
+    a domain, every arc of another constraint on that variable, at each of
+    its other scope variables, is enqueued in ascending ``(cid, var)`` order
+    unless already queued.  ``domains`` and ``weights`` are updated in
+    place; a wipeout bumps the wiping constraint's weight and returns
+    ``(variable, constraint)``, otherwise the result is None.
+    """
+    follows: list[list[tuple[int, int]]] = [[] for _ in range(problem.n_vars)]
+    for c in problem.constraints:
+        for x in c.scope:
+            follows[x].extend((c.cid, y) for y in c.scope if y != x)
+    for f in follows:
+        f.sort()
+    queue = deque(arcs)
+    queued = set(queue)
+    while queue:
+        arc = queue.popleft()
+        queued.discard(arc)
+        cid, x = arc
+        c = problem.constraints[cid]
+        k = c.scope.index(x)
+        others = [domains[z] for z in c.scope if z != x]
+        kept = []
+        for v in domains[x]:
+            for combo in itertools.product(*others):
+                tup = list(combo)
+                tup.insert(k, v)
+                if check_tuple(c, tup):
+                    kept.append(v)
+                    break
+        if len(kept) == len(domains[x]):
+            continue
+        domains[x] = kept
+        if not kept:
+            weights[cid] += 1
+            return (x, cid)
+        for follow in follows[x]:
+            if follow[0] != cid and follow not in queued:
+                queue.append(follow)
+                queued.add(follow)
+    return None
 
 
 def best_contiguous_partition(scores: Sequence[float], kmax: int) -> tuple[int, float]:

@@ -5,7 +5,7 @@ import pytest
 from branchbench.exprs import Call, Const, VarRef
 from branchbench.heuristics import promise, score_domain, select_variable, wdeg
 from branchbench.model import Constraint, Intensional, Problem, SearchState
-from branchbench.propagation import decision_arcs, establish_root_gac, propagate
+from branchbench.propagation import establish_root_gac, propagate
 from util import _random_extensional, _random_intensional, ne_rel
 
 
@@ -241,6 +241,6 @@ def test_zero_promise_assignments_wipe_a_neighbor():
                 checked += 1
                 tok = st.push_level()
                 st.reduce_domain(x, (v,))
-                assert propagate(st, decision_arcs(st, x)) is not None
+                assert propagate(st, st.tables.decision_arcs[x]) is not None
                 st.undo_to(tok)
     assert checked >= 10  # the sweep actually exercised the property

@@ -1,19 +1,23 @@
+import random
+
 import pytest
 
+from branchbench.exprs import Call, Const, VarRef
+from branchbench.generators import gen_randomb
 from branchbench.model import (
     Constraint,
     ExtensionalAllowed,
+    Intensional,
     Problem,
     SearchState,
 )
 from branchbench.propagation import (
     Wipeout,
-    decision_arcs,
     establish_root_gac,
     propagate,
     revise,
 )
-from oracles import gac_fixpoint
+from oracles import gac_fixpoint, reference_propagate
 from util import make_binary, ne_rel, random_problem
 
 
@@ -121,10 +125,10 @@ def test_decision_arcs_cover_other_scope_vars_sorted():
             Constraint(2, (1, 2), ("b", "c"), ne_rel("b", "c")),
         ),
     )
-    st = SearchState(p)
-    assert decision_arcs(st, 0) == ((0, 1), (1, 2))
-    assert decision_arcs(st, 1) == ((0, 0), (2, 2))
-    assert decision_arcs(st, 2) == ((1, 0), (2, 1))
+    tables = p.tables
+    assert [tables.arcs[a] for a in tables.decision_arcs[0]] == [(0, 1), (1, 2)]
+    assert [tables.arcs[a] for a in tables.decision_arcs[1]] == [(0, 0), (2, 2)]
+    assert [tables.arcs[a] for a in tables.decision_arcs[2]] == [(1, 0), (2, 1)]
 
 
 def test_propagate_after_decision_reaches_fixpoint():
@@ -138,7 +142,7 @@ def test_propagate_after_decision_reaches_fixpoint():
         v = st.domain_values(x)[0]
         st.push_level()
         st.reduce_domain(x, (v,))
-        w = propagate(st, decision_arcs(st, x))
+        w = propagate(st, st.tables.decision_arcs[x])
         domains = [st.domain_values(z) for z in range(p.n_vars)]
         seeded = [list(d) for d in domains] if w is None else None
         expected = gac_fixpoint(p, [[v]] + [st.domain_values(z) for z in range(1, p.n_vars)])
@@ -163,11 +167,11 @@ def test_ternary_constraints_propagate():
     assert establish_root_gac(st) is None
     st.push_level()
     st.reduce_domain(2, (2,))
-    assert propagate(st, decision_arcs(st, 2)) is None
+    assert propagate(st, st.tables.decision_arcs[2]) is None
     assert st.domain_values(0) == [0, 1, 2]
     st.push_level()
     st.reduce_domain(0, (2,))
-    assert propagate(st, decision_arcs(st, 0)) is None
+    assert propagate(st, st.tables.decision_arcs[0]) is None
     assert st.domain_values(1) == [0]
 
 
@@ -198,7 +202,7 @@ def test_weights_persist_across_undo():
     st = SearchState(p)
     tok = st.push_level()
     st.reduce_domain(0, (1,))
-    w = propagate(st, decision_arcs(st, 0))
+    w = propagate(st, st.tables.decision_arcs[0])
     assert w is not None
     assert st.weights[0] == 2
     st.undo_to(tok)
@@ -213,3 +217,136 @@ def test_gac_subset_of_original(seed):
     if establish_root_gac(st) is None:
         for x in range(p.n_vars):
             assert set(st.domain_values(x)) <= set(p.domains[x])
+
+
+def _seed_arcs(problem, x):
+    return sorted((c.cid, y) for c in problem.constraints if x in c.scope for y in c.scope if y != x)
+
+
+def _as_pair(wipeout):
+    return None if wipeout is None else (wipeout.variable, wipeout.constraint)
+
+
+def _walk_against_reference(p, r, steps=12):
+    """Random decisions and backtracks, propagated by the library and by the
+    plain deque + set queue revising by tuple enumeration; both must give the
+    same wipeouts, weights and domains.  Returns (decisions, wipeouts)."""
+    st = SearchState(p)
+    domains = [list(d) for d in p.domains]
+    weights = [1] * len(p.constraints)
+    all_arcs = sorted((c.cid, y) for c in p.constraints for y in c.scope)
+    got = establish_root_gac(st)
+    assert _as_pair(got) == reference_propagate(p, domains, weights, all_arcs)
+    assert current_domains(st, p.n_vars) == domains
+    if got is not None:
+        return 0, 0
+    decisions = wiped = 0
+    levels = []
+    for _ in range(steps):
+        open_vars = [x for x in range(p.n_vars) if st.sizes[x] > 1]
+        if not open_vars:
+            break
+        x = r.choice(open_vars)
+        values = st.domain_values(x)
+        picked = r.choice(values)
+        kept = [picked] if r.randrange(2) else [v for v in values if v != picked]
+        levels.append((st.push_level(), [list(d) for d in domains]))
+        st.reduce_domain(x, kept)
+        domains[x] = kept
+        got = propagate(st, st.tables.decision_arcs[x])
+        expected = reference_propagate(p, domains, weights, _seed_arcs(p, x))
+        decisions += 1
+        wiped += got is not None
+        assert _as_pair(got) == expected
+        assert st.weights == weights
+        assert current_domains(st, p.n_vars) == domains
+        if got is not None or r.randrange(4) == 0:
+            token, domains = levels.pop()
+            st.undo_to(token)
+    return decisions, wiped
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_propagate_matches_reference_queue_on_mixed_arity(seed):
+    decisions = 0
+    for sub in range(40):
+        p = random_problem(seed * 1000 + sub, max_vars=7, max_dom=6)
+        decisions += _walk_against_reference(p, random.Random(seed * 1000 + sub))[0]
+    assert decisions >= 40
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_propagate_matches_reference_queue_on_tight_binary(seed):
+    decisions = wiped = 0
+    for sub in range(10):
+        p = gen_randomb(8, 5, 20, 11, seed * 100 + sub)
+        got = _walk_against_reference(p, random.Random(seed * 100 + sub), steps=20)
+        decisions += got[0]
+        wiped += got[1]
+    assert decisions >= 40 and wiped >= 20
+
+
+def _slack_of(problem, cid, x):
+    tables = problem.tables
+    return tables.arc_slack[tables.arcs.index((cid, x))]
+
+
+def test_slack_of_ne_is_one():
+    p = make_binary(("x", "y"), ((0, 1, 2, 3),) * 2, [((0, 1), ne_rel("x", "y"))])
+    assert _slack_of(p, 0, 0) == 1
+    assert _slack_of(p, 0, 1) == 1
+
+
+def test_slack_of_a_bijection_is_domain_size_minus_one():
+    # y = x + 3 over x in 0..4, y in 3..7: every value has exactly one support
+    shift = Intensional(Call("eq", (Call("add", (VarRef("x"), Const(3))), VarRef("y"))))
+    p = make_binary(("x", "y"), (tuple(range(5)), tuple(range(3, 8))), [((0, 1), shift)])
+    assert _slack_of(p, 0, 0) == 4
+    assert _slack_of(p, 0, 1) == 4
+
+
+def test_unsupported_value_blocks_the_skip():
+    # y = x + 1 over 0..4: x = 4 has no support, so the arc at x is never skipped
+    shift = Intensional(Call("eq", (Call("add", (VarRef("x"), Const(1))), VarRef("y"))))
+    p = make_binary(("x", "y"), (tuple(range(5)),) * 2, [((0, 1), shift)])
+    assert _slack_of(p, 0, 0) == 5
+    st = SearchState(p)
+    assert establish_root_gac(st) is None
+    assert st.domain_values(0) == [0, 1, 2, 3]
+    assert st.domain_values(1) == [1, 2, 3, 4]
+
+
+def test_non_binary_arcs_are_never_skippable():
+    p = Problem(
+        ("a", "b", "c"),
+        ((0, 1), (0, 1), (0, 1)),
+        (
+            Constraint(0, (0,), ("a",), ExtensionalAllowed(frozenset({(1,)}))),
+            Constraint(1, (0, 1, 2), ("a", "b", "c"), ExtensionalAllowed(frozenset({(1, 0, 1)}))),
+        ),
+    )
+    tables = p.tables
+    for a in range(len(tables.arcs)):
+        assert tables.arc_partner[a] == -1
+        assert tables.arc_slack[a] > 1 << 40
+
+
+def test_skip_fires_only_where_revise_removes_nothing():
+    """On random domains, any binary arc the slack rule skips is a no-op."""
+    fired = 0
+    for seed in range(300):
+        r = random.Random(seed)
+        p = random_problem(seed, max_vars=6, max_dom=6)
+        st = SearchState(p)
+        for x in range(p.n_vars):
+            values = st.domain_values(x)
+            st.reduce_domain(x, r.sample(values, r.randint(1, len(values))))
+        tables = p.tables
+        for a, (cid, x) in enumerate(tables.arcs):
+            partner = tables.arc_partner[a]
+            if partner >= 0 and st.sizes[partner] > tables.arc_slack[a]:
+                fired += 1
+                before = st.domain_values(x)
+                assert not revise(st, cid, x)
+                assert st.domain_values(x) == before
+    assert fired >= 100
