@@ -13,7 +13,7 @@ from collections import deque
 from typing import Iterable, Optional, Sequence
 
 from branchbench.clustering import bic
-from branchbench.model import Problem, check_tuple
+from branchbench.model import Constraint, Problem, check_tuple
 
 
 def brute_force_solutions(problem: Problem, limit: Optional[int] = None) -> list[tuple[int, ...]]:
@@ -48,6 +48,24 @@ def brute_force_sat(problem: Problem) -> bool:
     return bool(brute_force_solutions(problem, limit=1))
 
 
+def supported_values(
+    constraint: Constraint, domains: Sequence[Sequence[int]], x: int
+) -> list[int]:
+    """Values of ``x`` with a satisfying tuple over the other scope variables'
+    ``domains``, found by brute enumeration."""
+    k = constraint.scope.index(x)
+    others = [domains[z] for z in constraint.scope if z != x]
+    kept = []
+    for v in domains[x]:
+        for combo in itertools.product(*others):
+            tup = list(combo)
+            tup.insert(k, v)
+            if check_tuple(constraint, tup):
+                kept.append(v)
+                break
+    return kept
+
+
 def gac_fixpoint(
     problem: Problem, domains: Optional[Sequence[Sequence[int]]] = None
 ) -> Optional[list[list[int]]]:
@@ -65,21 +83,8 @@ def gac_fixpoint(
     while changed:
         changed = False
         for c in problem.constraints:
-            for k, x in enumerate(c.scope):
-                others = [current[z] for i, z in enumerate(c.scope) if i != k]
-                kept = []
-                for v in current[x]:
-                    found = False
-                    for combo in itertools.product(*others):
-                        it = iter(combo)
-                        tup = tuple(
-                            v if i == k else next(it) for i in range(len(c.scope))
-                        )
-                        if check_tuple(c, tup):
-                            found = True
-                            break
-                    if found:
-                        kept.append(v)
+            for x in c.scope:
+                kept = supported_values(c, current, x)
                 if len(kept) != len(current[x]):
                     current[x] = kept
                     changed = True
@@ -97,8 +102,7 @@ def reference_propagate(
     """The plain AC-3 queue over ``(cid, var)`` arcs, revising by enumeration.
 
     A FIFO ``deque`` of arcs with a ``set`` of queued arcs: each popped arc
-    is revised by checking every value of its variable against every tuple
-    of the other scope variables' current domains.  When a revision shrinks
+    is revised with ``supported_values``.  When a revision shrinks
     a domain, every arc of another constraint on that variable, at each of
     its other scope variables, is enqueued in ascending ``(cid, var)`` order
     unless already queued.  ``domains`` and ``weights`` are updated in
@@ -117,17 +121,7 @@ def reference_propagate(
         arc = queue.popleft()
         queued.discard(arc)
         cid, x = arc
-        c = problem.constraints[cid]
-        k = c.scope.index(x)
-        others = [domains[z] for z in c.scope if z != x]
-        kept = []
-        for v in domains[x]:
-            for combo in itertools.product(*others):
-                tup = list(combo)
-                tup.insert(k, v)
-                if check_tuple(c, tup):
-                    kept.append(v)
-                    break
+        kept = supported_values(problem.constraints[cid], domains, x)
         if len(kept) == len(domains[x]):
             continue
         domains[x] = kept

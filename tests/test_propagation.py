@@ -220,7 +220,8 @@ def test_gac_subset_of_original(seed):
 
 
 def _seed_arcs(problem, x):
-    return sorted((c.cid, y) for c in problem.constraints if x in c.scope for y in c.scope if y != x)
+    on_x = (c for c in problem.constraints if x in c.scope)
+    return sorted((c.cid, y) for c in on_x for y in c.scope if y != x)
 
 
 def _as_pair(wipeout):
@@ -326,9 +327,10 @@ def test_non_binary_arcs_are_never_skippable():
         ),
     )
     tables = p.tables
+    largest = max(len(d) for d in p.domains)
     for a in range(len(tables.arcs)):
         assert tables.arc_partner[a] == -1
-        assert tables.arc_slack[a] > 1 << 40
+        assert tables.arc_slack[a] > largest
 
 
 def test_skip_fires_only_where_revise_removes_nothing():
