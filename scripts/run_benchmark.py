@@ -56,7 +56,6 @@ def main() -> int:
     ap.add_argument("--out-dir", type=Path, default=Path("bench-out"))
     ap.add_argument("--schemes", default=",".join(SCHEME_NAMES))
     ap.add_argument("--baseline", default="2way")
-    ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--jobs", type=int, default=1)
     ap.add_argument("--timeout-ms", type=float, default=None)
     ap.add_argument("--large", action="store_true", help="add the slow instances")
@@ -75,18 +74,13 @@ def main() -> int:
         manifest_path.read_text(encoding="utf-8"), manifest_path.parent
     )
     schemes = [parse_scheme(s.strip()) for s in args.schemes.split(",") if s.strip()]
-    print(
-        f"{len(sources)} instances x {len(schemes)} schemes "
-        f"(seed {args.seed}, jobs {args.jobs})",
-        file=sys.stderr,
-    )
+    print(f"{len(sources)} instances x {len(schemes)} schemes (jobs {args.jobs})", file=sys.stderr)
 
     started = time.monotonic()
     records = run_bench(
         sources,
         schemes,
         limits=Limits(wall_time_ms=args.timeout_ms),
-        seed=args.seed,
         jobs=args.jobs,
     )
     print(f"bench done in {time.monotonic() - started:.1f}s", file=sys.stderr)

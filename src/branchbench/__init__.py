@@ -28,7 +28,7 @@ from .generators import (
     gen_qwh,
     gen_randomb,
 )
-from .heuristics import promise, score_domain, select_variable, wdeg
+from .heuristics import score_domain, select_variable, wdeg
 from .instance_io import ParseError, parse_instance, serialize_instance
 from .model import (
     Constraint,
@@ -102,7 +102,6 @@ __all__ = [
     "parse_manifest",
     "parse_scheme",
     "plan",
-    "promise",
     "propagate",
     "read_csv",
     "revise",

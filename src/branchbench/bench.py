@@ -8,9 +8,9 @@ generator call:
     gen randomb n=20 d=10 p1=40 p2=55 seed=3
     boards/hard-one.csp
 
-Blank lines and `#` comments are skipped.  Each (instance, scheme) run gets
-its own seed drawn from a single stream seeded by the global benchmark seed,
-so a benchmark is reproducible end to end from one integer.
+Blank lines and `#` comments are skipped.  Every solve is deterministic, so
+without a time limit a row's counters depend only on its instance and scheme,
+never on ``jobs``; generator lines carry their own seeds.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .branching import Scheme
 from .generators import GenSpec
 from .instance_io import parse_instance
 from .model import Problem
-from .rng import Rng
 from .search import Limits, solve
 
 CSV_COLUMNS = (
@@ -35,8 +34,8 @@ CSV_COLUMNS = (
     "nodes",
     "decisions",
     "wipeouts",
+    "backtracks",
     "elapsed_ms",
-    "seed",
 )
 
 
@@ -48,8 +47,8 @@ class RunRecord:
     nodes: int
     decisions: int
     wipeouts: int
+    backtracks: int
     elapsed_ms: float
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -87,9 +86,9 @@ def parse_manifest(text: str, base_dir: Union[str, Path] = ".") -> list[Instance
 
 
 def _run_one(task) -> RunRecord:
-    source, scheme, limits, run_seed = task
+    source, scheme, limits = task
     problem = source.load()
-    outcome = solve(problem, scheme, limits=limits, seed=run_seed)
+    outcome = solve(problem, scheme, limits=limits)
     s = outcome.stats
     return RunRecord(
         instance=source.name,
@@ -98,8 +97,8 @@ def _run_one(task) -> RunRecord:
         nodes=s.nodes,
         decisions=s.decisions,
         wipeouts=s.wipeouts,
+        backtracks=s.backtracks,
         elapsed_ms=s.elapsed_ms,
-        seed=run_seed,
     )
 
 
@@ -110,15 +109,15 @@ def run_bench(
     seed: int = 0,
     jobs: int = 1,
 ) -> list[RunRecord]:
-    """Run every scheme on every instance; rows come back in task order."""
+    """Run every scheme on every instance; rows come back in task order.
+
+    ``seed`` is accepted and ignored: no solve draws a random number.  It
+    stays only because the benchmark harness (``perfbench/workloads.py``)
+    still passes ``seed=0``; remove it once that caller stops passing it.
+    """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    stream = Rng(seed)
-    tasks = [
-        (source, scheme, limits, stream.next_u64())
-        for source in sources
-        for scheme in schemes
-    ]
+    tasks = [(source, scheme, limits) for source in sources for scheme in schemes]
     if jobs == 1 or len(tasks) <= 1:
         return [_run_one(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -137,8 +136,8 @@ def write_csv(records: Iterable[RunRecord], out: IO[str]) -> None:
                 r.nodes,
                 r.decisions,
                 r.wipeouts,
+                r.backtracks,
                 repr(r.elapsed_ms),
-                r.seed,
             ]
         )
 
@@ -162,8 +161,8 @@ def read_csv(source: IO[str]) -> list[RunRecord]:
                 nodes=int(row[3]),
                 decisions=int(row[4]),
                 wipeouts=int(row[5]),
-                elapsed_ms=float(row[6]),
-                seed=int(row[7]),
+                backtracks=int(row[6]),
+                elapsed_ms=float(row[7]),
             )
         )
     return records

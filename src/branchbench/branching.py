@@ -133,9 +133,7 @@ def plan(scheme: Scheme, state: SearchState, x: int) -> BranchPlan:
             return BranchPlan(x, BranchStyle.ENUMERATED, tuple(groups))
         return BranchPlan(x, BranchStyle.BINARY, (groups[0],))
 
-    clustering = xmeans(
-        [_score_as_float(sv.score) for sv in scored], kmax=scheme.kmax, rng=state.rng
-    )
+    clustering = xmeans([_score_as_float(sv.score) for sv in scored], kmax=scheme.kmax)
     if clustering.k == 1:
         return _two_way_plan(x, scored) if binary_fallback else _dway_plan(x, scored)
     sets = tuple(

@@ -29,11 +29,20 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-def _fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a fraction: {text!r}")
+def _in_range(convert, low, high=None):
+    """An argparse ``type``: ``convert(text)``, rejected outside [low, high]."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except (ValueError, ZeroDivisionError):
+            raise argparse.ArgumentTypeError(f"invalid value: {text!r}")
+        if not (low <= value and (high is None or value <= high)):
+            bound = f"at least {low}" if high is None else f"within [{low}, {high}]"
+            raise argparse.ArgumentTypeError(f"{text!r} is not {bound}")
+        return value
+
+    return parse
 
 
 _GEN_PARAMS = ("n", "d", "p1", "p2", "order", "holes", "edges", "k", "seed")
@@ -52,20 +61,18 @@ def _build_parser() -> _Parser:
     p_solve = sub.add_parser("solve", help="solve one instance file")
     p_solve.add_argument("--instance", required=True)
     p_solve.add_argument("--scheme", required=True, choices=SCHEME_NAMES)
-    p_solve.add_argument("--threshold", type=_fraction, default=Fraction(1, 4))
-    p_solve.add_argument("--kmax", type=int, default=4)
-    p_solve.add_argument("--timeout-ms", type=float)
-    p_solve.add_argument("--max-nodes", type=int)
-    p_solve.add_argument("--seed", type=int, default=0)
+    p_solve.add_argument("--threshold", type=_in_range(Fraction, 0, 1), default=Fraction(1, 4))
+    p_solve.add_argument("--kmax", type=_in_range(int, 1), default=4)
+    p_solve.add_argument("--timeout-ms", type=_in_range(float, 0))
+    p_solve.add_argument("--max-nodes", type=_in_range(int, 0))
     p_solve.add_argument("--trace", help="write one line per branch here")
 
     p_bench = sub.add_parser("bench", help="run a manifest under many schemes")
     p_bench.add_argument("--manifest", required=True)
     p_bench.add_argument("--schemes", required=True, help="comma separated names")
     p_bench.add_argument("--out", required=True, help="CSV path, - for stdout")
-    p_bench.add_argument("--timeout-ms", type=float)
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--jobs", type=int, default=1)
+    p_bench.add_argument("--timeout-ms", type=_in_range(float, 0))
+    p_bench.add_argument("--jobs", type=_in_range(int, 1), default=1)
 
     p_stats = sub.add_parser("stats", help="summarize a results CSV")
     p_stats.add_argument("--results", required=True)
@@ -96,7 +103,7 @@ def _cmd_solve(args) -> int:
     scheme = parse_scheme(args.scheme, threshold_fraction=args.threshold, kmax=args.kmax)
     limits = Limits(max_nodes=args.max_nodes, wall_time_ms=args.timeout_ms)
     trace: Optional[list[str]] = [] if args.trace else None
-    outcome = solve(problem, scheme, limits=limits, seed=args.seed, trace=trace)
+    outcome = solve(problem, scheme, limits=limits, trace=trace)
     if args.trace:
         Path(args.trace).write_text(
             "".join(line + "\n" for line in trace), encoding="utf-8"
@@ -105,7 +112,7 @@ def _cmd_solve(args) -> int:
     print(outcome.status.value)
     print(
         f"nodes={s.nodes} decisions={s.decisions} wipeouts={s.wipeouts} "
-        f"backtracks={s.backtracks} elapsed_ms={s.elapsed_ms:.3f} seed={args.seed}"
+        f"backtracks={s.backtracks} elapsed_ms={s.elapsed_ms:.3f}"
     )
     if outcome.status is Status.SAT:
         pairs = zip(problem.names, outcome.assignment)
@@ -126,7 +133,7 @@ def _cmd_bench(args) -> int:
         manifest_path.read_text(encoding="utf-8"), manifest_path.parent
     )
     limits = Limits(wall_time_ms=args.timeout_ms)
-    records = run_bench(sources, schemes, limits=limits, seed=args.seed, jobs=args.jobs)
+    records = run_bench(sources, schemes, limits=limits, jobs=args.jobs)
     if args.out == "-":
         write_csv(records, sys.stdout)
     else:

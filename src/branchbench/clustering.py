@@ -1,12 +1,12 @@
 """One-dimensional k-means / x-means over value scores.
 
 ``xmeans`` grows the cluster count from 1 by locally splitting clusters in
-two (children seeded at the cluster centroid plus/minus one local standard
+two (children started at the cluster centroid plus/minus one local standard
 deviation) and keeping a split only when the Bayesian information criterion
 improves on the cluster's points; after each round of accepted splits a
-global k-means pass refines all centroids.  Everything is deterministic: the
-``rng`` argument is accepted for interface stability but unused because
-splits are seeded deterministically.
+global k-means pass refines all centroids.  Everything is deterministic:
+split children start from the cluster's own statistics, not from a random
+draw, so the same scores always give the same clustering.
 
 The BIC convention: log-likelihood of a mixture of identical spherical
 Gaussians with shared maximum-likelihood variance (denominator n - k, floored
@@ -19,8 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
-
-from .rng import Rng
 
 VARIANCE_FLOOR = 1e-9
 _LLOYD_CAP = 200
@@ -142,7 +140,7 @@ def _try_split(pts: list[float], centroid: float) -> Optional[tuple[tuple[float,
     return None
 
 
-def xmeans(scores: Sequence[float], kmax: int = 4, rng: Optional[Rng] = None) -> Clustering:
+def xmeans(scores: Sequence[float], kmax: int = 4) -> Clustering:
     """Grow clusters from k=1 by BIC-accepted splits, capped at ``kmax``."""
     if not scores:
         raise ValueError("xmeans needs at least one score")

@@ -63,22 +63,6 @@ def select_variable(state: SearchState) -> int:
     return best
 
 
-def promise(state: SearchState, x: int, value: int) -> int:
-    """Compatibility-count product for assigning ``value`` to ``x``."""
-    bit = state.tables.pos[x].get(value)
-    if bit is None or not (state.masks[x] >> bit) & 1:
-        raise ValueError(f"value {value} not in current domain of variable {x}")
-    assigned = state.assigned
-    masks = state.masks
-    score = 1
-    for y, comb in state.tables.neighbors[x]:
-        if assigned[y] is None:
-            score *= (comb[bit] & masks[y]).bit_count()
-            if score == 0:
-                return 0
-    return score
-
-
 def score_domain(state: SearchState, x: int) -> list[ScoredValue]:
     """All current values of ``x`` scored, best first (ties: ascending value)."""
     tables = state.tables

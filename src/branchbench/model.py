@@ -29,7 +29,6 @@ from .exprs import (
     expr_vars,
     format_expr,
 )
-from .rng import Rng
 
 logger = logging.getLogger(__name__)
 
@@ -108,7 +107,7 @@ class _Tables:
         "values", "pos", "full_masks",
         "arity", "scopes",
         "bin_sup", "unary_masks",
-        "arcs", "arc_cid", "arc_var", "arc_partner", "arc_slack",
+        "arc_cid", "arc_var", "arc_partner", "arc_slack",
         "decision_arcs", "root_arcs",
         "neighbors", "var_constraints",
     )
@@ -151,21 +150,24 @@ class _Tables:
                     got = sup_cache[key] = (sup, slack)
                 self.bin_sup[c.cid], bin_slack[c.cid] = got
 
-        # arc i is (cid, target) = arcs[i], numbered in ascending (cid, var)
-        # order; a binary arc also keeps its partner variable and slack, any
-        # other arc partner -1 and a slack no domain size exceeds.  The arcs
-        # seeded after a decision on x are every constraint on x revised at
-        # its other scope variables, ascending (cid, var).
-        arcs: list[tuple[int, int]] = []
+        # arc i revises constraint arc_cid[i] at variable arc_var[i], numbered
+        # in ascending (cid, var) order; a binary arc also keeps its partner
+        # variable and slack, any other arc partner -1 and a slack no domain
+        # size exceeds.  The arcs queued after a decision on x are every
+        # constraint on x revised at its other scope variables, ascending
+        # (cid, var).
+        arc_cid: list[int] = []
+        arc_var: list[int] = []
         partner: list[int] = []
         arc_slack: list[int] = []
         per_var: list[list[int]] = [[] for _ in range(n)]
         cons_of: list[list[int]] = [[] for _ in range(n)]
         for c in cons:
             cid, scope = c.cid, c.scope
-            first = len(arcs)
+            first = len(arc_cid)
             ordered = sorted(scope)
-            arcs += [(cid, y) for y in ordered]
+            arc_cid += [cid] * len(scope)
+            arc_var += ordered
             if len(scope) == 2:
                 partner += ordered[::-1]
                 slack = bin_slack[cid]
@@ -176,13 +178,12 @@ class _Tables:
             for x in scope:
                 cons_of[x].append(cid)
                 per_var[x] += [first + k for k, y in enumerate(ordered) if y != x]
-        self.arcs = tuple(arcs)
-        self.arc_cid = [cid for cid, _ in arcs]
-        self.arc_var = [y for _, y in arcs]
+        self.arc_cid = arc_cid
+        self.arc_var = arc_var
         self.arc_partner = partner
         self.arc_slack = arc_slack
         self.decision_arcs = [tuple(a) for a in per_var]
-        self.root_arcs = tuple(range(len(arcs)))
+        self.root_arcs = tuple(range(len(arc_cid)))
         self.var_constraints = [
             tuple((cid, tuple(z for z in cons[cid].scope if z != x)) for cid in cons_of[x])
             for x in range(n)
@@ -322,10 +323,10 @@ class SearchState:
     __slots__ = (
         "problem", "tables", "masks", "sizes", "weights", "assigned",
         "trail", "marks", "singletons",
-        "nodes", "decisions", "wipeouts", "backtracks", "seed", "rng",
+        "nodes", "decisions", "wipeouts", "backtracks",
     )
 
-    def __init__(self, problem: Problem, seed: int = 0) -> None:
+    def __init__(self, problem: Problem) -> None:
         t = problem.tables
         self.problem = problem
         self.tables = t
@@ -340,8 +341,6 @@ class SearchState:
         self.decisions = 0
         self.wipeouts = 0
         self.backtracks = 0
-        self.seed = seed
-        self.rng = Rng(seed)
 
     # -- domain queries ----------------------------------------------------
 
@@ -355,9 +354,6 @@ class SearchState:
             out.append(vals[b.bit_length() - 1])
             m ^= b
         return out
-
-    def domain_size(self, x: int) -> int:
-        return self.sizes[x]
 
     def has_value(self, x: int, v: int) -> bool:
         bit = self.tables.pos[x].get(v)

@@ -3,9 +3,10 @@
 An arc is a pair ``(constraint id, variable id)``; revising it deletes every
 value of the variable lacking a supporting tuple in the constraint over the
 current domains of the other scope variables.  The compiled tables number
-the arcs in ascending ``(cid, var)`` order (``tables.arcs[i]`` is arc ``i``),
-and ``propagate`` works on those ids: a FIFO queue of ints with a
-``bytearray`` in-queue flag for deduplication.  When a revision shrinks a
+the arcs in ascending ``(cid, var)`` order (arc ``i`` is
+``(tables.arc_cid[i], tables.arc_var[i])``), and ``propagate`` works on those
+ids: a FIFO queue of ints with a ``bytearray`` in-queue flag for
+deduplication.  When a revision shrinks a
 domain, all arcs of other constraints sharing that variable are re-enqueued.
 A revision that empties a domain bumps the weight of exactly that constraint
 by one and stops propagation immediately.

@@ -82,11 +82,10 @@ def solve(
     problem: Problem,
     scheme: Scheme,
     limits: Optional[Limits] = None,
-    seed: int = 0,
     trace: Optional[list[str]] = None,
 ) -> Outcome:
-    """Solve ``problem`` under ``scheme``; deterministic for a given seed."""
-    state = SearchState(problem, seed)
+    """Solve ``problem`` under ``scheme``; the search draws no random numbers."""
+    state = SearchState(problem)
     started = time.perf_counter()
     max_nodes = limits.max_nodes if limits else None
     wall_ms = limits.wall_time_ms if limits else None

@@ -13,7 +13,7 @@ from collections import deque
 from typing import Iterable, Optional, Sequence
 
 from branchbench.clustering import bic
-from branchbench.model import Constraint, Problem, check_tuple
+from branchbench.model import Constraint, Problem, SearchState, check_tuple
 
 
 def brute_force_solutions(problem: Problem, limit: Optional[int] = None) -> list[tuple[int, ...]]:
@@ -64,6 +64,34 @@ def supported_values(
                 kept.append(v)
                 break
     return kept
+
+
+def promise_scores(state: SearchState, x: int) -> list[tuple[int, int]]:
+    """``(value, score)`` for every current value of ``x``, best score first
+    (ties: ascending value), by brute force over the binary constraints.
+
+    A value's score is the product, over the unassigned variables sharing at
+    least one binary constraint with ``x``, of how many of their current
+    values satisfy every binary constraint between the two together with it
+    (``check_tuple`` on each pair); the empty product is 1.
+    """
+    between: dict[int, list[Constraint]] = {}
+    for c in state.problem.constraints:
+        if len(c.scope) == 2 and x in c.scope:
+            y = c.scope[1] if c.scope[0] == x else c.scope[0]
+            between.setdefault(y, []).append(c)
+    scored = []
+    for v in state.domain_values(x):
+        score = 1
+        for y, cons in between.items():
+            if state.assigned[y] is None:
+                score *= sum(
+                    all(check_tuple(c, (v, w) if c.scope[0] == x else (w, v)) for c in cons)
+                    for w in state.domain_values(y)
+                )
+        scored.append((v, score))
+    scored.sort(key=lambda vs: (-vs[1], vs[0]))
+    return scored
 
 
 def gac_fixpoint(

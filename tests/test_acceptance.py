@@ -244,7 +244,7 @@ def test_criterion_6_statistics_closed_forms():
     assert folded_ratio(7.0, 7.0) == 1.0
 
     def rec(instance, scheme, ms, status="sat"):
-        return RunRecord(instance, scheme, status, 10, 5, 1, ms, 0)
+        return RunRecord(instance, scheme, status, 10, 5, 1, 0, ms)
 
     records = [
         rec("a-1", "dway", 100.0), rec("a-1", "split", 40.0),   # 2.5x faster
@@ -273,8 +273,8 @@ def test_criterion_7_determinism():
         for scheme in ALL_SCHEMES:
             first: list[str] = []
             second: list[str] = []
-            a = solve(problem, scheme, seed=11, trace=first)
-            b = solve(problem, scheme, seed=11, trace=second)
+            a = solve(problem, scheme, trace=first)
+            b = solve(problem, scheme, trace=second)
             assert first == second
             assert a.stats.nodes == b.stats.nodes
             assert a.stats.decisions == b.stats.decisions
@@ -330,7 +330,6 @@ def test_criterion_8_end_to_end_pipeline(tmp_path, capsys):
             "--manifest", str(manifest),
             "--schemes", ",".join(SCHEME_NAMES),
             "--out", str(results),
-            "--seed", "2024",
         ]
     )
     assert code == 0

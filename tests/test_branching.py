@@ -21,8 +21,8 @@ from branchbench.exprs import Call, VarRef
 from branchbench.model import Constraint, Intensional, Problem
 
 
-def rooted(problem, seed=0):
-    state = SearchState(problem, seed)
+def rooted(problem):
+    state = SearchState(problem)
     state.push_level()
     assert establish_root_gac(state) is None
     return state
@@ -128,7 +128,7 @@ def test_kmax_one_always_falls_back():
 def test_threshold_one_disables_splitting_everywhere():
     for seed in range(40):
         p = random_problem(seed)
-        state = SearchState(p, seed)
+        state = SearchState(p)
         state.push_level()
         if establish_root_gac(state) is not None or state.all_singleton():
             continue
@@ -172,7 +172,7 @@ def test_plan_shape_invariants(name):
     binary = name in ("2way", "split", "ties-2way", "clust-2way")
     for seed in range(60):
         p = random_problem(seed)
-        state = SearchState(p, seed)
+        state = SearchState(p)
         state.push_level()
         if establish_root_gac(state) is not None or state.all_singleton():
             continue

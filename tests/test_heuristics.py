@@ -3,10 +3,12 @@ import random
 import pytest
 
 from branchbench.exprs import Call, Const, VarRef
-from branchbench.heuristics import promise, score_domain, select_variable, wdeg
+from branchbench.generators import gen_randomb
+from branchbench.heuristics import score_domain, select_variable, wdeg
 from branchbench.model import Constraint, Intensional, Problem, SearchState
 from branchbench.propagation import establish_root_gac, propagate
-from util import _random_extensional, _random_intensional, ne_rel
+from oracles import promise_scores
+from util import _random_extensional, _random_intensional, ne_rel, random_problem
 
 
 def intens(name, *args):
@@ -22,17 +24,21 @@ def lt_problem():
     )
 
 
+def scores_of(state, x):
+    """Value -> promise score of every current value of ``x``."""
+    return {sv.value: sv.score for sv in score_domain(state, x)}
+
+
 def test_promise_hand_values():
     st = SearchState(lt_problem())
-    assert [promise(st, 0, v) for v in (0, 1)] == [2, 1]
-    assert [promise(st, 1, v) for v in (0, 1, 2)] == [0, 1, 2]
+    assert scores_of(st, 0) == {0: 2, 1: 1}
+    assert scores_of(st, 1) == {0: 0, 1: 1, 2: 2}
 
 
 def test_promise_empty_product_is_one():
     p = Problem(("x", "y"), ((0, 1), (0, 1)), ())
     st = SearchState(p)
-    assert promise(st, 0, 0) == 1
-    assert promise(st, 0, 1) == 1
+    assert scores_of(st, 0) == {0: 1, 1: 1}
 
 
 def test_promise_multiplies_across_neighbors():
@@ -47,8 +53,7 @@ def test_promise_multiplies_across_neighbors():
         ),
     )
     st = SearchState(p)
-    assert promise(st, 0, 0) == 4
-    assert promise(st, 0, 1) == 4
+    assert scores_of(st, 0) == {0: 4, 1: 4, 2: 4}
 
 
 def test_promise_requires_all_pair_constraints():
@@ -67,14 +72,14 @@ def test_promise_requires_all_pair_constraints():
         ),
     )
     st = SearchState(p)
-    assert [promise(st, 0, v) for v in (0, 1)] == [1, 1]
+    assert scores_of(st, 0) == {0: 1, 1: 1}
     assert [sv.score for sv in score_domain(st, 1)] == [1, 1, 0]
 
 
 def test_promise_skips_assigned_neighbors():
     st = SearchState(lt_problem())
     st.assigned[1] = 0
-    assert promise(st, 0, 0) == 1  # no unassigned neighbors left
+    assert scores_of(st, 0) == {0: 1, 1: 1}  # no unassigned neighbors left
 
 
 def test_promise_counts_nonbinary_as_factor_one():
@@ -89,8 +94,7 @@ def test_promise_counts_nonbinary_as_factor_one():
     )
     st = SearchState(p)
     # only the binary ne contributes: one compatible value of b per a
-    assert promise(st, 0, 0) == 1
-    assert promise(st, 0, 1) == 1
+    assert scores_of(st, 0) == {0: 1, 1: 1}
 
 
 def test_score_domain_orders_desc_score_then_asc_value():
@@ -198,12 +202,11 @@ def test_select_requires_an_unassigned_variable():
 
 
 def test_promise_rejects_values_outside_domain():
+    # scores cover exactly the current domain: never 7, never a removed value
     st = SearchState(lt_problem())
-    with pytest.raises(ValueError):
-        promise(st, 0, 7)
+    assert set(scores_of(st, 0)) == {0, 1}
     st.remove_value(0, 1)
-    with pytest.raises(ValueError):
-        promise(st, 0, 1)
+    assert set(scores_of(st, 0)) == {0}
 
 
 def _random_binary_problem(seed: int) -> Problem:
@@ -235,8 +238,8 @@ def test_zero_promise_assignments_wipe_a_neighbor():
         if establish_root_gac(st) is not None:
             continue
         for x in range(p.n_vars):
-            for v in st.domain_values(x):
-                if promise(st, x, v) != 0:
+            for v, score in score_domain(st, x):
+                if score != 0:
                     continue
                 checked += 1
                 tok = st.push_level()
@@ -244,3 +247,48 @@ def test_zero_promise_assignments_wipe_a_neighbor():
                 assert propagate(st, st.tables.decision_arcs[x]) is not None
                 st.undo_to(tok)
     assert checked >= 10  # the sweep actually exercised the property
+
+
+def _walk_checking_scores(p, r, steps=12):
+    """Random decisions and backtracks (a branch to a single value commits
+    the variable, as search does); at every consistent state ``score_domain``
+    must equal the brute-force oracle for every unassigned variable.
+    Returns the number of states checked."""
+    st = SearchState(p)
+    if establish_root_gac(st) is not None:
+        return 0
+    checked = 0
+    levels = []
+    for _ in range(steps):
+        for x in range(p.n_vars):
+            if st.assigned[x] is None:
+                assert score_domain(st, x) == promise_scores(st, x)
+        checked += 1
+        open_vars = [x for x in range(p.n_vars) if st.assigned[x] is None and st.sizes[x] > 1]
+        if not open_vars:
+            break
+        x = r.choice(open_vars)
+        values = st.domain_values(x)
+        picked = r.choice(values)
+        kept = [picked] if r.randrange(2) else [v for v in values if v != picked]
+        levels.append((st.push_level(), x))
+        st.reduce_domain(x, kept)
+        if len(kept) == 1:
+            st.assigned[x] = kept[0]
+        wiped = propagate(st, st.tables.decision_arcs[x]) is not None
+        if wiped or r.randrange(4) == 0:
+            token, x = levels.pop()
+            st.assigned[x] = None
+            st.undo_to(token)
+    return checked
+
+
+def test_score_domain_matches_brute_force_oracle():
+    checked = 0
+    for seed in range(150):
+        p = random_problem(seed, max_vars=7, max_dom=6)
+        checked += _walk_checking_scores(p, random.Random(seed))
+    for seed in range(20):
+        p = gen_randomb(8, 5, 20, 11, seed)
+        checked += _walk_checking_scores(p, random.Random(seed), steps=20)
+    assert checked >= 500

@@ -89,7 +89,7 @@ def test_state_initial_view():
     p = two_var_problem(ne_rel("x", "y"))
     st = SearchState(p)
     assert st.domain_values(0) == [0, 1, 2]
-    assert st.domain_size(1) == 3
+    assert st.sizes[1] == 3
     assert st.has_value(0, 2)
     assert not st.has_value(0, 7)
     assert not st.all_singleton()
@@ -169,7 +169,7 @@ def test_singleton_counter_tracks_sizes(removals, _shape):
         dom = st_state.domain_values(x)
         if len(dom) > 1:
             st_state.remove_value(x, dom[r % len(dom)])
-        expected = sum(1 for v in range(3) if st_state.domain_size(v) == 1)
+        expected = sum(1 for v in range(3) if st_state.sizes[v] == 1)
         assert st_state.singletons == expected
     st_state.undo_to(tok)
     assert st_state.singletons == 0

@@ -126,9 +126,13 @@ def test_decision_arcs_cover_other_scope_vars_sorted():
         ),
     )
     tables = p.tables
-    assert [tables.arcs[a] for a in tables.decision_arcs[0]] == [(0, 1), (1, 2)]
-    assert [tables.arcs[a] for a in tables.decision_arcs[1]] == [(0, 0), (2, 2)]
-    assert [tables.arcs[a] for a in tables.decision_arcs[2]] == [(1, 0), (2, 1)]
+
+    def arcs(x):
+        return [(tables.arc_cid[a], tables.arc_var[a]) for a in tables.decision_arcs[x]]
+
+    assert arcs(0) == [(0, 1), (1, 2)]
+    assert arcs(1) == [(0, 0), (2, 2)]
+    assert arcs(2) == [(1, 0), (2, 1)]
 
 
 def test_propagate_after_decision_reaches_fixpoint():
@@ -289,7 +293,8 @@ def test_propagate_matches_reference_queue_on_tight_binary(seed):
 
 def _slack_of(problem, cid, x):
     tables = problem.tables
-    return tables.arc_slack[tables.arcs.index((cid, x))]
+    arcs = list(zip(tables.arc_cid, tables.arc_var))
+    return tables.arc_slack[arcs.index((cid, x))]
 
 
 def test_slack_of_ne_is_one():
@@ -328,7 +333,7 @@ def test_non_binary_arcs_are_never_skippable():
     )
     tables = p.tables
     largest = max(len(d) for d in p.domains)
-    for a in range(len(tables.arcs)):
+    for a in range(len(tables.arc_cid)):
         assert tables.arc_partner[a] == -1
         assert tables.arc_slack[a] > largest
 
@@ -344,7 +349,7 @@ def test_skip_fires_only_where_revise_removes_nothing():
             values = st.domain_values(x)
             st.reduce_domain(x, r.sample(values, r.randint(1, len(values))))
         tables = p.tables
-        for a, (cid, x) in enumerate(tables.arcs):
+        for a, (cid, x) in enumerate(zip(tables.arc_cid, tables.arc_var)):
             partner = tables.arc_partner[a]
             if partner >= 0 and st.sizes[partner] > tables.arc_slack[a]:
                 fired += 1

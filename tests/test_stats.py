@@ -176,7 +176,7 @@ def test_paired_ttest_shift_moves_mean_and_ci(diffs, c):
 # ------------------------------------------------------------ aggregation
 
 def rec(instance, scheme, elapsed, status="sat", nodes=100):
-    return RunRecord(instance, scheme, status, nodes, nodes, 0, elapsed, 0)
+    return RunRecord(instance, scheme, status, nodes, nodes, 0, 0, elapsed)
 
 
 FIXTURE = [
