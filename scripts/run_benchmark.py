@@ -13,6 +13,7 @@ from pathlib import Path
 
 from branchbench.bench import parse_manifest, run_bench, write_csv
 from branchbench.branching import SCHEME_NAMES, parse_scheme
+from branchbench.cli import _in_range
 from branchbench.search import Limits
 from branchbench.stats import format_report
 
@@ -56,8 +57,9 @@ def main() -> int:
     ap.add_argument("--out-dir", type=Path, default=Path("bench-out"))
     ap.add_argument("--schemes", default=",".join(SCHEME_NAMES))
     ap.add_argument("--baseline", default="2way")
-    ap.add_argument("--jobs", type=int, default=1)
-    ap.add_argument("--timeout-ms", type=float, default=None)
+    ap.add_argument("--jobs", type=_in_range(int, 1), default=1,
+                    help="worker processes; each takes whole instances")
+    ap.add_argument("--timeout-ms", type=_in_range(float, 0), default=None)
     ap.add_argument("--large", action="store_true", help="add the slow instances")
     ap.add_argument("--manifest", type=Path, help="use this manifest instead")
     args = ap.parse_args()

@@ -11,6 +11,10 @@ generator call:
 Blank lines and `#` comments are skipped.  Every solve is deterministic, so
 without a time limit a row's counters depend only on its instance and scheme,
 never on ``jobs``; generator lines carry their own seeds.
+
+``run_bench`` loads and compiles each instance once and solves that one
+problem under each scheme in order; with ``jobs > 1`` the unit of parallel
+work is an instance, not an (instance, scheme) pair.
 """
 
 from __future__ import annotations
@@ -85,21 +89,28 @@ def parse_manifest(text: str, base_dir: Union[str, Path] = ".") -> list[Instance
     return sources
 
 
-def _run_one(task) -> RunRecord:
-    source, scheme, limits = task
+def _run_instance(task) -> list[RunRecord]:
+    source, schemes, limits = task
+    # one load and one table compile, shared by every scheme: a Problem is
+    # immutable and solve() keeps all search state in its own SearchState
     problem = source.load()
-    outcome = solve(problem, scheme, limits=limits)
-    s = outcome.stats
-    return RunRecord(
-        instance=source.name,
-        scheme=scheme.kind.value,
-        status=outcome.status.value,
-        nodes=s.nodes,
-        decisions=s.decisions,
-        wipeouts=s.wipeouts,
-        backtracks=s.backtracks,
-        elapsed_ms=s.elapsed_ms,
-    )
+    records = []
+    for scheme in schemes:
+        outcome = solve(problem, scheme, limits=limits)
+        s = outcome.stats
+        records.append(
+            RunRecord(
+                instance=source.name,
+                scheme=scheme.kind.value,
+                status=outcome.status.value,
+                nodes=s.nodes,
+                decisions=s.decisions,
+                wipeouts=s.wipeouts,
+                backtracks=s.backtracks,
+                elapsed_ms=s.elapsed_ms,
+            )
+        )
+    return records
 
 
 def run_bench(
@@ -109,7 +120,13 @@ def run_bench(
     seed: int = 0,
     jobs: int = 1,
 ) -> list[RunRecord]:
-    """Run every scheme on every instance; rows come back in task order.
+    """Run every scheme on every instance; rows come back instance by
+    instance, schemes in the given order within each.
+
+    Each instance is loaded and compiled once, then solved under each
+    scheme in turn.  With ``jobs > 1`` the unit of parallel work is an
+    instance, so a manifest with fewer instances than ``jobs`` leaves
+    workers idle.
 
     ``seed`` is accepted and ignored: no solve draws a random number.  It
     stays only because the benchmark harness (``perfbench/workloads.py``)
@@ -117,11 +134,14 @@ def run_bench(
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    tasks = [(source, scheme, limits) for source in sources for scheme in schemes]
+    schemes = tuple(schemes)
+    tasks = [(source, schemes, limits) for source in sources]
     if jobs == 1 or len(tasks) <= 1:
-        return [_run_one(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_run_one, tasks))
+        per_instance = map(_run_instance, tasks)
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            per_instance = list(pool.map(_run_instance, tasks))
+    return [record for records in per_instance for record in records]
 
 
 def write_csv(records: Iterable[RunRecord], out: IO[str]) -> None:

@@ -1,7 +1,11 @@
 """Benchmark runner, manifest parsing, CSV round trips, and the CLI."""
 
 import io
+import os
 import re
+import subprocess
+import sys
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import pytest
@@ -15,11 +19,13 @@ from branchbench.bench import (
     run_bench,
     write_csv,
 )
-from branchbench.branching import parse_scheme
+from branchbench.branching import SCHEME_NAMES, parse_scheme
 from branchbench.cli import main
-from branchbench.generators import GenSpec, gen_pigeons
+from branchbench.generators import GenSpec, gen_langford, gen_pigeons
 from branchbench.instance_io import parse_instance, serialize_instance
-from branchbench.search import solve
+from branchbench.search import Limits, solve
+
+ROOT = Path(__file__).resolve().parent.parent
 
 TRACE_LINE = re.compile(r"^\d+ \S+ \{-?\d+(,-?\d+)*\} (L|R|E#\d+)$")
 
@@ -108,6 +114,65 @@ def test_run_bench_parallel_matches_sequential():
 def test_run_bench_validates_jobs():
     with pytest.raises(ValueError):
         run_bench(SOURCES, SCHEMES, jobs=0)
+
+
+@dataclass(frozen=True)
+class CountingSource(InstanceSource):
+    """An InstanceSource that records each load() call."""
+
+    loads: list = field(default_factory=list, compare=False)
+
+    def load(self):
+        self.loads.append(self.name)
+        return super().load()
+
+
+ALL_SCHEMES = tuple(parse_scheme(name) for name in SCHEME_NAMES)
+
+
+def fresh_fields(sources, schemes, limits=None):
+    """bench_fields of solving each (source, scheme) on a newly loaded problem."""
+    rows = []
+    for source in sources:
+        for scheme in schemes:
+            out = solve(source.load(), scheme, limits=limits)
+            s = out.stats
+            rows.append((source.name, scheme.kind.value, out.status.value,
+                         s.nodes, s.decisions, s.wipeouts, s.backtracks))
+    return rows
+
+
+def test_run_bench_loads_each_instance_once(tmp_path):
+    path = tmp_path / "langford-7.csp"
+    path.write_text(serialize_instance(gen_langford(7)), encoding="utf-8")
+    sources = [
+        CountingSource("langford-7", path=str(path)),
+        CountingSource("pigeons-5", genspec=GenSpec("pigeons", {"n": 5})),
+        CountingSource("nary", path=str(ROOT / "tests" / "golden" / "nary.csp")),
+    ]
+    records = run_bench(sources, ALL_SCHEMES, jobs=1)
+    assert [s.loads for s in sources] == [[s.name] for s in sources]
+    expected = fresh_fields(sources, ALL_SCHEMES)
+    assert bench_fields(records) == expected
+    assert {r.status for r in records} == {"sat", "unsat"}
+
+    # workers load pickled copies; plain sources keep the test module out of them
+    plain = [InstanceSource(s.name, s.path, s.genspec) for s in sources]
+    assert bench_fields(run_bench(plain, ALL_SCHEMES, jobs=2)) == expected
+
+
+def test_run_bench_reuses_the_problem_after_early_exits():
+    # langford 8 takes 43 nodes under split and 36 under dway (tests/golden):
+    # with 38 nodes allowed the first solve stops at the limit and the second
+    # finds a solution, and both leave the shared problem as it was
+    order = ("split", "dway", "2way", "ties-dway", "ties-2way", "clust-dway", "clust-2way")
+    schemes = [parse_scheme(name) for name in order]
+    limits = Limits(max_nodes=38)
+    source = CountingSource("langford-8", genspec=GenSpec("langford", {"n": 8}))
+    records = run_bench([source], schemes, limits=limits)
+    assert source.loads == [source.name]
+    assert [r.status for r in records[:2]] == ["limit", "sat"]
+    assert bench_fields(records) == fresh_fields([source], schemes, limits)
 
 
 # -------------------------------------------------------------------- CSV
@@ -254,6 +319,26 @@ def test_cli_bench_usage_errors(tmp_path):
     assert main(common + ["--schemes", "dway", "--jobs", "0"]) == 1
     assert main(common + ["--schemes", "dway", "--timeout-ms", "-1"]) == 1
     assert main(["bench", "--manifest", str(tmp_path / "no.txt"), "--schemes", "dway", "--out", "-"]) == 2
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [["--jobs", "0"], ["--jobs", "two"], ["--timeout-ms", "-1"], ["--timeout-ms", "nan"]],
+    ids=" ".join,
+)
+def test_run_benchmark_script_rejects_bad_options(tmp_path, bad):
+    out_dir = tmp_path / "bench-out"
+    out_dir.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_benchmark.py"),
+         "--out-dir", str(out_dir), *bad],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2  # argparse's usage-error exit
+    assert proc.stderr.startswith("usage: ")
+    assert "Traceback" not in proc.stderr
+    assert list(out_dir.iterdir()) == []
 
 
 def test_cli_top_level_usage():
