@@ -72,6 +72,7 @@ def _build_parser() -> _Parser:
     p_bench.add_argument("--schemes", required=True, help="comma separated names")
     p_bench.add_argument("--out", required=True, help="CSV path, - for stdout")
     p_bench.add_argument("--timeout-ms", type=_in_range(float, 0))
+    p_bench.add_argument("--max-nodes", type=_in_range(int, 0))
     p_bench.add_argument("--jobs", type=_in_range(int, 1), default=1)
 
     p_stats = sub.add_parser("stats", help="summarize a results CSV")
@@ -132,7 +133,7 @@ def _cmd_bench(args) -> int:
     sources = parse_manifest(
         manifest_path.read_text(encoding="utf-8"), manifest_path.parent
     )
-    limits = Limits(wall_time_ms=args.timeout_ms)
+    limits = Limits(max_nodes=args.max_nodes, wall_time_ms=args.timeout_ms)
     records = run_bench(sources, schemes, limits=limits, jobs=args.jobs)
     if args.out == "-":
         write_csv(records, sys.stdout)

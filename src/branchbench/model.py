@@ -8,10 +8,12 @@ domains, constraint weights, the restoration trail) lives in
 
 Current domains are bitmasks over positions in the original domain, which
 keeps membership tests, removals, and the compatibility counting done by the
-value heuristic cheap.  The compiled tables on the problem (support masks per
-binary constraint, arc lists, neighbour tables) are a pure indexing layer:
-they change nothing about constraint semantics, which are always those of
-:func:`check_tuple`.
+value heuristic cheap.  Every shrink of a domain, whatever number of values
+it removes, pushes one trail entry ``(variable, removed mask)``; undoing it is
+one OR into the mask.  The compiled tables on the problem (arc lists with
+per-arc support masks for binary constraints, neighbour tables) are a pure
+indexing layer: they change nothing about constraint semantics, which are
+always those of :func:`check_tuple`.
 """
 
 from __future__ import annotations
@@ -105,9 +107,8 @@ class _Tables:
 
     __slots__ = (
         "values", "pos", "full_masks",
-        "arity", "scopes",
-        "bin_sup", "unary_masks",
-        "arc_cid", "arc_var", "arc_partner", "arc_slack",
+        "arity", "unary_masks",
+        "arc_cid", "arc_var", "arc_partner", "arc_slack", "arc_sup", "arc_opp",
         "decision_arcs", "root_arcs",
         "neighbors", "var_constraints",
     )
@@ -120,8 +121,7 @@ class _Tables:
 
         cons = problem.constraints
         self.arity = [len(c.scope) for c in cons]
-        self.scopes = [c.scope for c in cons]
-        self.bin_sup: list = [None] * len(cons)
+        bin_sup: list = [None] * len(cons)
         self.unary_masks: list = [None] * len(cons)
         bin_slack: list = [None] * len(cons)
 
@@ -148,18 +148,22 @@ class _Tables:
                         len(self.values[u]) - min(map(int.bit_count, sup_v)),
                     )
                     got = sup_cache[key] = (sup, slack)
-                self.bin_sup[c.cid], bin_slack[c.cid] = got
+                bin_sup[c.cid], bin_slack[c.cid] = got
 
         # arc i revises constraint arc_cid[i] at variable arc_var[i], numbered
         # in ascending (cid, var) order; a binary arc also keeps its partner
-        # variable and slack, any other arc partner -1 and a slack no domain
-        # size exceeds.  The arcs queued after a decision on x are every
-        # constraint on x revised at its other scope variables, ascending
-        # (cid, var).
+        # variable, its slack, the support table of its own side (arc_sup:
+        # bit of x -> mask of partner values) and of the other side (arc_opp:
+        # bit of the partner -> mask of x values).  Any other arc has partner
+        # -1, a slack no domain size exceeds and no tables.  The arcs queued
+        # after a decision on x are every constraint on x revised at its
+        # other scope variables, ascending (cid, var).
         arc_cid: list[int] = []
         arc_var: list[int] = []
         partner: list[int] = []
         arc_slack: list[int] = []
+        arc_sup: list = []
+        arc_opp: list = []
         per_var: list[list[int]] = [[] for _ in range(n)]
         cons_of: list[list[int]] = [[] for _ in range(n)]
         for c in cons:
@@ -171,10 +175,18 @@ class _Tables:
             if len(scope) == 2:
                 partner += ordered[::-1]
                 slack = bin_slack[cid]
-                arc_slack += slack if ordered[0] == scope[0] else slack[::-1]
+                sup = bin_sup[cid]
+                if ordered[0] != scope[0]:
+                    slack = slack[::-1]
+                    sup = sup[::-1]
+                arc_slack += slack
+                arc_sup += sup
+                arc_opp += sup[::-1]
             else:
                 partner += [-1] * len(scope)
                 arc_slack += [_NEVER_SKIP] * len(scope)
+                arc_sup += [None] * len(scope)
+                arc_opp += [None] * len(scope)
             for x in scope:
                 cons_of[x].append(cid)
                 per_var[x] += [first + k for k, y in enumerate(ordered) if y != x]
@@ -182,6 +194,8 @@ class _Tables:
         self.arc_var = arc_var
         self.arc_partner = partner
         self.arc_slack = arc_slack
+        self.arc_sup = arc_sup
+        self.arc_opp = arc_opp
         self.decision_arcs = [tuple(a) for a in per_var]
         self.root_arcs = tuple(range(len(arc_cid)))
         self.var_constraints = [
@@ -198,7 +212,7 @@ class _Tables:
             u, v = c.scope
             if u == v:
                 continue
-            sup_u, sup_v = self.bin_sup[c.cid]
+            sup_u, sup_v = bin_sup[c.cid]
             for a, b, sup in ((u, v, sup_u), (v, u, sup_v)):
                 comb = pair_comb.get((a, b))
                 if comb is None:
@@ -334,7 +348,7 @@ class SearchState:
         self.sizes = [len(dom) for dom in t.values]
         self.weights = [1] * len(problem.constraints)
         self.assigned: list[Optional[int]] = [None] * problem.n_vars
-        self.trail: list[tuple[int, int]] = []
+        self.trail: list[tuple[int, int]] = []  # (variable, removed mask)
         self.marks: list[int] = []
         self.singletons = sum(1 for s in self.sizes if s == 1)
         self.nodes = 0
@@ -383,49 +397,61 @@ class SearchState:
         trail = self.trail
         masks = self.masks
         sizes = self.sizes
-        while len(trail) > mark:
-            x, bit = trail.pop()
-            masks[x] |= 1 << bit
+        singletons = self.singletons
+        for x, removed in trail[mark:]:
+            masks[x] |= removed
             s = sizes[x]
-            sizes[x] = s + 1
+            t = s + removed.bit_count()
+            sizes[x] = t
             if s == 1:
-                self.singletons -= 1
-            elif s == 0:
-                self.singletons += 1
+                singletons -= 1
+            elif t == 1:
+                singletons += 1
+        del trail[mark:]
+        self.singletons = singletons
 
-    def _remove_bit(self, x: int, bit: int) -> None:
-        self.masks[x] &= ~(1 << bit)
-        self.trail.append((x, bit))
-        s = self.sizes[x] - 1
-        self.sizes[x] = s
-        if s == 1:
+    def _remove_mask(self, x: int, removed: int) -> None:
+        """Delete the values of ``removed``, a non-empty subset of the current
+        domain of ``x`` as a bitmask, as one trail entry."""
+        self.masks[x] ^= removed
+        self.trail.append((x, removed))
+        s = self.sizes[x]
+        t = s - removed.bit_count()
+        self.sizes[x] = t
+        if t == 1:
             self.singletons += 1
-        elif s == 0:
+        elif s == 1:
             self.singletons -= 1
 
-    def remove_value(self, x: int, v: int) -> None:
-        """Delete ``v`` from the current domain of ``x`` (trail-logged)."""
-        bit = self.tables.pos[x].get(v)
-        if bit is None or not (self.masks[x] >> bit) & 1:
-            raise ValueError(f"value {v} not in current domain of variable {x}")
-        self._remove_bit(x, bit)
-
-    def reduce_domain(self, x: int, values: Iterable[int]) -> None:
-        """Shrink the domain of ``x`` to ``values`` (a non-empty subset of it)."""
+    def _mask_of(self, x: int, values: Iterable[int]) -> int:
         pos = self.tables.pos[x]
-        target = 0
+        mask = 0
         for v in values:
             bit = pos.get(v)
             if bit is None:
                 raise ValueError(f"value {v} not in original domain of variable {x}")
-            target |= 1 << bit
+            mask |= 1 << bit
+        return mask
+
+    def remove_values(self, x: int, values: Iterable[int]) -> None:
+        """Delete ``values`` from the current domain of ``x`` (one trail entry)."""
+        removed = self._mask_of(x, values)
+        if removed & ~self.masks[x]:
+            raise ValueError(f"a value to remove is not in the current domain of variable {x}")
+        if removed:
+            self._remove_mask(x, removed)
+
+    def remove_value(self, x: int, v: int) -> None:
+        """Delete ``v`` from the current domain of ``x`` (trail-logged)."""
+        self.remove_values(x, (v,))
+
+    def reduce_domain(self, x: int, values: Iterable[int]) -> None:
+        """Shrink the domain of ``x`` to ``values`` (a non-empty subset of it)."""
+        target = self._mask_of(x, values)
         cur = self.masks[x]
         if target == 0:
             raise ValueError("reduce_domain target is empty")
         if target & ~cur:
             raise ValueError("reduce_domain target is not a subset of the current domain")
-        removed = cur & ~target
-        while removed:
-            b = removed & -removed
-            self._remove_bit(x, b.bit_length() - 1)
-            removed ^= b
+        if target != cur:
+            self._remove_mask(x, cur ^ target)

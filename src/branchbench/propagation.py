@@ -4,12 +4,20 @@ An arc is a pair ``(constraint id, variable id)``; revising it deletes every
 value of the variable lacking a supporting tuple in the constraint over the
 current domains of the other scope variables.  The compiled tables number
 the arcs in ascending ``(cid, var)`` order (arc ``i`` is
-``(tables.arc_cid[i], tables.arc_var[i])``), and ``propagate`` works on those
-ids: a FIFO queue of ints with a ``bytearray`` in-queue flag for
-deduplication.  When a revision shrinks a
-domain, all arcs of other constraints sharing that variable are re-enqueued.
-A revision that empties a domain bumps the weight of exactly that constraint
-by one and stops propagation immediately.
+``(tables.arc_cid[i], tables.arc_var[i])``), and both ``revise`` and
+``propagate`` work on those ids: a FIFO queue of ints with a ``bytearray``
+in-queue flag for deduplication.  When a revision shrinks a domain, all arcs
+of other constraints sharing that variable are re-enqueued.  A revision that
+empties a domain bumps the weight of exactly that constraint by one and
+stops propagation immediately.
+
+A binary arc is revised inline from its per-arc tables: ``arc_sup`` maps
+each value bit of the arc's variable to the mask of its partner supports,
+and ``arc_opp`` maps each partner bit to the mask of the variable's
+supports.  When the partner is a singleton, one AND with ``arc_opp`` at the
+partner's bit is the whole revision; otherwise each current value is tested
+against ``arc_sup``.  Unary and n-ary arcs go through ``_supported_mask``.
+All removed values leave the domain as one trail entry.
 
 Most revisions remove nothing, and many of them are skipped unrevised.  A
 binary arc's *slack* is the largest number of original partner values that
@@ -43,29 +51,10 @@ class Wipeout:
 
 
 def _supported_mask(state: SearchState, cid: int, x: int) -> int:
-    """Mask of values of ``x`` that keep a support in constraint ``cid``."""
-    tables = state.tables
-    arity = tables.arity[cid]
-    m = state.masks[x]
-    if arity == 1:
-        return m & tables.unary_masks[cid]
-    if arity == 2:
-        u, v = tables.scopes[cid]
-        side = 0 if x == u else 1
-        p = v if x == u else u
-        sup = tables.bin_sup[cid][side]
-        pm = state.masks[p]
-        if state.sizes[p] == 1:
-            # the opposite table maps the partner's single bit to x-values
-            return m & tables.bin_sup[cid][1 - side][pm.bit_length() - 1]
-        new = 0
-        t = m
-        while t:
-            b = t & -t
-            if sup[b.bit_length() - 1] & pm:
-                new |= b
-            t ^= b
-        return new
+    """Mask of values of ``x`` that keep a support in the unary or n-ary
+    constraint ``cid``."""
+    if state.tables.arity[cid] == 1:
+        return state.masks[x] & state.tables.unary_masks[cid]
     return _supported_mask_nary(state, cid, x)
 
 
@@ -102,17 +91,32 @@ def _supported_mask_nary(state: SearchState, cid: int, x: int) -> int:
     return new
 
 
-def revise(state: SearchState, cid: int, x: int) -> bool:
-    """Revise one arc; True iff at least one value was removed."""
-    m = state.masks[x]
-    new = _supported_mask(state, cid, x)
+def revise(state: SearchState, a: int) -> bool:
+    """Revise arc ``a``; True iff at least one value was removed."""
+    tables = state.tables
+    masks = state.masks
+    x = tables.arc_var[a]
+    m = masks[x]
+    sup = tables.arc_sup[a]
+    if sup is None:
+        new = _supported_mask(state, tables.arc_cid[a], x)
+    else:
+        p = tables.arc_partner[a]
+        pm = masks[p]
+        if state.sizes[p] == 1:
+            # the partner's single bit indexes the opposite side's table
+            new = m & tables.arc_opp[a][pm.bit_length() - 1]
+        else:
+            new = 0
+            t = m
+            while t:
+                b = t & -t
+                if sup[b.bit_length() - 1] & pm:
+                    new |= b
+                t ^= b
     if new == m:
         return False
-    removed = m & ~new
-    while removed:
-        b = removed & -removed
-        state._remove_bit(x, b.bit_length() - 1)
-        removed ^= b
+    state._remove_mask(x, m ^ new)
     return True
 
 
@@ -137,9 +141,9 @@ def propagate(state: SearchState, arc_ids: Iterable[int]) -> Optional[Wipeout]:
         # a non-binary arc has partner -1 and a slack no size exceeds
         if sizes[partner[a]] > slack[a]:
             continue
-        cid = arc_cid[a]
-        x = arc_var[a]
-        if revise(state, cid, x):
+        if revise(state, a):
+            cid = arc_cid[a]
+            x = arc_var[a]
             if sizes[x] == 0:
                 state.weights[cid] += 1
                 state.wipeouts += 1

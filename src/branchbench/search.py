@@ -161,11 +161,9 @@ def solve(
         if fr.idx == 0:
             state.decisions += 1  # one per choice point that applies a branch
         if fr.style is BranchStyle.BINARY and fr.idx == 1:
-            removed = fr.sets[0]
-            for v in removed:
-                state.remove_value(x, v)
+            values = fr.sets[0]
+            state.remove_values(x, values)
             kind = "R"
-            values = removed
         else:
             values = fr.sets[fr.idx]
             state.reduce_domain(x, values)

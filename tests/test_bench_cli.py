@@ -310,6 +310,22 @@ def test_cli_bench_to_stdout(tmp_path, capsys):
     assert len(out.splitlines()) == 2
 
 
+def test_cli_bench_max_nodes_caps_every_row(tmp_path, capsys):
+    manifest = tmp_path / "one.txt"
+    manifest.write_text("gen pigeons n=5\n", encoding="utf-8")
+    common = ["bench", "--manifest", str(manifest), "--schemes", "dway,2way", "--out", "-"]
+    assert main(common + ["--max-nodes", "7"]) == 0
+    rows = read_csv(io.StringIO(capsys.readouterr().out))
+    assert [(r.scheme, r.status, r.nodes) for r in rows] == [
+        ("dway", "limit", 7),
+        ("2way", "limit", 7),
+    ]
+    # the uncapped proof takes more nodes than that
+    assert main(common) == 0
+    rows = read_csv(io.StringIO(capsys.readouterr().out))
+    assert all(r.status == "unsat" and r.nodes > 7 for r in rows)
+
+
 def test_cli_bench_usage_errors(tmp_path):
     manifest = tmp_path / "one.txt"
     manifest.write_text("gen pigeons n=3\n", encoding="utf-8")
@@ -318,6 +334,8 @@ def test_cli_bench_usage_errors(tmp_path):
     assert main(common + ["--schemes", " , "]) == 1
     assert main(common + ["--schemes", "dway", "--jobs", "0"]) == 1
     assert main(common + ["--schemes", "dway", "--timeout-ms", "-1"]) == 1
+    assert main(common + ["--schemes", "dway", "--max-nodes", "-1"]) == 1
+    assert main(common + ["--schemes", "dway", "--max-nodes", "two"]) == 1
     assert main(["bench", "--manifest", str(tmp_path / "no.txt"), "--schemes", "dway", "--out", "-"]) == 2
 
 

@@ -1,3 +1,6 @@
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,7 +15,8 @@ from branchbench.model import (
     SearchState,
     check_tuple,
 )
-from util import ne_rel
+from branchbench.propagation import revise
+from util import ne_rel, random_problem
 
 
 def two_var_problem(rel):
@@ -178,3 +182,109 @@ def test_singleton_counter_tracks_sizes(removals, _shape):
         [0, 1, 2],
         [0, 1, 2, 3],
     ]
+
+
+def _snapshot(state):
+    return (list(state.masks), list(state.sizes), state.singletons)
+
+
+def _assert_counters_match_masks(state):
+    assert state.sizes == [m.bit_count() for m in state.masks]
+    assert state.singletons == sum(1 for s in state.sizes if s == 1)
+
+
+def test_trail_restores_multi_value_shrinks_under_nested_levels():
+    lt = Intensional(Call("lt", (VarRef("x"), VarRef("y"))))
+    p = Problem(
+        ("x", "y", "z"),
+        (tuple(range(4)), tuple(range(3)), tuple(range(4))),
+        (Constraint(0, (0, 1), ("x", "y"), lt),),
+    )
+    at_x, at_y = 0, 1  # the arcs of x < y
+    st = SearchState(p)
+    base = _snapshot(st)
+    t0 = st.push_level()
+    st.reduce_domain(2, (1, 3))
+    assert len(st.trail) == 1  # one entry per shrink, however many values
+    after_z = _snapshot(st)
+
+    t1 = st.push_level()
+    st.reduce_domain(0, (1,))
+    assert revise(st, at_y)  # y: 3 values -> 1
+    assert st.domain_values(1) == [2]
+    assert len(st.trail) == 3 and st.singletons == 2
+    after_y = _snapshot(st)
+    t2 = st.push_level()
+    st.remove_value(1, 2)  # empties y
+    assert st.sizes[1] == 0 and st.singletons == 1
+    st.undo_to(t2)
+    assert _snapshot(st) == after_y
+    t2 = st.push_level()
+    st.remove_values(2, (3, 1))  # empties z in one entry
+    assert st.sizes[2] == 0 and len(st.trail) == 4
+    st.undo_to(t2)
+    assert _snapshot(st) == after_y
+    st.undo_to(t1)
+    assert _snapshot(st) == after_z
+
+    t1 = st.push_level()
+    st.reduce_domain(1, (0,))
+    assert revise(st, at_x)  # x < 0 empties x: 4 values -> 0
+    assert st.sizes[0] == 0 and len(st.trail) == 3 and st.singletons == 1
+    st.undo_to(t1)
+    assert _snapshot(st) == after_z
+    st.undo_to(t0)
+    assert _snapshot(st) == base
+    assert st.trail == []
+
+
+def test_trail_restores_snapshots_on_random_walks():
+    """Random revisions, reductions and removals under nested levels: every
+    shrink is one trail entry, and every undo restores its snapshot."""
+    shrinks = Counter()
+    for seed in range(150):
+        r = random.Random(seed)
+        p = random_problem(seed, max_vars=6, max_dom=6)
+        st = SearchState(p)
+        n_arcs = len(p.tables.arc_cid)
+        levels = [(st.push_level(), _snapshot(st))]
+        for _ in range(40):
+            op = r.randrange(6)
+            open_vars = [x for x in range(p.n_vars) if st.sizes[x]]
+            if op == 0 or not open_vars:
+                levels.append((st.push_level(), _snapshot(st)))
+                continue
+            if op == 1 and len(levels) > 1:
+                token, snap = levels.pop()
+                st.undo_to(token)
+                assert _snapshot(st) == snap
+                continue
+            x = r.choice(open_vars)
+            values = st.domain_values(x)
+            sizes = list(st.sizes)  # before this step
+            before = len(st.trail)
+            if op in (1, 2):
+                a = r.randrange(n_arcs)
+                x = p.tables.arc_var[a]
+                assert revise(st, a) == (st.sizes[x] < sizes[x])
+                how = "revise"
+            elif op == 3:
+                st.reduce_domain(x, r.sample(values, r.randint(1, len(values))))
+                how = "reduce_domain"
+            elif op == 4:
+                st.remove_value(x, r.choice(values))
+                how = "remove_value"
+            else:
+                st.remove_values(x, r.sample(values, r.randint(1, len(values))))
+                how = "remove_values"
+            shrank = st.sizes[x] < sizes[x]
+            assert len(st.trail) == before + shrank
+            if shrank and sizes[x] - st.sizes[x] > 1:
+                shrinks[how] += 1
+            _assert_counters_match_masks(st)
+        while levels:
+            token, snap = levels.pop()
+            st.undo_to(token)
+            assert _snapshot(st) == snap
+    # multi-value shrinks through every entry point
+    assert min(shrinks[h] for h in ("revise", "reduce_domain", "remove_values")) >= 50

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -17,7 +18,7 @@ from branchbench.propagation import (
     propagate,
     revise,
 )
-from oracles import gac_fixpoint, reference_propagate
+from oracles import gac_fixpoint, reference_propagate, supported_values
 from util import make_binary, ne_rel, random_problem
 
 
@@ -33,11 +34,12 @@ def test_revise_removes_unsupported_values():
         [((0, 1), ExtensionalAllowed(frozenset({(0, 2), (1, 3)})))],
     )
     st = SearchState(p)
-    assert revise(st, 0, 0)
+    # arcs of constraint 0, in ascending variable order: 0 at x, 1 at y
+    assert revise(st, 0)
     assert st.domain_values(0) == [0, 1]
-    assert revise(st, 0, 1)
+    assert revise(st, 1)
     assert st.domain_values(1) == [2, 3]
-    assert not revise(st, 0, 0)  # already consistent
+    assert not revise(st, 0)  # already consistent
 
 
 def test_root_gac_matches_oracle_on_generated_problems():
@@ -354,6 +356,87 @@ def test_skip_fires_only_where_revise_removes_nothing():
             if partner >= 0 and st.sizes[partner] > tables.arc_slack[a]:
                 fired += 1
                 before = st.domain_values(x)
-                assert not revise(st, cid, x)
+                assert not revise(st, a)
                 assert st.domain_values(x) == before
     assert fired >= 100
+
+
+def _reversed_binary_scopes(problem):
+    """The same problem with every binary scope written high-to-low; tuples
+    of extensional relations are reversed with it, so the meaning stays."""
+    cons = []
+    for c in problem.constraints:
+        rel = c.relation
+        if len(c.scope) == 2:
+            if not isinstance(rel, Intensional):
+                rel = type(rel)(frozenset(t[::-1] for t in rel.tuples))
+            c = Constraint(c.cid, c.scope[::-1], c.var_names[::-1], rel)
+        cons.append(c)
+    return Problem(problem.names, problem.domains, tuple(cons))
+
+
+def _check_every_arc(st, r, counts):
+    p = st.problem
+    tables = p.tables
+    for x in range(p.n_vars):
+        values = st.domain_values(x)
+        # every third variable becomes a singleton, giving binary arcs a
+        # singleton partner
+        k = 1 if r.randrange(3) == 0 else r.randint(1, len(values))
+        st.reduce_domain(x, r.sample(values, k))
+    domains = current_domains(st, p.n_vars)
+    for a, (cid, x) in enumerate(zip(tables.arc_cid, tables.arc_var)):
+        c = p.constraints[cid]
+        expected = supported_values(c, domains, x)
+        token = st.push_level()
+        changed = revise(st, a)
+        assert st.domain_values(x) == expected, (c, x, domains)
+        assert changed == (expected != domains[x])
+        assert current_domains(st, p.n_vars) == domains[:x] + [expected] + domains[x + 1:]
+        st.undo_to(token)
+        assert current_domains(st, p.n_vars) == domains
+        if len(c.scope) == 2:
+            single = st.sizes[tables.arc_partner[a]] == 1
+            key = ("high-to-low" if c.scope[0] > c.scope[1] else "low-to-high", single)
+            counts[key + (changed,)] += 1
+        else:
+            counts[len(c.scope), changed] += 1
+
+
+def test_revise_every_arc_matches_the_support_oracle():
+    counts = Counter()
+    for seed in range(200):
+        r = random.Random(seed)
+        for p in (random_problem(seed), _reversed_binary_scopes(random_problem(seed))):
+            st = SearchState(p)
+            st.push_level()
+            _check_every_arc(st, r, counts)
+    for order in ("high-to-low", "low-to-high"):
+        for single in (True, False):
+            for changed in (True, False):
+                assert counts[order, single, changed] >= 50, (order, single, changed)
+    for arity in (1, 3):
+        assert counts[arity, True] >= 50 and counts[arity, False] >= 50
+
+
+def test_revise_reads_the_tables_of_its_own_side():
+    # y = x + 1 written as scope (y, x), with domains of different sizes:
+    # reading the partner's table for x, or x's table for the partner,
+    # gives other values
+    shift = Intensional(Call("eq", (Call("add", (VarRef("x"), Const(1))), VarRef("y"))))
+    p = Problem(
+        ("w", "x", "y"),
+        ((0,), (0, 1, 2, 3, 4, 5), (1, 2, 3)),
+        (Constraint(0, (2, 1), ("y", "x"), shift),),
+    )
+    tables = p.tables
+    at_x, at_y = range(2)
+    assert (tables.arc_var[at_x], tables.arc_var[at_y]) == (1, 2)
+    st = SearchState(p)
+    assert revise(st, at_x)
+    assert st.domain_values(1) == [0, 1, 2]
+    st.reduce_domain(2, (3,))  # singleton partner
+    assert revise(st, at_x)
+    assert st.domain_values(1) == [2]
+    st.reduce_domain(1, (2,))
+    assert not revise(st, at_y)
