@@ -11,14 +11,24 @@ keeps membership tests, removals, and the compatibility counting done by the
 value heuristic cheap.  Every shrink of a domain, whatever number of values
 it removes, pushes one trail entry ``(variable, removed mask)``; undoing it is
 one OR into the mask.  The compiled tables on the problem (arc lists with
-per-arc support masks for binary constraints, neighbour tables) are a pure
-indexing layer: they change nothing about constraint semantics, which are
-always those of :func:`check_tuple`.
+per-arc support masks for binary constraints, per-arc rows of bit masks for
+every other constraint, neighbour tables) are a pure indexing layer: they
+change nothing about constraint semantics, which are always those of
+:func:`check_tuple`.
+
+A unary or n-ary constraint is compiled once into its satisfying tuples over
+the original domains: an allowed table directly, a forbidden or intensional
+relation by calling :func:`check_tuple` on every candidate tuple.  That
+enumeration is bounded by :data:`MAX_TABLE_TUPLES`; a problem whose forbidden
+or intensional constraint of arity other than 2 has more candidate tuples is
+rejected when it is built, so it fails at load rather than during a solve.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
 
@@ -36,6 +46,11 @@ logger = logging.getLogger(__name__)
 
 # arc slack of non-binary arcs: larger than any domain size, so never skipped
 _NEVER_SKIP = 1 << 62
+
+# most candidate tuples (product of original domain sizes) that a forbidden
+# or intensional constraint of arity other than 2 may span; compiling it calls
+# check_tuple on each of them
+MAX_TABLE_TUPLES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -107,9 +122,8 @@ class _Tables:
 
     __slots__ = (
         "values", "pos", "full_masks",
-        "arity", "unary_masks",
         "arc_cid", "arc_var", "arc_partner", "arc_slack", "arc_sup", "arc_opp",
-        "decision_arcs", "root_arcs",
+        "arc_rows", "decision_arcs", "root_arcs",
         "neighbors", "var_constraints",
     )
 
@@ -120,21 +134,12 @@ class _Tables:
         self.full_masks = [(1 << len(dom)) - 1 for dom in self.values]
 
         cons = problem.constraints
-        self.arity = [len(c.scope) for c in cons]
         bin_sup: list = [None] * len(cons)
-        self.unary_masks: list = [None] * len(cons)
         bin_slack: list = [None] * len(cons)
 
         sup_cache: dict = {}
         for c in cons:
-            if len(c.scope) == 1:
-                x = c.scope[0]
-                mask = 0
-                for i, v in enumerate(self.values[x]):
-                    if check_tuple(c, (v,)):
-                        mask |= 1 << i
-                self.unary_masks[c.cid] = mask
-            elif len(c.scope) == 2:
+            if len(c.scope) == 2:
                 u, v = c.scope
                 key = (_relation_signature(c), self.values[u], self.values[v])
                 got = sup_cache.get(key)
@@ -155,15 +160,18 @@ class _Tables:
         # variable, its slack, the support table of its own side (arc_sup:
         # bit of x -> mask of partner values) and of the other side (arc_opp:
         # bit of the partner -> mask of x values).  Any other arc has partner
-        # -1, a slack no domain size exceeds and no tables.  The arcs queued
-        # after a decision on x are every constraint on x revised at its
-        # other scope variables, ascending (cid, var).
+        # -1, a slack no domain size exceeds and, in arc_rows, one row per
+        # satisfying tuple: (bit of x, ((z, bit of z) for the other scope
+        # variables)).  The arcs queued after a decision on x are every
+        # constraint on x revised at its other scope variables, ascending
+        # (cid, var).
         arc_cid: list[int] = []
         arc_var: list[int] = []
         partner: list[int] = []
         arc_slack: list[int] = []
         arc_sup: list = []
         arc_opp: list = []
+        arc_rows: list = []
         per_var: list[list[int]] = [[] for _ in range(n)]
         cons_of: list[list[int]] = [[] for _ in range(n)]
         for c in cons:
@@ -182,11 +190,19 @@ class _Tables:
                 arc_slack += slack
                 arc_sup += sup
                 arc_opp += sup[::-1]
+                arc_rows += [None, None]
             else:
                 partner += [-1] * len(scope)
                 arc_slack += [_NEVER_SKIP] * len(scope)
                 arc_sup += [None] * len(scope)
                 arc_opp += [None] * len(scope)
+                tuples = self._satisfying_positions(c)
+                for x in ordered:
+                    k = scope.index(x)
+                    arc_rows.append(tuple(
+                        (1 << t[k], tuple((scope[j], 1 << i) for j, i in enumerate(t) if j != k))
+                        for t in tuples
+                    ))
             for x in scope:
                 cons_of[x].append(cid)
                 per_var[x] += [first + k for k, y in enumerate(ordered) if y != x]
@@ -196,6 +212,7 @@ class _Tables:
         self.arc_slack = arc_slack
         self.arc_sup = arc_sup
         self.arc_opp = arc_opp
+        self.arc_rows = arc_rows
         self.decision_arcs = [tuple(a) for a in per_var]
         self.root_arcs = tuple(range(len(arc_cid)))
         self.var_constraints = [
@@ -258,6 +275,20 @@ class _Tables:
                         sup_v[j] |= 1 << i
         return (tuple(sup_u), tuple(sup_v))
 
+    def _satisfying_positions(self, c: Constraint) -> list[tuple[int, ...]]:
+        """Every tuple over the original domains that satisfies ``c``, as
+        value positions, one per scope variable."""
+        rel = c.relation
+        if isinstance(rel, ExtensionalAllowed):
+            pos = [self.pos[x] for x in c.scope]
+            return [tuple(p[v] for p, v in zip(pos, t)) for t in rel.tuples]
+        doms = [self.values[x] for x in c.scope]
+        return [
+            idx
+            for idx in itertools.product(*(range(len(d)) for d in doms))
+            if check_tuple(c, tuple(d[i] for d, i in zip(doms, idx)))
+        ]
+
 
 def _normalize_domain(dom: Iterable[int]) -> tuple[int, ...]:
     out = tuple(sorted(set(dom)))
@@ -317,6 +348,13 @@ class Problem:
                     raise ValueError(
                         f"constraint {i} expression references {sorted(extra)} outside scope"
                     )
+            if len(c.scope) != 2 and not isinstance(rel, ExtensionalAllowed):
+                candidates = math.prod(len(domains[x]) for x in c.scope)
+                if candidates > MAX_TABLE_TUPLES:
+                    raise ValueError(
+                        f"constraint {i} spans {candidates} candidate tuples, more than "
+                        f"MAX_TABLE_TUPLES = {MAX_TABLE_TUPLES}"
+                    )
 
     @property
     def n_vars(self) -> int:
@@ -357,21 +395,6 @@ class SearchState:
         self.backtracks = 0
 
     # -- domain queries ----------------------------------------------------
-
-    def domain_values(self, x: int) -> list[int]:
-        """Current domain of ``x`` in ascending value order."""
-        vals = self.tables.values[x]
-        m = self.masks[x]
-        out = []
-        while m:
-            b = m & -m
-            out.append(vals[b.bit_length() - 1])
-            m ^= b
-        return out
-
-    def has_value(self, x: int, v: int) -> bool:
-        bit = self.tables.pos[x].get(v)
-        return bit is not None and (self.masks[x] >> bit) & 1 == 1
 
     def value_of(self, x: int) -> int:
         """The value of a singleton domain."""
@@ -440,10 +463,6 @@ class SearchState:
             raise ValueError(f"a value to remove is not in the current domain of variable {x}")
         if removed:
             self._remove_mask(x, removed)
-
-    def remove_value(self, x: int, v: int) -> None:
-        """Delete ``v`` from the current domain of ``x`` (trail-logged)."""
-        self.remove_values(x, (v,))
 
     def reduce_domain(self, x: int, values: Iterable[int]) -> None:
         """Shrink the domain of ``x`` to ``values`` (a non-empty subset of it)."""

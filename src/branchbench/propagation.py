@@ -16,8 +16,14 @@ each value bit of the arc's variable to the mask of its partner supports,
 and ``arc_opp`` maps each partner bit to the mask of the variable's
 supports.  When the partner is a singleton, one AND with ``arc_opp`` at the
 partner's bit is the whole revision; otherwise each current value is tested
-against ``arc_sup``.  Unary and n-ary arcs go through ``_supported_mask``.
-All removed values leave the domain as one trail entry.
+against ``arc_sup``.  Every other arc (unary or n-ary, of any relation
+kind) scans its compiled rows, one per satisfying tuple of the constraint:
+a current value of the variable is kept once some row for it has every other
+scope variable's bit in that variable's current domain.  The rows are built
+once per problem, so a revision never calls ``check_tuple`` and costs at most
+one pass over a table of at most ``model.MAX_TABLE_TUPLES`` rows for a
+forbidden or intensional relation.  All removed values leave the domain as
+one trail entry.
 
 Most revisions remove nothing, and many of them are skipped unrevised.  A
 binary arc's *slack* is the largest number of original partner values that
@@ -34,12 +40,12 @@ wipeout's weight are all unchanged.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .model import ExtensionalAllowed, SearchState, check_tuple
+# check_tuple is unused here but kept: perfbench/tracing.py patches propagation.check_tuple
+from .model import SearchState, check_tuple  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -50,47 +56,6 @@ class Wipeout:
     constraint: int
 
 
-def _supported_mask(state: SearchState, cid: int, x: int) -> int:
-    """Mask of values of ``x`` that keep a support in the unary or n-ary
-    constraint ``cid``."""
-    if state.tables.arity[cid] == 1:
-        return state.masks[x] & state.tables.unary_masks[cid]
-    return _supported_mask_nary(state, cid, x)
-
-
-def _supported_mask_nary(state: SearchState, cid: int, x: int) -> int:
-    constraint = state.problem.constraints[cid]
-    scope = constraint.scope
-    pos_x = scope.index(x)
-    others = [z for z in scope if z != x]
-    values = state.tables.values[x]
-    pos = state.tables.pos[x]
-    new = 0
-    rel = constraint.relation
-    if isinstance(rel, ExtensionalAllowed):
-        for t in rel.tuples:
-            bit = pos.get(t[pos_x])
-            if bit is None or not (state.masks[x] >> bit) & 1 or (new >> bit) & 1:
-                continue
-            if all(state.has_value(z, t[k]) for k, z in enumerate(scope) if z != x):
-                new |= 1 << bit
-        return new
-    m = state.masks[x]
-    t = m
-    while t:
-        b = t & -t
-        bit = b.bit_length() - 1
-        a = values[bit]
-        for combo in itertools.product(*(state.domain_values(z) for z in others)):
-            it = iter(combo)
-            tup = tuple(a if k == pos_x else next(it) for k in range(len(scope)))
-            if check_tuple(constraint, tup):
-                new |= b
-                break
-        t ^= b
-    return new
-
-
 def revise(state: SearchState, a: int) -> bool:
     """Revise arc ``a``; True iff at least one value was removed."""
     tables = state.tables
@@ -99,7 +64,10 @@ def revise(state: SearchState, a: int) -> bool:
     m = masks[x]
     sup = tables.arc_sup[a]
     if sup is None:
-        new = _supported_mask(state, tables.arc_cid[a], x)
+        new = 0
+        for b, others in tables.arc_rows[a]:
+            if m & b and not new & b and all(masks[z] & c for z, c in others):
+                new |= b
     else:
         p = tables.arc_partner[a]
         pm = masks[p]

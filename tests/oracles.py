@@ -14,6 +14,7 @@ from typing import Iterable, Optional, Sequence
 
 from branchbench.clustering import bic
 from branchbench.model import Constraint, Problem, SearchState, check_tuple
+from util import domain_values
 
 
 def brute_force_solutions(problem: Problem, limit: Optional[int] = None) -> list[tuple[int, ...]]:
@@ -81,13 +82,13 @@ def promise_scores(state: SearchState, x: int) -> list[tuple[int, int]]:
             y = c.scope[1] if c.scope[0] == x else c.scope[0]
             between.setdefault(y, []).append(c)
     scored = []
-    for v in state.domain_values(x):
+    for v in domain_values(state, x):
         score = 1
         for y, cons in between.items():
             if state.assigned[y] is None:
                 score *= sum(
                     all(check_tuple(c, (v, w) if c.scope[0] == x else (w, v)) for c in cons)
-                    for w in state.domain_values(y)
+                    for w in domain_values(state, y)
                 )
         scored.append((v, score))
     scored.sort(key=lambda vs: (-vs[1], vs[0]))

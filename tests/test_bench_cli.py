@@ -266,6 +266,20 @@ def test_cli_solve_runtime_failures(tmp_path):
     assert main(["solve", "--instance", str(garbage), "--scheme", "dway"]) == 2
 
 
+def test_cli_solve_rejects_an_instance_over_the_table_cap(tmp_path, capsys):
+    big = tmp_path / "big.csp"
+    big.write_text(
+        "csp 1\nvar x 0..40\nvar y 0..39\nvar z 0..39\n"
+        "con int (x,y,z) : le(add(add(x,y),z),5)\n",
+        encoding="utf-8",
+    )
+    assert main(["solve", "--instance", str(big), "--scheme", "dway"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "65600 candidate tuples" in captured.err
+    assert "MAX_TABLE_TUPLES" in captured.err
+
+
 def test_cli_bench_and_stats_end_to_end(tmp_path, capsys):
     manifest = tmp_path / "suite.txt"
     manifest.write_text(

@@ -15,7 +15,7 @@ from branchbench.branching import (
 from branchbench.heuristics import select_variable
 from branchbench.model import SearchState
 from branchbench.propagation import establish_root_gac
-from util import make_binary, ne_rel, random_problem
+from util import domain_values, make_binary, ne_rel, random_problem
 
 from branchbench.exprs import Call, VarRef
 from branchbench.model import Constraint, Intensional, Problem
@@ -152,14 +152,14 @@ def test_threshold_boundary_is_exact():
 
     token = state.push_level()
     for v in (1, 2, 3, 4, 5):  # keep {0,6,7}: scores 2,3,3 -> two tie groups
-        state.remove_value(0, v)
+        state.remove_values(0, (v,))
     engaged = plan(scheme("ties-dway"), state, 0)
     assert engaged.sets == ((6, 7), (0,))
     state.undo_to(token)
 
     token = state.push_level()
     for v in (1, 2, 3, 4, 5, 6):  # size 2: exactly a quarter, must not engage
-        state.remove_value(0, v)
+        state.remove_values(0, (v,))
     assert plan(scheme("ties-dway"), state, 0) == plan(scheme("dway"), state, 0)
     state.undo_to(token)
 
@@ -180,7 +180,7 @@ def test_plan_shape_invariants(name):
         got = plan(sc, state, x)
         assert got.variable == x
         assert got.style is (BranchStyle.BINARY if binary else BranchStyle.ENUMERATED)
-        domain = set(state.domain_values(x))
+        domain = set(domain_values(state, x))
         seen = []
         for s in got.sets:
             assert s == tuple(sorted(s))

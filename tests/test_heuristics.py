@@ -8,7 +8,13 @@ from branchbench.heuristics import score_domain, select_variable, wdeg
 from branchbench.model import Constraint, Intensional, Problem, SearchState
 from branchbench.propagation import establish_root_gac, propagate
 from oracles import promise_scores
-from util import _random_extensional, _random_intensional, ne_rel, random_problem
+from util import (
+    _random_extensional,
+    _random_intensional,
+    domain_values,
+    ne_rel,
+    random_problem,
+)
 
 
 def intens(name, *args):
@@ -125,7 +131,7 @@ def test_scores_shift_after_sibling_pruning():
     before = [(sv.value, sv.score) for sv in score_domain(st, 1)]
     assert before == [(0, 2), (1, 2), (2, 2)]
     st.push_level()
-    st.remove_value(0, 2)
+    st.remove_values(0, (2,))
     after = [(sv.value, sv.score) for sv in score_domain(st, 1)]
     assert after == [(2, 2), (0, 1), (1, 1)]
 
@@ -205,7 +211,7 @@ def test_promise_rejects_values_outside_domain():
     # scores cover exactly the current domain: never 7, never a removed value
     st = SearchState(lt_problem())
     assert set(scores_of(st, 0)) == {0, 1}
-    st.remove_value(0, 1)
+    st.remove_values(0, (1,))
     assert set(scores_of(st, 0)) == {0}
 
 
@@ -268,7 +274,7 @@ def _walk_checking_scores(p, r, steps=12):
         if not open_vars:
             break
         x = r.choice(open_vars)
-        values = st.domain_values(x)
+        values = domain_values(st, x)
         picked = r.choice(values)
         kept = [picked] if r.randrange(2) else [v for v in values if v != picked]
         levels.append((st.push_level(), x))

@@ -10,13 +10,14 @@ from branchbench.model import (
     Constraint,
     ExtensionalAllowed,
     ExtensionalForbidden,
+    MAX_TABLE_TUPLES,
     Intensional,
     Problem,
     SearchState,
     check_tuple,
 )
 from branchbench.propagation import revise
-from util import ne_rel, random_problem
+from util import domain_values, ne_rel, random_problem
 
 
 def two_var_problem(rel):
@@ -66,6 +67,29 @@ def test_expression_variable_outside_scope_rejected():
         two_var_problem(rel)
 
 
+def test_table_tuple_cap_rejects_large_non_binary_enumerations():
+    def problem(sizes, rel):
+        names = tuple(f"x{i}" for i in range(len(sizes)))
+        domains = tuple(tuple(range(s)) for s in sizes)
+        scope = tuple(range(len(sizes)))
+        return Problem(names, domains, (Constraint(0, scope, names, rel),))
+
+    total = Call("add", (Call("add", (VarRef("x0"), VarRef("x1"))), VarRef("x2")))
+    ternary = Intensional(Call("le", (total, Const(5))))
+    forbidden = ExtensionalForbidden(frozenset({(0, 0, 0)}))
+    over = (41, 40, 40)  # 65,600 candidate tuples
+    assert 41 * 40 * 40 > MAX_TABLE_TUPLES == 64 * 32 * 32
+    for rel in (ternary, forbidden):
+        with pytest.raises(ValueError, match="MAX_TABLE_TUPLES"):
+            problem(over, rel)
+        problem((64, 32, 32), rel)  # exactly at the cap
+    with pytest.raises(ValueError, match="MAX_TABLE_TUPLES"):
+        problem((MAX_TABLE_TUPLES + 1,), Intensional(Call("le", (VarRef("x0"), Const(5)))))
+    # allowed tables are listed, not enumerated; binary tables are not rows
+    problem(over, ExtensionalAllowed(frozenset({(0, 0, 0), (40, 39, 39)})))
+    problem((300, 300), Intensional(Call("ne", (VarRef("x0"), VarRef("x1")))))
+
+
 def test_check_tuple_three_relation_kinds():
     allowed = Constraint(
         0, (0, 1), ("x", "y"), ExtensionalAllowed(frozenset({(0, 1), (2, 2)}))
@@ -92,10 +116,10 @@ def test_check_tuple_eval_error_means_unsatisfied():
 def test_state_initial_view():
     p = two_var_problem(ne_rel("x", "y"))
     st = SearchState(p)
-    assert st.domain_values(0) == [0, 1, 2]
+    assert domain_values(st, 0) == [0, 1, 2]
     assert st.sizes[1] == 3
-    assert st.has_value(0, 2)
-    assert not st.has_value(0, 7)
+    assert 2 in domain_values(st, 0)
+    assert 7 not in domain_values(st, 0)
     assert not st.all_singleton()
 
 
@@ -103,37 +127,37 @@ def test_remove_and_undo_roundtrip():
     p = two_var_problem(ne_rel("x", "y"))
     st = SearchState(p)
     tok = st.push_level()
-    st.remove_value(0, 1)
-    st.remove_value(1, 0)
-    st.remove_value(1, 2)
-    assert st.domain_values(0) == [0, 2]
-    assert st.domain_values(1) == [1]
+    st.remove_values(0, (1,))
+    st.remove_values(1, (0,))
+    st.remove_values(1, (2,))
+    assert domain_values(st, 0) == [0, 2]
+    assert domain_values(st, 1) == [1]
     assert st.value_of(1) == 1
     st.undo_to(tok)
-    assert st.domain_values(0) == [0, 1, 2]
-    assert st.domain_values(1) == [0, 1, 2]
+    assert domain_values(st, 0) == [0, 1, 2]
+    assert domain_values(st, 1) == [0, 1, 2]
 
 
 def test_remove_missing_value_rejected():
     p = two_var_problem(ne_rel("x", "y"))
     st = SearchState(p)
-    st.remove_value(0, 1)
+    st.remove_values(0, (1,))
     with pytest.raises(ValueError):
-        st.remove_value(0, 1)
+        st.remove_values(0, (1,))
     with pytest.raises(ValueError):
-        st.remove_value(0, 99)
+        st.remove_values(0, (99,))
 
 
 def test_reduce_domain_checks_subset():
     p = two_var_problem(ne_rel("x", "y"))
     st = SearchState(p)
-    st.remove_value(0, 0)
+    st.remove_values(0, (0,))
     with pytest.raises(ValueError):
         st.reduce_domain(0, (0, 1))  # 0 was already removed
     with pytest.raises(ValueError):
         st.reduce_domain(0, ())
     st.reduce_domain(0, (2,))
-    assert st.domain_values(0) == [2]
+    assert domain_values(st, 0) == [2]
 
 
 def test_value_of_requires_singleton():
@@ -147,16 +171,16 @@ def test_nested_levels_restore_in_order():
     p = Problem(("a",), (tuple(range(8)),), ())
     st = SearchState(p)
     t0 = st.push_level()
-    st.remove_value(0, 0)
+    st.remove_values(0, (0,))
     t1 = st.push_level()
-    st.remove_value(0, 1)
-    st.remove_value(0, 2)
+    st.remove_values(0, (1,))
+    st.remove_values(0, (2,))
     st.push_level()
-    st.remove_value(0, 3)
+    st.remove_values(0, (3,))
     st.undo_to(t1)
-    assert st.domain_values(0) == [1, 2, 3, 4, 5, 6, 7]
+    assert domain_values(st, 0) == [1, 2, 3, 4, 5, 6, 7]
     st.undo_to(t0)
-    assert st.domain_values(0) == list(range(8))
+    assert domain_values(st, 0) == list(range(8))
 
 
 @given(st.lists(st.integers(0, 9), min_size=1, max_size=30), st.integers(0, 3))
@@ -170,14 +194,14 @@ def test_singleton_counter_tracks_sizes(removals, _shape):
     tok = st_state.push_level()
     for r in removals:
         x = r % 3
-        dom = st_state.domain_values(x)
+        dom = domain_values(st_state, x)
         if len(dom) > 1:
-            st_state.remove_value(x, dom[r % len(dom)])
+            st_state.remove_values(x, (dom[r % len(dom)],))
         expected = sum(1 for v in range(3) if st_state.sizes[v] == 1)
         assert st_state.singletons == expected
     st_state.undo_to(tok)
     assert st_state.singletons == 0
-    assert [st_state.domain_values(i) for i in range(3)] == [
+    assert [domain_values(st_state, i) for i in range(3)] == [
         [0, 1, 2, 3],
         [0, 1, 2],
         [0, 1, 2, 3],
@@ -211,11 +235,11 @@ def test_trail_restores_multi_value_shrinks_under_nested_levels():
     t1 = st.push_level()
     st.reduce_domain(0, (1,))
     assert revise(st, at_y)  # y: 3 values -> 1
-    assert st.domain_values(1) == [2]
+    assert domain_values(st, 1) == [2]
     assert len(st.trail) == 3 and st.singletons == 2
     after_y = _snapshot(st)
     t2 = st.push_level()
-    st.remove_value(1, 2)  # empties y
+    st.remove_values(1, (2,))  # empties y
     assert st.sizes[1] == 0 and st.singletons == 1
     st.undo_to(t2)
     assert _snapshot(st) == after_y
@@ -260,7 +284,7 @@ def test_trail_restores_snapshots_on_random_walks():
                 assert _snapshot(st) == snap
                 continue
             x = r.choice(open_vars)
-            values = st.domain_values(x)
+            values = domain_values(st, x)
             sizes = list(st.sizes)  # before this step
             before = len(st.trail)
             if op in (1, 2):
@@ -272,8 +296,8 @@ def test_trail_restores_snapshots_on_random_walks():
                 st.reduce_domain(x, r.sample(values, r.randint(1, len(values))))
                 how = "reduce_domain"
             elif op == 4:
-                st.remove_value(x, r.choice(values))
-                how = "remove_value"
+                st.remove_values(x, (r.choice(values),))
+                how = "remove_values"
             else:
                 st.remove_values(x, r.sample(values, r.randint(1, len(values))))
                 how = "remove_values"

@@ -19,11 +19,11 @@ from branchbench.propagation import (
     revise,
 )
 from oracles import gac_fixpoint, reference_propagate, supported_values
-from util import make_binary, ne_rel, random_problem
+from util import domain_values, make_binary, ne_rel, random_problem
 
 
 def current_domains(state, n):
-    return [state.domain_values(x) for x in range(n)]
+    return [domain_values(state, x) for x in range(n)]
 
 
 def test_revise_removes_unsupported_values():
@@ -36,9 +36,9 @@ def test_revise_removes_unsupported_values():
     st = SearchState(p)
     # arcs of constraint 0, in ascending variable order: 0 at x, 1 at y
     assert revise(st, 0)
-    assert st.domain_values(0) == [0, 1]
+    assert domain_values(st, 0) == [0, 1]
     assert revise(st, 1)
-    assert st.domain_values(1) == [2, 3]
+    assert domain_values(st, 1) == [2, 3]
     assert not revise(st, 0)  # already consistent
 
 
@@ -114,7 +114,7 @@ def test_wipeout_stops_propagation_immediately():
     st = SearchState(p)
     w = establish_root_gac(st)
     assert w is not None and w.constraint == 0
-    assert st.domain_values(2) == [0, 1, 2]  # untouched: queue stopped
+    assert domain_values(st, 2) == [0, 1, 2]  # untouched: queue stopped
 
 
 def test_decision_arcs_cover_other_scope_vars_sorted():
@@ -145,13 +145,13 @@ def test_propagate_after_decision_reaches_fixpoint():
             continue
         # simulate a decision: assign the first variable its first value
         x = 0
-        v = st.domain_values(x)[0]
+        v = domain_values(st, x)[0]
         st.push_level()
         st.reduce_domain(x, (v,))
         w = propagate(st, st.tables.decision_arcs[x])
-        domains = [st.domain_values(z) for z in range(p.n_vars)]
+        domains = [domain_values(st, z) for z in range(p.n_vars)]
         seeded = [list(d) for d in domains] if w is None else None
-        expected = gac_fixpoint(p, [[v]] + [st.domain_values(z) for z in range(1, p.n_vars)])
+        expected = gac_fixpoint(p, [[v]] + [domain_values(st, z) for z in range(1, p.n_vars)])
         if w is None:
             # full fixpoint reached: oracle closure of the current domains is a no-op
             assert expected == seeded
@@ -174,11 +174,11 @@ def test_ternary_constraints_propagate():
     st.push_level()
     st.reduce_domain(2, (2,))
     assert propagate(st, st.tables.decision_arcs[2]) is None
-    assert st.domain_values(0) == [0, 1, 2]
+    assert domain_values(st, 0) == [0, 1, 2]
     st.push_level()
     st.reduce_domain(0, (2,))
     assert propagate(st, st.tables.decision_arcs[0]) is None
-    assert st.domain_values(1) == [0]
+    assert domain_values(st, 1) == [0]
 
 
 def test_unary_constraint_prunes_at_root():
@@ -196,7 +196,7 @@ def test_unary_constraint_prunes_at_root():
     )
     st = SearchState(p)
     assert establish_root_gac(st) is None
-    assert st.domain_values(0) == [1, 3]
+    assert domain_values(st, 0) == [1, 3]
 
 
 def test_weights_persist_across_undo():
@@ -213,7 +213,7 @@ def test_weights_persist_across_undo():
     assert st.weights[0] == 2
     st.undo_to(tok)
     assert st.weights[0] == 2  # weights are not trailed
-    assert st.domain_values(0) == [0, 1]
+    assert domain_values(st, 0) == [0, 1]
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -222,7 +222,7 @@ def test_gac_subset_of_original(seed):
     st = SearchState(p)
     if establish_root_gac(st) is None:
         for x in range(p.n_vars):
-            assert set(st.domain_values(x)) <= set(p.domains[x])
+            assert set(domain_values(st, x)) <= set(p.domains[x])
 
 
 def _seed_arcs(problem, x):
@@ -254,7 +254,7 @@ def _walk_against_reference(p, r, steps=12):
         if not open_vars:
             break
         x = r.choice(open_vars)
-        values = st.domain_values(x)
+        values = domain_values(st, x)
         picked = r.choice(values)
         kept = [picked] if r.randrange(2) else [v for v in values if v != picked]
         levels.append((st.push_level(), [list(d) for d in domains]))
@@ -320,8 +320,8 @@ def test_unsupported_value_blocks_the_skip():
     assert _slack_of(p, 0, 0) == 5
     st = SearchState(p)
     assert establish_root_gac(st) is None
-    assert st.domain_values(0) == [0, 1, 2, 3]
-    assert st.domain_values(1) == [1, 2, 3, 4]
+    assert domain_values(st, 0) == [0, 1, 2, 3]
+    assert domain_values(st, 1) == [1, 2, 3, 4]
 
 
 def test_non_binary_arcs_are_never_skippable():
@@ -348,16 +348,16 @@ def test_skip_fires_only_where_revise_removes_nothing():
         p = random_problem(seed, max_vars=6, max_dom=6)
         st = SearchState(p)
         for x in range(p.n_vars):
-            values = st.domain_values(x)
+            values = domain_values(st, x)
             st.reduce_domain(x, r.sample(values, r.randint(1, len(values))))
         tables = p.tables
         for a, (cid, x) in enumerate(zip(tables.arc_cid, tables.arc_var)):
             partner = tables.arc_partner[a]
             if partner >= 0 and st.sizes[partner] > tables.arc_slack[a]:
                 fired += 1
-                before = st.domain_values(x)
+                before = domain_values(st, x)
                 assert not revise(st, a)
-                assert st.domain_values(x) == before
+                assert domain_values(st, x) == before
     assert fired >= 100
 
 
@@ -379,7 +379,7 @@ def _check_every_arc(st, r, counts):
     p = st.problem
     tables = p.tables
     for x in range(p.n_vars):
-        values = st.domain_values(x)
+        values = domain_values(st, x)
         # every third variable becomes a singleton, giving binary arcs a
         # singleton partner
         k = 1 if r.randrange(3) == 0 else r.randint(1, len(values))
@@ -390,7 +390,7 @@ def _check_every_arc(st, r, counts):
         expected = supported_values(c, domains, x)
         token = st.push_level()
         changed = revise(st, a)
-        assert st.domain_values(x) == expected, (c, x, domains)
+        assert domain_values(st, x) == expected, (c, x, domains)
         assert changed == (expected != domains[x])
         assert current_domains(st, p.n_vars) == domains[:x] + [expected] + domains[x + 1:]
         st.undo_to(token)
@@ -434,9 +434,9 @@ def test_revise_reads_the_tables_of_its_own_side():
     assert (tables.arc_var[at_x], tables.arc_var[at_y]) == (1, 2)
     st = SearchState(p)
     assert revise(st, at_x)
-    assert st.domain_values(1) == [0, 1, 2]
+    assert domain_values(st, 1) == [0, 1, 2]
     st.reduce_domain(2, (3,))  # singleton partner
     assert revise(st, at_x)
-    assert st.domain_values(1) == [2]
+    assert domain_values(st, 1) == [2]
     st.reduce_domain(1, (2,))
     assert not revise(st, at_y)

@@ -5,7 +5,9 @@ import re
 import pytest
 
 from branchbench.branching import SCHEME_NAMES, parse_scheme
+from branchbench.exprs import Call, Const, VarRef
 from branchbench.generators import gen_langford, gen_pigeons, gen_qwh
+from branchbench.model import Constraint, Intensional, Problem
 from branchbench.search import Limits, Status, solve, verify
 from oracles import brute_force_sat, brute_force_solutions
 from util import make_binary, ne_rel, random_problem
@@ -125,6 +127,41 @@ def test_time_limit_respected():
     out = solve(problem, parse_scheme("2way"), Limits(wall_time_ms=1.0))
     assert out.status is Status.LIMIT
     assert out.stats.elapsed_ms < 5000.0
+
+
+def parity_sums(d: int, total: int) -> Problem:
+    """Eight ``x+y+z = s`` constraints over 12 variables with domains
+    ``0..d-1``, each variable in exactly two of them.  The targets are
+    ``total`` except one ``total + 1``: summing every constraint gives
+    ``2 * sum(x) = 8 * total + 1``, so the problem is unsat by parity, which
+    arc consistency cannot see; search runs far past any short time limit."""
+    names = tuple(f"v{i}" for i in range(12))
+    scopes = (
+        (0, 1, 2), (3, 4, 5), (6, 7, 8), (9, 10, 11),
+        (0, 3, 6), (1, 4, 9), (2, 7, 10), (5, 8, 11),
+    )
+    cons = []
+    for k, scope in enumerate(scopes):
+        x, y, z = (VarRef(names[v]) for v in scope)
+        target = Const(total + (k == 0))
+        expr = Call("eq", (Call("add", (Call("add", (x, y)), z)), target))
+        cons.append(Constraint(k, scope, tuple(names[v] for v in scope), Intensional(expr)))
+    return Problem(names, (tuple(range(d)),) * 12, tuple(cons))
+
+
+def test_time_limit_bounds_a_tight_ternary_solve():
+    # x+y+z = 72 over 0..29 is tight: values below 14 have no support, and
+    # each arc keeps at most 136 satisfying tuples.  solve compiles the
+    # tables before its clock starts.
+    problem = parity_sums(30, 72)
+    limit_ms = 50.0
+    out = solve(problem, parse_scheme("2way"), Limits(wall_time_ms=limit_ms))
+    # the clock is read every 64 nodes; the margin covers root propagation
+    # and those nodes
+    margin_ms = 250.0
+    assert out.stats.elapsed_ms <= limit_ms + margin_ms
+    assert out.status is Status.LIMIT
+    assert out.stats.nodes > 0
 
 
 def test_limits_do_not_block_root_results():

@@ -12,9 +12,16 @@ from branchbench.model import (
     ExtensionalForbidden,
     Intensional,
     Problem,
+    SearchState,
 )
 
 _BIN_OPS = ("ne", "eq", "lt", "le", "add", "sub")
+
+
+def domain_values(state: SearchState, x: int) -> list[int]:
+    """Current domain of ``x`` in ascending value order."""
+    values = state.tables.values[x]
+    return [v for i, v in enumerate(values) if state.masks[x] >> i & 1]
 
 
 def make_binary(names, domains, pairs_with_relations) -> Problem:
