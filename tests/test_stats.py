@@ -1,12 +1,13 @@
 """Report statistics: folded ratios, Student-t machinery, aggregation."""
 
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from branchbench.bench import RunRecord
+from branchbench.bench import RunRecord, read_csv
 from branchbench.stats import (
     categorize,
     folded_ratio,
@@ -269,3 +270,17 @@ def test_format_report_sections_and_flags():
     assert "mean folded ratios" not in only_ttest
     assert "% of instances" not in only_ttest
     assert "paired t-test" in only_ttest
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def test_format_report_matches_the_pinned_report():
+    # results.csv is hand-made: limit rows on either side, a 0.0 ms row, a
+    # superseded duplicate, instances without a baseline row, a class only
+    # the baseline ran, and a scheme with a single t-test pair.  report.txt
+    # is `branchbench stats --results tests/golden/results.csv --baseline 2way`.
+    with open(GOLDEN / "results.csv", encoding="utf-8", newline="") as fh:
+        records = read_csv(fh)
+    expected = (GOLDEN / "report.txt").read_text(encoding="utf-8")
+    assert format_report(records, "2way") == expected
