@@ -69,7 +69,9 @@ def _build_parser() -> _Parser:
 
     p_bench = sub.add_parser("bench", help="run a manifest under many schemes")
     p_bench.add_argument("--manifest", required=True)
-    p_bench.add_argument("--schemes", required=True, help="comma separated names")
+    p_bench.add_argument(
+        "--schemes", default=",".join(SCHEME_NAMES), help="comma separated names (default: all)"
+    )
     p_bench.add_argument("--out", required=True, help="CSV path, - for stdout")
     p_bench.add_argument("--timeout-ms", type=_in_range(float, 0))
     p_bench.add_argument("--max-nodes", type=_in_range(int, 0))

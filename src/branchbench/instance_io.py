@@ -9,13 +9,15 @@ The format is line oriented, UTF-8, ``#`` starts a comment::
     con ext forbidden (x0,x1) : (2,9)       # violating tuples
     con int (x0,x1) : ne(x0,x1)             # prefix expression
 
-Parsing errors raise :class:`ParseError` carrying line and column.
+Syntax errors raise :class:`ParseError` carrying line and column; a
+well-formed file that describes an invalid problem raises it with no position.
 ``parse_instance(serialize_instance(p)) == p`` for every valid problem.
 """
 
 from __future__ import annotations
 
 import re
+from typing import Optional
 
 from .exprs import (
     Call,
@@ -37,8 +39,12 @@ from .model import (
 
 
 class ParseError(Exception):
-    def __init__(self, message: str, line: int, col: int) -> None:
-        super().__init__(f"line {line}, col {col}: {message}")
+    """A syntax error at ``line``/``col``, or an invalid problem (no position)."""
+
+    def __init__(
+        self, message: str, line: Optional[int] = None, col: Optional[int] = None
+    ) -> None:
+        super().__init__(message if line is None else f"line {line}, col {col}: {message}")
         self.message = message
         self.line = line
         self.col = col
@@ -299,7 +305,7 @@ def parse_instance(text: str) -> Problem:
     try:
         return Problem(tuple(names), tuple(domains), tuple(constraints))
     except ValueError as err:
-        raise ParseError(str(err), 0, 0) from err
+        raise ParseError(str(err)) from err
 
 
 def _format_domain(dom: tuple[int, ...]) -> str:

@@ -23,8 +23,6 @@ from .heuristics import select_variable
 from .model import Problem, SearchState, check_tuple
 from .propagation import establish_root_gac, propagate
 
-_TIME_CHECK_MASK = 63  # wall clock consulted every 64 nodes
-
 
 class Status(Enum):
     SAT = "sat"
@@ -148,11 +146,7 @@ def solve(
         if max_nodes is not None and state.nodes >= max_nodes:
             result = Status.LIMIT
             break
-        if (
-            wall_ms is not None
-            and state.nodes & _TIME_CHECK_MASK == 0
-            and (time.perf_counter() - started) * 1000.0 > wall_ms
-        ):
+        if wall_ms is not None and (time.perf_counter() - started) * 1000.0 > wall_ms:
             result = Status.LIMIT
             break
 

@@ -6,13 +6,21 @@ The paired t-test uses the Student-t 0.975 quantile computed here by
 numerically inverting the regularized incomplete beta function (continued
 fraction evaluation, absolute error well under 1e-6); no statistics library
 is involved.
+
+Every table walks the same pairs: ``_paired`` matches each scheme's record
+for an instance with the baseline's record for it (latest record wins on a
+duplicate; instances the baseline did not run have no pair).  A table then
+only drops pairs: the t-test drops pairs with a ``limit`` outcome on either
+side, and the fold tables (``speedups``, ``categorize``) also drop pairs
+with a non-positive time on either side.  A table's ``excluded`` count is
+the number of pairs it dropped.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .bench import RunRecord
 
@@ -149,21 +157,34 @@ def paired_ttest(diffs: Sequence[float]) -> TTestReport:
 _BUCKETS = (">1", ">2", ">3", "<1", "<2", "<3")
 
 
-def _index(records: Iterable[RunRecord]) -> dict[str, dict[str, RunRecord]]:
-    """scheme -> instance -> record (latest record wins on duplicates)."""
-    out: dict[str, dict[str, RunRecord]] = {}
+def _paired(
+    records: Iterable[RunRecord], base_scheme: str
+) -> Iterator[tuple[str, list[tuple[RunRecord, RunRecord]]]]:
+    """Yield (scheme, [(record, baseline record), ...]) for each other scheme.
+
+    Schemes come in name order and pairs in instance order; the latest record
+    wins on a duplicate (instance, scheme), and an instance without a
+    baseline record has no pair.  Raises ValueError if the baseline has no
+    records.
+    """
+    by_scheme: dict[str, dict[str, RunRecord]] = {}
     for rec in records:
-        out.setdefault(rec.scheme, {})[rec.instance] = rec
-    return out
+        by_scheme.setdefault(rec.scheme, {})[rec.instance] = rec
+    base = by_scheme.get(base_scheme)
+    if base is None:
+        raise ValueError(f"no records for baseline scheme {base_scheme!r}")
+    for scheme in sorted(by_scheme):
+        if scheme != base_scheme:
+            runs = sorted(by_scheme[scheme].items())
+            yield scheme, [(rec, base[i]) for i, rec in runs if i in base]
 
 
-def _usable_pair(a: RunRecord, b: RunRecord) -> bool:
-    return (
-        a.status != "limit"
-        and b.status != "limit"
-        and a.elapsed_ms > 0
-        and b.elapsed_ms > 0
-    )
+def _finished(pair: tuple[RunRecord, RunRecord]) -> bool:
+    return all(r.status != "limit" for r in pair)
+
+
+def _timed(pair: tuple[RunRecord, RunRecord]) -> bool:
+    return all(r.status != "limit" and r.elapsed_ms > 0 for r in pair)
 
 
 @dataclass(frozen=True)
@@ -179,28 +200,14 @@ def categorize(records: Iterable[RunRecord], base_scheme: str) -> list[BucketRow
 
     Ratios are method-centric (ratio of base time to scheme time, folded), so
     ">2" counts instances where the scheme was at least twice as fast and
-    "<2" where it was at least twice as slow.  Pairs with a limit outcome on
-    either side are excluded and reported separately.
+    "<2" where it was at least twice as slow.  Pairs with a limit outcome or
+    a non-positive time on either side are excluded and counted separately.
     """
-    by_scheme = _index(records)
-    if base_scheme not in by_scheme:
-        raise ValueError(f"no records for baseline scheme {base_scheme!r}")
-    base = by_scheme[base_scheme]
     rows = []
-    for scheme in sorted(by_scheme):
-        if scheme == base_scheme:
-            continue
+    for scheme, pairs in _paired(records, base_scheme):
+        kept = [p for p in pairs if _timed(p)]
         counts = dict.fromkeys(_BUCKETS, 0)
-        pairs = 0
-        excluded = 0
-        for instance, rec in sorted(by_scheme[scheme].items()):
-            base_rec = base.get(instance)
-            if base_rec is None:
-                continue
-            if not _usable_pair(rec, base_rec):
-                excluded += 1
-                continue
-            pairs += 1
+        for rec, base_rec in kept:
             f = folded_ratio(base_rec.elapsed_ms, rec.elapsed_ms)
             if f > 1.0:
                 counts[">1"] += 1
@@ -215,9 +222,9 @@ def categorize(records: Iterable[RunRecord], base_scheme: str) -> list[BucketRow
                 if f <= -3.0:
                     counts["<3"] += 1
         pct = {
-            k: (100.0 * v / pairs if pairs else 0.0) for k, v in counts.items()
+            k: (100.0 * v / len(kept) if kept else 0.0) for k, v in counts.items()
         }
-        rows.append(BucketRow(scheme, pct, pairs, excluded))
+        rows.append(BucketRow(scheme, pct, len(kept), len(pairs) - len(kept)))
     return rows
 
 
@@ -238,24 +245,20 @@ class SpeedupRow:
 def speedups(records: Iterable[RunRecord], base_scheme: str) -> list[SpeedupRow]:
     """Per class and scheme: mean folded time and node ratios vs the baseline.
 
-    Positive values mean the baseline was faster (needed fewer nodes).
+    Positive values mean the baseline was faster (needed fewer nodes).  The
+    classes are those of the baseline's instances; pairs are kept as in
+    ``categorize``, and node folds also skip pairs with a zero node count.
     """
-    by_scheme = _index(records)
-    if base_scheme not in by_scheme:
-        raise ValueError(f"no records for baseline scheme {base_scheme!r}")
-    base = by_scheme[base_scheme]
+    records = list(records)
+    paired = [(scheme, [p for p in pairs if _timed(p)])
+              for scheme, pairs in _paired(records, base_scheme)]
+    classes = sorted({instance_class(r.instance) for r in records if r.scheme == base_scheme})
     rows = []
-    classes = sorted({instance_class(i) for i in base})
     for cls in classes:
-        for scheme in sorted(by_scheme):
-            if scheme == base_scheme:
-                continue
+        for scheme, pairs in paired:
             tf, nf = [], []
-            for instance, rec in sorted(by_scheme[scheme].items()):
-                if instance_class(instance) != cls:
-                    continue
-                base_rec = base.get(instance)
-                if base_rec is None or not _usable_pair(rec, base_rec):
+            for rec, base_rec in pairs:
+                if instance_class(rec.instance) != cls:
                     continue
                 tf.append(folded_ratio(rec.elapsed_ms, base_rec.elapsed_ms))
                 if rec.nodes > 0 and base_rec.nodes > 0:
@@ -281,27 +284,16 @@ class SchemeTTest:
 
 
 def ttest_vs_base(records: Iterable[RunRecord], base_scheme: str) -> list[SchemeTTest]:
-    """Paired t-test per scheme on time differences (baseline minus scheme)."""
-    by_scheme = _index(records)
-    if base_scheme not in by_scheme:
-        raise ValueError(f"no records for baseline scheme {base_scheme!r}")
-    base = by_scheme[base_scheme]
+    """Paired t-test per scheme on time differences (baseline minus scheme).
+
+    Pairs with a limit outcome on either side are excluded and counted.
+    """
     out = []
-    for scheme in sorted(by_scheme):
-        if scheme == base_scheme:
-            continue
-        diffs = []
-        excluded = 0
-        for instance, rec in sorted(by_scheme[scheme].items()):
-            base_rec = base.get(instance)
-            if base_rec is None:
-                continue
-            if rec.status == "limit" or base_rec.status == "limit":
-                excluded += 1
-                continue
-            diffs.append(base_rec.elapsed_ms - rec.elapsed_ms)
+    for scheme, pairs in _paired(records, base_scheme):
+        kept = [p for p in pairs if _finished(p)]
+        diffs = [b.elapsed_ms - r.elapsed_ms for r, b in kept]
         report = paired_ttest(diffs) if len(diffs) >= 2 else None
-        out.append(SchemeTTest(scheme, report, len(diffs), excluded))
+        out.append(SchemeTTest(scheme, report, len(diffs), len(pairs) - len(diffs)))
     return out
 
 

@@ -9,6 +9,7 @@ silently degrading.
 import contextlib
 import math
 import time
+from pathlib import Path
 
 import pytest
 
@@ -297,45 +298,15 @@ def test_criterion_7_determinism():
     report(7, "repeated solves trace-identical; generator output byte-identical")
 
 
-MANIFEST = """\
-gen pigeons n=4
-gen pigeons n=5
-gen pigeons n=6
-gen langford n=4
-gen langford n=5
-gen langford n=6
-gen langford n=7
-gen coloring n=12 edges=30 k=3 seed=1
-gen coloring n=12 edges=30 k=3 seed=2
-gen coloring n=14 edges=34 k=3 seed=5
-gen randomb n=16 d=10 p1=70 p2=41 seed=5
-gen randomb n=16 d=10 p1=70 p2=41 seed=8
-gen randomb n=16 d=10 p1=70 p2=41 seed=10
-gen randomb n=16 d=10 p1=70 p2=38 seed=43
-gen forced n=16 d=10 p1=70 p2=44 seed=1
-gen forced n=16 d=10 p1=70 p2=44 seed=2
-gen forced n=16 d=10 p1=70 p2=44 seed=3
-gen qwh order=4 holes=12 seed=2
-gen qwh order=4 holes=14 seed=1
-gen qwh order=4 holes=16 seed=3
-"""
+DESK_SUITE = Path(__file__).resolve().parent.parent / "suites" / "desk.txt"
 
 
 def test_criterion_8_end_to_end_pipeline(tmp_path, capsys):
     started = time.monotonic()
-    manifest = tmp_path / "suite.txt"
-    manifest.write_text(MANIFEST, encoding="utf-8")
     results = tmp_path / "results.csv"
 
-    code = main(
-        [
-            "bench",
-            "--manifest", str(manifest),
-            "--schemes", ",".join(SCHEME_NAMES),
-            "--out", str(results),
-        ]
-    )
-    assert code == 0
+    # every scheme by default, as in the desk sweep of the README
+    assert main(["bench", "--manifest", str(DESK_SUITE), "--out", str(results)]) == 0
     with open(results, encoding="utf-8", newline="") as fh:
         records = read_csv(fh)
     assert len(records) == 20 * 7

@@ -278,6 +278,8 @@ def test_cli_solve_rejects_an_instance_over_the_table_cap(tmp_path, capsys):
     assert captured.out == ""
     assert "65600 candidate tuples" in captured.err
     assert "MAX_TABLE_TUPLES" in captured.err
+    # a whole-problem error has no position to report
+    assert "line 0" not in captured.err
 
 
 def test_cli_bench_and_stats_end_to_end(tmp_path, capsys):
@@ -323,6 +325,11 @@ def test_cli_bench_to_stdout(tmp_path, capsys):
     assert out.splitlines()[0] == ",".join(CSV_COLUMNS)
     assert len(out.splitlines()) == 2
 
+    # without --schemes every scheme runs, in SCHEME_NAMES order
+    assert main(["bench", "--manifest", str(manifest), "--out", "-"]) == 0
+    rows = read_csv(io.StringIO(capsys.readouterr().out))
+    assert [r.scheme for r in rows] == list(SCHEME_NAMES)
+
 
 def test_cli_bench_max_nodes_caps_every_row(tmp_path, capsys):
     manifest = tmp_path / "one.txt"
@@ -358,19 +365,20 @@ def test_cli_bench_usage_errors(tmp_path):
     [["--jobs", "0"], ["--jobs", "two"], ["--timeout-ms", "-1"], ["--timeout-ms", "nan"]],
     ids=" ".join,
 )
-def test_run_benchmark_script_rejects_bad_options(tmp_path, bad):
-    out_dir = tmp_path / "bench-out"
-    out_dir.mkdir()
+def test_cli_bench_rejects_bad_options(tmp_path, bad):
+    manifest = tmp_path / "one.txt"
+    manifest.write_text("gen pigeons n=3\n", encoding="utf-8")
+    out = tmp_path / "results.csv"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "run_benchmark.py"),
-         "--out-dir", str(out_dir), *bad],
+        [sys.executable, "-m", "branchbench.cli", "bench",
+         "--manifest", str(manifest), "--out", str(out), *bad],
         capture_output=True, text=True, env=env, timeout=60,
     )
-    assert proc.returncode == 2  # argparse's usage-error exit
-    assert proc.stderr.startswith("usage: ")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"branchbench bench: argument {bad[0]}: ")
     assert "Traceback" not in proc.stderr
-    assert list(out_dir.iterdir()) == []
+    assert not out.exists()
 
 
 def test_cli_top_level_usage():

@@ -156,12 +156,22 @@ def test_time_limit_bounds_a_tight_ternary_solve():
     problem = parity_sums(30, 72)
     limit_ms = 50.0
     out = solve(problem, parse_scheme("2way"), Limits(wall_time_ms=limit_ms))
-    # the clock is read every 64 nodes; the margin covers root propagation
-    # and those nodes
+    # the clock is read before every decision; the margin covers root
+    # propagation and the node in flight when the limit passes
     margin_ms = 250.0
     assert out.stats.elapsed_ms <= limit_ms + margin_ms
     assert out.status is Status.LIMIT
     assert out.stats.nodes > 0
+
+
+def test_time_limit_is_checked_at_every_node():
+    # with target 60 each arc keeps 406 rows, so a node costs milliseconds and
+    # a limit read only every few dozen nodes overshoots by hundreds of ms
+    problem = parity_sums(30, 60)
+    limit_ms = 50.0
+    out = solve(problem, parse_scheme("2way"), Limits(wall_time_ms=limit_ms))
+    assert out.status is Status.LIMIT
+    assert out.stats.elapsed_ms <= limit_ms + 100.0
 
 
 def test_limits_do_not_block_root_results():
