@@ -1,0 +1,82 @@
+#!/usr/bin/env python3
+"""Write the next perf trajectory file, ``BENCH_<n>.json``, at the repo root.
+
+    python3 scripts/perf.py
+
+Runs ``perfbench/run.py --workload all`` twice on this checkout, once
+untraced (the end-to-end metrics) and once with ``--trace 1`` (the per-layer
+metrics), with seed 1 and ``--seconds`` set to ``run_seconds`` from
+``BENCHMARK.json``.  The file holds the final JSON line of each run, the
+output of ``git rev-parse HEAD``, the Python version and ``os.cpu_count()``;
+``n`` is one more than the highest existing number.  Measure a committed
+tree, so the hash names the code that ran.  When either run fails a check
+or prints no result, nothing is written and the exit code is 1.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import platform
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEED = 1
+
+
+def next_path() -> Path:
+    taken = [
+        int(m.group(1))
+        for p in ROOT.glob("BENCH_*.json")
+        if (m := re.fullmatch(r"BENCH_(\d+)\.json", p.name))
+    ]
+    return ROOT / f"BENCH_{max(taken, default=0) + 1}.json"
+
+
+def run(seconds: float, trace: int) -> dict | None:
+    """The final JSON line of one ``--workload all`` run, or None on failure."""
+    child = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "all",
+         "--seed", str(SEED), "--seconds", str(seconds), "--trace", str(trace)],
+        stdout=subprocess.PIPE, text=True, check=False, cwd=ROOT,
+    )
+    sys.stdout.write(child.stdout)
+    lines = child.stdout.strip().splitlines()
+    if child.returncode != 0 or not lines:
+        return None
+    try:
+        return json.loads(lines[-1])
+    except json.JSONDecodeError:
+        return None
+
+
+def main() -> int:
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    untraced = run(seconds, 0)
+    traced = run(seconds, 1) if untraced is not None else None
+    if traced is None:
+        print("perf: a benchmark run failed; no BENCH file written", file=sys.stderr)
+        return 1
+    record = {
+        "git_rev": subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=ROOT, stdout=subprocess.PIPE,
+            text=True, check=True,
+        ).stdout.strip(),
+        "python": platform.python_version(),
+        "cpu_count": os.cpu_count(),
+        "seed": SEED,
+        "seconds": seconds,
+        "untraced": untraced,
+        "traced": traced,
+    }
+    path = next_path()
+    path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {path.name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

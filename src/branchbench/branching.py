@@ -7,10 +7,13 @@ first set is materialized).
 
 The splitting schemes (domain split, ties, clustering) only engage when the
 current domain is still large relative to the original one: strictly more
-than ``threshold_fraction`` times the original size.  Otherwise, and whenever
-their partition degenerates (all-singleton tie groups, a single tie group, a
-single cluster), they fall back to the plain scheme of their style and emit a
-plan identical to it.
+than ``threshold_fraction`` times the original size.  Otherwise they fall
+back to the plain scheme of their style and emit a plan identical to it.  The
+set schemes (ties, clustering) also fall back when every value has the same
+score, which is decided before any partition is built: one distinct score is
+one tie group, and x-means over equal scores always returns one cluster.
+Past that check they fall back only when the partition degenerates
+(all-singleton tie groups, a single cluster).
 """
 
 from __future__ import annotations
@@ -115,27 +118,31 @@ def plan(scheme: Scheme, state: SearchState, x: int) -> BranchPlan:
     tf = scheme.threshold_fraction
     size = state.sizes[x]
     original = len(state.tables.values[x])
-    binary_fallback = kind in (
+    fallback = _two_way_plan if kind in (
         SchemeKind.DOMAIN_SPLIT, SchemeKind.TIES_TWO_WAY, SchemeKind.CLUST_TWO_WAY
-    )
+    ) else _dway_plan
     if size * tf.denominator <= tf.numerator * original:
-        return _two_way_plan(x, scored) if binary_fallback else _dway_plan(x, scored)
+        return fallback(x, scored)
 
     if kind is SchemeKind.DOMAIN_SPLIT:
         top = tuple(sorted(sv.value for sv in scored[: (len(scored) + 1) // 2]))
         return BranchPlan(x, BranchStyle.BINARY, (top,))
 
+    # scored is sorted best first, so equal ends mean one distinct score
+    if scored[0].score == scored[-1].score:
+        return fallback(x, scored)
+
     if kind in (SchemeKind.TIES_DWAY, SchemeKind.TIES_TWO_WAY):
         groups = _tie_groups(scored)
-        if len(groups) == 1 or all(len(g) == 1 for g in groups):
-            return _two_way_plan(x, scored) if binary_fallback else _dway_plan(x, scored)
+        if all(len(g) == 1 for g in groups):
+            return fallback(x, scored)
         if kind is SchemeKind.TIES_DWAY:
             return BranchPlan(x, BranchStyle.ENUMERATED, tuple(groups))
         return BranchPlan(x, BranchStyle.BINARY, (groups[0],))
 
     clustering = xmeans([_score_as_float(sv.score) for sv in scored], kmax=scheme.kmax)
     if clustering.k == 1:
-        return _two_way_plan(x, scored) if binary_fallback else _dway_plan(x, scored)
+        return fallback(x, scored)
     sets = tuple(
         tuple(sorted(scored[i].value for i in cluster)) for cluster in clustering.clusters
     )

@@ -121,7 +121,10 @@ def bic(scores: Sequence[float], assignment: Sequence[int], centroids: Sequence[
 
 def _try_split(pts: list[float], centroid: float) -> Optional[tuple[tuple[float, ...], float]]:
     """2-means children plus their local BIC gain, if they beat one cluster."""
-    if len(pts) < 2:
+    # equal points always land on one child; testing first also keeps the
+    # spread below from squaring a centroid rounding error that overflows
+    # at huge magnitudes
+    if len(pts) < 2 or min(pts) == max(pts):
         return None
     sd = math.sqrt(sum((p - centroid) ** 2 for p in pts) / len(pts))
     if sd == 0.0:

@@ -1,18 +1,20 @@
 """Independent reference implementations used to pin expected test values.
 
 Everything here is deliberately written the slow, obvious way and shares no
-code with the library internals beyond the public constraint check and the
-BIC formula (which is itself under test separately), so agreement between
-the two routes is meaningful.
+code with the library internals beyond the public constraint check, the BIC
+formula and x-means (both under test separately), so agreement between the
+two routes is meaningful.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
 from collections import deque
 from typing import Iterable, Optional, Sequence
 
-from branchbench.clustering import bic
+from branchbench.branching import BranchPlan, BranchStyle, Scheme
+from branchbench.clustering import bic, xmeans
 from branchbench.model import Constraint, Problem, SearchState, check_tuple
 from util import domain_values
 
@@ -93,6 +95,57 @@ def promise_scores(state: SearchState, x: int) -> list[tuple[int, int]]:
         scored.append((v, score))
     scored.sort(key=lambda vs: (-vs[1], vs[0]))
     return scored
+
+
+def reference_plan(scheme: Scheme, state: SearchState, x: int) -> BranchPlan:
+    """The branch plan for ``x`` read straight off each scheme's definition.
+
+    Values come from ``promise_scores``.  The set kinds always build their
+    partition, tie groups or an x-means clustering of the scores (an integer
+    too large for a float becomes the signed largest float), and fall back
+    to the plain plan of their style only when it degenerates: one group,
+    all-singleton groups, or one cluster.  Splitting kinds also fall back
+    while the domain is at most ``threshold_fraction`` of the original.
+    """
+    scored = promise_scores(state, x)
+    values = [v for v, _ in scored]
+    kind = scheme.kind.value
+    binary = kind in ("2way", "split", "ties-2way", "clust-2way")
+    if binary:
+        fallback = BranchPlan(x, BranchStyle.BINARY, ((values[0],),))
+    else:
+        fallback = BranchPlan(x, BranchStyle.ENUMERATED, tuple((v,) for v in values))
+    if kind in ("dway", "2way"):
+        return fallback
+    if len(values) <= scheme.threshold_fraction * len(state.problem.domains[x]):
+        return fallback
+    if kind == "split":
+        top = tuple(sorted(values[: (len(values) + 1) // 2]))
+        return BranchPlan(x, BranchStyle.BINARY, (top,))
+
+    if kind in ("ties-dway", "ties-2way"):
+        levels = sorted({score for _, score in scored}, reverse=True)
+        sets = tuple(
+            tuple(sorted(v for v, score in scored if score == level)) for level in levels
+        )
+        if len(sets) == 1 or all(len(s) == 1 for s in sets):
+            return fallback
+    else:
+        floats = []
+        for _, score in scored:
+            try:
+                floats.append(float(score))
+            except OverflowError:
+                floats.append(sys.float_info.max if score > 0 else -sys.float_info.max)
+        clustering = xmeans(floats, kmax=scheme.kmax)
+        if clustering.k == 1:
+            return fallback
+        sets = tuple(
+            tuple(sorted(values[i] for i in cluster)) for cluster in clustering.clusters
+        )
+    if binary:
+        return BranchPlan(x, BranchStyle.BINARY, (sets[0],))
+    return BranchPlan(x, BranchStyle.ENUMERATED, sets)
 
 
 def gac_fixpoint(

@@ -1,5 +1,6 @@
 """Branch plan construction for all seven schemes."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,8 @@ from branchbench.branching import (
 from branchbench.heuristics import select_variable
 from branchbench.model import SearchState
 from branchbench.propagation import establish_root_gac
-from util import domain_values, make_binary, ne_rel, random_problem
+from oracles import promise_scores, reference_plan
+from util import domain_values, make_binary, ne_rel, random_problem, walk_states
 
 from branchbench.exprs import Call, VarRef
 from branchbench.model import Constraint, Intensional, Problem
@@ -162,6 +164,36 @@ def test_threshold_boundary_is_exact():
         state.remove_values(0, (v,))
     assert plan(scheme("ties-dway"), state, 0) == plan(scheme("dway"), state, 0)
     state.undo_to(token)
+
+
+# ------------------------------------------------------ reference oracle
+
+SET_SCHEMES = ("ties-dway", "ties-2way", "clust-dway", "clust-2way")
+
+
+def test_set_scheme_plans_match_the_reference_on_random_walks():
+    schemes = [
+        scheme(name, threshold, kmax)
+        for name in SET_SCHEMES
+        for threshold in (0, Fraction(1, 4))
+        for kmax in (1, 2, 4)
+    ]
+    # engaged (domain above a quarter of the original) states per scheme,
+    # split by whether the variable's values have one distinct score
+    engaged = {(name, several): 0 for name in SET_SCHEMES for several in (False, True)}
+    for seed in range(120):
+        p = random_problem(seed, max_vars=7, max_dom=6)
+        for state in walk_states(p, random.Random(seed), steps=12):
+            for x in range(p.n_vars):
+                if state.assigned[x] is not None:
+                    continue
+                several = len({score for _, score in promise_scores(state, x)}) > 1
+                for sc in schemes:
+                    assert plan(sc, state, x) == reference_plan(sc, state, x)
+                if 4 * state.sizes[x] > len(p.domains[x]):
+                    for name in SET_SCHEMES:
+                        engaged[name, several] += 1
+    assert min(engaged.values()) >= 50, engaged
 
 
 # ------------------------------------------------------------ invariants

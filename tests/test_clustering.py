@@ -1,9 +1,10 @@
 """Score clustering: 1-D k-means, the BIC score, and x-means growth."""
 
 import math
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from branchbench.clustering import bic, kmeans_1d, xmeans
@@ -136,6 +137,29 @@ def test_xmeans_constant_input_stays_single():
     cl = xmeans([4.0] * 12)
     assert cl.k == 1
     assert cl.clusters == (tuple(range(12)),)
+
+
+# branching.plan falls back without calling xmeans when every score is
+# equal; that shortcut is exact only while this holds for every float a
+# score can become, including the +-max that _score_as_float clamps to
+@given(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(1, 40),
+    st.integers(1, 8),
+)
+@example(0.0, 40, 8)
+@example(-0.0, 2, 2)
+@example(-7.0, 40, 4)
+@example(1e200, 40, 2)
+@example(-1e300, 17, 8)
+@example(sys.float_info.max, 40, 8)
+@example(-sys.float_info.max, 40, 8)
+@example(sys.float_info.min, 3, 2)
+@settings(max_examples=300)
+def test_xmeans_equal_scores_give_one_cluster(c, n, kmax):
+    cl = xmeans([c] * n, kmax=kmax)
+    assert cl.k == 1
+    assert cl.clusters == (tuple(range(n)),)
 
 
 def test_xmeans_kmax_one_never_splits():

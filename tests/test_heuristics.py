@@ -14,6 +14,7 @@ from util import (
     domain_values,
     ne_rel,
     random_problem,
+    walk_states,
 )
 
 
@@ -256,36 +257,15 @@ def test_zero_promise_assignments_wipe_a_neighbor():
 
 
 def _walk_checking_scores(p, r, steps=12):
-    """Random decisions and backtracks (a branch to a single value commits
-    the variable, as search does); at every consistent state ``score_domain``
-    must equal the brute-force oracle for every unassigned variable.
-    Returns the number of states checked."""
-    st = SearchState(p)
-    if establish_root_gac(st) is not None:
-        return 0
+    """At every state of a random walk, ``score_domain`` must equal the
+    brute-force oracle for every unassigned variable.  Returns the number
+    of states checked."""
     checked = 0
-    levels = []
-    for _ in range(steps):
+    for st in walk_states(p, r, steps):
         for x in range(p.n_vars):
             if st.assigned[x] is None:
                 assert score_domain(st, x) == promise_scores(st, x)
         checked += 1
-        open_vars = [x for x in range(p.n_vars) if st.assigned[x] is None and st.sizes[x] > 1]
-        if not open_vars:
-            break
-        x = r.choice(open_vars)
-        values = domain_values(st, x)
-        picked = r.choice(values)
-        kept = [picked] if r.randrange(2) else [v for v in values if v != picked]
-        levels.append((st.push_level(), x))
-        st.reduce_domain(x, kept)
-        if len(kept) == 1:
-            st.assigned[x] = kept[0]
-        wiped = propagate(st, st.tables.decision_arcs[x]) is not None
-        if wiped or r.randrange(4) == 0:
-            token, x = levels.pop()
-            st.assigned[x] = None
-            st.undo_to(token)
     return checked
 
 

@@ -14,6 +14,7 @@ from branchbench.model import (
     Problem,
     SearchState,
 )
+from branchbench.propagation import establish_root_gac, propagate
 
 _BIN_OPS = ("ne", "eq", "lt", "le", "add", "sub")
 
@@ -22,6 +23,36 @@ def domain_values(state: SearchState, x: int) -> list[int]:
     """Current domain of ``x`` in ascending value order."""
     values = state.tables.values[x]
     return [v for i, v in enumerate(values) if state.masks[x] >> i & 1]
+
+
+def walk_states(p: Problem, r: random.Random, steps: int):
+    """Yield up to ``steps`` consistent states of ``p`` along random
+    decisions and backtracks, starting at the root GAC closure (nothing if
+    it wipes out).  A branch to a single value commits the variable, as
+    search does.  The same state object is yielded each time, changed in
+    place between yields."""
+    st = SearchState(p)
+    if establish_root_gac(st) is not None:
+        return
+    levels = []
+    for _ in range(steps):
+        yield st
+        open_vars = [x for x in range(p.n_vars) if st.assigned[x] is None and st.sizes[x] > 1]
+        if not open_vars:
+            return
+        x = r.choice(open_vars)
+        values = domain_values(st, x)
+        picked = r.choice(values)
+        kept = [picked] if r.randrange(2) else [v for v in values if v != picked]
+        levels.append((st.push_level(), x))
+        st.reduce_domain(x, kept)
+        if len(kept) == 1:
+            st.assigned[x] = kept[0]
+        wiped = propagate(st, st.tables.decision_arcs[x]) is not None
+        if wiped or r.randrange(4) == 0:
+            token, x = levels.pop()
+            st.assigned[x] = None
+            st.undo_to(token)
 
 
 def make_binary(names, domains, pairs_with_relations) -> Problem:
