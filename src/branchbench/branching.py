@@ -12,8 +12,9 @@ back to the plain scheme of their style and emit a plan identical to it.  The
 set schemes (ties, clustering) also fall back when every value has the same
 score, which is decided before any partition is built: one distinct score is
 one tie group, and x-means over equal scores always returns one cluster.
-Past that check they fall back only when the partition degenerates
-(all-singleton tie groups, a single cluster).
+Past that check, clustering falls back only when x-means returns a single
+cluster; all-singleton tie groups need no test, since their plan equals the
+plain one.
 """
 
 from __future__ import annotations
@@ -134,8 +135,6 @@ def plan(scheme: Scheme, state: SearchState, x: int) -> BranchPlan:
 
     if kind in (SchemeKind.TIES_DWAY, SchemeKind.TIES_TWO_WAY):
         groups = _tie_groups(scored)
-        if all(len(g) == 1 for g in groups):
-            return fallback(x, scored)
         if kind is SchemeKind.TIES_DWAY:
             return BranchPlan(x, BranchStyle.ENUMERATED, tuple(groups))
         return BranchPlan(x, BranchStyle.BINARY, (groups[0],))

@@ -90,7 +90,9 @@ def kmeans_1d(
         if new_assignment == assignment:
             break
         centroids, assignment = _means(scores, new_assignment, len(centroids))
-    distortion = sum((s - centroids[a]) ** 2 for s, a in zip(scores, assignment))
+    distortion = sum(
+        (s - centroids[a]) * (s - centroids[a]) for s, a in zip(scores, assignment)
+    )
     return KMeansResult(tuple(assignment), tuple(centroids), distortion)
 
 
@@ -121,12 +123,11 @@ def bic(scores: Sequence[float], assignment: Sequence[int], centroids: Sequence[
 
 def _try_split(pts: list[float], centroid: float) -> Optional[tuple[tuple[float, ...], float]]:
     """2-means children plus their local BIC gain, if they beat one cluster."""
-    # equal points always land on one child; testing first also keeps the
-    # spread below from squaring a centroid rounding error that overflows
-    # at huge magnitudes
+    # equal points always land on one child
     if len(pts) < 2 or min(pts) == max(pts):
         return None
-    sd = math.sqrt(sum((p - centroid) ** 2 for p in pts) / len(pts))
+    # squares are products: one that overflows gives inf, where ** raises
+    sd = math.sqrt(sum((p - centroid) * (p - centroid) for p in pts) / len(pts))
     if sd == 0.0:
         sd = VARIANCE_FLOOR
     lo, hi = centroid - sd, centroid + sd
@@ -156,7 +157,7 @@ def xmeans(scores: Sequence[float], kmax: int = 4) -> Clustering:
     # every structure visited gets scored globally; the best one is returned
     # (splits themselves are accepted on local BIC only)
     best_bic = bic(pts, assignment, centroids)
-    best = (assignment, centroids)
+    best = assignment
 
     for _ in range(_PASS_CAP):
         k = len(centroids)
@@ -187,36 +188,17 @@ def xmeans(scores: Sequence[float], kmax: int = 4) -> Clustering:
         score = bic(pts, assignment, centroids)
         if score > best_bic:
             best_bic = score
-            best = (assignment, centroids)
+            best = assignment
 
-    assignment, centroids = best
-    return _regroup(pts, assignment, len(centroids))
+    return _regroup(pts, best)
 
 
-def _regroup(pts: list[float], assignment: list[int], k: int) -> Clustering:
-    """Enforce output invariants: equal scores together, descending means."""
-    # merge equal scores into the cluster holding their majority
-    by_score: dict[float, list[int]] = {}
-    for i, s in enumerate(pts):
-        by_score.setdefault(s, []).append(i)
-    sums = [0.0] * k
-    counts = [0] * k
-    for s, a in zip(pts, assignment):
-        sums[a] += s
-        counts[a] += 1
-    for s, items in by_score.items():
-        labels = {assignment[i] for i in items}
-        if len(labels) > 1:
-            best = max(
-                labels,
-                key=lambda j: (
-                    sum(1 for i in items if assignment[i] == j),
-                    sums[j] / counts[j],
-                ),
-            )
-            for i in items:
-                assignment[i] = best
+def _regroup(pts: list[float], assignment: list[int]) -> Clustering:
+    """Clusters in descending mean order.
 
+    Every labelling kept above is all zeros or a nearest-centroid assignment,
+    so equal scores already share a label.
+    """
     groups: dict[int, list[int]] = {}
     for i, a in enumerate(assignment):
         groups.setdefault(a, []).append(i)

@@ -9,6 +9,12 @@ The format is line oriented, UTF-8, ``#`` starts a comment::
     con ext forbidden (x0,x1) : (2,9)       # violating tuples
     con int (x0,x1) : ne(x0,x1)             # prefix expression
 
+Names are ASCII identifiers and integers are decimal (``-?[0-9]+``, within
+64 bits); blanks are space, tab and CR, and lines break where
+``str.splitlines`` breaks them.  Each statement shape is one anchored regular
+expression; a tuple list is checked by one pattern and split by ``findall``;
+only ``con int`` expressions are read by a recursive descent over tokens.
+
 Syntax errors raise :class:`ParseError` carrying line and column; a
 well-formed file that describes an invalid problem raises it with no position.
 ``parse_instance(serialize_instance(p)) == p`` for every valid problem.
@@ -16,6 +22,7 @@ well-formed file that describes an invalid problem raises it with no position.
 
 from __future__ import annotations
 
+import functools
 import re
 from typing import Optional
 
@@ -50,189 +57,118 @@ class ParseError(Exception):
         self.col = col
 
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_INT_RE = re.compile(r"-?[0-9]+")
-_PUNCT = ("..", "(", ")", "{", "}", ",", ":")
+_WS = r"[ \t\r]*"
+# a name or an integer ends at a word boundary, so that backtracking can never
+# split ``x0`` into the name ``x`` and the integer ``0``
+_END = r"(?![A-Za-z0-9_])"
+_NAME = rf"[A-Za-z_][A-Za-z0-9_]*{_END}"
+_INT = rf"-?[0-9]+{_END}"
+
+_KEYWORD = re.compile(rf"{_WS}(?:(csp|var|con){_END}{_WS})?")
+_HEADER = re.compile(rf"({_INT}){_WS}\Z")
+_VAR = re.compile(
+    rf"({_NAME}){_WS}(?:({_INT}){_WS}\.\.{_WS}({_INT})"
+    rf"|in{_END}{_WS}\{{({_WS}{_INT}{_WS}(?:,{_WS}{_INT}{_WS})*)\}}){_WS}\Z"
+)
+_CON = re.compile(
+    rf"(?:ext{_END}{_WS}(allowed|forbidden){_END}|int{_END}){_WS}"
+    rf"\(({_WS}{_NAME}{_WS}(?:,{_WS}{_NAME}{_WS})*)\){_WS}:"
+)
+_INT_TEXT = re.compile(r"-?[0-9]+")
+# the lexer of ``con int`` expressions: longest names and integers, the
+# format's punctuation, and group 4 for any other character
+_TOKEN = re.compile(rf"{_WS}(?:([A-Za-z_][A-Za-z0-9_]*)|(-?[0-9]+)|(\.\.|[(){{}},:])|([^ \t\r]))")
+_NAME_TOKEN, _INT_TOKEN, _BAD_TOKEN = 1, 2, 4
 
 
-def _tokenize(text: str, lineno: int) -> list[tuple[str, object, int]]:
-    out: list[tuple[str, object, int]] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch in " \t\r":
-            i += 1
-            continue
-        if ch == "#":
+@functools.cache
+def _tuple_run(arity: int) -> re.Pattern:
+    """Any number of ``(v1,...,vk)`` tuples of ``arity`` integers, then blanks."""
+    values = ",".join([f"{_WS}{_INT}{_WS}"] * arity)
+    return re.compile(rf"(?:{_WS}\({values}\))*{_WS}")
+
+
+def _int(text: str, lineno: int, col: int) -> int:
+    value = int(text)
+    if not INT64_MIN <= value <= INT64_MAX:
+        raise ParseError(f"integer {text} outside 64-bit range", lineno, col)
+    return value
+
+
+def _syntax_error(line: str, lineno: int, pos: int, message: str) -> ParseError:
+    """The first unexpected character of ``line``, else ``message`` at ``pos``."""
+    for m in _TOKEN.finditer(line):
+        if m.lastindex == _BAD_TOKEN:
+            return ParseError(f"unexpected character {m.group(4)!r}", lineno, m.start(4) + 1)
+    return ParseError(message, lineno, pos + 1)
+
+
+def _parse_expr(
+    tokens: list[tuple[int, str, int]], i: int, scope: tuple[str, ...], lineno: int
+) -> tuple[Expr, int]:
+    """The expression starting at ``tokens[i]``, and the index just past it."""
+    kind, text, col = tokens[i]
+    if kind == _INT_TOKEN:
+        return Const(_int(text, lineno, col)), i + 1
+    if kind != _NAME_TOKEN:
+        raise ParseError("expected an expression", lineno, col)
+    if tokens[i + 1][1] != "(":
+        if text not in scope:
+            raise ParseError(f"variable {text!r} not in constraint scope", lineno, col)
+        return VarRef(text), i + 1
+    if text not in OP_ARITY:
+        raise ParseError(f"unknown operator {text!r}", lineno, col)
+    args = []
+    i += 1
+    while True:
+        arg, i = _parse_expr(tokens, i + 1, scope, lineno)
+        args.append(arg)
+        if tokens[i][1] != ",":
             break
-        col = i + 1
-        m = _NAME_RE.match(text, i)
-        if m:
-            out.append(("name", m.group(), col))
-            i = m.end()
-            continue
-        if text.startswith("..", i):
-            out.append(("punct", "..", col))
-            i += 2
-            continue
-        m = _INT_RE.match(text, i)
-        if m:
-            value = int(m.group())
-            if not INT64_MIN <= value <= INT64_MAX:
-                raise ParseError(f"integer {m.group()} outside 64-bit range", lineno, col)
-            out.append(("int", value, col))
-            i = m.end()
-            continue
-        if ch in "(){},:":
-            out.append(("punct", ch, col))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", lineno, col)
-    return out
+    if tokens[i][1] != ")":
+        raise ParseError("expected ',' or ')'", lineno, tokens[i][2])
+    if len(args) != OP_ARITY[text]:
+        raise ParseError(
+            f"operator {text!r} takes {OP_ARITY[text]} arguments, got {len(args)}", lineno, col
+        )
+    return Call(text, tuple(args)), i + 1
 
 
-class _Cursor:
-    def __init__(self, tokens: list[tuple[str, object, int]], lineno: int, length: int):
-        self.tokens = tokens
-        self.lineno = lineno
-        self.eol_col = length + 1
-        self.i = 0
-
-    def error(self, message: str) -> ParseError:
-        col = self.tokens[self.i][2] if self.i < len(self.tokens) else self.eol_col
-        return ParseError(message, self.lineno, col)
-
-    def done(self) -> bool:
-        return self.i >= len(self.tokens)
-
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def take(self):
-        tok = self.peek()
-        if tok is None:
-            raise self.error("unexpected end of line")
-        self.i += 1
-        return tok
-
-    def take_name(self) -> str:
-        tok = self.take()
-        if tok[0] != "name":
-            self.i -= 1
-            raise self.error("expected a name")
-        return tok[1]  # type: ignore[return-value]
-
-    def take_int(self) -> int:
-        tok = self.take()
-        if tok[0] != "int":
-            self.i -= 1
-            raise self.error("expected an integer")
-        return tok[1]  # type: ignore[return-value]
-
-    def take_punct(self, value: str) -> None:
-        tok = self.take()
-        if tok[0] != "punct" or tok[1] != value:
-            self.i -= 1
-            raise self.error(f"expected {value!r}")
-
-    def at_punct(self, value: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok[0] == "punct" and tok[1] == value
-
-    def expect_done(self) -> None:
-        if not self.done():
-            raise self.error("unexpected trailing input")
+def _parse_intensional(line: str, pos: int, scope: tuple[str, ...], lineno: int) -> Intensional:
+    tokens = [
+        (m.lastindex, m.group(m.lastindex), m.start(m.lastindex) + 1)
+        for m in _TOKEN.finditer(line, pos)
+    ]
+    for kind, text, col in tokens:
+        if kind == _BAD_TOKEN:
+            raise ParseError(f"unexpected character {text!r}", lineno, col)
+    tokens.append((0, "", len(line) + 1))  # end of line
+    expr, i = _parse_expr(tokens, 0, scope, lineno)
+    if i != len(tokens) - 1:
+        raise ParseError("unexpected trailing input", lineno, tokens[i][2])
+    return Intensional(expr)
 
 
-def _parse_domain(cur: _Cursor) -> tuple[int, ...]:
-    if cur.at_punct("{"):
-        raise cur.error("expected 'in' before a set domain")
-    tok = cur.peek()
-    if tok is not None and tok[0] == "name" and tok[1] == "in":
-        cur.take()
-        cur.take_punct("{")
-        values = [cur.take_int()]
-        while cur.at_punct(","):
-            cur.take()
-            values.append(cur.take_int())
-        cur.take_punct("}")
-        return tuple(sorted(set(values)))
-    lo = cur.take_int()
-    cur.take_punct("..")
-    hi = cur.take_int()
-    if lo > hi:
-        raise cur.error(f"empty range {lo}..{hi}")
-    return tuple(range(lo, hi + 1))
-
-
-def _parse_scope(cur: _Cursor, declared: dict[str, int]) -> tuple[str, ...]:
-    cur.take_punct("(")
-    names = [cur.take_name()]
-    while cur.at_punct(","):
-        cur.take()
-        names.append(cur.take_name())
-    cur.take_punct(")")
-    for name in names:
-        if name not in declared:
-            raise cur.error(f"undeclared variable {name!r} in scope")
-    if len(set(names)) != len(names):
-        raise cur.error("repeated variable in scope")
-    return tuple(names)
-
-
-def _parse_expr(cur: _Cursor, scope: tuple[str, ...]) -> Expr:
-    tok = cur.peek()
-    if tok is None:
-        raise cur.error("expected an expression")
-    if tok[0] == "int":
-        cur.take()
-        return Const(tok[1])  # type: ignore[arg-type]
-    if tok[0] != "name":
-        raise cur.error("expected an expression")
-    name = tok[1]
-    cur.take()
-    if cur.at_punct("("):
-        if name not in OP_ARITY:
-            cur.i -= 1
-            raise cur.error(f"unknown operator {name!r}")
-        cur.take_punct("(")
-        args = [_parse_expr(cur, scope)]
-        while cur.at_punct(","):
-            cur.take()
-            args.append(_parse_expr(cur, scope))
-        cur.take_punct(")")
-        if len(args) != OP_ARITY[name]:
-            raise cur.error(
-                f"operator {name!r} takes {OP_ARITY[name]} arguments, got {len(args)}"
-            )
-        return Call(name, tuple(args))  # type: ignore[arg-type]
-    if name not in scope:
-        cur.i -= 1
-        raise cur.error(f"variable {name!r} not in constraint scope")
-    return VarRef(name)  # type: ignore[arg-type]
-
-
-def _parse_tuples(
-    cur: _Cursor, scope: tuple[str, ...], declared: dict[str, int],
-    domains: list[tuple[int, ...]],
+def _parse_tuple_list(
+    line: str, pos: int, scope: tuple[str, ...], members: list, lineno: int
 ) -> frozenset[tuple[int, ...]]:
-    tuples = []
-    while not cur.done():
-        cur.take_punct("(")
-        values = [cur.take_int()]
-        while cur.at_punct(","):
-            cur.take()
-            values.append(cur.take_int())
-        cur.take_punct(")")
-        if len(values) != len(scope):
-            raise cur.error(
-                f"tuple arity {len(values)} does not match scope arity {len(scope)}"
+    """The tuples from ``pos`` to the end of ``line``; ``members[j]`` holds the
+    values allowed at position ``j``."""
+    arity = len(scope)
+    run = _tuple_run(arity).match(line, pos)
+    if run.end() != len(line):
+        raise _syntax_error(line, lineno, run.end(), f"expected a tuple of {arity} integers")
+    values = [int(v) for v in _INT_TEXT.findall(line, pos)]
+    for j, name in enumerate(scope):
+        column = values[j::arity]
+        dom = members[j]
+        if not all(v in dom for v in set(column)):
+            t = next(t for t, v in enumerate(column) if v not in dom)
+            at = list(_INT_TEXT.finditer(line, pos))[t * arity + j]
+            raise ParseError(
+                f"value {column[t]} outside the domain of {name!r}", lineno, at.start() + 1
             )
-        for name, v in zip(scope, values):
-            if v not in domains[declared[name]]:
-                raise cur.error(f"value {v} outside the domain of {name!r}")
-        tuples.append(tuple(values))
-    return frozenset(tuples)
+    return frozenset(zip(*[iter(values)] * arity))
 
 
 def parse_instance(text: str) -> Problem:
@@ -240,56 +176,74 @@ def parse_instance(text: str) -> Problem:
     declared: dict[str, int] = {}
     names: list[str] = []
     domains: list[tuple[int, ...]] = []
+    members: list = []  # per variable, a container of its values for fast lookup
     constraints: list[Constraint] = []
     seen_statement = False
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = _tokenize(raw, lineno)
-        if not tokens:
-            continue
-        cur = _Cursor(tokens, lineno, len(raw))
-        head = cur.take_name()
+        line = raw.partition("#")[0]
+        keyword = _KEYWORD.match(line)
+        head, pos = keyword.group(1), keyword.end()
+        if head is None:
+            if pos == len(line):  # blank or comment only
+                continue
+            raise _syntax_error(line, lineno, pos, "expected 'csp', 'var' or 'con'")
         if head == "csp":
             if seen_statement:
-                raise cur.error("header must be the first statement")
-            version = cur.take_int()
-            if version != 1:
-                raise cur.error(f"unsupported format version {version}")
-            cur.expect_done()
-            seen_statement = True
-            continue
-        seen_statement = True
-        if head == "var":
-            name = cur.take_name()
+                raise ParseError("header must be the first statement", lineno, keyword.start(1) + 1)
+            m = _HEADER.match(line, pos)
+            if m is None:
+                raise _syntax_error(line, lineno, pos, "expected 'csp 1'")
+            if _int(m.group(1), lineno, pos + 1) != 1:
+                raise ParseError(f"unsupported format version {m.group(1)}", lineno, pos + 1)
+        elif head == "var":
+            m = _VAR.match(line, pos)
+            if m is None:
+                raise _syntax_error(
+                    line, lineno, pos, "expected 'var NAME LO..HI' or 'var NAME in {V,...}'"
+                )
+            name = m.group(1)
             if name in declared:
-                raise cur.error(f"duplicate variable {name!r}")
-            dom = _parse_domain(cur)
-            cur.expect_done()
+                raise ParseError(f"duplicate variable {name!r}", lineno, pos + 1)
+            if m.group(4) is None:
+                lo = _int(m.group(2), lineno, m.start(2) + 1)
+                hi = _int(m.group(3), lineno, m.start(3) + 1)
+                if lo > hi:
+                    raise ParseError(f"empty range {lo}..{hi}", lineno, m.start(2) + 1)
+                dom = tuple(range(lo, hi + 1))
+                members.append(range(lo, hi + 1))
+            else:
+                values = {
+                    _int(v.group(), lineno, v.start() + 1)
+                    for v in _INT_TEXT.finditer(line, m.start(4), m.end(4))
+                }
+                dom = tuple(sorted(values))
+                members.append(values)
             declared[name] = len(names)
             names.append(name)
             domains.append(dom)
-        elif head == "con":
-            kind = cur.take_name()
-            if kind == "ext":
-                polarity = cur.take_name()
-                if polarity not in ("allowed", "forbidden"):
-                    raise cur.error("expected 'allowed' or 'forbidden'")
-                scope = _parse_scope(cur, declared)
-                cur.take_punct(":")
-                tuples = _parse_tuples(cur, scope, declared, domains)
-                relation = (
-                    ExtensionalAllowed(tuples)
-                    if polarity == "allowed"
-                    else ExtensionalForbidden(tuples)
+        else:
+            m = _CON.match(line, pos)
+            if m is None:
+                raise _syntax_error(
+                    line, lineno, pos,
+                    "expected 'con ext allowed|forbidden (NAMES) :' or 'con int (NAMES) :'",
                 )
-            elif kind == "int":
-                scope = _parse_scope(cur, declared)
-                cur.take_punct(":")
-                expr = _parse_expr(cur, scope)
-                cur.expect_done()
-                relation = Intensional(expr)
+            scope = tuple(n.strip(" \t\r") for n in m.group(2).split(","))
+            for name in scope:
+                if name not in declared:
+                    raise ParseError(
+                        f"undeclared variable {name!r} in scope", lineno, m.start(2) + 1
+                    )
+            if len(set(scope)) != len(scope):
+                raise ParseError("repeated variable in scope", lineno, m.start(2) + 1)
+            if m.group(1) is None:
+                relation = _parse_intensional(line, m.end(), scope, lineno)
             else:
-                raise cur.error("expected 'ext' or 'int'")
+                polarity = ExtensionalAllowed if m.group(1) == "allowed" else ExtensionalForbidden
+                relation = polarity(_parse_tuple_list(
+                    line, m.end(), scope, [members[declared[n]] for n in scope], lineno
+                ))
             constraints.append(
                 Constraint(
                     cid=len(constraints),
@@ -298,9 +252,7 @@ def parse_instance(text: str) -> Problem:
                     relation=relation,
                 )
             )
-        else:
-            cur.i -= 1
-            raise cur.error(f"expected 'var' or 'con', got {head!r}")
+        seen_statement = True
 
     try:
         return Problem(tuple(names), tuple(domains), tuple(constraints))

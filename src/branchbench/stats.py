@@ -334,7 +334,7 @@ def format_report(
             f"% of instances faster (>) / slower (<) than {base_scheme} by factor"
         )
         header = f"{'scheme':<12}" + "".join(f"{b:>8}" for b in _BUCKETS)
-        lines.append(header + f"{'pairs':>7}{'limit':>7}")
+        lines.append(header + f"{'pairs':>7}{'excl':>7}")
         for row in categorize(records, base_scheme):
             cells = "".join(f"{row.percentages[b]:8.1f}" for b in _BUCKETS)
             lines.append(f"{row.scheme:<12}{cells}{row.pairs:>7}{row.excluded:>7}")

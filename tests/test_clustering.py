@@ -162,6 +162,16 @@ def test_xmeans_equal_scores_give_one_cluster(c, n, kmax):
     assert cl.clusters == (tuple(range(n)),)
 
 
+@pytest.mark.parametrize(
+    "pts", [[1e200] * 39 + [2e200], [1e160] * 20 + [1e161] * 20], ids=["1e200", "1e160"]
+)
+def test_xmeans_huge_spreads_square_to_inf_without_raising(pts):
+    # deviations past about 1.3e154 square to inf, which must not raise
+    cl = xmeans(pts)
+    assert sorted(i for c in cl.clusters for i in c) == list(range(len(pts)))
+    assert 1 <= cl.k == len(cl.centroids)
+
+
 def test_xmeans_kmax_one_never_splits():
     cl = xmeans([1.0, 1.0, 1.0, 10.0, 10.0], kmax=1)
     assert cl.k == 1

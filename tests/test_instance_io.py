@@ -125,7 +125,8 @@ def test_serialize_uses_range_form_for_contiguous_domains():
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 10**9), st.data())
 def test_fuzzed_mutations_never_crash(seed, data):
-    """Random byte edits of valid instances either parse or raise ParseError."""
+    """Random byte edits of valid instances raise ParseError, or parse to a
+    problem that survives the serialize/parse round trip."""
     base = serialize_instance(random_problem(seed % 50))
     raw = bytearray(base.encode())
     r = random.Random(seed)
@@ -140,11 +141,80 @@ def test_fuzzed_mutations_never_crash(seed, data):
             raw.insert(pos, data.draw(st.integers(32, 126)))
     text = raw.decode(errors="replace")
     try:
-        parse_instance(text)
-    except ParseError:
-        pass
+        p = parse_instance(text)
+    except ParseError as err:
+        assert err.line is None or (err.line >= 1 and err.col >= 1)
+        return
+    assert parse_instance(serialize_instance(p)) == p
 
 
 def test_non_ascii_junk_is_a_parse_error():
     with pytest.raises(ParseError):
         parse_instance("var £ 0..1")
+
+
+MAX, MIN = 9223372036854775807, -9223372036854775808
+
+# the accepted language, pinned row by row: each text is accepted and parses
+# to the problem whose canonical text (after the "csp 1" header) is given
+ACCEPTED = [
+    ("var in 0..1", "var in 0..1"),  # `in` is a name outside the domain slot
+    ("var in in {1,2}", "var in 1..2"),
+    ("var x in{1,3}", "var x in {1,3}"),
+    ("var x 0 .. 2", "var x 0..2"),
+    ("var x-1..1", "var x -1..1"),  # a name ends where '-' starts an integer
+    ("csp 01\nvar x 007..010", "var x 7..10"),  # leading zeros
+    ("var x 0..1\ncon int(x):eq(x,0)", "var x 0..1\ncon int (x) : eq(x,0)"),
+    ("var x 0..1\ncon ext allowed(x):(0)(1)", "var x 0..1\ncon ext allowed (x) : (0) (1)"),
+    ("var x 0..1\ncon ext forbidden (x) :", "var x 0..1\ncon ext forbidden (x) :"),
+    ("\tvar\tx\t0..1\t\n\t# tabs", "var x 0..1"),
+    ("var x 0..1\r\nvar y 0..1\rvar z 0..1", "var x 0..1\nvar y 0..1\nvar z 0..1"),
+    (
+        "var x 0..1 # c\ncon int (x) : eq(x,0) # c\ncon ext allowed (x) : (0) # c",
+        "var x 0..1\ncon int (x) : eq(x,0)\ncon ext allowed (x) : (0)",
+    ),
+    # blanks after an expression
+    ("var x 0..1\ncon int (x) : eq(x,0) \t", "var x 0..1\ncon int (x) : eq(x,0)"),
+    (
+        f"var x {MIN}..{MIN}\nvar y in {{{MAX}}}\n"
+        f"con int (x,y) : ne(sub(x,{MIN}),{MAX})\ncon ext allowed (y) : ({MAX})",
+        f"var x {MIN}..{MIN}\nvar y {MAX}..{MAX}\n"
+        f"con int (x,y) : ne(sub(x,{MIN}),{MAX})\ncon ext allowed (y) : ({MAX})",
+    ),
+    ("var x 0..1\x0cvar y 0..1", "var x 0..1\nvar y 0..1"),  # str.splitlines breaks at \x0c
+]
+
+# syntax errors: each is rejected with a line and a column
+REJECTED = [
+    "var x0..3",  # the name is x0, not x then 0
+    "var x - 3..4",
+    "var x 0..- 3",
+    "var x ٣..4",  # ARABIC-INDIC DIGIT THREE, which int() accepts
+    "var x 0..１",  # FULLWIDTH DIGIT ONE
+    "var x 0..1\ncon ext allowed (x) : (٠)",
+    "var x 0..1\ncon int (x) : eq(x,\U0001d7d8)",
+    "var\x0cx 0..1",  # \x0c breaks the line
+    "var x\xa00..1",  # no-break space is not a blank
+    f"var x 0..{MAX + 1}",
+    f"var x {MIN - 1}..0",
+    f"var x in {{0,{MAX + 1}}}",
+    f"var x 0..1\ncon int (x) : eq(x,{MIN - 1})",
+    f"var x 0..1\ncon ext allowed (x) : ({MAX + 1})",
+    f"var x 0..{MAX} 3",  # rejected before the range is built
+    "var x 0..1\ncon int (x) : eq(x,0) 1",
+    "var x 0..1\ncon int (x) :",
+    "var x 0..1\ncon ext allowed (x) : (0) (1",
+    "csp 1 1",
+]
+
+
+@pytest.mark.parametrize("text,canonical", ACCEPTED)
+def test_grammar_accepts(text, canonical):
+    assert serialize_instance(parse_instance(text)) == "csp 1\n" + canonical + "\n"
+
+
+@pytest.mark.parametrize("text", REJECTED)
+def test_grammar_rejects_with_a_position(text):
+    with pytest.raises(ParseError) as info:
+        parse_instance(text)
+    assert info.value.line >= 1 and info.value.col >= 1
