@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import csv
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
-from typing import IO, Iterable, Optional, Sequence, Union
+from typing import IO, Iterable, Optional, Sequence, Union, get_type_hints
 
 from .branching import Scheme
 from .generators import GenSpec
@@ -31,20 +31,14 @@ from .instance_io import parse_instance
 from .model import Problem
 from .search import Limits, solve
 
-CSV_COLUMNS = (
-    "instance",
-    "scheme",
-    "status",
-    "nodes",
-    "decisions",
-    "wipeouts",
-    "backtracks",
-    "elapsed_ms",
-)
-
 
 @dataclass(frozen=True)
 class RunRecord:
+    """One result row: its fields are the results CSV's columns, in order.
+
+    Every field after ``status`` is a ``RunStats`` counter of the same name.
+    """
+
     instance: str
     scheme: str
     status: str
@@ -53,6 +47,11 @@ class RunRecord:
     wipeouts: int
     backtracks: int
     elapsed_ms: float
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(RunRecord))
+# the type of each column, which also converts its cell text back
+_CELL_TYPES = tuple(get_type_hints(RunRecord).values())
 
 
 @dataclass(frozen=True)
@@ -97,19 +96,11 @@ def _run_instance(task) -> list[RunRecord]:
     records = []
     for scheme in schemes:
         outcome = solve(problem, scheme, limits=limits)
-        s = outcome.stats
-        records.append(
-            RunRecord(
-                instance=source.name,
-                scheme=scheme.kind.value,
-                status=outcome.status.value,
-                nodes=s.nodes,
-                decisions=s.decisions,
-                wipeouts=s.wipeouts,
-                backtracks=s.backtracks,
-                elapsed_ms=s.elapsed_ms,
-            )
-        )
+        # every RunStats counter by name: one RunRecord lacks raises TypeError
+        records.append(RunRecord(
+            instance=source.name, scheme=scheme.kind.value, status=outcome.status.value,
+            **vars(outcome.stats),
+        ))
     return records
 
 
@@ -147,19 +138,7 @@ def run_bench(
 def write_csv(records: Iterable[RunRecord], out: IO[str]) -> None:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for r in records:
-        writer.writerow(
-            [
-                r.instance,
-                r.scheme,
-                r.status,
-                r.nodes,
-                r.decisions,
-                r.wipeouts,
-                r.backtracks,
-                repr(r.elapsed_ms),
-            ]
-        )
+    writer.writerows(astuple(r) for r in records)
 
 
 def read_csv(source: IO[str]) -> list[RunRecord]:
@@ -173,16 +152,5 @@ def read_csv(source: IO[str]) -> list[RunRecord]:
             continue
         if len(row) != len(CSV_COLUMNS):
             raise ValueError(f"malformed results row: {row!r}")
-        records.append(
-            RunRecord(
-                instance=row[0],
-                scheme=row[1],
-                status=row[2],
-                nodes=int(row[3]),
-                decisions=int(row[4]),
-                wipeouts=int(row[5]),
-                backtracks=int(row[6]),
-                elapsed_ms=float(row[7]),
-            )
-        )
+        records.append(RunRecord(*(cell(text) for cell, text in zip(_CELL_TYPES, row))))
     return records

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from .bench import parse_manifest, read_csv, run_bench, write_csv
 from .branching import SCHEME_NAMES, parse_scheme
-from .generators import FAMILIES, GenSpec
+from .generators import FAMILIES, GEN_PARAMS, GenSpec
 from .instance_io import ParseError, parse_instance, serialize_instance
 from .search import Limits, Status, solve
 from .stats import format_report
@@ -45,9 +45,6 @@ def _in_range(convert, low, high=None):
     return parse
 
 
-_GEN_PARAMS = ("n", "d", "p1", "p2", "order", "holes", "edges", "k", "seed")
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="branchbench", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="command")
@@ -55,7 +52,7 @@ def _build_parser() -> _Parser:
     p_gen = sub.add_parser("gen", help="generate an instance file")
     p_gen.add_argument("--family", required=True, choices=sorted(FAMILIES))
     p_gen.add_argument("--out", required=True, help="output path, - for stdout")
-    for name in _GEN_PARAMS:
+    for name in GEN_PARAMS:
         p_gen.add_argument(f"--{name}", type=int)
 
     p_solve = sub.add_parser("solve", help="solve one instance file")
@@ -80,15 +77,12 @@ def _build_parser() -> _Parser:
     p_stats = sub.add_parser("stats", help="summarize a results CSV")
     p_stats.add_argument("--results", required=True)
     p_stats.add_argument("--baseline", required=True)
-    p_stats.add_argument("--ttest", action="store_true")
-    p_stats.add_argument("--categorize", action="store_true")
-    p_stats.add_argument("--speedups", action="store_true")
 
     return parser
 
 
 def _cmd_gen(args) -> int:
-    params = {k: getattr(args, k) for k in _GEN_PARAMS if getattr(args, k) is not None}
+    params = {k: getattr(args, k) for k in GEN_PARAMS if getattr(args, k) is not None}
     try:
         spec = GenSpec(args.family, params)
     except ValueError as exc:
@@ -149,15 +143,7 @@ def _cmd_bench(args) -> int:
 def _cmd_stats(args) -> int:
     with open(args.results, encoding="utf-8", newline="") as fh:
         records = read_csv(fh)
-    any_flag = args.ttest or args.categorize or args.speedups
-    text = format_report(
-        records,
-        args.baseline,
-        include_speedups=args.speedups or not any_flag,
-        include_categorize=args.categorize or not any_flag,
-        include_ttest=args.ttest or not any_flag,
-    )
-    sys.stdout.write(text)
+    sys.stdout.write(format_report(records, args.baseline))
     return 0
 
 

@@ -179,16 +179,20 @@ def gen_coloring(n: int, edge_count: int, k: int, seed: int) -> Problem:
     return Problem(tuple(names), tuple(domains), tuple(constraints))
 
 
-_FAMILY_PARAMS = {
-    "pigeons": ("n",),
-    "langford": ("n",),
-    "randomb": ("n", "d", "p1", "p2", "seed"),
-    "forced": ("n", "d", "p1", "p2", "seed"),
-    "qwh": ("order", "holes", "seed"),
-    "coloring": ("n", "edges", "k", "seed"),
+# each family: its generator, the generator's parameters in call order, and
+# the pattern that names an instance from those parameters
+_FAMILY_TABLE = {
+    "pigeons": (gen_pigeons, ("n",), "pigeons-{n}"),
+    "langford": (gen_langford, ("n",), "langford-{n}"),
+    "randomb": (gen_randomb, ("n", "d", "p1", "p2", "seed"), "randomb-{n}-{d}-{p1}-{p2}-s{seed}"),
+    "forced": (gen_forced, ("n", "d", "p1", "p2", "seed"), "forced-{n}-{d}-{p1}-{p2}-s{seed}"),
+    "qwh": (gen_qwh, ("order", "holes", "seed"), "qwh-{order}-{holes}-s{seed}"),
+    "coloring": (gen_coloring, ("n", "edges", "k", "seed"), "coloring-{n}-{edges}-{k}-s{seed}"),
 }
 
-FAMILIES = tuple(sorted(_FAMILY_PARAMS))
+FAMILIES = tuple(sorted(_FAMILY_TABLE))
+# every parameter name some family takes, in first-use order
+GEN_PARAMS = tuple(dict.fromkeys(p for _, params, _ in _FAMILY_TABLE.values() for p in params))
 
 
 @dataclass(frozen=True)
@@ -199,9 +203,9 @@ class GenSpec:
     params: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.family not in _FAMILY_PARAMS:
+        if self.family not in _FAMILY_TABLE:
             raise ValueError(f"unknown family {self.family!r}")
-        wanted = _FAMILY_PARAMS[self.family]
+        wanted = _FAMILY_TABLE[self.family][1]
         missing = [p for p in wanted if p not in self.params]
         extra = [p for p in self.params if p not in wanted]
         if missing or extra:
@@ -211,32 +215,11 @@ class GenSpec:
             )
 
     def build(self) -> Problem:
-        p = self.params
-        if self.family == "pigeons":
-            return gen_pigeons(p["n"])
-        if self.family == "langford":
-            return gen_langford(p["n"])
-        if self.family == "randomb":
-            return gen_randomb(p["n"], p["d"], p["p1"], p["p2"], p["seed"])
-        if self.family == "forced":
-            return gen_forced(p["n"], p["d"], p["p1"], p["p2"], p["seed"])
-        if self.family == "qwh":
-            return gen_qwh(p["order"], p["holes"], p["seed"])
-        return gen_coloring(p["n"], p["edges"], p["k"], p["seed"])
+        generate, params, _ = _FAMILY_TABLE[self.family]
+        return generate(*(self.params[p] for p in params))
 
     def name(self) -> str:
-        p = self.params
-        if self.family == "pigeons":
-            return f"pigeons-{p['n']}"
-        if self.family == "langford":
-            return f"langford-{p['n']}"
-        if self.family == "randomb":
-            return f"randomb-{p['n']}-{p['d']}-{p['p1']}-{p['p2']}-s{p['seed']}"
-        if self.family == "forced":
-            return f"forced-{p['n']}-{p['d']}-{p['p1']}-{p['p2']}-s{p['seed']}"
-        if self.family == "qwh":
-            return f"qwh-{p['order']}-{p['holes']}-s{p['seed']}"
-        return f"coloring-{p['n']}-{p['edges']}-{p['k']}-s{p['seed']}"
+        return _FAMILY_TABLE[self.family][2].format(**self.params)
 
     @classmethod
     def parse(cls, text: str) -> "GenSpec":

@@ -10,7 +10,8 @@ The format is line oriented, UTF-8, ``#`` starts a comment::
     con int (x0,x1) : ne(x0,x1)             # prefix expression
 
 Names are ASCII identifiers and integers are decimal (``-?[0-9]+``, within
-64 bits); blanks are space, tab and CR, and lines break where
+64 bits, any number of leading zeros); a ``con int`` expression nests at most
+``MAX_EXPR_DEPTH`` operators; blanks are space, tab and CR, and lines break where
 ``str.splitlines`` breaks them.  Each statement shape is one anchored regular
 expression; a tuple list is checked by one pattern and split by ``findall``;
 only ``con int`` expressions are read by a recursive descent over tokens.
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import re
+import sys
 from typing import Optional
 
 from .exprs import (
@@ -79,6 +81,11 @@ _INT_TEXT = re.compile(r"-?[0-9]+")
 # format's punctuation, and group 4 for any other character
 _TOKEN = re.compile(rf"{_WS}(?:([A-Za-z_][A-Za-z0-9_]*)|(-?[0-9]+)|(\.\.|[(){{}},:])|([^ \t\r]))")
 _NAME_TOKEN, _INT_TOKEN, _BAD_TOKEN = 1, 2, 4
+# deep enough for any generated instance, and shallow enough that every
+# expression the parser accepts also compiles, solves, serializes and compares
+# within Python's default recursion limit: at top level, comparing two trees
+# fails from about 250 operators and serializing one from about 340
+MAX_EXPR_DEPTH = 100
 
 
 @functools.cache
@@ -89,10 +96,15 @@ def _tuple_run(arity: int) -> re.Pattern:
 
 
 def _int(text: str, lineno: int, col: int) -> int:
-    value = int(text)
-    if not INT64_MIN <= value <= INT64_MAX:
-        raise ParseError(f"integer {text} outside 64-bit range", lineno, col)
-    return value
+    # more than 19 significant digits is out of range, so int() never sees
+    # more than 19 digits, far below its own limit on digits
+    digits = text.lstrip("-").lstrip("0")
+    if len(digits) <= 19:
+        value = int(digits or "0")
+        value = -value if text[0] == "-" else value
+        if INT64_MIN <= value <= INT64_MAX:
+            return value
+    raise ParseError(f"integer {text} outside 64-bit range", lineno, col)
 
 
 def _syntax_error(line: str, lineno: int, pos: int, message: str) -> ParseError:
@@ -104,9 +116,11 @@ def _syntax_error(line: str, lineno: int, pos: int, message: str) -> ParseError:
 
 
 def _parse_expr(
-    tokens: list[tuple[int, str, int]], i: int, scope: tuple[str, ...], lineno: int
+    tokens: list[tuple[int, str, int]], i: int, scope: tuple[str, ...], lineno: int,
+    depth: int = 1,
 ) -> tuple[Expr, int]:
-    """The expression starting at ``tokens[i]``, and the index just past it."""
+    """The expression starting at ``tokens[i]``, and the index just past it;
+    ``depth`` counts the operators open at ``tokens[i]``, this one included."""
     kind, text, col = tokens[i]
     if kind == _INT_TOKEN:
         return Const(_int(text, lineno, col)), i + 1
@@ -118,10 +132,12 @@ def _parse_expr(
         return VarRef(text), i + 1
     if text not in OP_ARITY:
         raise ParseError(f"unknown operator {text!r}", lineno, col)
+    if depth > MAX_EXPR_DEPTH:
+        raise ParseError(f"expression nests more than {MAX_EXPR_DEPTH} operators", lineno, col)
     args = []
     i += 1
     while True:
-        arg, i = _parse_expr(tokens, i + 1, scope, lineno)
+        arg, i = _parse_expr(tokens, i + 1, scope, lineno, depth + 1)
         args.append(arg)
         if tokens[i][1] != ",":
             break
@@ -158,7 +174,10 @@ def _parse_tuple_list(
     run = _tuple_run(arity).match(line, pos)
     if run.end() != len(line):
         raise _syntax_error(line, lineno, run.end(), f"expected a tuple of {arity} integers")
-    values = [int(v) for v in _INT_TEXT.findall(line, pos)]
+    try:
+        values = [int(v) for v in _INT_TEXT.findall(line, pos)]
+    except ValueError:  # over int()'s digit limit: read each value the slow way
+        values = [_int(v.group(), lineno, v.start() + 1) for v in _INT_TEXT.finditer(line, pos)]
     for j, name in enumerate(scope):
         column = values[j::arity]
         dom = members[j]
@@ -210,6 +229,11 @@ def parse_instance(text: str) -> Problem:
                 hi = _int(m.group(3), lineno, m.start(3) + 1)
                 if lo > hi:
                     raise ParseError(f"empty range {lo}..{hi}", lineno, m.start(2) + 1)
+                if hi - lo >= sys.maxsize:  # len() of the range would overflow
+                    raise ParseError(
+                        f"range {lo}..{hi} has more than {sys.maxsize} values",
+                        lineno, m.start(2) + 1,
+                    )
                 dom = tuple(range(lo, hi + 1))
                 members.append(range(lo, hi + 1))
             else:
@@ -261,7 +285,7 @@ def parse_instance(text: str) -> Problem:
 
 
 def _format_domain(dom: tuple[int, ...]) -> str:
-    if dom == tuple(range(dom[0], dom[-1] + 1)):
+    if dom[-1] - dom[0] == len(dom) - 1:  # sorted and distinct, so contiguous
         return f"{dom[0]}..{dom[-1]}"
     return "in {" + ",".join(str(v) for v in dom) + "}"
 

@@ -318,6 +318,7 @@ class Problem:
             raise ValueError("names/domains length mismatch")
         if len(set(names)) != len(names):
             raise ValueError("duplicate variable names")
+        value_sets = [frozenset(d) for d in domains]
         for i, c in enumerate(constraints):
             if c.cid != i:
                 raise ValueError(f"constraint {i} carries cid {c.cid}")
@@ -333,11 +334,12 @@ class Problem:
                 raise ValueError(f"constraint {i} scope names {c.var_names} != {expected}")
             rel = c.relation
             if isinstance(rel, (ExtensionalAllowed, ExtensionalForbidden)):
+                members = [value_sets[x] for x in c.scope]
                 for t in rel.tuples:
                     if len(t) != len(c.scope):
                         raise ValueError(f"constraint {i} tuple arity mismatch: {t}")
-                    for x, v in zip(c.scope, t):
-                        if v not in domains[x]:
+                    for x, dom, v in zip(c.scope, members, t):
+                        if v not in dom:
                             raise ValueError(
                                 f"constraint {i} tuple value {v} outside the domain "
                                 f"of {names[x]}"

@@ -309,53 +309,41 @@ def _fmt(value: Optional[float], width: int = 9) -> str:
     return f"{value:{width}.2f}"
 
 
-def format_report(
-    records: Sequence[RunRecord],
-    base_scheme: str,
-    include_speedups: bool = True,
-    include_categorize: bool = True,
-    include_ttest: bool = True,
-) -> str:
-    lines: list[str] = []
-    if include_speedups:
+def format_report(records: Sequence[RunRecord], base_scheme: str) -> str:
+    """The three tables against ``base_scheme``: folded ratios, buckets, t-test."""
+    lines = [
+        f"mean folded ratios vs {base_scheme} "
+        "(positive: baseline faster; t = time, n = nodes)",
+        f"{'class':<14}{'scheme':<12}{'t':>9}{'n':>9}{'pairs':>7}",
+    ]
+    for row in speedups(records, base_scheme):
         lines.append(
-            f"mean folded ratios vs {base_scheme} "
-            "(positive: baseline faster; t = time, n = nodes)"
+            f"{row.cls:<14}{row.scheme:<12}"
+            f"{_fmt(row.time_fold)}{_fmt(row.node_fold)}{row.pairs:>7}"
         )
-        lines.append(f"{'class':<14}{'scheme':<12}{'t':>9}{'n':>9}{'pairs':>7}")
-        for row in speedups(records, base_scheme):
-            lines.append(
-                f"{row.cls:<14}{row.scheme:<12}"
-                f"{_fmt(row.time_fold)}{_fmt(row.node_fold)}{row.pairs:>7}"
-            )
-        lines.append("")
-    if include_categorize:
+    header = f"{'scheme':<12}" + "".join(f"{b:>8}" for b in _BUCKETS)
+    lines += [
+        "",
+        f"% of instances faster (>) / slower (<) than {base_scheme} by factor",
+        header + f"{'pairs':>7}{'excl':>7}",
+    ]
+    for row in categorize(records, base_scheme):
+        cells = "".join(f"{row.percentages[b]:8.1f}" for b in _BUCKETS)
+        lines.append(f"{row.scheme:<12}{cells}{row.pairs:>7}{row.excluded:>7}")
+    lines += [
+        "",
+        f"paired t-test on time differences ({base_scheme} - scheme), ms "
+        "(positive mean: scheme faster)",
+        f"{'scheme':<12}{'n':>5}{'mean':>10}{'sd':>10}{'t':>9}"
+        f"{'ci95 low':>11}{'ci95 high':>11}",
+    ]
+    for row in ttest_vs_base(records, base_scheme):
+        if row.report is None:
+            lines.append(f"{row.scheme:<12}{row.pairs:>5}" + " (not enough pairs)")
+            continue
+        r = row.report
         lines.append(
-            f"% of instances faster (>) / slower (<) than {base_scheme} by factor"
+            f"{row.scheme:<12}{r.n:>5}{_fmt(r.mean, 10)}{_fmt(r.sd, 10)}"
+            f"{_fmt(r.t)}{_fmt(r.ci95[0], 11)}{_fmt(r.ci95[1], 11)}"
         )
-        header = f"{'scheme':<12}" + "".join(f"{b:>8}" for b in _BUCKETS)
-        lines.append(header + f"{'pairs':>7}{'excl':>7}")
-        for row in categorize(records, base_scheme):
-            cells = "".join(f"{row.percentages[b]:8.1f}" for b in _BUCKETS)
-            lines.append(f"{row.scheme:<12}{cells}{row.pairs:>7}{row.excluded:>7}")
-        lines.append("")
-    if include_ttest:
-        lines.append(
-            f"paired t-test on time differences ({base_scheme} - scheme), ms "
-            "(positive mean: scheme faster)"
-        )
-        lines.append(
-            f"{'scheme':<12}{'n':>5}{'mean':>10}{'sd':>10}{'t':>9}"
-            f"{'ci95 low':>11}{'ci95 high':>11}"
-        )
-        for row in ttest_vs_base(records, base_scheme):
-            if row.report is None:
-                lines.append(f"{row.scheme:<12}{row.pairs:>5}" + " (not enough pairs)")
-                continue
-            r = row.report
-            lines.append(
-                f"{row.scheme:<12}{r.n:>5}{_fmt(r.mean, 10)}{_fmt(r.sd, 10)}"
-                f"{_fmt(r.t)}{_fmt(r.ci95[0], 11)}{_fmt(r.ci95[1], 11)}"
-            )
-        lines.append("")
-    return "\n".join(lines)
+    return "\n".join(lines) + "\n"

@@ -5,7 +5,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import pytest
@@ -23,7 +23,7 @@ from branchbench.branching import SCHEME_NAMES, parse_scheme
 from branchbench.cli import main
 from branchbench.generators import GenSpec, gen_langford, gen_pigeons
 from branchbench.instance_io import parse_instance, serialize_instance
-from branchbench.search import Limits, solve
+from branchbench.search import Limits, RunStats, solve
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -194,6 +194,12 @@ def test_csv_round_trip_is_exact():
     assert back[-1].backtracks == expected > 0
 
 
+def test_csv_columns_are_the_run_record_fields():
+    # a row is the instance, the scheme, the status, then every solve counter
+    counters = tuple(f.name for f in fields(RunStats))
+    assert CSV_COLUMNS == ("instance", "scheme", "status") + counters
+
+
 def test_csv_rejects_foreign_headers_and_bad_rows():
     with pytest.raises(ValueError, match="header"):
         read_csv(io.StringIO("a,b,c\n"))
@@ -309,11 +315,17 @@ def test_cli_bench_and_stats_end_to_end(tmp_path, capsys):
     for needle in ("mean folded ratios", "% of instances", "paired t-test"):
         assert needle in report
 
-    assert main(["stats", "--results", str(out), "--baseline", "dway", "--ttest"]) == 0
-    only = capsys.readouterr().out
-    assert "paired t-test" in only and "mean folded ratios" not in only
+    # every table is always printed: there are no table switches
+    assert main(["stats", "--results", str(out), "--baseline", "dway", "--ttest"]) == 1
 
     assert main(["stats", "--results", str(out), "--baseline", "nosuch"]) == 2
+
+
+def test_cli_stats_prints_the_pinned_report(capsys):
+    golden = ROOT / "tests" / "golden"
+    code = main(["stats", "--results", str(golden / "results.csv"), "--baseline", "2way"])
+    assert code == 0
+    assert capsys.readouterr().out == (golden / "report.txt").read_text(encoding="utf-8")
 
 
 def test_cli_bench_to_stdout(tmp_path, capsys):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from branchbench.branching import SCHEME_NAMES, parse_scheme
 from branchbench.generators import (
     gen_coloring,
     gen_forced,
@@ -12,8 +13,14 @@ from branchbench.generators import (
     gen_qwh,
     gen_randomb,
 )
-from branchbench.instance_io import ParseError, parse_instance, serialize_instance
+from branchbench.instance_io import (
+    MAX_EXPR_DEPTH,
+    ParseError,
+    parse_instance,
+    serialize_instance,
+)
 from branchbench.model import ExtensionalAllowed, Intensional
+from branchbench.search import solve
 from util import random_problem
 
 
@@ -154,6 +161,13 @@ def test_non_ascii_junk_is_a_parse_error():
 
 
 MAX, MIN = 9223372036854775807, -9223372036854775808
+ZEROS = "0" * 5000
+
+
+def _nested(n):
+    """A ``con int`` line whose expression nests ``n`` ``neg`` inside one ``eq``."""
+    return "var x 0..1\ncon int (x) : eq(" + "neg(" * n + "x" + ")" * n + ",0)"
+
 
 # the accepted language, pinned row by row: each text is accepted and parses
 # to the problem whose canonical text (after the "csp 1" header) is given
@@ -182,6 +196,15 @@ ACCEPTED = [
         f"con int (x,y) : ne(sub(x,{MIN}),{MAX})\ncon ext allowed (y) : ({MAX})",
     ),
     ("var x 0..1\x0cvar y 0..1", "var x 0..1\nvar y 0..1"),  # str.splitlines breaks at \x0c
+    # contiguity is read from the ends and the length, not a range built between them
+    (f"var x in {{{MIN},{MAX}}}", f"var x in {{{MIN},{MAX}}}"),
+    pytest.param(  # leading zeros do not count toward int()'s 4,300-digit limit
+        f"var x 0..{ZEROS}1\nvar y in {{{ZEROS}2}}\n"
+        f"con ext allowed (x) : ({ZEROS}1)\ncon int (x) : eq(x,{ZEROS}1)",
+        "var x 0..1\nvar y 2..2\ncon ext allowed (x) : (1)\ncon int (x) : eq(x,1)",
+        id="5000-leading-zeros",
+    ),
+    pytest.param(_nested(MAX_EXPR_DEPTH - 1), _nested(MAX_EXPR_DEPTH - 1), id="deepest-expression"),
 ]
 
 # syntax errors: each is rejected with a line and a column
@@ -205,6 +228,11 @@ REJECTED = [
     "var x 0..1\ncon int (x) :",
     "var x 0..1\ncon ext allowed (x) : (0) (1",
     "csp 1 1",
+    "var x -3..9223372036854775807",  # more values than sys.maxsize
+    pytest.param("var x 0.." + "9" * 5000, id="5000-digit-range-end"),
+    pytest.param("var x 0..1\ncon ext allowed (x) : (" + "7" * 5000 + ")", id="5000-digit-tuple"),
+    pytest.param(_nested(MAX_EXPR_DEPTH), id="expression-one-too-deep"),
+    pytest.param(_nested(1000), id="1000-neg-deep"),
 ]
 
 
@@ -218,3 +246,9 @@ def test_grammar_rejects_with_a_position(text):
     with pytest.raises(ParseError) as info:
         parse_instance(text)
     assert info.value.line >= 1 and info.value.col >= 1
+
+
+def test_the_deepest_expression_compiles_and_solves():
+    problem = parse_instance(_nested(MAX_EXPR_DEPTH - 1))
+    for scheme in SCHEME_NAMES:
+        assert solve(problem, parse_scheme(scheme)).assignment == (0,)

@@ -264,13 +264,6 @@ def test_format_report_sections_and_flags():
     assert "split" in full and "2way" in full
     assert "(not enough pairs)" in full
 
-    only_ttest = format_report(
-        FIXTURE, "dway", include_speedups=False, include_categorize=False
-    )
-    assert "mean folded ratios" not in only_ttest
-    assert "% of instances" not in only_ttest
-    assert "paired t-test" in only_ttest
-
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
