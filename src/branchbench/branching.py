@@ -1,9 +1,11 @@
-"""Branching schemes: how a choice point turns into branch decisions.
+"""Branching schemes: how a choice point cuts the current domain into sets.
 
 A plan is either *enumerated* (d-way style: one branch per set, the variable
 stays the branching variable until the plan is exhausted) or *binary* (2-way
 style: reduce to the first set, or remove it and re-select freely; only the
-first set is materialized).
+first set is materialized).  Each set is a bitmask over the positions of the
+variable's original domain, like the current domain it is cut from;
+:attr:`BranchPlan.sets` is the read-only view of the same sets as values.
 
 The splitting schemes (domain split, ties, clustering) only engage when the
 current domain is still large relative to the original one: strictly more
@@ -20,13 +22,13 @@ plain one.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
 from .clustering import xmeans
-from .heuristics import ScoredValue, score_domain
-from .model import SearchState
+from .heuristics import score_domain
+from .model import SearchState, mask_values
 
 
 class SchemeKind(Enum):
@@ -76,27 +78,39 @@ def parse_scheme(name: str, threshold_fraction=Fraction(1, 4), kmax: int = 4) ->
 class BranchPlan:
     variable: int
     style: BranchStyle
-    sets: tuple[tuple[int, ...], ...]
+    masks: tuple[int, ...]
+    # the original domain of ``variable``, which ``sets`` reads the masks in
+    values: tuple[int, ...] = field(repr=False, compare=False)
+
+    @property
+    def sets(self) -> tuple[tuple[int, ...], ...]:
+        """Each mask's values, ascending."""
+        return tuple(mask_values(self.values, m) for m in self.masks)
 
 
-def _dway_plan(x: int, scored: list[ScoredValue]) -> BranchPlan:
-    return BranchPlan(x, BranchStyle.ENUMERATED, tuple((sv.value,) for sv in scored))
+# (bit, score) pairs, best first, as score_domain gives them; the bits are
+# distinct, so a sum of their 1 << bit is their union
+Scored = list[tuple[int, int]]
 
 
-def _two_way_plan(x: int, scored: list[ScoredValue]) -> BranchPlan:
-    return BranchPlan(x, BranchStyle.BINARY, ((scored[0].value,),))
+def _dway_plan(x: int, values: tuple[int, ...], scored: Scored) -> BranchPlan:
+    return BranchPlan(x, BranchStyle.ENUMERATED, tuple(1 << bit for bit, _ in scored), values)
 
 
-def _tie_groups(scored: list[ScoredValue]) -> list[tuple[int, ...]]:
-    groups: list[list[int]] = []
+def _two_way_plan(x: int, values: tuple[int, ...], scored: Scored) -> BranchPlan:
+    return BranchPlan(x, BranchStyle.BINARY, (1 << scored[0][0],), values)
+
+
+def _tie_groups(scored: Scored) -> list[int]:
+    groups: list[int] = []
     last_score = None
-    for sv in scored:
-        if not groups or sv.score != last_score:
-            groups.append([sv.value])
-            last_score = sv.score
+    for bit, score in scored:
+        if not groups or score != last_score:
+            groups.append(1 << bit)
+            last_score = score
         else:
-            groups[-1].append(sv.value)
-    return [tuple(sorted(g)) for g in groups]
+            groups[-1] |= 1 << bit
+    return groups
 
 
 def _score_as_float(score: int) -> float:
@@ -109,42 +123,40 @@ def _score_as_float(score: int) -> float:
 def plan(scheme: Scheme, state: SearchState, x: int) -> BranchPlan:
     """Build the branch plan for ``x`` under ``scheme`` on the current state."""
     scored = score_domain(state, x)
+    values = state.tables.values[x]
     kind = scheme.kind
     if kind is SchemeKind.DWAY:
-        return _dway_plan(x, scored)
+        return _dway_plan(x, values, scored)
     if kind is SchemeKind.TWO_WAY:
-        return _two_way_plan(x, scored)
+        return _two_way_plan(x, values, scored)
 
     # splitting engages only while the domain is still large
     tf = scheme.threshold_fraction
     size = state.sizes[x]
-    original = len(state.tables.values[x])
     fallback = _two_way_plan if kind in (
         SchemeKind.DOMAIN_SPLIT, SchemeKind.TIES_TWO_WAY, SchemeKind.CLUST_TWO_WAY
     ) else _dway_plan
-    if size * tf.denominator <= tf.numerator * original:
-        return fallback(x, scored)
+    if size * tf.denominator <= tf.numerator * len(values):
+        return fallback(x, values, scored)
 
     if kind is SchemeKind.DOMAIN_SPLIT:
-        top = tuple(sorted(sv.value for sv in scored[: (len(scored) + 1) // 2]))
-        return BranchPlan(x, BranchStyle.BINARY, (top,))
+        top = sum(1 << bit for bit, _ in scored[: (len(scored) + 1) // 2])
+        return BranchPlan(x, BranchStyle.BINARY, (top,), values)
 
     # scored is sorted best first, so equal ends mean one distinct score
-    if scored[0].score == scored[-1].score:
-        return fallback(x, scored)
+    if scored[0][1] == scored[-1][1]:
+        return fallback(x, values, scored)
 
     if kind in (SchemeKind.TIES_DWAY, SchemeKind.TIES_TWO_WAY):
         groups = _tie_groups(scored)
         if kind is SchemeKind.TIES_DWAY:
-            return BranchPlan(x, BranchStyle.ENUMERATED, tuple(groups))
-        return BranchPlan(x, BranchStyle.BINARY, (groups[0],))
+            return BranchPlan(x, BranchStyle.ENUMERATED, tuple(groups), values)
+        return BranchPlan(x, BranchStyle.BINARY, (groups[0],), values)
 
-    clustering = xmeans([_score_as_float(sv.score) for sv in scored], kmax=scheme.kmax)
+    clustering = xmeans([_score_as_float(score) for _, score in scored], kmax=scheme.kmax)
     if clustering.k == 1:
-        return fallback(x, scored)
-    sets = tuple(
-        tuple(sorted(scored[i].value for i in cluster)) for cluster in clustering.clusters
-    )
+        return fallback(x, values, scored)
+    masks = tuple(sum(1 << scored[i][0] for i in cluster) for cluster in clustering.clusters)
     if kind is SchemeKind.CLUST_DWAY:
-        return BranchPlan(x, BranchStyle.ENUMERATED, sets)
-    return BranchPlan(x, BranchStyle.BINARY, (sets[0],))
+        return BranchPlan(x, BranchStyle.ENUMERATED, masks, values)
+    return BranchPlan(x, BranchStyle.BINARY, (masks[0],), values)

@@ -8,23 +8,19 @@ selected, with zero wdeg treated as infinite ratio and ties broken toward the
 smallest variable index.  Ratios are compared by cross multiplication, so the
 ordering is exact.
 
-Value choice scores each value by the product, over unassigned variables
-sharing at least one binary constraint with the branching variable, of how
-many of their current values are compatible with it under all those binary
-constraints together.  Higher score first; equal scores order by ascending
-value.  Scores are plain (unbounded) integers.
+Value choice scores each current value, by its bit position in the domain
+mask, with the product, over unassigned variables sharing at least one binary
+constraint with the branching variable, of how many of their current values
+are compatible with it under all those binary constraints together.  Higher
+score first; equal scores order by ascending bit, which is ascending value
+because original domains are sorted.  Scores are plain (unbounded) integers.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from operator import itemgetter
 
 from .model import SearchState
-
-
-class ScoredValue(NamedTuple):
-    value: int
-    score: int
 
 
 def wdeg(state: SearchState, x: int) -> int:
@@ -63,10 +59,10 @@ def select_variable(state: SearchState) -> int:
     return best
 
 
-def score_domain(state: SearchState, x: int) -> list[ScoredValue]:
-    """All current values of ``x`` scored, best first (ties: ascending value)."""
+def score_domain(state: SearchState, x: int) -> list[tuple[int, int]]:
+    """``(bit, score)`` for every current value of ``x``, best score first
+    (ties: ascending bit)."""
     tables = state.tables
-    values = tables.values[x]
     assigned = state.assigned
     masks = state.masks
 
@@ -82,6 +78,7 @@ def score_domain(state: SearchState, x: int) -> list[ScoredValue]:
             my = masks[y]
             for k, bit in enumerate(bits):
                 scores[k] *= (comb[bit] & my).bit_count()
-    out = [ScoredValue(values[bit], scores[k]) for k, bit in enumerate(bits)]
-    out.sort(key=lambda sv: (-sv.score, sv.value))
+    # bits ascend, and a stable sort keeps that order among equal scores
+    out = list(zip(bits, scores))
+    out.sort(key=itemgetter(1), reverse=True)
     return out

@@ -104,6 +104,9 @@ def _int(text: str, lineno: int, col: int) -> int:
         value = -value if text[0] == "-" else value
         if INT64_MIN <= value <= INT64_MAX:
             return value
+    # an error line quotes at most the width of INT64_MIN, however long the text
+    if len(text) > 20:
+        text = f"{text[:20]}... ({len(text.lstrip('-'))} digits)"
     raise ParseError(f"integer {text} outside 64-bit range", lineno, col)
 
 
@@ -182,8 +185,12 @@ def _parse_tuple_list(
         column = values[j::arity]
         dom = members[j]
         if not all(v in dom for v in set(column)):
+            found = list(_INT_TEXT.finditer(line, pos))
+            # a value outside 64 bits is outside every domain: report it as such
+            for v in found:
+                _int(v.group(), lineno, v.start() + 1)
             t = next(t for t, v in enumerate(column) if v not in dom)
-            at = list(_INT_TEXT.finditer(line, pos))[t * arity + j]
+            at = found[t * arity + j]
             raise ParseError(
                 f"value {column[t]} outside the domain of {name!r}", lineno, at.start() + 1
             )

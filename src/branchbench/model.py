@@ -9,12 +9,12 @@ domains, constraint weights, the restoration trail) lives in
 Current domains are bitmasks over positions in the original domain, which
 keeps membership tests, removals, and the compatibility counting done by the
 value heuristic cheap.  Every shrink of a domain, whatever number of values
-it removes, pushes one trail entry ``(variable, removed mask)``; undoing it is
-one OR into the mask.  The compiled tables on the problem (arc lists with
-per-arc support masks for binary constraints, per-arc rows of bit masks for
-every other constraint, neighbour tables) are a pure indexing layer: they
-change nothing about constraint semantics, which are always those of
-:func:`check_tuple`.
+it removes, is one :meth:`SearchState._remove_mask`, which pushes one trail
+entry ``(variable, removed mask)``; undoing it is one OR into the mask.  The
+compiled tables on the problem (arc lists with per-arc support masks for
+binary constraints, per-arc rows of bit masks for every other constraint,
+neighbour tables) are a pure indexing layer: they change nothing about
+constraint semantics, which are always those of :func:`check_tuple`.
 
 A unary or n-ary constraint is compiled once into its satisfying tuples over
 the original domains: an allowed table directly, a forbidden or intensional
@@ -227,8 +227,6 @@ class _Tables:
             if len(c.scope) != 2:
                 continue
             u, v = c.scope
-            if u == v:
-                continue
             sup_u, sup_v = bin_sup[c.cid]
             for a, b, sup in ((u, v, sup_u), (v, u, sup_v)):
                 comb = pair_comb.get((a, b))
@@ -288,6 +286,17 @@ class _Tables:
             for idx in itertools.product(*(range(len(d)) for d in doms))
             if check_tuple(c, tuple(d[i] for d, i in zip(doms, idx)))
         ]
+
+
+def mask_values(values: Sequence[int], mask: int) -> tuple[int, ...]:
+    """The values of ``values`` (an original domain) at the set bits of
+    ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(values[low.bit_length() - 1])
+        mask ^= low
+    return tuple(out)
 
 
 def _normalize_domain(dom: Iterable[int]) -> tuple[int, ...]:
@@ -437,7 +446,8 @@ class SearchState:
 
     def _remove_mask(self, x: int, removed: int) -> None:
         """Delete the values of ``removed``, a non-empty subset of the current
-        domain of ``x`` as a bitmask, as one trail entry."""
+        domain of ``x`` as a bitmask, as one trail entry.  This is the only
+        way a domain shrinks: propagation and branch decisions both call it."""
         self.masks[x] ^= removed
         self.trail.append((x, removed))
         s = self.sizes[x]
@@ -447,32 +457,3 @@ class SearchState:
             self.singletons += 1
         elif s == 1:
             self.singletons -= 1
-
-    def _mask_of(self, x: int, values: Iterable[int]) -> int:
-        pos = self.tables.pos[x]
-        mask = 0
-        for v in values:
-            bit = pos.get(v)
-            if bit is None:
-                raise ValueError(f"value {v} not in original domain of variable {x}")
-            mask |= 1 << bit
-        return mask
-
-    def remove_values(self, x: int, values: Iterable[int]) -> None:
-        """Delete ``values`` from the current domain of ``x`` (one trail entry)."""
-        removed = self._mask_of(x, values)
-        if removed & ~self.masks[x]:
-            raise ValueError(f"a value to remove is not in the current domain of variable {x}")
-        if removed:
-            self._remove_mask(x, removed)
-
-    def reduce_domain(self, x: int, values: Iterable[int]) -> None:
-        """Shrink the domain of ``x`` to ``values`` (a non-empty subset of it)."""
-        target = self._mask_of(x, values)
-        cur = self.masks[x]
-        if target == 0:
-            raise ValueError("reduce_domain target is empty")
-        if target & ~cur:
-            raise ValueError("reduce_domain target is not a subset of the current domain")
-        if target != cur:
-            self._remove_mask(x, cur ^ target)

@@ -2,9 +2,12 @@
 
 Every applied decision (an assignment, a set reduction, or a right-branch
 removal) is propagated and counts as exactly one node; root preprocessing is
-not counted.  A variable is treated as assigned only when a branch reduced its
-domain to a singleton; domains that collapse to one value through propagation
-stay unassigned until search selects them (their plans then commit them).
+not counted.  A branch applies its plan's mask with the one domain edit
+propagation also uses, ``SearchState._remove_mask``.  A variable is treated as
+assigned only when a branch reduced its domain to a singleton; domains that
+collapse to one value through propagation stay unassigned until search selects
+them (their plans then commit them).  Only ``x``'s own frame assigns ``x``, so
+backtracking that frame clears it.
 
 The engine is iterative (explicit frame stack) so deep runs cannot hit the
 interpreter recursion limit.  After ``solve`` returns, the state has been
@@ -20,7 +23,7 @@ from typing import Optional, Sequence
 
 from .branching import BranchPlan, BranchStyle, Scheme, plan
 from .heuristics import select_variable
-from .model import Problem, SearchState, check_tuple
+from .model import Problem, SearchState, check_tuple, mask_values
 from .propagation import establish_root_gac, propagate
 
 
@@ -65,15 +68,14 @@ def verify(problem: Problem, assignment: Sequence[int]) -> bool:
 
 
 class _Frame:
-    __slots__ = ("x", "style", "sets", "idx", "token", "committed")
+    __slots__ = ("x", "style", "masks", "idx", "token")
 
     def __init__(self, branch_plan: BranchPlan) -> None:
         self.x = branch_plan.variable
         self.style = branch_plan.style
-        self.sets = branch_plan.sets
+        self.masks = branch_plan.masks
         self.idx = 0
         self.token: Optional[int] = None
-        self.committed = False
 
 
 def solve(
@@ -114,6 +116,7 @@ def solve(
         return finish(Status.SAT, values)
 
     names = problem.names
+    values_of = state.tables.values
     decision_arcs = state.tables.decision_arcs
     stack = [_Frame(plan(scheme, state, select_variable(state)))]
     result: Optional[Status] = None
@@ -123,21 +126,17 @@ def solve(
         fr = stack[-1]
         if fr.token is not None:
             # the applied branch (or its subtree) failed
-            if fr.committed:
-                state.assigned[fr.x] = None
-                fr.committed = False
+            state.assigned[fr.x] = None
             state.undo_to(fr.token)
             fr.token = None
             state.backtracks += 1
             fr.idx += 1
 
         if fr.style is BranchStyle.ENUMERATED:
-            exhausted = fr.idx >= len(fr.sets)
+            exhausted = fr.idx >= len(fr.masks)
         else:
             # binary: left branch, then the complement unless it is everything
-            exhausted = fr.idx > 1 or (
-                fr.idx == 1 and len(fr.sets[0]) == state.sizes[fr.x]
-            )
+            exhausted = fr.idx > 1 or (fr.idx == 1 and fr.masks[0] == state.masks[fr.x])
         if exhausted:
             stack.pop()
             continue
@@ -155,19 +154,19 @@ def solve(
         if fr.idx == 0:
             state.decisions += 1  # one per choice point that applies a branch
         if fr.style is BranchStyle.BINARY and fr.idx == 1:
-            values = fr.sets[0]
-            state.remove_values(x, values)
+            mask = removed = fr.masks[0]
             kind = "R"
         else:
-            values = fr.sets[fr.idx]
-            state.reduce_domain(x, values)
+            mask = fr.masks[fr.idx]
+            removed = state.masks[x] ^ mask
             kind = "L" if fr.style is BranchStyle.BINARY else f"E#{fr.idx}"
-            if len(values) == 1:
-                state.assigned[x] = values[0]
-                fr.committed = True
+            if mask & (mask - 1) == 0:
+                state.assigned[x] = values_of[x][mask.bit_length() - 1]
+        if removed:
+            state._remove_mask(x, removed)
         state.nodes += 1
         if trace is not None:
-            joined = ",".join(str(v) for v in values)
+            joined = ",".join(str(v) for v in mask_values(values_of[x], mask))
             trace.append(f"{len(stack) - 1} {names[x]} {{{joined}}} {kind}")
 
         if propagate(state, decision_arcs[x]) is None:

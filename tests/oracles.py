@@ -100,28 +100,35 @@ def promise_scores(state: SearchState, x: int) -> list[tuple[int, int]]:
 def reference_plan(scheme: Scheme, state: SearchState, x: int) -> BranchPlan:
     """The branch plan for ``x`` read straight off each scheme's definition.
 
-    Values come from ``promise_scores``.  The set kinds always build their
-    partition, tie groups or an x-means clustering of the scores (an integer
-    too large for a float becomes the signed largest float), and fall back
-    to the plain plan of their style only when it degenerates: one group,
-    all-singleton groups, or one cluster.  Splitting kinds also fall back
-    while the domain is at most ``threshold_fraction`` of the original.
+    Values come from ``promise_scores``; each set becomes a mask by the
+    positions of its values in the original domain.  The set kinds always
+    build their partition, tie groups or an x-means clustering of the scores
+    (an integer too large for a float becomes the signed largest float), and
+    fall back to the plain plan of their style only when it degenerates: one
+    group, all-singleton groups, or one cluster.  Splitting kinds also fall
+    back while the domain is at most ``threshold_fraction`` of the original.
     """
     scored = promise_scores(state, x)
     values = [v for v, _ in scored]
+    domain = state.problem.domains[x]
+
+    def branch_plan(style, sets):
+        masks = tuple(sum(1 << domain.index(v) for v in s) for s in sets)
+        return BranchPlan(x, style, masks, domain)
+
     kind = scheme.kind.value
     binary = kind in ("2way", "split", "ties-2way", "clust-2way")
     if binary:
-        fallback = BranchPlan(x, BranchStyle.BINARY, ((values[0],),))
+        fallback = branch_plan(BranchStyle.BINARY, ((values[0],),))
     else:
-        fallback = BranchPlan(x, BranchStyle.ENUMERATED, tuple((v,) for v in values))
+        fallback = branch_plan(BranchStyle.ENUMERATED, tuple((v,) for v in values))
     if kind in ("dway", "2way"):
         return fallback
     if len(values) <= scheme.threshold_fraction * len(state.problem.domains[x]):
         return fallback
     if kind == "split":
         top = tuple(sorted(values[: (len(values) + 1) // 2]))
-        return BranchPlan(x, BranchStyle.BINARY, (top,))
+        return branch_plan(BranchStyle.BINARY, (top,))
 
     if kind in ("ties-dway", "ties-2way"):
         levels = sorted({score for _, score in scored}, reverse=True)
@@ -144,8 +151,8 @@ def reference_plan(scheme: Scheme, state: SearchState, x: int) -> BranchPlan:
             tuple(sorted(values[i] for i in cluster)) for cluster in clustering.clusters
         )
     if binary:
-        return BranchPlan(x, BranchStyle.BINARY, (sets[0],))
-    return BranchPlan(x, BranchStyle.ENUMERATED, sets)
+        return branch_plan(BranchStyle.BINARY, (sets[0],))
+    return branch_plan(BranchStyle.ENUMERATED, sets)
 
 
 def gac_fixpoint(

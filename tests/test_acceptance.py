@@ -99,7 +99,7 @@ def asserting_distinct_scores():
     from branchbench.branching import plan as real_plan
 
     def checking_plan(scheme, state, x):
-        scores = [sv.score for sv in score_domain(state, x)]
+        scores = [score for _, score in score_domain(state, x)]
         assert len(set(scores)) == len(scores), "promise tie at a branch node"
         return real_plan(scheme, state, x)
 

@@ -17,7 +17,7 @@ from branchbench.heuristics import select_variable
 from branchbench.model import SearchState
 from branchbench.propagation import establish_root_gac
 from oracles import promise_scores, reference_plan
-from util import domain_values, make_binary, ne_rel, random_problem, walk_states
+from util import domain_values, make_binary, ne_rel, random_problem, remove_values, walk_states
 
 from branchbench.exprs import Call, VarRef
 from branchbench.model import Constraint, Intensional, Problem
@@ -154,14 +154,14 @@ def test_threshold_boundary_is_exact():
 
     token = state.push_level()
     for v in (1, 2, 3, 4, 5):  # keep {0,6,7}: scores 2,3,3 -> two tie groups
-        state.remove_values(0, (v,))
+        remove_values(state, 0, (v,))
     engaged = plan(scheme("ties-dway"), state, 0)
     assert engaged.sets == ((6, 7), (0,))
     state.undo_to(token)
 
     token = state.push_level()
     for v in (1, 2, 3, 4, 5, 6):  # size 2: exactly a quarter, must not engage
-        state.remove_values(0, (v,))
+        remove_values(state, 0, (v,))
     assert plan(scheme("ties-dway"), state, 0) == plan(scheme("dway"), state, 0)
     state.undo_to(token)
 
@@ -224,6 +224,40 @@ def test_plan_shape_invariants(name):
             assert len(got.sets) == 1
         else:
             assert set(seen) == domain
+
+
+@pytest.mark.parametrize("name", SCHEME_NAMES)
+def test_plan_masks_cut_the_current_domain(name):
+    """On random-walk states, every plan mask is a non-empty subset of the
+    current domain, disjoint from the plan's other masks; an enumerated plan
+    covers the domain and a binary plan has one mask."""
+    schemes = (scheme(name), scheme(name, kmax=1), scheme(name, threshold=0))
+    binary = name in ("2way", "split", "ties-2way", "clust-2way")
+    set_masks = 0
+    for seed in range(150):
+        p = random_problem(seed, max_vars=7, max_dom=6)
+        for state in walk_states(p, random.Random(seed), steps=12):
+            for x in range(p.n_vars):
+                if state.assigned[x] is not None:
+                    continue
+                cur = state.masks[x]
+                for sc in schemes:
+                    got = plan(sc, state, x)
+                    union = 0
+                    for m in got.masks:
+                        assert m != 0
+                        assert m & ~cur == 0
+                        assert m & union == 0
+                        union |= m
+                        set_masks += m.bit_count() > 1
+                    if binary:
+                        assert len(got.masks) == 1
+                    else:
+                        assert union == cur
+    if name not in ("dway", "2way"):
+        assert set_masks >= 50
+    else:
+        assert set_masks == 0
 
 
 # -------------------------------------------------------------- parsing

@@ -14,6 +14,8 @@ from util import (
     domain_values,
     ne_rel,
     random_problem,
+    reduce_domain,
+    remove_values,
     walk_states,
 )
 
@@ -31,9 +33,15 @@ def lt_problem():
     )
 
 
+def scored_values(state, x):
+    """``score_domain`` with each bit read as its value, in its order."""
+    values = state.tables.values[x]
+    return [(values[bit], score) for bit, score in score_domain(state, x)]
+
+
 def scores_of(state, x):
     """Value -> promise score of every current value of ``x``."""
-    return {sv.value: sv.score for sv in score_domain(state, x)}
+    return dict(scored_values(state, x))
 
 
 def test_promise_hand_values():
@@ -80,7 +88,7 @@ def test_promise_requires_all_pair_constraints():
     )
     st = SearchState(p)
     assert scores_of(st, 0) == {0: 1, 1: 1}
-    assert [sv.score for sv in score_domain(st, 1)] == [1, 1, 0]
+    assert [score for _, score in score_domain(st, 1)] == [1, 1, 0]
 
 
 def test_promise_skips_assigned_neighbors():
@@ -106,8 +114,7 @@ def test_promise_counts_nonbinary_as_factor_one():
 
 def test_score_domain_orders_desc_score_then_asc_value():
     st = SearchState(lt_problem())
-    scored = score_domain(st, 1)
-    assert [(sv.value, sv.score) for sv in scored] == [(2, 2), (1, 1), (0, 0)]
+    assert scored_values(st, 1) == [(2, 2), (1, 1), (0, 0)]
 
 
 def test_score_domain_tie_order():
@@ -118,8 +125,8 @@ def test_score_domain_tie_order():
         (Constraint(0, (0, 1), ("a", "b"), ne_rel("a", "b")),),
     )
     st = SearchState(p)
-    assert [sv.value for sv in score_domain(st, 0)] == [0, 1, 2]
-    assert all(sv.score == 2 for sv in score_domain(st, 0))
+    assert [v for v, _ in scored_values(st, 0)] == [0, 1, 2]
+    assert all(score == 2 for _, score in score_domain(st, 0))
 
 
 def test_scores_shift_after_sibling_pruning():
@@ -129,11 +136,11 @@ def test_scores_shift_after_sibling_pruning():
         (Constraint(0, (0, 1), ("x", "y"), ne_rel("x", "y")),),
     )
     st = SearchState(p)
-    before = [(sv.value, sv.score) for sv in score_domain(st, 1)]
+    before = scored_values(st, 1)
     assert before == [(0, 2), (1, 2), (2, 2)]
     st.push_level()
-    st.remove_values(0, (2,))
-    after = [(sv.value, sv.score) for sv in score_domain(st, 1)]
+    remove_values(st, 0, (2,))
+    after = scored_values(st, 1)
     assert after == [(2, 2), (0, 1), (1, 1)]
 
 
@@ -212,7 +219,7 @@ def test_promise_rejects_values_outside_domain():
     # scores cover exactly the current domain: never 7, never a removed value
     st = SearchState(lt_problem())
     assert set(scores_of(st, 0)) == {0, 1}
-    st.remove_values(0, (1,))
+    remove_values(st, 0, (1,))
     assert set(scores_of(st, 0)) == {0}
 
 
@@ -245,12 +252,12 @@ def test_zero_promise_assignments_wipe_a_neighbor():
         if establish_root_gac(st) is not None:
             continue
         for x in range(p.n_vars):
-            for v, score in score_domain(st, x):
+            for v, score in scored_values(st, x):
                 if score != 0:
                     continue
                 checked += 1
                 tok = st.push_level()
-                st.reduce_domain(x, (v,))
+                reduce_domain(st, x, (v,))
                 assert propagate(st, st.tables.decision_arcs[x]) is not None
                 st.undo_to(tok)
     assert checked >= 10  # the sweep actually exercised the property
@@ -264,7 +271,7 @@ def _walk_checking_scores(p, r, steps=12):
     for st in walk_states(p, r, steps):
         for x in range(p.n_vars):
             if st.assigned[x] is None:
-                assert score_domain(st, x) == promise_scores(st, x)
+                assert scored_values(st, x) == promise_scores(st, x)
         checked += 1
     return checked
 

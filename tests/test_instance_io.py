@@ -236,6 +236,34 @@ REJECTED = [
 ]
 
 
+OUT_OF_RANGE = [
+    # (text, error line, col, message): a long integer is quoted by a prefix
+    pytest.param(
+        "var x 0..1\ncon ext allowed (x) : (" + "12345" * 5 + ")", 2, 24,
+        "integer 12345123451234512345... (25 digits) outside 64-bit range",
+        id="25-digit-tuple",
+    ),
+    pytest.param(
+        "var x 0..1\ncon ext allowed (x) : (0) (" + "7" * 5000 + ")", 2, 28,
+        "integer 77777777777777777777... (5000 digits) outside 64-bit range",
+        id="5000-digit-tuple",
+    ),
+    pytest.param(
+        "var x 0..-" + "9" * 5000, 1, 10,
+        "integer -9999999999999999999... (5000 digits) outside 64-bit range",
+        id="5000-digit-range-end",
+    ),
+]
+
+
+@pytest.mark.parametrize("text,line,col,message", OUT_OF_RANGE)
+def test_out_of_range_integers_quote_a_bounded_prefix(text, line, col, message):
+    with pytest.raises(ParseError) as info:
+        parse_instance(text)
+    assert (info.value.line, info.value.col, info.value.message) == (line, col, message)
+    assert len(str(info.value)) <= 100
+
+
 @pytest.mark.parametrize("text,canonical", ACCEPTED)
 def test_grammar_accepts(text, canonical):
     assert serialize_instance(parse_instance(text)) == "csp 1\n" + canonical + "\n"

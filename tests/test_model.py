@@ -17,7 +17,7 @@ from branchbench.model import (
     check_tuple,
 )
 from branchbench.propagation import revise
-from util import domain_values, ne_rel, random_problem
+from util import domain_values, ne_rel, random_problem, reduce_domain, remove_values
 
 
 def two_var_problem(rel):
@@ -127,9 +127,9 @@ def test_remove_and_undo_roundtrip():
     p = two_var_problem(ne_rel("x", "y"))
     st = SearchState(p)
     tok = st.push_level()
-    st.remove_values(0, (1,))
-    st.remove_values(1, (0,))
-    st.remove_values(1, (2,))
+    remove_values(st, 0, (1,))
+    remove_values(st, 1, (0,))
+    remove_values(st, 1, (2,))
     assert domain_values(st, 0) == [0, 2]
     assert domain_values(st, 1) == [1]
     assert st.value_of(1) == 1
@@ -141,22 +141,22 @@ def test_remove_and_undo_roundtrip():
 def test_remove_missing_value_rejected():
     p = two_var_problem(ne_rel("x", "y"))
     st = SearchState(p)
-    st.remove_values(0, (1,))
+    remove_values(st, 0, (1,))
     with pytest.raises(ValueError):
-        st.remove_values(0, (1,))
+        remove_values(st, 0, (1,))
     with pytest.raises(ValueError):
-        st.remove_values(0, (99,))
+        remove_values(st, 0, (99,))
 
 
 def test_reduce_domain_checks_subset():
     p = two_var_problem(ne_rel("x", "y"))
     st = SearchState(p)
-    st.remove_values(0, (0,))
+    remove_values(st, 0, (0,))
     with pytest.raises(ValueError):
-        st.reduce_domain(0, (0, 1))  # 0 was already removed
+        reduce_domain(st, 0, (0, 1))  # 0 was already removed
     with pytest.raises(ValueError):
-        st.reduce_domain(0, ())
-    st.reduce_domain(0, (2,))
+        reduce_domain(st, 0, ())
+    reduce_domain(st, 0, (2,))
     assert domain_values(st, 0) == [2]
 
 
@@ -171,12 +171,12 @@ def test_nested_levels_restore_in_order():
     p = Problem(("a",), (tuple(range(8)),), ())
     st = SearchState(p)
     t0 = st.push_level()
-    st.remove_values(0, (0,))
+    remove_values(st, 0, (0,))
     t1 = st.push_level()
-    st.remove_values(0, (1,))
-    st.remove_values(0, (2,))
+    remove_values(st, 0, (1,))
+    remove_values(st, 0, (2,))
     st.push_level()
-    st.remove_values(0, (3,))
+    remove_values(st, 0, (3,))
     st.undo_to(t1)
     assert domain_values(st, 0) == [1, 2, 3, 4, 5, 6, 7]
     st.undo_to(t0)
@@ -196,7 +196,7 @@ def test_singleton_counter_tracks_sizes(removals, _shape):
         x = r % 3
         dom = domain_values(st_state, x)
         if len(dom) > 1:
-            st_state.remove_values(x, (dom[r % len(dom)],))
+            remove_values(st_state, x, (dom[r % len(dom)],))
         expected = sum(1 for v in range(3) if st_state.sizes[v] == 1)
         assert st_state.singletons == expected
     st_state.undo_to(tok)
@@ -228,23 +228,23 @@ def test_trail_restores_multi_value_shrinks_under_nested_levels():
     st = SearchState(p)
     base = _snapshot(st)
     t0 = st.push_level()
-    st.reduce_domain(2, (1, 3))
+    reduce_domain(st, 2, (1, 3))
     assert len(st.trail) == 1  # one entry per shrink, however many values
     after_z = _snapshot(st)
 
     t1 = st.push_level()
-    st.reduce_domain(0, (1,))
+    reduce_domain(st, 0, (1,))
     assert revise(st, at_y)  # y: 3 values -> 1
     assert domain_values(st, 1) == [2]
     assert len(st.trail) == 3 and st.singletons == 2
     after_y = _snapshot(st)
     t2 = st.push_level()
-    st.remove_values(1, (2,))  # empties y
+    remove_values(st, 1, (2,))  # empties y
     assert st.sizes[1] == 0 and st.singletons == 1
     st.undo_to(t2)
     assert _snapshot(st) == after_y
     t2 = st.push_level()
-    st.remove_values(2, (3, 1))  # empties z in one entry
+    remove_values(st, 2, (3, 1))  # empties z in one entry
     assert st.sizes[2] == 0 and len(st.trail) == 4
     st.undo_to(t2)
     assert _snapshot(st) == after_y
@@ -252,7 +252,7 @@ def test_trail_restores_multi_value_shrinks_under_nested_levels():
     assert _snapshot(st) == after_z
 
     t1 = st.push_level()
-    st.reduce_domain(1, (0,))
+    reduce_domain(st, 1, (0,))
     assert revise(st, at_x)  # x < 0 empties x: 4 values -> 0
     assert st.sizes[0] == 0 and len(st.trail) == 3 and st.singletons == 1
     st.undo_to(t1)
@@ -293,13 +293,13 @@ def test_trail_restores_snapshots_on_random_walks():
                 assert revise(st, a) == (st.sizes[x] < sizes[x])
                 how = "revise"
             elif op == 3:
-                st.reduce_domain(x, r.sample(values, r.randint(1, len(values))))
+                reduce_domain(st, x, r.sample(values, r.randint(1, len(values))))
                 how = "reduce_domain"
             elif op == 4:
-                st.remove_values(x, (r.choice(values),))
+                remove_values(st, x, (r.choice(values),))
                 how = "remove_values"
             else:
-                st.remove_values(x, r.sample(values, r.randint(1, len(values))))
+                remove_values(st, x, r.sample(values, r.randint(1, len(values))))
                 how = "remove_values"
             shrank = st.sizes[x] < sizes[x]
             assert len(st.trail) == before + shrank

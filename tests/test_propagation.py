@@ -19,7 +19,7 @@ from branchbench.propagation import (
     revise,
 )
 from oracles import gac_fixpoint, reference_propagate, supported_values
-from util import domain_values, make_binary, ne_rel, random_problem
+from util import domain_values, make_binary, ne_rel, random_problem, reduce_domain
 
 
 def current_domains(state, n):
@@ -147,7 +147,7 @@ def test_propagate_after_decision_reaches_fixpoint():
         x = 0
         v = domain_values(st, x)[0]
         st.push_level()
-        st.reduce_domain(x, (v,))
+        reduce_domain(st, x, (v,))
         w = propagate(st, st.tables.decision_arcs[x])
         domains = [domain_values(st, z) for z in range(p.n_vars)]
         seeded = [list(d) for d in domains] if w is None else None
@@ -172,11 +172,11 @@ def test_ternary_constraints_propagate():
     st = SearchState(p)
     assert establish_root_gac(st) is None
     st.push_level()
-    st.reduce_domain(2, (2,))
+    reduce_domain(st, 2, (2,))
     assert propagate(st, st.tables.decision_arcs[2]) is None
     assert domain_values(st, 0) == [0, 1, 2]
     st.push_level()
-    st.reduce_domain(0, (2,))
+    reduce_domain(st, 0, (2,))
     assert propagate(st, st.tables.decision_arcs[0]) is None
     assert domain_values(st, 1) == [0]
 
@@ -207,7 +207,7 @@ def test_weights_persist_across_undo():
     )
     st = SearchState(p)
     tok = st.push_level()
-    st.reduce_domain(0, (1,))
+    reduce_domain(st, 0, (1,))
     w = propagate(st, st.tables.decision_arcs[0])
     assert w is not None
     assert st.weights[0] == 2
@@ -258,7 +258,7 @@ def _walk_against_reference(p, r, steps=12):
         picked = r.choice(values)
         kept = [picked] if r.randrange(2) else [v for v in values if v != picked]
         levels.append((st.push_level(), [list(d) for d in domains]))
-        st.reduce_domain(x, kept)
+        reduce_domain(st, x, kept)
         domains[x] = kept
         got = propagate(st, st.tables.decision_arcs[x])
         expected = reference_propagate(p, domains, weights, _seed_arcs(p, x))
@@ -349,7 +349,7 @@ def test_skip_fires_only_where_revise_removes_nothing():
         st = SearchState(p)
         for x in range(p.n_vars):
             values = domain_values(st, x)
-            st.reduce_domain(x, r.sample(values, r.randint(1, len(values))))
+            reduce_domain(st, x, r.sample(values, r.randint(1, len(values))))
         tables = p.tables
         for a, (cid, x) in enumerate(zip(tables.arc_cid, tables.arc_var)):
             partner = tables.arc_partner[a]
@@ -383,7 +383,7 @@ def _check_every_arc(st, r, counts):
         # every third variable becomes a singleton, giving binary arcs a
         # singleton partner
         k = 1 if r.randrange(3) == 0 else r.randint(1, len(values))
-        st.reduce_domain(x, r.sample(values, k))
+        reduce_domain(st, x, r.sample(values, k))
     domains = current_domains(st, p.n_vars)
     for a, (cid, x) in enumerate(zip(tables.arc_cid, tables.arc_var)):
         c = p.constraints[cid]
@@ -435,8 +435,8 @@ def test_revise_reads_the_tables_of_its_own_side():
     st = SearchState(p)
     assert revise(st, at_x)
     assert domain_values(st, 1) == [0, 1, 2]
-    st.reduce_domain(2, (3,))  # singleton partner
+    reduce_domain(st, 2, (3,))  # singleton partner
     assert revise(st, at_x)
     assert domain_values(st, 1) == [2]
-    st.reduce_domain(1, (2,))
+    reduce_domain(st, 1, (2,))
     assert not revise(st, at_y)

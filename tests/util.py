@@ -25,6 +25,38 @@ def domain_values(state: SearchState, x: int) -> list[int]:
     return [v for i, v in enumerate(values) if state.masks[x] >> i & 1]
 
 
+def _mask_of(state: SearchState, x: int, values) -> int:
+    pos = state.tables.pos[x]
+    mask = 0
+    for v in values:
+        bit = pos.get(v)
+        if bit is None:
+            raise ValueError(f"value {v} not in original domain of variable {x}")
+        mask |= 1 << bit
+    return mask
+
+
+def remove_values(state: SearchState, x: int, values) -> None:
+    """Delete ``values`` from the current domain of ``x`` (one trail entry)."""
+    removed = _mask_of(state, x, values)
+    if removed & ~state.masks[x]:
+        raise ValueError(f"a value to remove is not in the current domain of variable {x}")
+    if removed:
+        state._remove_mask(x, removed)
+
+
+def reduce_domain(state: SearchState, x: int, values) -> None:
+    """Shrink the domain of ``x`` to ``values`` (a non-empty subset of it)."""
+    target = _mask_of(state, x, values)
+    cur = state.masks[x]
+    if target == 0:
+        raise ValueError("reduce_domain target is empty")
+    if target & ~cur:
+        raise ValueError("reduce_domain target is not a subset of the current domain")
+    if target != cur:
+        state._remove_mask(x, cur ^ target)
+
+
 def walk_states(p: Problem, r: random.Random, steps: int):
     """Yield up to ``steps`` consistent states of ``p`` along random
     decisions and backtracks, starting at the root GAC closure (nothing if
@@ -45,7 +77,7 @@ def walk_states(p: Problem, r: random.Random, steps: int):
         picked = r.choice(values)
         kept = [picked] if r.randrange(2) else [v for v in values if v != picked]
         levels.append((st.push_level(), x))
-        st.reduce_domain(x, kept)
+        reduce_domain(st, x, kept)
         if len(kept) == 1:
             st.assigned[x] = kept[0]
         wiped = propagate(st, st.tables.decision_arcs[x]) is not None
