@@ -162,7 +162,7 @@ def solve(
             kind = "L" if fr.style is BranchStyle.BINARY else f"E#{fr.idx}"
             if mask & (mask - 1) == 0:
                 state.assigned[x] = values_of[x][mask.bit_length() - 1]
-        if removed:
+        if removed:  # empty when the plan's set is the whole domain
             state._remove_mask(x, removed)
         state.nodes += 1
         if trace is not None:
