@@ -20,6 +20,7 @@ work is an instance, not an (instance, scheme) pair.
 from __future__ import annotations
 
 import csv
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
@@ -29,7 +30,7 @@ from .branching import Scheme
 from .generators import GenSpec
 from .instance_io import parse_instance
 from .model import Problem
-from .search import Limits, solve
+from .search import Limits, Status, solve
 
 
 @dataclass(frozen=True)
@@ -52,6 +53,7 @@ class RunRecord:
 CSV_COLUMNS = tuple(f.name for f in fields(RunRecord))
 # the type of each column, which also converts its cell text back
 _CELL_TYPES = tuple(get_type_hints(RunRecord).values())
+_STATUSES = frozenset(status.value for status in Status)
 
 
 @dataclass(frozen=True)
@@ -152,5 +154,10 @@ def read_csv(source: IO[str]) -> list[RunRecord]:
             continue
         if len(row) != len(CSV_COLUMNS):
             raise ValueError(f"malformed results row: {row!r}")
-        records.append(RunRecord(*(cell(text) for cell, text in zip(_CELL_TYPES, row))))
+        record = RunRecord(*(cell(text) for cell, text in zip(_CELL_TYPES, row)))
+        # the fields after instance, scheme and status are the counters
+        if (record.status not in _STATUSES or min(astuple(record)[3:]) < 0
+                or not math.isfinite(record.elapsed_ms)):
+            raise ValueError(f"malformed results row: {row!r}")
+        records.append(record)
     return records

@@ -7,16 +7,17 @@ first set is materialized).  Each set is a bitmask over the positions of the
 variable's original domain, like the current domain it is cut from;
 :attr:`BranchPlan.sets` is the read-only view of the same sets as values.
 
-The splitting schemes (domain split, ties, clustering) only engage when the
-current domain is still large relative to the original one: strictly more
-than ``threshold_fraction`` times the original size.  Otherwise they fall
-back to the plain scheme of their style and emit a plan identical to it.  The
-set schemes (ties, clustering) also fall back when every value has the same
-score, which is decided before any partition is built: one distinct score is
-one tie group, and x-means over equal scores always returns one cluster.
-Past that check, clustering falls back only when x-means returns a single
-cluster; all-singleton tie groups need no test, since their plan equals the
-plain one.
+Schemes differ only in the sets they cut, best first, and in their style.
+The plain schemes (d-way, 2-way) cut none.  The splitting schemes (domain
+split, ties, clustering) cut none unless the current domain is still large
+relative to the original one: strictly more than ``threshold_fraction`` times
+the original size.  The set schemes (ties, clustering) also cut none when
+every value has the same score, which is decided before any partition is
+built: one distinct score is one tie group, and x-means over equal scores
+always returns one cluster.  Past that check, clustering cuts none only when
+x-means returns a single cluster; all-singleton tie groups need no test.
+Wherever a scheme cuts no sets, :func:`plan` branches on single values, best
+score first, in the scheme's style, so the plan equals the plain scheme's.
 """
 
 from __future__ import annotations
@@ -93,14 +94,6 @@ class BranchPlan:
 Scored = list[tuple[int, int]]
 
 
-def _dway_plan(x: int, values: tuple[int, ...], scored: Scored) -> BranchPlan:
-    return BranchPlan(x, BranchStyle.ENUMERATED, tuple(1 << bit for bit, _ in scored), values)
-
-
-def _two_way_plan(x: int, values: tuple[int, ...], scored: Scored) -> BranchPlan:
-    return BranchPlan(x, BranchStyle.BINARY, (1 << scored[0][0],), values)
-
-
 def _tie_groups(scored: Scored) -> list[int]:
     groups: list[int] = []
     last_score = None
@@ -120,43 +113,45 @@ def _score_as_float(score: int) -> float:
         return sys.float_info.max if score > 0 else -sys.float_info.max
 
 
-def plan(scheme: Scheme, state: SearchState, x: int) -> BranchPlan:
-    """Build the branch plan for ``x`` under ``scheme`` on the current state."""
-    scored = score_domain(state, x)
-    values = state.tables.values[x]
+_BINARY = frozenset(
+    (SchemeKind.TWO_WAY, SchemeKind.DOMAIN_SPLIT, SchemeKind.TIES_TWO_WAY, SchemeKind.CLUST_TWO_WAY)
+)
+
+
+def _value_sets(scheme: Scheme, state: SearchState, x: int, scored: Scored) -> list[int] | None:
+    """``scheme``'s sets for ``x`` as masks, best first; ``None`` for single values."""
     kind = scheme.kind
-    if kind is SchemeKind.DWAY:
-        return _dway_plan(x, values, scored)
-    if kind is SchemeKind.TWO_WAY:
-        return _two_way_plan(x, values, scored)
+    if kind in (SchemeKind.DWAY, SchemeKind.TWO_WAY):
+        return None
 
     # splitting engages only while the domain is still large
     tf = scheme.threshold_fraction
-    size = state.sizes[x]
-    fallback = _two_way_plan if kind in (
-        SchemeKind.DOMAIN_SPLIT, SchemeKind.TIES_TWO_WAY, SchemeKind.CLUST_TWO_WAY
-    ) else _dway_plan
-    if size * tf.denominator <= tf.numerator * len(values):
-        return fallback(x, values, scored)
+    if state.sizes[x] * tf.denominator <= tf.numerator * len(state.tables.values[x]):
+        return None
 
     if kind is SchemeKind.DOMAIN_SPLIT:
-        top = sum(1 << bit for bit, _ in scored[: (len(scored) + 1) // 2])
-        return BranchPlan(x, BranchStyle.BINARY, (top,), values)
+        return [sum(1 << bit for bit, _ in scored[: (len(scored) + 1) // 2])]
 
     # scored is sorted best first, so equal ends mean one distinct score
     if scored[0][1] == scored[-1][1]:
-        return fallback(x, values, scored)
+        return None
 
     if kind in (SchemeKind.TIES_DWAY, SchemeKind.TIES_TWO_WAY):
-        groups = _tie_groups(scored)
-        if kind is SchemeKind.TIES_DWAY:
-            return BranchPlan(x, BranchStyle.ENUMERATED, tuple(groups), values)
-        return BranchPlan(x, BranchStyle.BINARY, (groups[0],), values)
+        return _tie_groups(scored)
 
     clustering = xmeans([_score_as_float(score) for _, score in scored], kmax=scheme.kmax)
     if clustering.k == 1:
-        return fallback(x, values, scored)
-    masks = tuple(sum(1 << scored[i][0] for i in cluster) for cluster in clustering.clusters)
-    if kind is SchemeKind.CLUST_DWAY:
-        return BranchPlan(x, BranchStyle.ENUMERATED, masks, values)
-    return BranchPlan(x, BranchStyle.BINARY, (masks[0],), values)
+        return None
+    return [sum(1 << scored[i][0] for i in cluster) for cluster in clustering.clusters]
+
+
+def plan(scheme: Scheme, state: SearchState, x: int) -> BranchPlan:
+    """Build the branch plan for ``x`` under ``scheme`` on the current state."""
+    scored = score_domain(state, x)
+    masks = _value_sets(scheme, state, x, scored)
+    if masks is None:
+        masks = [1 << bit for bit, _ in scored]
+    values = state.tables.values[x]
+    if scheme.kind in _BINARY:
+        return BranchPlan(x, BranchStyle.BINARY, (masks[0],), values)
+    return BranchPlan(x, BranchStyle.ENUMERATED, tuple(masks), values)

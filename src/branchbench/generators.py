@@ -12,19 +12,18 @@ import itertools
 from dataclasses import dataclass, field
 
 from .exprs import Call, Const, VarRef
-from .model import Constraint, ExtensionalForbidden, Intensional, Problem
+from .model import Constraint, ExtensionalForbidden, Intensional, Problem, Relation
 from .rng import Rng
 
 
+def _binary(
+    constraints: list[Constraint], names: list[str], u: int, v: int, relation: Relation
+) -> None:
+    constraints.append(Constraint(len(constraints), (u, v), (names[u], names[v]), relation))
+
+
 def _ne(constraints: list[Constraint], names: list[str], u: int, v: int) -> None:
-    constraints.append(
-        Constraint(
-            cid=len(constraints),
-            scope=(u, v),
-            var_names=(names[u], names[v]),
-            relation=Intensional(Call("ne", (VarRef(names[u]), VarRef(names[v])))),
-        )
-    )
+    _binary(constraints, names, u, v, Intensional(Call("ne", (VarRef(names[u]), VarRef(names[v])))))
 
 
 def gen_pigeons(n: int) -> Problem:
@@ -53,16 +52,8 @@ def gen_langford(n: int) -> Problem:
     constraints: list[Constraint] = []
     for i in range(1, n + 1):
         a, b = 2 * (i - 1), 2 * (i - 1) + 1
-        constraints.append(
-            Constraint(
-                cid=len(constraints),
-                scope=(a, b),
-                var_names=(names[a], names[b]),
-                relation=Intensional(
-                    Call("eq", (Call("add", (VarRef(names[a]), Const(i + 1))), VarRef(names[b])))
-                ),
-            )
-        )
+        shifted = Call("add", (VarRef(names[a]), Const(i + 1)))
+        _binary(constraints, names, a, b, Intensional(Call("eq", (shifted, VarRef(names[b])))))
     for u, v in itertools.combinations(range(2 * n), 2):
         _ne(constraints, names, u, v)
     return Problem(tuple(names), tuple(domains), tuple(constraints))
@@ -92,14 +83,7 @@ def gen_randomb(n: int, d: int, p1_count: int, p2_count: int, seed: int) -> Prob
     constraints: list[Constraint] = []
     for u, v in _sampled_pairs(rng, n, p1_count):
         forbidden = frozenset(rng.sample(all_tuples, p2_count))
-        constraints.append(
-            Constraint(
-                cid=len(constraints),
-                scope=(u, v),
-                var_names=(names[u], names[v]),
-                relation=ExtensionalForbidden(forbidden),
-            )
-        )
+        _binary(constraints, names, u, v, ExtensionalForbidden(forbidden))
     return Problem(tuple(names), tuple(domains), tuple(constraints))
 
 
@@ -118,14 +102,7 @@ def gen_forced(n: int, d: int, p1_count: int, p2_count: int, seed: int) -> Probl
     for u, v in _sampled_pairs(rng, n, p1_count):
         candidates = [t for t in all_tuples if t != (solution[u], solution[v])]
         forbidden = frozenset(rng.sample(candidates, p2_count))
-        constraints.append(
-            Constraint(
-                cid=len(constraints),
-                scope=(u, v),
-                var_names=(names[u], names[v]),
-                relation=ExtensionalForbidden(forbidden),
-            )
-        )
+        _binary(constraints, names, u, v, ExtensionalForbidden(forbidden))
     return Problem(tuple(names), tuple(domains), tuple(constraints))
 
 
@@ -233,6 +210,8 @@ class GenSpec:
             key, sep, value = item.partition("=")
             if not sep or not key:
                 raise ValueError(f"bad parameter {item!r} (expected key=value)")
+            if key in params:
+                raise ValueError(f"parameter {key!r} given twice")
             try:
                 params[key] = int(value)
             except ValueError:

@@ -55,6 +55,8 @@ def test_parse_manifest_rejects_bad_gen_lines():
         parse_manifest("gen nosuch n=4\n")
     with pytest.raises(ValueError):
         parse_manifest("gen pigeons\n")  # n missing
+    with pytest.raises(ValueError, match="'n'"):
+        parse_manifest("gen pigeons n=5 n=6\n")
 
 
 def test_instance_source_needs_exactly_one_backing():
@@ -206,6 +208,11 @@ def test_csv_rejects_foreign_headers_and_bad_rows():
     good_header = ",".join(CSV_COLUMNS)
     with pytest.raises(ValueError, match="malformed"):
         read_csv(io.StringIO(good_header + "\nx,dway,sat,1,1\n"))
+    for bad in ("x,dway,sat,1,1,1,1,inf", "x,dway,sat,1,1,1,1,nan", "x,dway,sat,1,1,1,1,-1",
+                "x,dway,sat,1,-1,1,1,2.0", "x,dway,bogus,1,1,1,1,2.0"):
+        with pytest.raises(ValueError, match="malformed"):
+            read_csv(io.StringIO(f"{good_header}\n{bad}\n"))
+    assert read_csv(io.StringIO(f"{good_header}\nx,dway,sat,0,0,0,0,0.0\n"))[0].elapsed_ms == 0.0
 
 
 # -------------------------------------------------------------------- CLI

@@ -5,16 +5,22 @@
 of them breaks every traced benchmark run.  Its ``plan`` wrapper also reads
 ``len(s)`` for each ``s`` in ``BranchPlan.sets`` to count set plans.  Entering
 and leaving the tracer's context, and one short traced solve, catch both in
-seconds.
+seconds.  ``perfbench/run.py`` reads ``branchbench.SCHEME_NAMES`` from the
+package itself, which is the one name the package re-exports.
 """
 
 from pathlib import Path
 
-from branchbench import propagation, search
+import branchbench
+from branchbench import branching, propagation, search
 from branchbench.branching import parse_scheme
 from branchbench.generators import gen_forced
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_package_exports_the_scheme_names():
+    assert branchbench.SCHEME_NAMES == branching.SCHEME_NAMES
 
 
 def test_tracer_installs_and_restores_every_patch(monkeypatch):
