@@ -8,9 +8,11 @@ untraced (the end-to-end metrics) and once with ``--trace 1`` (the per-layer
 metrics), with seed 1 and ``--seconds`` set to ``run_seconds`` from
 ``BENCHMARK.json``.  The file holds the final JSON line of each run, the
 output of ``git rev-parse HEAD``, the Python version and ``os.cpu_count()``;
-``n`` is one more than the highest existing number.  Measure a committed
-tree, so the hash names the code that ran.  When either run fails a check
-or prints no result, nothing is written and the exit code is 1.
+``n`` is one more than the highest existing number.  The hash must name the
+code that ran, so when ``git status --porcelain`` shows any change under
+``src``, ``perfbench`` or ``BENCHMARK.json`` nothing runs, nothing is written
+and the exit code is 1.  The same holds when either run fails a check or
+prints no result.
 """
 
 from __future__ import annotations
@@ -36,6 +38,12 @@ def next_path() -> Path:
     return ROOT / f"BENCH_{max(taken, default=0) + 1}.json"
 
 
+def git(*args: str) -> str:
+    return subprocess.run(
+        ["git", *args], cwd=ROOT, stdout=subprocess.PIPE, text=True, check=True
+    ).stdout.rstrip()
+
+
 def run(seconds: float, trace: int) -> dict | None:
     """The final JSON line of one ``--workload all`` run, or None on failure."""
     child = subprocess.run(
@@ -54,6 +62,10 @@ def run(seconds: float, trace: int) -> dict | None:
 
 
 def main() -> int:
+    changed = git("status", "--porcelain", "--", "src", "perfbench", "BENCHMARK.json")
+    if changed:
+        print(f"perf: uncommitted changes; commit them first:\n{changed}", file=sys.stderr)
+        return 1
     seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
     untraced = run(seconds, 0)
     traced = run(seconds, 1) if untraced is not None else None
@@ -61,10 +73,7 @@ def main() -> int:
         print("perf: a benchmark run failed; no BENCH file written", file=sys.stderr)
         return 1
     record = {
-        "git_rev": subprocess.run(
-            ["git", "rev-parse", "HEAD"], cwd=ROOT, stdout=subprocess.PIPE,
-            text=True, check=True,
-        ).stdout.strip(),
+        "git_rev": git("rev-parse", "HEAD"),
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
         "seed": SEED,

@@ -75,18 +75,31 @@ class InstanceSource:
 
 
 def parse_manifest(text: str, base_dir: Union[str, Path] = ".") -> list[InstanceSource]:
+    """The manifest's instances in order.  A bad ``gen`` line, or two lines
+    whose instances share a name (results rows are keyed by it), raise
+    ``ValueError`` naming the line numbers."""
     base = Path(base_dir)
     sources = []
-    for raw in text.splitlines():
+    first_line: dict[str, int] = {}
+    for number, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("gen "):
-            spec = GenSpec.parse(line[4:])
-            sources.append(InstanceSource(spec.name(), genspec=spec))
+            try:
+                spec = GenSpec.parse(line[4:])
+            except ValueError as exc:
+                raise ValueError(f"manifest line {number}: {exc}") from None
+            source = InstanceSource(spec.name(), genspec=spec)
         else:
             path = base / line
-            sources.append(InstanceSource(path.stem, path=str(path)))
+            source = InstanceSource(path.stem, path=str(path))
+        seen = first_line.setdefault(source.name, number)
+        if seen != number:
+            raise ValueError(
+                f"manifest lines {seen} and {number} both name instance {source.name!r}"
+            )
+        sources.append(source)
     return sources
 
 

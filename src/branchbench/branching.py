@@ -150,8 +150,8 @@ def plan(scheme: Scheme, state: SearchState, x: int) -> BranchPlan:
     scored = score_domain(state, x)
     masks = _value_sets(scheme, state, x, scored)
     if masks is None:
-        masks = [1 << bit for bit, _ in scored]
+        masks = (1 << bit for bit, _ in scored)
     values = state.tables.values[x]
     if scheme.kind in _BINARY:
-        return BranchPlan(x, BranchStyle.BINARY, (masks[0],), values)
+        return BranchPlan(x, BranchStyle.BINARY, (next(iter(masks)),), values)
     return BranchPlan(x, BranchStyle.ENUMERATED, tuple(masks), values)

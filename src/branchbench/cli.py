@@ -121,6 +121,9 @@ def _cmd_bench(args) -> int:
     names = [s.strip() for s in args.schemes.split(",") if s.strip()]
     if not names:
         raise _UsageError("branchbench bench: no schemes given")
+    repeated = [name for i, name in enumerate(names) if name in names[:i]]
+    if repeated:
+        raise _UsageError(f"branchbench bench: scheme {repeated[0]!r} given twice")
     try:
         schemes = [parse_scheme(name) for name in names]
     except ValueError as exc:

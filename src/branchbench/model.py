@@ -40,6 +40,7 @@ from .exprs import (
     eval_expr,
     expr_vars,
     format_expr,
+    rename_expr,
 )
 
 logger = logging.getLogger(__name__)
@@ -112,8 +113,6 @@ def _relation_signature(constraint: Constraint):
     if isinstance(rel, ExtensionalForbidden):
         return ("ef", rel.tuples)
     positional = {name: f"${i}" for i, name in enumerate(constraint.var_names)}
-    from .exprs import rename_expr
-
     return ("in", format_expr(rename_expr(rel.expr, positional)))
 
 
@@ -243,34 +242,24 @@ class _Tables:
         u, v = c.scope
         du, dv = self.values[u], self.values[v]
         rel = c.relation
-        sup_u = [0] * len(du)
-        sup_v = [0] * len(dv)
-        if isinstance(rel, ExtensionalAllowed):
-            pu, pv = self.pos[u], self.pos[v]
-            for a, b in rel.tuples:
-                i = pu.get(a)
-                j = pv.get(b)
-                if i is not None and j is not None:
-                    sup_u[i] |= 1 << j
-                    sup_v[j] |= 1 << i
-        elif isinstance(rel, ExtensionalForbidden):
-            full_v = (1 << len(dv)) - 1
-            full_u = (1 << len(du)) - 1
-            sup_u = [full_v] * len(du)
-            sup_v = [full_u] * len(dv)
-            pu, pv = self.pos[u], self.pos[v]
-            for a, b in rel.tuples:
-                i = pu.get(a)
-                j = pv.get(b)
-                if i is not None and j is not None:
-                    sup_u[i] &= ~(1 << j)
-                    sup_v[j] &= ~(1 << i)
+        if isinstance(rel, Intensional):
+            pairs = [
+                (i, j)
+                for i, a in enumerate(du)
+                for j, b in enumerate(dv)
+                if check_tuple(c, (a, b))
+            ]
         else:
-            for i, a in enumerate(du):
-                for j, b in enumerate(dv):
-                    if check_tuple(c, (a, b)):
-                        sup_u[i] |= 1 << j
-                        sup_v[j] |= 1 << i
+            pu, pv = self.pos[u], self.pos[v]
+            pairs = [(pu[a], pv[b]) for a, b in rel.tuples]
+        # allowed pairs set bits in empty rows, forbidden pairs clear bits in
+        # full rows; Problem keeps every tuple value inside its domain
+        forbidden = isinstance(rel, ExtensionalForbidden)
+        sup_u = [self.full_masks[v] if forbidden else 0] * len(du)
+        sup_v = [self.full_masks[u] if forbidden else 0] * len(dv)
+        for i, j in pairs:
+            sup_u[i] ^= 1 << j
+            sup_v[j] ^= 1 << i
         return (tuple(sup_u), tuple(sup_v))
 
     def _satisfying_positions(self, c: Constraint) -> list[tuple[int, ...]]:
@@ -385,7 +374,7 @@ class SearchState:
 
     __slots__ = (
         "problem", "tables", "masks", "sizes", "weights", "assigned",
-        "trail", "marks", "singletons",
+        "trail", "singletons",
         "nodes", "decisions", "wipeouts", "backtracks",
     )
 
@@ -398,7 +387,6 @@ class SearchState:
         self.weights = [1] * len(problem.constraints)
         self.assigned: list[Optional[int]] = [None] * problem.n_vars
         self.trail: list[tuple[int, int]] = []  # (variable, removed mask)
-        self.marks: list[int] = []
         self.singletons = sum(1 for s in self.sizes if s == 1)
         self.nodes = 0
         self.decisions = 0
@@ -420,19 +408,18 @@ class SearchState:
     # -- trail -------------------------------------------------------------
 
     def push_level(self) -> int:
-        """Open a restoration level; returns a token for :meth:`undo_to`."""
-        self.marks.append(len(self.trail))
-        return len(self.marks) - 1
+        """Open a restoration level; the token for :meth:`undo_to` is the
+        current trail length."""
+        return len(self.trail)
 
     def undo_to(self, token: int) -> None:
-        """Restore exactly the domains that held when ``token`` was pushed."""
-        mark = self.marks[token]
-        del self.marks[token:]
+        """Restore exactly the domains that held when ``token`` was pushed,
+        by undoing the trail entries from position ``token`` on."""
         trail = self.trail
         masks = self.masks
         sizes = self.sizes
         singletons = self.singletons
-        for x, removed in trail[mark:]:
+        for x, removed in trail[token:]:
             masks[x] |= removed
             s = sizes[x]
             t = s + removed.bit_count()
@@ -441,7 +428,7 @@ class SearchState:
                 singletons -= 1
             elif t == 1:
                 singletons += 1
-        del trail[mark:]
+        del trail[token:]
         self.singletons = singletons
 
     def _remove_mask(self, x: int, removed: int) -> None:

@@ -9,9 +9,14 @@ collapse to one value through propagation stay unassigned until search selects
 them (their plans then commit them).  Only ``x``'s own frame assigns ``x``, so
 backtracking that frame clears it.
 
-The engine is iterative (explicit frame stack) so deep runs cannot hit the
-interpreter recursion limit.  After ``solve`` returns, the state has been
-unwound: re-running on the same problem starts from the original domains.
+The engine is one loop over an explicit frame stack, so deep runs cannot hit
+the interpreter recursion limit.  Root GAC and every propagated branch lead to
+the same step: a consistent state with every domain a singleton is the
+solution, checked once by :func:`verify`; any other consistent state gets one
+new choice point, one :func:`select_variable` and one :func:`plan` call.  A
+frame's level token is the trail length before its branch was applied.  After
+``solve`` returns, the state has been unwound: re-running on the same problem
+starts from the original domains.
 """
 
 from __future__ import annotations
@@ -68,12 +73,18 @@ def verify(problem: Problem, assignment: Sequence[int]) -> bool:
 
 
 class _Frame:
-    __slots__ = ("x", "style", "masks", "idx", "token")
+    __slots__ = ("x", "binary", "masks", "last", "idx", "token")
 
-    def __init__(self, branch_plan: BranchPlan) -> None:
+    def __init__(self, branch_plan: BranchPlan, domain: int) -> None:
         self.x = branch_plan.variable
-        self.style = branch_plan.style
+        self.binary = branch_plan.style is BranchStyle.BINARY
         self.masks = branch_plan.masks
+        # the final branch index: a binary plan's right branch removes its
+        # set, so it exists only while that set is not the whole ``domain``
+        if self.binary:
+            self.last = int(self.masks[0] != domain)
+        else:
+            self.last = len(self.masks) - 1
         self.idx = 0
         self.token: Optional[int] = None
 
@@ -89,40 +100,26 @@ def solve(
     started = time.perf_counter()
     max_nodes = limits.max_nodes if limits else None
     wall_ms = limits.wall_time_ms if limits else None
-
-    def finish(status: Status, assignment: Optional[tuple[int, ...]]) -> Outcome:
-        stats = RunStats(
-            nodes=state.nodes,
-            decisions=state.decisions,
-            wipeouts=state.wipeouts,
-            backtracks=state.backtracks,
-            elapsed_ms=(time.perf_counter() - started) * 1000.0,
-        )
-        return Outcome(status, assignment, stats)
-
-    def capture() -> tuple[int, ...]:
-        values = tuple(state.value_of(x) for x in range(problem.n_vars))
-        if not verify(problem, values):
-            raise RuntimeError("internal error: produced assignment fails verify()")
-        return values
-
-    root = state.push_level()
-    if establish_root_gac(state) is not None:
-        state.undo_to(root)
-        return finish(Status.UNSAT, None)
-    if state.all_singleton():
-        values = capture()
-        state.undo_to(root)
-        return finish(Status.SAT, values)
-
     names = problem.names
     values_of = state.tables.values
     decision_arcs = state.tables.decision_arcs
-    stack = [_Frame(plan(scheme, state, select_variable(state)))]
-    result: Optional[Status] = None
+    stack: list[_Frame] = []
+    status = Status.UNSAT
     assignment: Optional[tuple[int, ...]] = None
 
-    while stack:
+    root = state.push_level()
+    consistent = establish_root_gac(state) is None
+    while consistent or stack:
+        if consistent:
+            if state.all_singleton():
+                assignment = tuple(state.value_of(x) for x in range(problem.n_vars))
+                if not verify(problem, assignment):
+                    raise RuntimeError("internal error: produced assignment fails verify()")
+                status = Status.SAT
+                break
+            x = select_variable(state)
+            stack.append(_Frame(plan(scheme, state, x), state.masks[x]))
+
         fr = stack[-1]
         if fr.token is not None:
             # the applied branch (or its subtree) failed
@@ -131,35 +128,29 @@ def solve(
             fr.token = None
             state.backtracks += 1
             fr.idx += 1
-
-        if fr.style is BranchStyle.ENUMERATED:
-            exhausted = fr.idx >= len(fr.masks)
-        else:
-            # binary: left branch, then the complement unless it is everything
-            exhausted = fr.idx > 1 or (fr.idx == 1 and fr.masks[0] == state.masks[fr.x])
-        if exhausted:
+        if fr.idx > fr.last:
             stack.pop()
             continue
 
         # limits are checked before a decision is applied
         if max_nodes is not None and state.nodes >= max_nodes:
-            result = Status.LIMIT
+            status = Status.LIMIT
             break
         if wall_ms is not None and (time.perf_counter() - started) * 1000.0 > wall_ms:
-            result = Status.LIMIT
+            status = Status.LIMIT
             break
 
         x = fr.x
         fr.token = state.push_level()
         if fr.idx == 0:
             state.decisions += 1  # one per choice point that applies a branch
-        if fr.style is BranchStyle.BINARY and fr.idx == 1:
+        if fr.binary and fr.idx == 1:
             mask = removed = fr.masks[0]
             kind = "R"
         else:
             mask = fr.masks[fr.idx]
             removed = state.masks[x] ^ mask
-            kind = "L" if fr.style is BranchStyle.BINARY else f"E#{fr.idx}"
+            kind = "L" if fr.binary else f"E#{fr.idx}"
             if mask & (mask - 1) == 0:
                 state.assigned[x] = values_of[x][mask.bit_length() - 1]
         if removed:  # empty when the plan's set is the whole domain
@@ -168,16 +159,15 @@ def solve(
         if trace is not None:
             joined = ",".join(str(v) for v in mask_values(values_of[x], mask))
             trace.append(f"{len(stack) - 1} {names[x]} {{{joined}}} {kind}")
-
-        if propagate(state, decision_arcs[x]) is None:
-            if state.all_singleton():
-                assignment = capture()
-                result = Status.SAT
-                break
-            stack.append(_Frame(plan(scheme, state, select_variable(state))))
-        # on wipeout the loop unwinds this branch at the top
+        # on wipeout the next pass unwinds this branch
+        consistent = propagate(state, decision_arcs[x]) is None
 
     state.undo_to(root)
-    if result is None:
-        return finish(Status.UNSAT, None)
-    return finish(result, assignment)
+    stats = RunStats(
+        nodes=state.nodes,
+        decisions=state.decisions,
+        wipeouts=state.wipeouts,
+        backtracks=state.backtracks,
+        elapsed_ms=(time.perf_counter() - started) * 1000.0,
+    )
+    return Outcome(status, assignment, stats)

@@ -57,6 +57,16 @@ def test_parse_manifest_rejects_bad_gen_lines():
         parse_manifest("gen pigeons\n")  # n missing
     with pytest.raises(ValueError, match="'n'"):
         parse_manifest("gen pigeons n=5 n=6\n")
+    with pytest.raises(ValueError, match="^manifest line 3: "):
+        parse_manifest("gen pigeons n=4\n# comment\ngen pigeons n=four\n")
+
+
+def test_parse_manifest_rejects_a_repeated_instance_name():
+    # results rows are keyed by name, so two instances may not share one
+    with pytest.raises(ValueError, match=r"lines 1 and 3 both name instance 'x'"):
+        parse_manifest("a/x.csp\ngen pigeons n=4\nb/x.csp\n", "/data")
+    with pytest.raises(ValueError, match=r"lines 2 and 4 both name instance 'pigeons-4'"):
+        parse_manifest("\ngen pigeons n=4\n\ngen pigeons n=4\n")
 
 
 def test_instance_source_needs_exactly_one_backing():
@@ -372,11 +382,27 @@ def test_cli_bench_usage_errors(tmp_path):
     common = ["bench", "--manifest", str(manifest), "--out", "-"]
     assert main(common + ["--schemes", "triway"]) == 1
     assert main(common + ["--schemes", " , "]) == 1
+    assert main(common + ["--schemes", "2way,dway,2way"]) == 1
     assert main(common + ["--schemes", "dway", "--jobs", "0"]) == 1
     assert main(common + ["--schemes", "dway", "--timeout-ms", "-1"]) == 1
     assert main(common + ["--schemes", "dway", "--max-nodes", "-1"]) == 1
     assert main(common + ["--schemes", "dway", "--max-nodes", "two"]) == 1
     assert main(["bench", "--manifest", str(tmp_path / "no.txt"), "--schemes", "dway", "--out", "-"]) == 2
+
+
+def test_cli_bench_rejects_a_manifest_that_repeats_a_name(tmp_path, capsys):
+    for sub, n in (("a", 5), ("b", 6)):
+        (tmp_path / sub).mkdir()
+        (tmp_path / sub / "x.csp").write_text(
+            serialize_instance(gen_pigeons(n)), encoding="utf-8"
+        )
+    manifest = tmp_path / "suite.txt"
+    manifest.write_text("a/x.csp\nb/x.csp\n", encoding="utf-8")
+    out = tmp_path / "results.csv"
+    args = ["bench", "--manifest", str(manifest), "--schemes", "2way,dway", "--out", str(out)]
+    assert main(args) == 2
+    assert "lines 1 and 2 both name instance 'x'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

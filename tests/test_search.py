@@ -93,6 +93,34 @@ def test_root_propagation_alone_can_solve():
     assert verify(problem, out.assignment)
 
 
+def test_whole_domain_binary_plan_has_no_right_branch():
+    # x's only value passes root GAC, so x's plan is its whole domain: the
+    # left branch removes nothing and there is no right branch to take
+    def rel(op, a, b):
+        return Intensional(Call(op, (VarRef(a), VarRef(b))))
+
+    problem = make_binary(
+        ("x", "y", "z"),
+        ((0,), (0, 1), (0, 1)),
+        [
+            ((0, 1), rel("le", "x", "y")),
+            ((0, 2), rel("le", "x", "z")),
+            ((1, 2), rel("ne", "y", "z")),
+            ((1, 2), rel("eq", "y", "z")),
+        ],
+    )
+    for name in ("2way", "split"):
+        trace: list[str] = []
+        out = solve(problem, parse_scheme(name), trace=trace)
+        assert out.status is Status.UNSAT
+        s = out.stats
+        assert (s.nodes, s.decisions, s.wipeouts, s.backtracks) == (3, 2, 2, 3)
+        assert trace == ["0 x {0} L", "1 y {0} L", "1 y {0} R"]
+    trace = []
+    solve(problem, parse_scheme("dway"), trace=trace)
+    assert trace == ["0 x {0} E#0", "1 y {0} E#0", "1 y {1} E#1"]
+
+
 def test_root_wipeout_is_unsat_with_zero_nodes():
     problem = make_binary(("x", "y"), ((0,), (0,)), [((0, 1), ne_rel("x", "y"))])
     out = solve(problem, parse_scheme("2way"))
