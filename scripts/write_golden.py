@@ -43,6 +43,26 @@ SOURCES = (
     "gen qwh order=9 holes=50 seed=1",
     "gen coloring n=25 edges=90 k=4 seed=1",
     f"file {NARY_FILE}",
+    # suites/desk.txt, less gen langford n=7 above
+    "gen pigeons n=4",
+    "gen pigeons n=5",
+    "gen pigeons n=6",
+    "gen langford n=4",
+    "gen langford n=5",
+    "gen langford n=6",
+    "gen coloring n=12 edges=30 k=3 seed=1",
+    "gen coloring n=12 edges=30 k=3 seed=2",
+    "gen coloring n=14 edges=34 k=3 seed=5",
+    "gen randomb n=16 d=10 p1=70 p2=41 seed=5",
+    "gen randomb n=16 d=10 p1=70 p2=41 seed=8",
+    "gen randomb n=16 d=10 p1=70 p2=41 seed=10",
+    "gen randomb n=16 d=10 p1=70 p2=38 seed=43",
+    "gen forced n=16 d=10 p1=70 p2=44 seed=1",
+    "gen forced n=16 d=10 p1=70 p2=44 seed=2",
+    "gen forced n=16 d=10 p1=70 p2=44 seed=3",
+    "gen qwh order=4 holes=12 seed=2",
+    "gen qwh order=4 holes=14 seed=1",
+    "gen qwh order=4 holes=16 seed=3",
 )
 
 

@@ -162,6 +162,7 @@ def read_csv(source: IO[str]) -> list[RunRecord]:
     if header != list(CSV_COLUMNS):
         raise ValueError(f"unexpected results header: {header!r}")
     records = []
+    seen = set()
     for row in reader:
         if not row:
             continue
@@ -172,5 +173,9 @@ def read_csv(source: IO[str]) -> list[RunRecord]:
         if (record.status not in _STATUSES or min(astuple(record)[3:]) < 0
                 or not math.isfinite(record.elapsed_ms)):
             raise ValueError(f"malformed results row: {row!r}")
+        pair = (record.instance, record.scheme)
+        if pair in seen:
+            raise ValueError(f"repeated results row: instance {pair[0]!r}, scheme {pair[1]!r}")
+        seen.add(pair)
         records.append(record)
     return records

@@ -149,9 +149,11 @@ def plan(scheme: Scheme, state: SearchState, x: int) -> BranchPlan:
     """Build the branch plan for ``x`` under ``scheme`` on the current state."""
     scored = score_domain(state, x)
     masks = _value_sets(scheme, state, x, scored)
-    if masks is None:
-        masks = (1 << bit for bit, _ in scored)
     values = state.tables.values[x]
+    # a binary plan keeps only its first set, so build no others
     if scheme.kind in _BINARY:
-        return BranchPlan(x, BranchStyle.BINARY, (next(iter(masks)),), values)
+        first = 1 << scored[0][0] if masks is None else masks[0]
+        return BranchPlan(x, BranchStyle.BINARY, (first,), values)
+    if masks is None:
+        masks = [1 << bit for bit, _ in scored]
     return BranchPlan(x, BranchStyle.ENUMERATED, tuple(masks), values)

@@ -27,9 +27,11 @@ _PASS_CAP = 100
 
 @dataclass(frozen=True)
 class KMeansResult:
+    """One label per score, 0..k-1 over the non-empty clusters, and each
+    label's mean score."""
+
     assignment: tuple[int, ...]
     centroids: tuple[float, ...]
-    distortion: float
 
 
 @dataclass(frozen=True)
@@ -37,7 +39,6 @@ class Clustering:
     """Partition of item indices, clusters ordered by descending mean score."""
 
     clusters: tuple[tuple[int, ...], ...]
-    centroids: tuple[float, ...]
 
     @property
     def k(self) -> int:
@@ -90,10 +91,7 @@ def kmeans_1d(
         if new_assignment == assignment:
             break
         centroids, assignment = _means(scores, new_assignment, len(centroids))
-    distortion = sum(
-        (s - centroids[a]) * (s - centroids[a]) for s, a in zip(scores, assignment)
-    )
-    return KMeansResult(tuple(assignment), tuple(centroids), distortion)
+    return KMeansResult(tuple(assignment), tuple(centroids))
 
 
 def bic(scores: Sequence[float], assignment: Sequence[int], centroids: Sequence[float]) -> float:
@@ -210,6 +208,4 @@ def _regroup(pts: list[float], assignment: list[int]) -> Clustering:
             min(idxs),
         ),
     )
-    clusters = tuple(tuple(sorted(idxs)) for idxs in ordered)
-    centroids = tuple(sum(pts[i] for i in c) / len(c) for c in clusters)
-    return Clustering(clusters, centroids)
+    return Clustering(tuple(tuple(sorted(idxs)) for idxs in ordered))

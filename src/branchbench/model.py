@@ -3,8 +3,8 @@
 A :class:`Problem` is immutable after construction and safely shareable
 between solver runs.  Variables are identified by index; original domains
 are kept sorted ascending and duplicate-free.  Mutable search data (current
-domains, constraint weights, the restoration trail) lives in
-:class:`SearchState`.
+domains and their sizes, constraint weights, assignments, the restoration
+trail and the search counters) lives in :class:`SearchState`.
 
 Current domains are bitmasks over positions in the original domain, which
 keeps membership tests, removals, and the compatibility counting done by the
@@ -370,12 +370,13 @@ class Problem:
 
 
 class SearchState:
-    """Mutable per-run state: current domains, weights, trail, counters."""
+    """Mutable per-run state: domain masks and their sizes (propagation reads
+    a size at every queue pop), weights, assignments, the trail and counters.
+    The solution test, :meth:`all_singleton`, counts ``sizes``."""
 
     __slots__ = (
         "problem", "tables", "masks", "sizes", "weights", "assigned",
-        "trail", "singletons",
-        "nodes", "decisions", "wipeouts", "backtracks",
+        "trail", "nodes", "decisions", "wipeouts", "backtracks",
     )
 
     def __init__(self, problem: Problem) -> None:
@@ -387,7 +388,6 @@ class SearchState:
         self.weights = [1] * len(problem.constraints)
         self.assigned: list[Optional[int]] = [None] * problem.n_vars
         self.trail: list[tuple[int, int]] = []  # (variable, removed mask)
-        self.singletons = sum(1 for s in self.sizes if s == 1)
         self.nodes = 0
         self.decisions = 0
         self.wipeouts = 0
@@ -403,7 +403,8 @@ class SearchState:
         return self.tables.values[x][m.bit_length() - 1]
 
     def all_singleton(self) -> bool:
-        return self.singletons == len(self.sizes)
+        """True iff every current domain holds exactly one value."""
+        return self.sizes.count(1) == len(self.sizes)
 
     # -- trail -------------------------------------------------------------
 
@@ -418,18 +419,10 @@ class SearchState:
         trail = self.trail
         masks = self.masks
         sizes = self.sizes
-        singletons = self.singletons
         for x, removed in trail[token:]:
             masks[x] |= removed
-            s = sizes[x]
-            t = s + removed.bit_count()
-            sizes[x] = t
-            if s == 1:
-                singletons -= 1
-            elif t == 1:
-                singletons += 1
+            sizes[x] += removed.bit_count()
         del trail[token:]
-        self.singletons = singletons
 
     def _remove_mask(self, x: int, removed: int) -> None:
         """Delete the values of ``removed``, a non-empty subset of the current
@@ -437,10 +430,4 @@ class SearchState:
         way a domain shrinks: propagation and branch decisions both call it."""
         self.masks[x] ^= removed
         self.trail.append((x, removed))
-        s = self.sizes[x]
-        t = s - removed.bit_count()
-        self.sizes[x] = t
-        if t == 1:
-            self.singletons += 1
-        elif s == 1:
-            self.singletons -= 1
+        self.sizes[x] -= removed.bit_count()

@@ -8,8 +8,8 @@ fraction evaluation, absolute error well under 1e-6); no statistics library
 is involved.
 
 Every table walks the same pairs: ``_paired`` matches each scheme's record
-for an instance with the baseline's record for it (latest record wins on a
-duplicate; instances the baseline did not run have no pair).  A table then
+for an instance with the baseline's record for it (``read_csv`` rejects a
+repeated pair; instances the baseline did not run have no pair).  A table then
 only drops pairs: the t-test drops pairs with a ``limit`` outcome on either
 side, and the fold tables (``speedups``, ``categorize``) also drop pairs
 with a non-positive time on either side.  A table's ``excluded`` count is
@@ -162,10 +162,10 @@ def _paired(
 ) -> Iterator[tuple[str, list[tuple[RunRecord, RunRecord]]]]:
     """Yield (scheme, [(record, baseline record), ...]) for each other scheme.
 
-    Schemes come in name order and pairs in instance order; the latest record
-    wins on a duplicate (instance, scheme), and an instance without a
-    baseline record has no pair.  Raises ValueError if the baseline has no
-    records.
+    Schemes come in name order and pairs in instance order; an instance
+    without a baseline record has no pair.  Records that repeat an
+    (instance, scheme) pair, which ``read_csv`` rejects, keep the last one.
+    Raises ValueError if the baseline has no records.
     """
     by_scheme: dict[str, dict[str, RunRecord]] = {}
     for rec in records:

@@ -195,7 +195,8 @@ def achieved_bic(scores, clustering):
     for j, cluster in enumerate(clustering.clusters):
         for i in cluster:
             assignment[i] = j
-    return bic(pts, assignment, list(clustering.centroids))
+    centroids = [sum(pts[i] for i in c) / len(c) for c in clustering.clusters]
+    return bic(pts, assignment, centroids)
 
 
 def test_criterion_5_clustering_matches_exhaustive_oracle():

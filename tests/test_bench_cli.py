@@ -223,6 +223,12 @@ def test_csv_rejects_foreign_headers_and_bad_rows():
         with pytest.raises(ValueError, match="malformed"):
             read_csv(io.StringIO(f"{good_header}\n{bad}\n"))
     assert read_csv(io.StringIO(f"{good_header}\nx,dway,sat,0,0,0,0,0.0\n"))[0].elapsed_ms == 0.0
+    # a repeated (instance, scheme) pair, as in two concatenated sweeps, would
+    # halve the pairs stats sees; it is an error naming the pair
+    repeated = (f"{good_header}\npigeons-4,dway,unsat,99,97,50,49,9.0\n"
+                "pigeons-4,2way,unsat,20,18,10,9,2.0\npigeons-4,dway,unsat,0,0,0,0,1.0\n")
+    with pytest.raises(ValueError, match="instance 'pigeons-4', scheme 'dway'"):
+        read_csv(io.StringIO(repeated))
 
 
 # -------------------------------------------------------------------- CLI
@@ -338,11 +344,18 @@ def test_cli_bench_and_stats_end_to_end(tmp_path, capsys):
     assert main(["stats", "--results", str(out), "--baseline", "nosuch"]) == 2
 
 
-def test_cli_stats_prints_the_pinned_report(capsys):
+def test_cli_stats_prints_the_pinned_report(tmp_path, capsys):
     golden = ROOT / "tests" / "golden"
     code = main(["stats", "--results", str(golden / "results.csv"), "--baseline", "2way"])
     assert code == 0
     assert capsys.readouterr().out == (golden / "report.txt").read_text(encoding="utf-8")
+    twice = tmp_path / "twice.csv"
+    rows = (golden / "results.csv").read_text(encoding="utf-8")
+    twice.write_text(rows + rows.split("\n", 2)[1] + "\n", encoding="utf-8")
+    assert main(["stats", "--results", str(twice), "--baseline", "2way"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "repeated results row" in captured.err
 
 
 def test_cli_bench_to_stdout(tmp_path, capsys):

@@ -2,7 +2,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from branchbench.exprs import Call, Const, VarRef
@@ -183,38 +183,43 @@ def test_nested_levels_restore_in_order():
     assert domain_values(st, 0) == list(range(8))
 
 
-@given(st.lists(st.integers(0, 9), min_size=1, max_size=30), st.integers(0, 3))
-def test_singleton_counter_tracks_sizes(removals, _shape):
+# (variable, bits of values to remove, undo instead): a, b, c hold 0..3,
+# 0..2, 0..3, so the value at bit i is i
+_STEPS = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 15), st.booleans()), max_size=30)
+
+
+@given(_STEPS)
+# every domain one value (True), then c emptied beside two singletons
+# (False), then that undone (True)
+@example([(0, 0b1110, False), (1, 0b110, False), (2, 0b1110, False), (2, 0b1, False),
+          (0, 0, True)])
+def test_all_singleton_matches_sizes(steps):
+    """Over removals, emptied domains and undos, the solution test is true
+    exactly when every domain holds one value."""
     p = Problem(
         ("a", "b", "c"),
         (tuple(range(4)), tuple(range(3)), tuple(range(4))),
         (),
     )
-    st_state = SearchState(p)
-    tok = st_state.push_level()
-    for r in removals:
-        x = r % 3
-        dom = domain_values(st_state, x)
-        if len(dom) > 1:
-            remove_values(st_state, x, (dom[r % len(dom)],))
-        expected = sum(1 for v in range(3) if st_state.sizes[v] == 1)
-        assert st_state.singletons == expected
-    st_state.undo_to(tok)
-    assert st_state.singletons == 0
-    assert [domain_values(st_state, i) for i in range(3)] == [
-        [0, 1, 2, 3],
-        [0, 1, 2],
-        [0, 1, 2, 3],
-    ]
+    state = SearchState(p)
+    tokens = []
+    for x, bits, undo in steps:
+        if undo and tokens:
+            state.undo_to(tokens.pop())
+        else:
+            tokens.append(state.push_level())
+            remove_values(state, x, [v for v in domain_values(state, x) if bits >> v & 1])
+        assert state.all_singleton() == all(s == 1 for s in state.sizes)
+    state.undo_to(0)
+    assert state.sizes == [4, 3, 4] and not state.all_singleton()
 
 
 def _snapshot(state):
-    return (list(state.masks), list(state.sizes), state.singletons)
+    return (list(state.masks), list(state.sizes))
 
 
-def _assert_counters_match_masks(state):
+def _assert_sizes_match_masks(state):
     assert state.sizes == [m.bit_count() for m in state.masks]
-    assert state.singletons == sum(1 for s in state.sizes if s == 1)
 
 
 def test_trail_restores_multi_value_shrinks_under_nested_levels():
@@ -236,11 +241,11 @@ def test_trail_restores_multi_value_shrinks_under_nested_levels():
     reduce_domain(st, 0, (1,))
     assert revise(st, at_y)  # y: 3 values -> 1
     assert domain_values(st, 1) == [2]
-    assert len(st.trail) == 3 and st.singletons == 2
+    assert len(st.trail) == 3
     after_y = _snapshot(st)
     t2 = st.push_level()
     remove_values(st, 1, (2,))  # empties y
-    assert st.sizes[1] == 0 and st.singletons == 1
+    assert st.sizes[1] == 0
     st.undo_to(t2)
     assert _snapshot(st) == after_y
     t2 = st.push_level()
@@ -254,7 +259,7 @@ def test_trail_restores_multi_value_shrinks_under_nested_levels():
     t1 = st.push_level()
     reduce_domain(st, 1, (0,))
     assert revise(st, at_x)  # x < 0 empties x: 4 values -> 0
-    assert st.sizes[0] == 0 and len(st.trail) == 3 and st.singletons == 1
+    assert st.sizes[0] == 0 and len(st.trail) == 3
     st.undo_to(t1)
     assert _snapshot(st) == after_z
     st.undo_to(t0)
@@ -305,7 +310,7 @@ def test_trail_restores_snapshots_on_random_walks():
             assert len(st.trail) == before + shrank
             if shrank and sizes[x] - st.sizes[x] > 1:
                 shrinks[how] += 1
-            _assert_counters_match_masks(st)
+            _assert_sizes_match_masks(st)
         while levels:
             token, snap = levels.pop()
             st.undo_to(token)

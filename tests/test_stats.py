@@ -269,9 +269,9 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def test_format_report_matches_the_pinned_report():
-    # results.csv is hand-made: limit rows on either side, a 0.0 ms row, a
-    # superseded duplicate, instances without a baseline row, a class only
-    # the baseline ran, and a scheme with a single t-test pair.  report.txt
+    # results.csv is hand-made: limit rows on either side, a 0.0 ms row,
+    # instances without a baseline row, a class only the baseline ran, and a
+    # scheme with a single t-test pair.  report.txt
     # is `branchbench stats --results tests/golden/results.csv --baseline 2way`.
     with open(GOLDEN / "results.csv", encoding="utf-8", newline="") as fh:
         records = read_csv(fh)
