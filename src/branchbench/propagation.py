@@ -5,11 +5,17 @@ value of the variable lacking a supporting tuple in the constraint over the
 current domains of the other scope variables.  The compiled tables number
 the arcs in ascending ``(cid, var)`` order (arc ``i`` is
 ``(tables.arc_cid[i], tables.arc_var[i])``), and both ``revise`` and
-``propagate`` work on those ids: a FIFO queue of ints with a ``bytearray``
-in-queue flag for deduplication.  When a revision shrinks a domain, all arcs
-of other constraints sharing that variable are re-enqueued.  A revision that
-empties a domain bumps the weight of exactly that constraint by one and
-stops propagation immediately.
+``propagate`` work on those ids.  The FIFO queue of ``propagate`` holds
+domain-change events, not arcs: the call's own arcs enter as one event, and
+a revision by constraint ``c`` that shrinks ``x`` queues one event, the arcs
+of the other constraints sharing ``x`` (``tables.decision_arcs[x]``) with
+``c`` excluded.  An arc is popped and revised at the first event that lists
+it and was queued after its last pop; a local list of pop ticks tells which
+events those are.  That is where the plain AC-3 queue of arcs, which enqueues
+an arc unless it is already queued, pops it, so both revise the same arcs
+in the same order, at one queue operation per domain change instead of one
+per arc.  A revision that empties a domain bumps the weight of exactly that
+constraint by one and stops propagation immediately.
 
 A binary arc is revised inline from its per-arc tables: ``arc_sup`` maps
 each value bit of the arc's variable to the mask of its partner supports,
@@ -31,8 +37,8 @@ any target value conflicts with (1 for ``ne``; the partner's whole original
 domain when some value has no support at all).  While the partner's current
 domain is larger than the slack, every target value still has a support, so
 the revision could remove nothing: ``propagate`` drops such an arc when it
-pops it.  The test is made at pop time, never at push time, so the queue's
-contents and order are exactly those of the plain AC-3 queue; the skipped
+pops it.  The test is made at pop time, never at push time, so the arcs
+popped and their order are exactly those of the plain AC-3 queue; the skipped
 revisions are exactly ones that would have returned False, and which
 revisions remove values, in what order, and which constraint takes a
 wipeout's weight are all unchanged.
@@ -89,7 +95,15 @@ def revise(state: SearchState, a: int) -> bool:
 
 
 def propagate(state: SearchState, arc_ids: Iterable[int]) -> Optional[Wipeout]:
-    """Run the arc queue over ``arc_ids`` to fixpoint; None means consistent."""
+    """Run the AC-3 queue over ``arc_ids`` to fixpoint; None means consistent.
+
+    The FIFO holds events ``(tick, excluded cid, arcs)``: ``arc_ids``
+    (distinct arc ids) enter as one event excluding no constraint, and each revision that shrinks
+    ``x`` by constraint ``cid`` queues ``(tick, cid, decision_arcs[x])``.  An
+    arc is revised at the first event that lists it (for another constraint)
+    and was queued after its last pop, which is where the plain arc queue
+    would pop it, so the revisions and their order are those of that queue.
+    """
     tables = state.tables
     arc_cid = tables.arc_cid
     arc_var = tables.arc_var
@@ -97,29 +111,32 @@ def propagate(state: SearchState, arc_ids: Iterable[int]) -> Optional[Wipeout]:
     slack = tables.arc_slack
     follows = tables.decision_arcs
     sizes = state.sizes
-    queue = deque(arc_ids)
-    queued = bytearray(len(arc_cid))
-    for a in queue:
-        queued[a] = 1
+    # seen[a] is the tick of a's last pop; a tick counts pops
+    seen = [0] * len(arc_cid)
+    tick = 0
+    queue = deque(((0, -1, arc_ids),))
     pop = queue.popleft
     push = queue.append
     while queue:
-        a = pop()
-        queued[a] = 0
-        # a non-binary arc has partner -1 and a slack no size exceeds
-        if sizes[partner[a]] > slack[a]:
-            continue
-        if revise(state, a):
-            cid = arc_cid[a]
-            x = arc_var[a]
-            if sizes[x] == 0:
-                state.weights[cid] += 1
-                state.wipeouts += 1
-                return Wipeout(x, cid)
-            for f in follows[x]:
-                if not queued[f] and arc_cid[f] != cid:
-                    push(f)
-                    queued[f] = 1
+        since, skip, arcs = pop()
+        for a in arcs:
+            # a was popped after this event was queued, or its constraint
+            # made the change that queued the event
+            if seen[a] > since or arc_cid[a] == skip:
+                continue
+            tick += 1
+            seen[a] = tick
+            # a non-binary arc has partner -1 and a slack no size exceeds
+            if sizes[partner[a]] > slack[a]:
+                continue
+            if revise(state, a):
+                cid = arc_cid[a]
+                x = arc_var[a]
+                if sizes[x] == 0:
+                    state.weights[cid] += 1
+                    state.wipeouts += 1
+                    return Wipeout(x, cid)
+                push((tick, cid, follows[x]))
     return None
 
 

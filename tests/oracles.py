@@ -187,6 +187,7 @@ def reference_propagate(
     domains: list[list[int]],
     weights: list[int],
     arcs: Iterable[tuple[int, int]],
+    removals: Optional[list[tuple[int, tuple[int, ...]]]] = None,
 ) -> Optional[tuple[int, int]]:
     """The plain AC-3 queue over ``(cid, var)`` arcs, revising by enumeration.
 
@@ -196,7 +197,9 @@ def reference_propagate(
     its other scope variables, is enqueued in ascending ``(cid, var)`` order
     unless already queued.  ``domains`` and ``weights`` are updated in
     place; a wipeout bumps the wiping constraint's weight and returns
-    ``(variable, constraint)``, otherwise the result is None.
+    ``(variable, constraint)``, otherwise the result is None.  When given,
+    ``removals`` collects ``(variable, removed values)`` for each revision
+    that shrinks a domain, in revision order, removed values in domain order.
     """
     follows: list[list[tuple[int, int]]] = [[] for _ in range(problem.n_vars)]
     for c in problem.constraints:
@@ -213,6 +216,8 @@ def reference_propagate(
         kept = supported_values(problem.constraints[cid], domains, x)
         if len(kept) == len(domains[x]):
             continue
+        if removals is not None:
+            removals.append((x, tuple(v for v in domains[x] if v not in kept)))
         domains[x] = kept
         if not kept:
             weights[cid] += 1

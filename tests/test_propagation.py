@@ -11,6 +11,7 @@ from branchbench.model import (
     Intensional,
     Problem,
     SearchState,
+    mask_values,
 )
 from branchbench.propagation import (
     Wipeout,
@@ -234,16 +235,24 @@ def _as_pair(wipeout):
     return None if wipeout is None else (wipeout.variable, wipeout.constraint)
 
 
+def _removals_since(st, p, token):
+    """The trail from ``token`` on as ``(variable, removed values)`` pairs."""
+    return [(x, mask_values(p.domains[x], m)) for x, m in st.trail[token:]]
+
+
 def _walk_against_reference(p, r, steps=12):
     """Random decisions and backtracks, propagated by the library and by the
     plain deque + set queue revising by tuple enumeration; both must give the
-    same wipeouts, weights and domains.  Returns (decisions, wipeouts)."""
+    same effective revisions in the same order, wipeouts, weights and
+    domains.  Returns (decisions, wipeouts)."""
     st = SearchState(p)
     domains = [list(d) for d in p.domains]
     weights = [1] * len(p.constraints)
     all_arcs = sorted((c.cid, y) for c in p.constraints for y in c.scope)
+    removals = []
     got = establish_root_gac(st)
-    assert _as_pair(got) == reference_propagate(p, domains, weights, all_arcs)
+    assert _as_pair(got) == reference_propagate(p, domains, weights, all_arcs, removals)
+    assert _removals_since(st, p, 0) == removals
     assert current_domains(st, p.n_vars) == domains
     if got is not None:
         return 0, 0
@@ -260,11 +269,14 @@ def _walk_against_reference(p, r, steps=12):
         levels.append((st.push_level(), [list(d) for d in domains]))
         reduce_domain(st, x, kept)
         domains[x] = kept
+        token = len(st.trail)
+        removals = []
         got = propagate(st, st.tables.decision_arcs[x])
-        expected = reference_propagate(p, domains, weights, _seed_arcs(p, x))
+        expected = reference_propagate(p, domains, weights, _seed_arcs(p, x), removals)
         decisions += 1
         wiped += got is not None
         assert _as_pair(got) == expected
+        assert _removals_since(st, p, token) == removals
         assert st.weights == weights
         assert current_domains(st, p.n_vars) == domains
         if got is not None or r.randrange(4) == 0:

@@ -11,10 +11,13 @@ package itself, which is the one name the package re-exports.
 
 from pathlib import Path
 
+import pytest
+
 import branchbench
 from branchbench import branching, propagation, search
 from branchbench.branching import parse_scheme
-from branchbench.generators import gen_forced
+from branchbench.generators import gen_forced, gen_langford
+from branchbench.instance_io import parse_instance
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -47,3 +50,38 @@ def test_traced_solve_counts_set_plans_and_runs_the_same_search(monkeypatch):
     assert tracer.counts["branching.set_plans"] > 0
     assert traced.stats.nodes == untraced.stats.nodes
     assert traced.status is untraced.status
+    # as in test_traced_solve_makes_the_pinned_revise_calls
+    assert tracer.counts["propagation.revisions"] == 185155
+    assert tracer.counts["propagation.revisions_effective"] == 36742
+
+
+@pytest.mark.parametrize(
+    "instance, scheme, revisions, effective",
+    [
+        ("langford 6", "2way", 6479, 1748),
+        ("langford 6", "dway", 6299, 1712),
+        # ternary allowed tables and sums: revised by scanning compiled rows
+        ("nary", "dway", 401, 72),
+    ],
+)
+def test_traced_solve_makes_the_pinned_revise_calls(
+    monkeypatch, instance, scheme, revisions, effective
+):
+    """Every revise call counts, including the many that remove nothing.
+
+    The trail shows only the revisions that remove values; the number of
+    revise calls is pinned here, so a queue change that revises more or
+    fewer arcs (the same fixpoint, at a different cost) shows.
+    """
+    monkeypatch.syspath_prepend(str(ROOT))
+    from perfbench.tracing import Tracer
+
+    if instance == "nary":
+        problem = parse_instance((ROOT / "tests" / "golden" / "nary.csp").read_text())
+    else:
+        problem = gen_langford(6)
+    tracer = Tracer()
+    with tracer.installed():
+        search.solve(problem, parse_scheme(scheme))
+    assert tracer.counts["propagation.revisions"] == revisions
+    assert tracer.counts["propagation.revisions_effective"] == effective
