@@ -98,9 +98,9 @@ def propagate(state: SearchState, arc_ids: Iterable[int]) -> Optional[Wipeout]:
     """Run the AC-3 queue over ``arc_ids`` to fixpoint; None means consistent.
 
     The FIFO holds events ``(tick, excluded cid, arcs)``: ``arc_ids``
-    (distinct arc ids) enter as one event excluding no constraint, and each revision that shrinks
-    ``x`` by constraint ``cid`` queues ``(tick, cid, decision_arcs[x])``.  An
-    arc is revised at the first event that lists it (for another constraint)
+    (distinct ids) enter as one event excluding no constraint, and a
+    revision by ``cid`` that shrinks ``x`` queues ``(tick, cid,
+    decision_arcs[x])``.  An arc is revised at the first event that lists it
     and was queued after its last pop, which is where the plain arc queue
     would pop it, so the revisions and their order are those of that queue.
     """
