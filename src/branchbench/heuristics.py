@@ -6,7 +6,9 @@ degree sums the weights of its constraints that still involve at least one
 other unassigned variable.  The variable minimizing |domain| / wdeg is
 selected, with zero wdeg treated as infinite ratio and ties broken toward the
 smallest variable index.  Ratios are compared by cross multiplication, so the
-ordering is exact.
+ordering is exact.  Selection reads the weighted degrees that
+``SearchState`` caches in ``wdeg``, kept exact by its ``assign``,
+``unassign`` and ``bump_weight``, so it is one pass over the variables.
 
 Value choice scores each current value, by its bit position in the domain
 mask, with the product, over unassigned variables sharing at least one binary
@@ -23,30 +25,18 @@ from operator import itemgetter
 from .model import SearchState
 
 
-def wdeg(state: SearchState, x: int) -> int:
-    """Weighted degree of ``x`` (constraints with another unassigned var)."""
-    assigned = state.assigned
-    weights = state.weights
-    total = 0
-    for cid, others in state.tables.var_constraints[x]:
-        for z in others:
-            if assigned[z] is None:
-                total += weights[cid]
-                break
-    return total
-
-
 def select_variable(state: SearchState) -> int:
     """Unassigned variable minimizing |domain| / wdeg (exact comparison)."""
     assigned = state.assigned
     sizes = state.sizes
+    wdeg = state.wdeg
     best = -1
     best_d = best_w = 0
     for x in range(len(sizes)):
         if assigned[x] is not None:
             continue
         d = sizes[x]
-        w = wdeg(state, x)
+        w = wdeg[x]
         if best < 0:
             best, best_d, best_w = x, d, w
             continue

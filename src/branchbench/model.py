@@ -13,8 +13,9 @@ it removes, is one :meth:`SearchState._remove_mask`, which pushes one trail
 entry ``(variable, removed mask)``; undoing it is one OR into the mask.  The
 compiled tables on the problem (arc lists with per-arc support masks for
 binary constraints, per-arc rows of bit masks for every other constraint,
-neighbour tables) are a pure indexing layer: they change nothing about
-constraint semantics, which are always those of :func:`check_tuple`.
+per-variable walk lists by domain size, neighbour tables) are a pure indexing
+layer: they change nothing about constraint semantics, which are always those
+of :func:`check_tuple`.
 
 A unary or n-ary constraint is compiled once into its satisfying tuples over
 the original domains: an allowed table directly, a forbidden or intensional
@@ -122,8 +123,8 @@ class _Tables:
     __slots__ = (
         "values", "pos", "full_masks",
         "arc_cid", "arc_var", "arc_partner", "arc_slack", "arc_sup", "arc_opp",
-        "arc_rows", "decision_arcs", "root_arcs",
-        "neighbors", "var_constraints",
+        "arc_rows", "decision_arcs", "walk", "root_arcs",
+        "neighbors", "var_binary", "var_constraints",
     )
 
     def __init__(self, problem: "Problem") -> None:
@@ -172,7 +173,10 @@ class _Tables:
         arc_opp: list = []
         arc_rows: list = []
         per_var: list[list[int]] = [[] for _ in range(n)]
-        cons_of: list[list[int]] = [[] for _ in range(n)]
+        # the constraints on x, for the wdeg cache: binary ones as (cid,
+        # partner), every other one as (cid, the other scope variables)
+        var_binary: list[list] = [[] for _ in range(n)]
+        var_constraints: list[list] = [[] for _ in range(n)]
         for c in cons:
             cid, scope = c.cid, c.scope
             first = len(arc_cid)
@@ -203,8 +207,12 @@ class _Tables:
                         for t in tuples
                     ))
             for x in scope:
-                cons_of[x].append(cid)
                 per_var[x] += [first + k for k, y in enumerate(ordered) if y != x]
+                others = tuple(z for z in scope if z != x)
+                if len(others) == 1:
+                    var_binary[x].append((cid, others[0]))
+                else:
+                    var_constraints[x].append((cid, others))
         self.arc_cid = arc_cid
         self.arc_var = arc_var
         self.arc_partner = partner
@@ -213,11 +221,19 @@ class _Tables:
         self.arc_opp = arc_opp
         self.arc_rows = arc_rows
         self.decision_arcs = [tuple(a) for a in per_var]
+        # walk[x][s]: the arcs of decision_arcs[x] that an event on x lists
+        # while x has s values, those with slack at least s, in the same
+        # order; the sizes between two slacks share one tuple
+        self.walk = []
+        for x, arcs in enumerate(self.decision_arcs):
+            top = len(self.values[x])
+            kept = [arcs] * (top + 1)
+            for s in sorted({arc_slack[a] + 1 for a in arcs if arc_slack[a] < top}):
+                kept[s:] = [tuple(a for a in arcs if s <= arc_slack[a])] * (top + 1 - s)
+            self.walk.append(kept)
         self.root_arcs = tuple(range(len(arc_cid)))
-        self.var_constraints = [
-            tuple((cid, tuple(z for z in cons[cid].scope if z != x)) for cid in cons_of[x])
-            for x in range(n)
-        ]
+        self.var_binary = [tuple(v) for v in var_binary]
+        self.var_constraints = [tuple(v) for v in var_constraints]
 
         # combined binary compatibility per unordered variable pair, used by
         # the value heuristic: comb[bit of x] = mask of compatible values of y
@@ -371,11 +387,19 @@ class Problem:
 
 class SearchState:
     """Mutable per-run state: domain masks and their sizes (propagation reads
-    a size at every queue pop), weights, assignments, the trail and counters.
-    The solution test, :meth:`all_singleton`, counts ``sizes``."""
+    a size at every queue walk), weights, assignments, the trail and counters.
+    The solution test, :meth:`all_singleton`, counts ``sizes``.
+
+    ``wdeg[x]`` caches the weighted degree of ``x``: the summed weights of
+    its constraints with at least one other unassigned scope variable.
+    ``unassigned[cid]`` counts the unassigned scope variables of each
+    constraint.  Only :meth:`assign`, :meth:`unassign` and
+    :meth:`bump_weight` change assignments or weights, and each keeps both
+    caches exact for every variable, assigned or not."""
 
     __slots__ = (
         "problem", "tables", "masks", "sizes", "weights", "assigned",
+        "wdeg", "unassigned",
         "trail", "nodes", "decisions", "wipeouts", "backtracks",
     )
 
@@ -387,6 +411,11 @@ class SearchState:
         self.sizes = [len(dom) for dom in t.values]
         self.weights = [1] * len(problem.constraints)
         self.assigned: list[Optional[int]] = [None] * problem.n_vars
+        self.wdeg = [
+            len(pairs) + sum(1 for _, others in cons if others)
+            for pairs, cons in zip(t.var_binary, t.var_constraints)
+        ]
+        self.unassigned = [len(c.scope) for c in problem.constraints]
         self.trail: list[tuple[int, int]] = []  # (variable, removed mask)
         self.nodes = 0
         self.decisions = 0
@@ -405,6 +434,63 @@ class SearchState:
     def all_singleton(self) -> bool:
         """True iff every current domain holds exactly one value."""
         return self.sizes.count(1) == len(self.sizes)
+
+    # -- assignments and weights -------------------------------------------
+
+    def assign(self, x: int, value: int) -> None:
+        """Commit the unassigned ``x`` to ``value``.  A constraint left with
+        one unassigned scope variable stops counting toward that variable's
+        wdeg; one left with none stops counting toward any."""
+        self.assigned[x] = value
+        assigned = self.assigned
+        unassigned = self.unassigned
+        weights = self.weights
+        wdeg = self.wdeg
+        # a binary constraint is left with at most one unassigned variable
+        for cid, z in self.tables.var_binary[x]:
+            unassigned[cid] -= 1
+            wdeg[z] -= weights[cid]
+        for cid, others in self.tables.var_constraints[x]:
+            u = unassigned[cid] - 1
+            unassigned[cid] = u
+            if u < 2:
+                w = weights[cid]
+                for z in others:
+                    if u == 0 or assigned[z] is None:
+                        wdeg[z] -= w
+
+    def unassign(self, x: int) -> None:
+        """Undo :meth:`assign` of ``x``; nothing if ``x`` is not assigned."""
+        assigned = self.assigned
+        if assigned[x] is None:
+            return
+        assigned[x] = None
+        unassigned = self.unassigned
+        weights = self.weights
+        wdeg = self.wdeg
+        for cid, z in self.tables.var_binary[x]:
+            unassigned[cid] += 1
+            wdeg[z] += weights[cid]
+        for cid, others in self.tables.var_constraints[x]:
+            u = unassigned[cid]
+            unassigned[cid] = u + 1
+            if u < 2:
+                w = weights[cid]
+                for z in others:
+                    if u == 0 or assigned[z] is None:
+                        wdeg[z] += w
+
+    def bump_weight(self, cid: int) -> None:
+        """Add one to the weight of constraint ``cid`` and to the wdeg of
+        each scope variable that has another unassigned one in it."""
+        self.weights[cid] += 1
+        u = self.unassigned[cid]
+        if u:
+            assigned = self.assigned
+            wdeg = self.wdeg
+            for z in self.problem.constraints[cid].scope:
+                if u > 1 or assigned[z] is not None:
+                    wdeg[z] += 1
 
     # -- trail -------------------------------------------------------------
 

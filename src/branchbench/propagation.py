@@ -6,16 +6,17 @@ current domains of the other scope variables.  The compiled tables number
 the arcs in ascending ``(cid, var)`` order (arc ``i`` is
 ``(tables.arc_cid[i], tables.arc_var[i])``), and both ``revise`` and
 ``propagate`` work on those ids.  The FIFO queue of ``propagate`` holds
-domain-change events, not arcs: the call's own arcs enter as one event, and
-a revision by constraint ``c`` that shrinks ``x`` queues one event, the arcs
-of the other constraints sharing ``x`` (``tables.decision_arcs[x]``) with
-``c`` excluded.  An arc is popped and revised at the first event that lists
-it and was queued after its last pop; a local list of pop ticks tells which
-events those are.  That is where the plain AC-3 queue of arcs, which enqueues
-an arc unless it is already queued, pops it, so both revise the same arcs
-in the same order, at one queue operation per domain change instead of one
-per arc.  A revision that empties a domain bumps the weight of exactly that
-constraint by one and stops propagation immediately.
+domain-change events, not arcs: the call's own arcs are walked first, and
+a revision by constraint ``c`` that shrinks ``x`` queues one event that
+carries ``x``, with ``c`` excluded.  Walking it visits the arcs of the other
+constraints sharing ``x`` (``tables.decision_arcs[x]``) that could remove a
+value (see below).  An arc is popped and revised at the first event that
+lists it and was queued after its last pop; a local list of pop ticks tells
+which events those are.  That is where the plain AC-3 queue of arcs, which
+enqueues an arc unless it is already queued, pops it, so both revise the
+same arcs in the same order, at one queue operation per domain change
+instead of one per arc.  A revision that empties a domain bumps the weight
+of exactly that constraint by one and stops propagation immediately.
 
 A binary arc is revised inline from its per-arc tables: ``arc_sup`` maps
 each value bit of the arc's variable to the mask of its partner supports,
@@ -31,17 +32,30 @@ one pass over a table of at most ``model.MAX_TABLE_TUPLES`` rows for a
 forbidden or intensional relation.  All removed values leave the domain as
 one trail entry.
 
-Most revisions remove nothing, and many of them are skipped unrevised.  A
-binary arc's *slack* is the largest number of original partner values that
-any target value conflicts with (1 for ``ne``; the partner's whole original
+Most revisions remove nothing, and many of them are never made.  A binary
+arc's *slack* is the largest number of original partner values that any
+target value conflicts with (1 for ``ne``; the partner's whole original
 domain when some value has no support at all).  While the partner's current
 domain is larger than the slack, every target value still has a support, so
-the revision could remove nothing: ``propagate`` drops such an arc when it
-pops it.  The test is made at pop time, never at push time, so the arcs
-popped and their order are exactly those of the plain AC-3 queue; the skipped
-revisions are exactly ones that would have returned False, and which
-revisions remove values, in what order, and which constraint takes a
-wipeout's weight are all unchanged.
+the revision could remove nothing.  The call's own arcs are each popped and
+stamped, and the ones with such a partner are then dropped unrevised.  An
+event on ``x`` lists binary arcs whose partner is ``x``, and ``x`` keeps its
+size while the event is walked.  So the walk reads
+``tables.walk[x][sizes[x]]``: the arcs of ``decision_arcs[x]`` whose slack
+that size does not exceed, in the same order.  A non-binary arc is always
+listed.
+
+The plain queue pops the arcs left out too, and a pop decides whether a
+later event revises the arc, so those pops are replayed rather than
+stamped.  This is exact because after the call's own arcs, only events on
+``x`` list a binary arc with partner ``x``; because whether an arc is
+popped at a walk does not depend on its slack; and because sizes only fall
+within a call, so an arc is left out of a prefix of the walks on ``x`` and
+listed in the rest.  Each walk on ``x`` keeps a record ``(since, tick,
+excluded cid)``.  An arc listed again replays the records of the earlier
+walks on ``x`` onto its stamp before the usual test.  The revisions made,
+which of them remove values, in what order, and which constraint takes a
+wipeout's weight are all those of the plain AC-3 queue.
 """
 
 from __future__ import annotations
@@ -97,46 +111,75 @@ def revise(state: SearchState, a: int) -> bool:
 def propagate(state: SearchState, arc_ids: Iterable[int]) -> Optional[Wipeout]:
     """Run the AC-3 queue over ``arc_ids`` to fixpoint; None means consistent.
 
-    The FIFO holds events ``(tick, excluded cid, arcs)``: ``arc_ids``
-    (distinct ids) enter as one event excluding no constraint, and a
-    revision by ``cid`` that shrinks ``x`` queues ``(tick, cid,
-    decision_arcs[x])``.  An arc is revised at the first event that lists it
+    ``arc_ids`` (distinct ids) are walked first, each arc popped and stamped.
+    A revision by ``cid`` that shrinks ``x`` then queues the event ``(tick,
+    cid, x)``, whose walk reads only ``walk[x][sizes[x]]``, the arcs the
+    slack test keeps.  An arc is revised at the first event that lists it
     and was queued after its last pop, which is where the plain arc queue
     would pop it, so the revisions and their order are those of that queue.
+    The pops of the arcs left out are not stamped; replaying the records of
+    the earlier walks on ``x`` restores them when an arc is listed again.
     """
     tables = state.tables
     arc_cid = tables.arc_cid
     arc_var = tables.arc_var
     partner = tables.arc_partner
     slack = tables.arc_slack
-    follows = tables.decision_arcs
+    walk = tables.walk
     sizes = state.sizes
-    # seen[a] is the tick of a's last pop; a tick counts pops
+    # seen[a] is the tick of a's last pop; a tick counts pops and walks
     seen = [0] * len(arc_cid)
     tick = 0
-    queue = deque(((0, -1, arc_ids),))
-    pop = queue.popleft
+    queue = deque()
     push = queue.append
+    for a in arc_ids:
+        tick += 1
+        seen[a] = tick
+        # a non-binary arc has partner -1 and a slack no size exceeds
+        if sizes[partner[a]] > slack[a]:
+            continue
+        if revise(state, a):
+            cid = arc_cid[a]
+            x = arc_var[a]
+            if sizes[x] == 0:
+                state.bump_weight(cid)
+                state.wipeouts += 1
+                return Wipeout(x, cid)
+            push((tick, cid, x))
+    # records[y]: (since, tick, excluded cid) of each earlier walk on y
+    records: dict = {}
+    pop = queue.popleft
     while queue:
-        since, skip, arcs = pop()
-        for a in arcs:
-            # a was popped after this event was queued, or its constraint
-            # made the change that queued the event
-            if seen[a] > since or arc_cid[a] == skip:
+        since, skip, y = pop()
+        tick += 1
+        record = (since, tick, skip)
+        done = records.setdefault(y, [])
+        last = done[-1][1] if done else 0
+        # an arc left out of an earlier walk on y was popped there iff its
+        # constraint was not excluded and it had not been popped since that
+        # walk's event was queued: replay onto stamps older than the last walk
+        for a in walk[y][sizes[y]]:
+            cid = arc_cid[a]
+            if cid == skip:
+                continue
+            t = seen[a]
+            if t < last:
+                for r_since, r_tick, r_skip in done:
+                    if t <= r_since and r_skip != cid:
+                        t = r_tick
+                seen[a] = t
+            if t > since:
                 continue
             tick += 1
             seen[a] = tick
-            # a non-binary arc has partner -1 and a slack no size exceeds
-            if sizes[partner[a]] > slack[a]:
-                continue
             if revise(state, a):
-                cid = arc_cid[a]
                 x = arc_var[a]
                 if sizes[x] == 0:
-                    state.weights[cid] += 1
+                    state.bump_weight(cid)
                     state.wipeouts += 1
                     return Wipeout(x, cid)
-                push((tick, cid, follows[x]))
+                push((tick, cid, x))
+        done.append(record)
     return None
 
 

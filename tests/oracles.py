@@ -69,6 +69,16 @@ def supported_values(
     return kept
 
 
+def reference_wdeg(state: SearchState, x: int) -> int:
+    """Weighted degree of ``x`` from scratch: the summed weights of its
+    constraints with at least one other unassigned scope variable."""
+    total = 0
+    for c in state.problem.constraints:
+        if x in c.scope and any(state.assigned[z] is None for z in c.scope if z != x):
+            total += state.weights[c.cid]
+    return total
+
+
 def promise_scores(state: SearchState, x: int) -> list[tuple[int, int]]:
     """``(value, score)`` for every current value of ``x``, best score first
     (ties: ascending value), by brute force over the binary constraints.

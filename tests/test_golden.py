@@ -46,3 +46,15 @@ def test_search_matches_golden_records(source):
     problem = write_golden.load_source(source, GOLDEN)
     for pinned in (r for r in RECORDS if r["source"] == source):
         assert write_golden.record(source, problem, pinned["scheme"]) == pinned
+
+
+@pytest.mark.parametrize("source", write_golden.SOURCES)
+def test_walk_tables_list_the_arcs_the_slack_test_keeps(source):
+    """``walk[x][s]`` is ``decision_arcs[x]`` filtered by ``s <= slack``, in
+    order, for every size ``s`` of ``x``; equal tuples are one object."""
+    tables = write_golden.load_source(source, GOLDEN).tables
+    for x, arcs in enumerate(tables.decision_arcs):
+        walk = tables.walk[x]
+        for s in range(1, len(tables.values[x]) + 1):
+            assert walk[s] == tuple(a for a in arcs if s <= tables.arc_slack[a])
+        assert len({id(t) for t in walk[1:]}) == len(set(walk[1:]))

@@ -1,13 +1,18 @@
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+from branchbench import search
+from branchbench.branching import SCHEME_NAMES, parse_scheme
 from branchbench.exprs import Call, Const, VarRef
-from branchbench.generators import gen_randomb
-from branchbench.heuristics import score_domain, select_variable, wdeg
+from branchbench.generators import gen_forced, gen_langford, gen_randomb
+from branchbench.heuristics import score_domain, select_variable
+from branchbench.instance_io import parse_instance
 from branchbench.model import Constraint, Intensional, Problem, SearchState
 from branchbench.propagation import establish_root_gac, propagate
-from oracles import promise_scores
+from oracles import promise_scores, reference_wdeg
 from util import (
     _random_extensional,
     _random_intensional,
@@ -18,6 +23,8 @@ from util import (
     remove_values,
     walk_states,
 )
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def intens(name, *args):
@@ -93,7 +100,7 @@ def test_promise_requires_all_pair_constraints():
 
 def test_promise_skips_assigned_neighbors():
     st = SearchState(lt_problem())
-    st.assigned[1] = 0
+    st.assign(1, 0)
     assert scores_of(st, 0) == {0: 1, 1: 1}  # no unassigned neighbors left
 
 
@@ -147,18 +154,22 @@ def test_scores_shift_after_sibling_pruning():
 def test_wdeg_hand_values_and_selection():
     p = Problem(
         ("x", "y", "z"),
-        ((0, 1), (0, 1, 2), (0, 1, 2, 3)),
+        ((0, 1, 2), (0, 1), (0, 1, 2, 3)),
         (
             Constraint(0, (0, 1), ("x", "y"), ne_rel("x", "y")),
             Constraint(1, (0, 2), ("x", "z"), ne_rel("x", "z")),
         ),
     )
     st = SearchState(p)
-    assert (wdeg(st, 0), wdeg(st, 1), wdeg(st, 2)) == (2, 1, 1)
-    assert select_variable(st) == 0  # ratios 1, 3, 4
-    st.assigned[2] = 0
-    assert wdeg(st, 0) == 1  # constraint to z no longer counts
-    assert select_variable(st) == 0  # ratios 2, 3
+    assert st.wdeg == [reference_wdeg(st, x) for x in range(3)] == [2, 1, 1]
+    assert select_variable(st) == 0  # ratios 1.5, 2, 4
+    st.assign(2, 0)
+    assert st.wdeg[0] == reference_wdeg(st, 0) == 1  # constraint to z no longer counts
+    # ratios 3, 2: a wdeg left at 2 would keep x's 1.5 and select x
+    assert select_variable(st) == 1
+    st.unassign(2)
+    assert st.wdeg == [2, 1, 1]
+    assert select_variable(st) == 0
 
 
 def test_wdeg_zero_is_ratio_infinity():
@@ -170,8 +181,8 @@ def test_wdeg_zero_is_ratio_infinity():
     st = SearchState(p)
     # "free" has the smallest |D|/wdeg only if wdeg 0 counted as finite
     assert select_variable(st) == 1
-    st.assigned[1] = 0
-    st.assigned[2] = 0
+    st.assign(1, 0)
+    st.assign(2, 0)
     assert select_variable(st) == 0  # last resort
 
 
@@ -201,6 +212,8 @@ def test_select_variable_exact_ratio_compare():
     st.weights[0] = 10**18 + 1
     st.weights[1] = 10**18
     st.weights[2] = 10**18
+    # search only ever bumps a weight by one; set the cache to match these
+    st.wdeg[:] = [reference_wdeg(st, x) for x in range(3)]
     # ratios: a = 3/(2e18+1), b = 2/(2e18+1), c = 2/(2e18)
     # exact compare: b < a iff 2*(2e18+1) < 3*(2e18+1) yes; b vs c:
     # 2/(2e18+1) < 2/(2e18) so b wins
@@ -210,7 +223,7 @@ def test_select_variable_exact_ratio_compare():
 def test_select_requires_an_unassigned_variable():
     p = Problem(("a",), ((0, 1),), ())
     st = SearchState(p)
-    st.assigned[0] = 0
+    st.assign(0, 0)
     with pytest.raises(ValueError):
         select_variable(st)
 
@@ -285,3 +298,47 @@ def test_score_domain_matches_brute_force_oracle():
         p = gen_randomb(8, 5, 20, 11, seed)
         checked += _walk_checking_scores(p, random.Random(seed), steps=20)
     assert checked >= 500
+
+
+def _assert_wdeg_cache(state):
+    for x in range(state.problem.n_vars):
+        assert state.wdeg[x] == reference_wdeg(state, x)
+
+
+def test_cached_wdeg_matches_reference_on_random_walks():
+    """Decisions, backtracks and wipeout bumps all keep ``SearchState.wdeg``
+    equal to the weighted degree computed from scratch, for every variable."""
+    nary = parse_instance((GOLDEN / "nary.csp").read_text())
+    walks = [(random_problem(seed, max_vars=7, max_dom=6), seed) for seed in range(150)]
+    walks += [(gen_randomb(8, 5, 20, 11, seed), seed) for seed in range(10)]
+    walks += [(nary, seed) for seed in range(40)]
+    checked = 0
+    ternary_bumps = Counter()
+    for p, seed in walks:
+        st = None
+        for st in walk_states(p, random.Random(seed), 20):
+            _assert_wdeg_cache(st)
+            checked += 1
+        if st is not None:
+            for c in p.constraints:
+                ternary_bumps[len(c.scope) == 3] += st.weights[c.cid] - 1
+    assert checked >= 1000
+    assert ternary_bumps[True] >= 100 and ternary_bumps[False] >= 100
+
+
+@pytest.mark.parametrize("name", SCHEME_NAMES)
+def test_cached_wdeg_matches_reference_at_every_selection(monkeypatch, name):
+    selections = []
+
+    def checked_select(state, _select=search.select_variable):
+        for x in range(state.problem.n_vars):
+            if state.assigned[x] is None:
+                assert state.wdeg[x] == reference_wdeg(state, x)
+        selections.append(state.wipeouts)
+        return _select(state)
+
+    monkeypatch.setattr(search, "select_variable", checked_select)
+    for problem in (gen_langford(7), gen_forced(30, 20, 150, 180, 1)):
+        search.solve(problem, parse_scheme(name))
+    # the forced instance bumps weights before some selections
+    assert len(selections) > 100 and selections[-1] > 0

@@ -79,11 +79,11 @@ def walk_states(p: Problem, r: random.Random, steps: int):
         levels.append((st.push_level(), x))
         reduce_domain(st, x, kept)
         if len(kept) == 1:
-            st.assigned[x] = kept[0]
+            st.assign(x, kept[0])
         wiped = propagate(st, st.tables.decision_arcs[x]) is not None
         if wiped or r.randrange(4) == 0:
             token, x = levels.pop()
-            st.assigned[x] = None
+            st.unassign(x)
             st.undo_to(token)
 
 
