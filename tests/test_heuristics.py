@@ -300,11 +300,6 @@ def test_score_domain_matches_brute_force_oracle():
     assert checked >= 500
 
 
-def _assert_wdeg_cache(state):
-    for x in range(state.problem.n_vars):
-        assert state.wdeg[x] == reference_wdeg(state, x)
-
-
 def test_cached_wdeg_matches_reference_on_random_walks():
     """Decisions, backtracks and wipeout bumps all keep ``SearchState.wdeg``
     equal to the weighted degree computed from scratch, for every variable."""
@@ -317,7 +312,7 @@ def test_cached_wdeg_matches_reference_on_random_walks():
     for p, seed in walks:
         st = None
         for st in walk_states(p, random.Random(seed), 20):
-            _assert_wdeg_cache(st)
+            assert st.wdeg == [reference_wdeg(st, x) for x in range(p.n_vars)]
             checked += 1
         if st is not None:
             for c in p.constraints:
