@@ -33,7 +33,7 @@ def select_variable(state: SearchState) -> int:
     best = -1
     best_d = best_w = 0
     for x in range(len(sizes)):
-        if assigned[x] is not None:
+        if assigned[x]:
             continue
         d = sizes[x]
         w = wdeg[x]
@@ -64,7 +64,7 @@ def score_domain(state: SearchState, x: int) -> list[tuple[int, int]]:
         m ^= b
     scores = [1] * len(bits)
     for y, comb in tables.neighbors[x]:
-        if assigned[y] is None:
+        if not assigned[y]:
             my = masks[y]
             for k, bit in enumerate(bits):
                 scores[k] *= (comb[bit] & my).bit_count()

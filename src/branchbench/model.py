@@ -31,7 +31,7 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .exprs import (
     EvalError,
@@ -387,19 +387,18 @@ class Problem:
 
 class SearchState:
     """Mutable per-run state: domain masks and their sizes (propagation reads
-    a size at every queue walk), weights, assignments, the trail and counters.
-    The solution test, :meth:`all_singleton`, counts ``sizes``.
+    a size at every queue walk), weights, assignment flags, the trail and
+    counters.  The solution test, :meth:`all_singleton`, counts ``sizes``.
 
-    ``wdeg[x]`` caches the weighted degree of ``x``: the summed weights of
-    its constraints with at least one other unassigned scope variable.
-    ``unassigned[cid]`` counts the unassigned scope variables of each
-    constraint.  Only :meth:`assign`, :meth:`unassign` and
-    :meth:`bump_weight` change assignments or weights, and each keeps both
-    caches exact for every variable, assigned or not."""
+    ``assigned[x]`` is True while search has committed ``x``; the value is
+    its singleton domain.  ``wdeg[x]`` caches the weighted degree of ``x``:
+    the summed weights of its constraints with at least one other unassigned
+    scope variable.  Only :meth:`assign`, :meth:`unassign` and
+    :meth:`bump_weight` change assignments or weights, and each keeps the
+    cache exact for every variable, assigned or not."""
 
     __slots__ = (
-        "problem", "tables", "masks", "sizes", "weights", "assigned",
-        "wdeg", "unassigned",
+        "problem", "tables", "masks", "sizes", "weights", "assigned", "wdeg",
         "trail", "nodes", "decisions", "wipeouts", "backtracks",
     )
 
@@ -410,12 +409,11 @@ class SearchState:
         self.masks = list(t.full_masks)
         self.sizes = [len(dom) for dom in t.values]
         self.weights = [1] * len(problem.constraints)
-        self.assigned: list[Optional[int]] = [None] * problem.n_vars
+        self.assigned = [False] * problem.n_vars
         self.wdeg = [
             len(pairs) + sum(1 for _, others in cons if others)
             for pairs, cons in zip(t.var_binary, t.var_constraints)
         ]
-        self.unassigned = [len(c.scope) for c in problem.constraints]
         self.trail: list[tuple[int, int]] = []  # (variable, removed mask)
         self.nodes = 0
         self.decisions = 0
@@ -437,59 +435,52 @@ class SearchState:
 
     # -- assignments and weights -------------------------------------------
 
-    def assign(self, x: int, value: int) -> None:
-        """Commit the unassigned ``x`` to ``value``.  A constraint left with
-        one unassigned scope variable stops counting toward that variable's
+    def assign(self, x: int) -> None:
+        """Commit the unassigned ``x``.  A constraint left with one
+        unassigned scope variable stops counting toward that variable's
         wdeg; one left with none stops counting toward any."""
-        self.assigned[x] = value
         assigned = self.assigned
-        unassigned = self.unassigned
+        assigned[x] = True
         weights = self.weights
         wdeg = self.wdeg
         # a binary constraint is left with at most one unassigned variable
         for cid, z in self.tables.var_binary[x]:
-            unassigned[cid] -= 1
             wdeg[z] -= weights[cid]
         for cid, others in self.tables.var_constraints[x]:
-            u = unassigned[cid] - 1
-            unassigned[cid] = u
-            if u < 2:
+            free = [z for z in others if not assigned[z]]
+            if len(free) < 2:
                 w = weights[cid]
-                for z in others:
-                    if u == 0 or assigned[z] is None:
-                        wdeg[z] -= w
+                for z in free or others:
+                    wdeg[z] -= w
 
     def unassign(self, x: int) -> None:
         """Undo :meth:`assign` of ``x``; nothing if ``x`` is not assigned."""
         assigned = self.assigned
-        if assigned[x] is None:
+        if not assigned[x]:
             return
-        assigned[x] = None
-        unassigned = self.unassigned
+        assigned[x] = False
         weights = self.weights
         wdeg = self.wdeg
         for cid, z in self.tables.var_binary[x]:
-            unassigned[cid] += 1
             wdeg[z] += weights[cid]
         for cid, others in self.tables.var_constraints[x]:
-            u = unassigned[cid]
-            unassigned[cid] = u + 1
-            if u < 2:
+            free = [z for z in others if not assigned[z]]
+            if len(free) < 2:
                 w = weights[cid]
-                for z in others:
-                    if u == 0 or assigned[z] is None:
-                        wdeg[z] += w
+                for z in free or others:
+                    wdeg[z] += w
 
     def bump_weight(self, cid: int) -> None:
         """Add one to the weight of constraint ``cid`` and to the wdeg of
         each scope variable that has another unassigned one in it."""
         self.weights[cid] += 1
-        u = self.unassigned[cid]
-        if u:
-            assigned = self.assigned
+        assigned = self.assigned
+        scope = self.problem.constraints[cid].scope
+        free = [z for z in scope if not assigned[z]]
+        if free:
             wdeg = self.wdeg
-            for z in self.problem.constraints[cid].scope:
-                if u > 1 or assigned[z] is not None:
+            for z in scope:
+                if free != [z]:
                     wdeg[z] += 1
 
     # -- trail -------------------------------------------------------------

@@ -8,7 +8,8 @@ assigned only when a branch reduced its domain to a singleton; domains that
 collapse to one value through propagation stay unassigned until search selects
 them (their plans then commit them).  Only ``x``'s own frame assigns ``x``, so
 backtracking that frame clears it.  Both go through ``SearchState.assign`` and
-``unassign``, which keep the cached wdeg that variable selection reads.
+``unassign``, which set one flag per variable (the value is the singleton
+domain itself) and keep the cached wdeg that variable selection reads.
 
 The engine is one loop over an explicit frame stack, so deep runs cannot hit
 the interpreter recursion limit.  Root GAC and every propagated branch lead to
@@ -153,7 +154,7 @@ def solve(
             removed = state.masks[x] ^ mask
             kind = "L" if fr.binary else f"E#{fr.idx}"
             if mask & (mask - 1) == 0:
-                state.assign(x, values_of[x][mask.bit_length() - 1])
+                state.assign(x)
         if removed:  # empty when the plan's set is the whole domain
             state._remove_mask(x, removed)
         state.nodes += 1

@@ -69,13 +69,15 @@ def supported_values(
     return kept
 
 
-def reference_wdeg(state: SearchState, x: int) -> int:
-    """Weighted degree of ``x`` from scratch: the summed weights of its
-    constraints with at least one other unassigned scope variable."""
-    total = 0
+def reference_wdeg(state: SearchState) -> list[int]:
+    """Every variable's weighted degree from scratch, in one pass over the
+    constraints: the summed weights of its constraints with at least one
+    other unassigned scope variable."""
+    total = [0] * state.problem.n_vars
     for c in state.problem.constraints:
-        if x in c.scope and any(state.assigned[z] is None for z in c.scope if z != x):
-            total += state.weights[c.cid]
+        for x in c.scope:
+            if any(not state.assigned[z] for z in c.scope if z != x):
+                total[x] += state.weights[c.cid]
     return total
 
 
@@ -97,7 +99,7 @@ def promise_scores(state: SearchState, x: int) -> list[tuple[int, int]]:
     for v in domain_values(state, x):
         score = 1
         for y, cons in between.items():
-            if state.assigned[y] is None:
+            if not state.assigned[y]:
                 score *= sum(
                     all(check_tuple(c, (v, w) if c.scope[0] == x else (w, v)) for c in cons)
                     for w in domain_values(state, y)
@@ -192,12 +194,24 @@ def gac_fixpoint(
     return current
 
 
+def binary_slack(constraint: Constraint, domains: Sequence[Sequence[int]], x: int) -> int:
+    """The most values of the partner's original domain that any original
+    value of ``x`` conflicts with, under the binary ``constraint``."""
+    (y,) = (z for z in constraint.scope if z != x)
+    first = constraint.scope[0] == x
+    return max(
+        sum(not check_tuple(constraint, (v, w) if first else (w, v)) for w in domains[y])
+        for v in domains[x]
+    )
+
+
 def reference_propagate(
     problem: Problem,
     domains: list[list[int]],
     weights: list[int],
     arcs: Iterable[tuple[int, int]],
     removals: Optional[list[tuple[int, tuple[int, ...]]]] = None,
+    revisions: Optional[list[tuple[int, int]]] = None,
 ) -> Optional[tuple[int, int]]:
     """The plain AC-3 queue over ``(cid, var)`` arcs, revising by enumeration.
 
@@ -210,6 +224,11 @@ def reference_propagate(
     ``(variable, constraint)``, otherwise the result is None.  When given,
     ``removals`` collects ``(variable, removed values)`` for each revision
     that shrinks a domain, in revision order, removed values in domain order.
+
+    A popped binary arc whose partner's current domain is larger than its
+    ``binary_slack`` is not revised: every value keeps a support.  When
+    given, ``revisions`` collects every arc revised, no-ops included, in
+    order.
     """
     follows: list[list[tuple[int, int]]] = [[] for _ in range(problem.n_vars)]
     for c in problem.constraints:
@@ -223,7 +242,14 @@ def reference_propagate(
         arc = queue.popleft()
         queued.discard(arc)
         cid, x = arc
-        kept = supported_values(problem.constraints[cid], domains, x)
+        c = problem.constraints[cid]
+        if len(c.scope) == 2:
+            (y,) = (z for z in c.scope if z != x)
+            if len(domains[y]) > binary_slack(c, problem.domains, x):
+                continue
+        if revisions is not None:
+            revisions.append(arc)
+        kept = supported_values(c, domains, x)
         if len(kept) == len(domains[x]):
             continue
         if removals is not None:

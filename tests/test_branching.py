@@ -185,7 +185,7 @@ def test_set_scheme_plans_match_the_reference_on_random_walks():
         p = random_problem(seed, max_vars=7, max_dom=6)
         for state in walk_states(p, random.Random(seed), steps=12):
             for x in range(p.n_vars):
-                if state.assigned[x] is not None:
+                if state.assigned[x]:
                     continue
                 several = len({score for _, score in promise_scores(state, x)}) > 1
                 for sc in schemes:
@@ -233,16 +233,17 @@ def test_plan_masks_cut_the_current_domain(name):
     covers the domain and a binary plan has one mask."""
     schemes = (scheme(name), scheme(name, kmax=1), scheme(name, threshold=0))
     binary = name in ("2way", "split", "ties-2way", "clust-2way")
-    set_masks = 0
+    plans = set_masks = 0
     for seed in range(150):
         p = random_problem(seed, max_vars=7, max_dom=6)
         for state in walk_states(p, random.Random(seed), steps=12):
             for x in range(p.n_vars):
-                if state.assigned[x] is not None:
+                if state.assigned[x]:
                     continue
                 cur = state.masks[x]
                 for sc in schemes:
                     got = plan(sc, state, x)
+                    plans += 1
                     union = 0
                     for m in got.masks:
                         assert m != 0
@@ -254,6 +255,7 @@ def test_plan_masks_cut_the_current_domain(name):
                         assert len(got.masks) == 1
                     else:
                         assert union == cur
+    assert plans >= 3000
     if name not in ("dway", "2way"):
         assert set_masks >= 50
     else:

@@ -3,8 +3,9 @@ from collections import Counter
 
 import pytest
 
+from branchbench import propagation
 from branchbench.exprs import Call, Const, VarRef
-from branchbench.generators import gen_randomb
+from branchbench.generators import gen_langford, gen_randomb
 from branchbench.model import (
     Constraint,
     ExtensionalAllowed,
@@ -240,18 +241,37 @@ def _removals_since(st, p, token):
     return [(x, mask_values(p.domains[x], m)) for x, m in st.trail[token:]]
 
 
-def _walk_against_reference(p, r, steps=12):
+@pytest.fixture
+def revise_calls(monkeypatch):
+    """Every ``propagation.revise`` call from then on, as its ``(cid, var)``."""
+    calls = []
+
+    def recording_revise(state, a, _revise=revise):
+        calls.append((state.tables.arc_cid[a], state.tables.arc_var[a]))
+        return _revise(state, a)
+
+    monkeypatch.setattr(propagation, "revise", recording_revise)
+    return calls
+
+
+def _walk_against_reference(p, r, calls, steps=12):
     """Random decisions and backtracks, propagated by the library and by the
     plain deque + set queue revising by tuple enumeration; both must give the
-    same effective revisions in the same order, wipeouts, weights and
-    domains.  Returns (decisions, wipeouts)."""
+    same revisions (no-ops included) in the same order, removals, wipeouts,
+    weights and domains.  ``calls`` is the ``revise_calls`` fixture's list.
+    Returns (decisions, wipeouts)."""
     st = SearchState(p)
     domains = [list(d) for d in p.domains]
     weights = [1] * len(p.constraints)
     all_arcs = sorted((c.cid, y) for c in p.constraints for y in c.scope)
     removals = []
+    revisions = []
+    calls.clear()
     got = establish_root_gac(st)
-    assert _as_pair(got) == reference_propagate(p, domains, weights, all_arcs, removals)
+    assert _as_pair(got) == reference_propagate(
+        p, domains, weights, all_arcs, removals, revisions
+    )
+    assert calls == revisions
     assert _removals_since(st, p, 0) == removals
     assert current_domains(st, p.n_vars) == domains
     if got is not None:
@@ -271,11 +291,16 @@ def _walk_against_reference(p, r, steps=12):
         domains[x] = kept
         token = len(st.trail)
         removals = []
+        revisions = []
+        calls.clear()
         got = propagate(st, st.tables.decision_arcs[x])
-        expected = reference_propagate(p, domains, weights, _seed_arcs(p, x), removals)
+        expected = reference_propagate(
+            p, domains, weights, _seed_arcs(p, x), removals, revisions
+        )
         decisions += 1
         wiped += got is not None
         assert _as_pair(got) == expected
+        assert calls == revisions
         assert _removals_since(st, p, token) == removals
         assert st.weights == weights
         assert current_domains(st, p.n_vars) == domains
@@ -286,23 +311,37 @@ def _walk_against_reference(p, r, steps=12):
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_propagate_matches_reference_queue_on_mixed_arity(seed):
+def test_propagate_matches_reference_queue_on_mixed_arity(revise_calls, seed):
     decisions = 0
     for sub in range(40):
         p = random_problem(seed * 1000 + sub, max_vars=7, max_dom=6)
-        decisions += _walk_against_reference(p, random.Random(seed * 1000 + sub))[0]
+        r = random.Random(seed * 1000 + sub)
+        decisions += _walk_against_reference(p, r, revise_calls)[0]
     assert decisions >= 40
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_propagate_matches_reference_queue_on_tight_binary(seed):
+def test_propagate_matches_reference_queue_on_tight_binary(revise_calls, seed):
     decisions = wiped = 0
     for sub in range(10):
         p = gen_randomb(8, 5, 20, 11, seed * 100 + sub)
-        got = _walk_against_reference(p, random.Random(seed * 100 + sub), steps=20)
+        r = random.Random(seed * 100 + sub)
+        got = _walk_against_reference(p, r, revise_calls, steps=20)
         decisions += got[0]
         wiped += got[1]
     assert decisions >= 40 and wiped >= 20
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_propagate_revises_the_reference_arcs_on_structured_walks(revise_calls, seed):
+    """Larger domains and longer queues than the random problems: walks on
+    them reach arcs the slack test leaves out of one walk and lists in a
+    later one, whose no-op revisions the small problems do not show."""
+    decisions = 0
+    for p in (gen_langford(6), gen_randomb(20, 10, 90, 41, seed)):
+        r = random.Random(seed)
+        decisions += _walk_against_reference(p, r, revise_calls, steps=20)[0]
+    assert decisions >= 30
 
 
 def _slack_of(problem, cid, x):

@@ -69,7 +69,7 @@ def walk_states(p: Problem, r: random.Random, steps: int):
     levels = []
     for _ in range(steps):
         yield st
-        open_vars = [x for x in range(p.n_vars) if st.assigned[x] is None and st.sizes[x] > 1]
+        open_vars = [x for x in range(p.n_vars) if not st.assigned[x] and st.sizes[x] > 1]
         if not open_vars:
             return
         x = r.choice(open_vars)
@@ -79,7 +79,7 @@ def walk_states(p: Problem, r: random.Random, steps: int):
         levels.append((st.push_level(), x))
         reduce_domain(st, x, kept)
         if len(kept) == 1:
-            st.assign(x, kept[0])
+            st.assign(x)
         wiped = propagate(st, st.tables.decision_arcs[x]) is not None
         if wiped or r.randrange(4) == 0:
             token, x = levels.pop()
