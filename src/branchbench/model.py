@@ -13,9 +13,9 @@ it removes, is one :meth:`SearchState._remove_mask`, which pushes one trail
 entry ``(variable, removed mask)``; undoing it is one OR into the mask.  The
 compiled tables on the problem (arc lists with per-arc support masks for
 binary constraints, per-arc rows of bit masks for every other constraint,
-per-variable walk lists by domain size, neighbour tables) are a pure indexing
-layer: they change nothing about constraint semantics, which are always those
-of :func:`check_tuple`.
+per-variable walk lists by domain size, neighbour tables) are built in one
+pass over the constraints and are a pure indexing layer: they change nothing
+about constraint semantics, which are always those of :func:`check_tuple`.
 
 A unary or n-ary constraint is compiled once into its satisfying tuples over
 the original domains: an allowed table directly, a forbidden or intensional
@@ -123,7 +123,7 @@ class _Tables:
     __slots__ = (
         "values", "pos", "full_masks",
         "arc_cid", "arc_var", "arc_partner", "arc_slack", "arc_sup", "arc_opp",
-        "arc_rows", "decision_arcs", "walk", "root_arcs",
+        "arc_rows", "walk",
         "neighbors", "var_binary", "var_constraints",
     )
 
@@ -133,28 +133,6 @@ class _Tables:
         self.pos = [{v: i for i, v in enumerate(dom)} for dom in self.values]
         self.full_masks = [(1 << len(dom)) - 1 for dom in self.values]
 
-        cons = problem.constraints
-        bin_sup: list = [None] * len(cons)
-        bin_slack: list = [None] * len(cons)
-
-        sup_cache: dict = {}
-        for c in cons:
-            if len(c.scope) == 2:
-                u, v = c.scope
-                key = (_relation_signature(c), self.values[u], self.values[v])
-                got = sup_cache.get(key)
-                if got is None:
-                    sup = self._build_binary_support(c)
-                    # slack per side: the most partner values that any value
-                    # of this side conflicts with
-                    sup_u, sup_v = sup
-                    slack = (
-                        len(self.values[v]) - min(map(int.bit_count, sup_u)),
-                        len(self.values[u]) - min(map(int.bit_count, sup_v)),
-                    )
-                    got = sup_cache[key] = (sup, slack)
-                bin_sup[c.cid], bin_slack[c.cid] = got
-
         # arc i revises constraint arc_cid[i] at variable arc_var[i], numbered
         # in ascending (cid, var) order; a binary arc also keeps its partner
         # variable, its slack, the support table of its own side (arc_sup:
@@ -162,9 +140,8 @@ class _Tables:
         # bit of the partner -> mask of x values).  Any other arc has partner
         # -1, a slack no domain size exceeds and, in arc_rows, one row per
         # satisfying tuple: (bit of x, ((z, bit of z) for the other scope
-        # variables)).  The arcs queued after a decision on x are every
-        # constraint on x revised at its other scope variables, ascending
-        # (cid, var).
+        # variables)).  An event on x lists decision_arcs[x]: every constraint
+        # on x revised at its other scope variables, ascending (cid, var).
         arc_cid: list[int] = []
         arc_var: list[int] = []
         partner: list[int] = []
@@ -172,21 +149,43 @@ class _Tables:
         arc_sup: list = []
         arc_opp: list = []
         arc_rows: list = []
-        per_var: list[list[int]] = [[] for _ in range(n)]
+        decision_arcs: list[list[int]] = [[] for _ in range(n)]
         # the constraints on x, for the wdeg cache: binary ones as (cid,
         # partner), every other one as (cid, the other scope variables)
         var_binary: list[list] = [[] for _ in range(n)]
         var_constraints: list[list] = [[] for _ in range(n)]
-        for c in cons:
+        # binary supports and slacks, shared by relations equal up to renaming
+        # over the same domains
+        sup_cache: dict = {}
+        # combined binary compatibility per ordered variable pair, used by
+        # the value heuristic: comb[bit of x] = mask of compatible values of y
+        pair_comb: dict[tuple[int, int], tuple[int, ...]] = {}
+        for c in problem.constraints:
             cid, scope = c.cid, c.scope
             first = len(arc_cid)
             ordered = sorted(scope)
             arc_cid += [cid] * len(scope)
             arc_var += ordered
             if len(scope) == 2:
+                u, v = scope
+                key = (_relation_signature(c), self.values[u], self.values[v])
+                got = sup_cache.get(key)
+                if got is None:
+                    sup_u, sup_v = sup = self._build_binary_support(c)
+                    # slack per side: the most partner values that any value
+                    # of this side conflicts with
+                    slack = (
+                        len(self.values[v]) - min(map(int.bit_count, sup_u)),
+                        len(self.values[u]) - min(map(int.bit_count, sup_v)),
+                    )
+                    got = sup_cache[key] = (sup, slack)
+                sup, slack = got
+                for a, b, rows in ((u, v, sup[0]), (v, u, sup[1])):
+                    comb = pair_comb.get((a, b))
+                    if comb is not None:
+                        rows = tuple(old & r for old, r in zip(comb, rows))
+                    pair_comb[(a, b)] = rows
                 partner += ordered[::-1]
-                slack = bin_slack[cid]
-                sup = bin_sup[cid]
                 if ordered[0] != scope[0]:
                     slack = slack[::-1]
                     sup = sup[::-1]
@@ -207,7 +206,7 @@ class _Tables:
                         for t in tuples
                     ))
             for x in scope:
-                per_var[x] += [first + k for k, y in enumerate(ordered) if y != x]
+                decision_arcs[x] += [first + k for k, y in enumerate(ordered) if y != x]
                 others = tuple(z for z in scope if z != x)
                 if len(others) == 1:
                     var_binary[x].append((cid, others[0]))
@@ -220,38 +219,22 @@ class _Tables:
         self.arc_sup = arc_sup
         self.arc_opp = arc_opp
         self.arc_rows = arc_rows
-        self.decision_arcs = [tuple(a) for a in per_var]
         # walk[x][s]: the arcs of decision_arcs[x] that an event on x lists
         # while x has s values, those with slack at least s, in the same
         # order; the sizes between two slacks share one tuple
         self.walk = []
-        for x, arcs in enumerate(self.decision_arcs):
+        for x, arcs in enumerate(decision_arcs):
+            arcs = tuple(arcs)
             top = len(self.values[x])
             kept = [arcs] * (top + 1)
             for s in sorted({arc_slack[a] + 1 for a in arcs if arc_slack[a] < top}):
                 kept[s:] = [tuple(a for a in arcs if s <= arc_slack[a])] * (top + 1 - s)
             self.walk.append(kept)
-        self.root_arcs = tuple(range(len(arc_cid)))
         self.var_binary = [tuple(v) for v in var_binary]
         self.var_constraints = [tuple(v) for v in var_constraints]
-
-        # combined binary compatibility per unordered variable pair, used by
-        # the value heuristic: comb[bit of x] = mask of compatible values of y
-        pair_comb: dict[tuple[int, int], list[int]] = {}
-        for c in cons:
-            if len(c.scope) != 2:
-                continue
-            u, v = c.scope
-            sup_u, sup_v = bin_sup[c.cid]
-            for a, b, sup in ((u, v, sup_u), (v, u, sup_v)):
-                comb = pair_comb.get((a, b))
-                if comb is None:
-                    pair_comb[(a, b)] = list(sup)
-                else:
-                    pair_comb[(a, b)] = [old & s for old, s in zip(comb, sup)]
         grouped: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(n)]
         for (a, b), comb in sorted(pair_comb.items()):
-            grouped[a].append((b, tuple(comb)))
+            grouped[a].append((b, comb))
         self.neighbors = [tuple(g) for g in grouped]
 
     def _build_binary_support(self, c: Constraint):

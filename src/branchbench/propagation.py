@@ -6,17 +6,19 @@ current domains of the other scope variables.  The compiled tables number
 the arcs in ascending ``(cid, var)`` order (arc ``i`` is
 ``(tables.arc_cid[i], tables.arc_var[i])``), and both ``revise`` and
 ``propagate`` work on those ids.  The FIFO queue of ``propagate`` holds
-domain-change events, not arcs: the call's own arcs are walked first, and
-a revision by constraint ``c`` that shrinks ``x`` queues one event that
-carries ``x``, with ``c`` excluded.  Walking it visits the arcs of the other
-constraints sharing ``x`` (``tables.decision_arcs[x]``) that could remove a
-value (see below).  An arc is popped and revised at the first event that
-lists it and was queued after its last pop; a local list of pop ticks tells
-which events those are.  That is where the plain AC-3 queue of arcs, which
-enqueues an arc unless it is already queued, pops it, so both revise the
-same arcs in the same order, at one queue operation per domain change
-instead of one per arc.  A revision that empties a domain bumps the weight
-of exactly that constraint by one and stops propagation immediately.
+domain-change events, not arcs.  A decision on ``x`` is one event on ``x``
+that excludes no constraint; only root GAC walks an arc list, every arc in
+ascending order.  A revision by constraint ``c`` that shrinks ``x`` queues
+one event that carries ``x``, with ``c`` excluded.  Walking an event on
+``x`` visits, in ascending order, the arcs of the constraints on ``x`` at
+their other scope variables that could remove a value (see below).  An arc
+is popped and revised at the first event that lists it and was queued after
+its last pop; a local list of pop ticks tells which events those are.  That
+is where the plain AC-3 queue of arcs, which enqueues an arc unless it is
+already queued, pops it, so both revise the same arcs in the same order, at
+one queue operation per domain change instead of one per arc.  A revision
+that empties a domain bumps the weight of exactly that constraint by one and
+stops propagation immediately.
 
 A binary arc is revised inline from its per-arc tables: ``arc_sup`` maps
 each value bit of the arc's variable to the mask of its partner supports,
@@ -37,18 +39,18 @@ arc's *slack* is the largest number of original partner values that any
 target value conflicts with (1 for ``ne``; the partner's whole original
 domain when some value has no support at all).  While the partner's current
 domain is larger than the slack, every target value still has a support, so
-the revision could remove nothing.  The call's own arcs are each popped and
-stamped, and the ones with such a partner are then dropped unrevised.  An
-event on ``x`` lists binary arcs whose partner is ``x``, and ``x`` keeps its
-size while the event is walked.  So the walk reads
-``tables.walk[x][sizes[x]]``: the arcs of ``decision_arcs[x]`` whose slack
+the revision could remove nothing.  The root walk pops and stamps every
+arc, and drops the ones with such a partner unrevised.  An event on ``x``
+lists binary arcs whose partner is ``x``, and none of its arcs revises
+``x``, so ``x`` keeps its size while the event is walked.  So the walk reads
+``tables.walk[x][sizes[x]]``: the arcs an event on ``x`` lists whose slack
 that size does not exceed, in the same order.  A non-binary arc is always
 listed.
 
 The plain queue pops the arcs left out too, and a pop decides whether a
 later event revises the arc, so those pops are replayed rather than
-stamped.  This is exact because after the call's own arcs, only events on
-``x`` list a binary arc with partner ``x``; because whether an arc is
+stamped.  This is exact because after the root walk, only events on ``x``
+list a binary arc with partner ``x``; because whether an arc is
 popped at a walk does not depend on its slack; and because sizes only fall
 within a call, so an arc is left out of a prefix of the walks on ``x`` and
 listed in the rest.  Each walk on ``x`` keeps a record ``(since, tick,
@@ -62,7 +64,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 # check_tuple is unused here but kept: perfbench/tracing.py patches propagation.check_tuple
 from .model import SearchState, check_tuple  # noqa: F401
@@ -108,23 +110,23 @@ def revise(state: SearchState, a: int) -> bool:
     return True
 
 
-def propagate(state: SearchState, arc_ids: Iterable[int]) -> Optional[Wipeout]:
-    """Run the AC-3 queue over ``arc_ids`` to fixpoint; None means consistent.
+def propagate(state: SearchState, x: Optional[int] = None) -> Optional[Wipeout]:
+    """Run the AC-3 queue to fixpoint after a change to ``x``'s domain; None
+    means consistent.  With ``x`` left as None (root GAC), walk every arc.
 
-    ``arc_ids`` (distinct ids) are walked first, each arc popped and stamped.
-    A revision by ``cid`` that shrinks ``x`` then queues the event ``(tick,
-    cid, x)``, whose walk reads only ``walk[x][sizes[x]]``, the arcs the
-    slack test keeps.  An arc is revised at the first event that lists it
-    and was queued after its last pop, which is where the plain arc queue
-    would pop it, so the revisions and their order are those of that queue.
-    The pops of the arcs left out are not stamped; replaying the records of
-    the earlier walks on ``x`` restores them when an arc is listed again.
+    A decision on ``x`` is the one queued event ``(0, -1, x)``; the root
+    walks every arc in ascending order, each popped and stamped.  A revision
+    by ``cid`` that shrinks ``y`` then queues the event ``(tick, cid, y)``,
+    whose walk reads only ``walk[y][sizes[y]]``, the arcs the slack test
+    keeps.  An arc is revised at the first event that lists it and was queued
+    after its last pop, which is where the plain arc queue would pop it, so
+    the revisions and their order are those of that queue.  The pops of the
+    arcs left out are not stamped; replaying the records of the earlier walks
+    on ``y`` restores them when an arc is listed again.
     """
     tables = state.tables
     arc_cid = tables.arc_cid
     arc_var = tables.arc_var
-    partner = tables.arc_partner
-    slack = tables.arc_slack
     walk = tables.walk
     sizes = state.sizes
     # seen[a] is the tick of a's last pop; a tick counts pops and walks
@@ -132,20 +134,25 @@ def propagate(state: SearchState, arc_ids: Iterable[int]) -> Optional[Wipeout]:
     tick = 0
     queue = deque()
     push = queue.append
-    for a in arc_ids:
-        tick += 1
-        seen[a] = tick
-        # a non-binary arc has partner -1 and a slack no size exceeds
-        if sizes[partner[a]] > slack[a]:
-            continue
-        if revise(state, a):
-            cid = arc_cid[a]
-            x = arc_var[a]
-            if sizes[x] == 0:
-                state.bump_weight(cid)
-                state.wipeouts += 1
-                return Wipeout(x, cid)
-            push((tick, cid, x))
+    if x is not None:
+        push((0, -1, x))
+    else:
+        partner = tables.arc_partner
+        slack = tables.arc_slack
+        for a in range(len(arc_cid)):
+            tick += 1
+            seen[a] = tick
+            # a non-binary arc has partner -1 and a slack no size exceeds
+            if sizes[partner[a]] > slack[a]:
+                continue
+            if revise(state, a):
+                cid = arc_cid[a]
+                y = arc_var[a]
+                if sizes[y] == 0:
+                    state.bump_weight(cid)
+                    state.wipeouts += 1
+                    return Wipeout(y, cid)
+                push((tick, cid, y))
     # records[y]: (since, tick, excluded cid) of each earlier walk on y
     records: dict = {}
     pop = queue.popleft
@@ -173,16 +180,16 @@ def propagate(state: SearchState, arc_ids: Iterable[int]) -> Optional[Wipeout]:
             tick += 1
             seen[a] = tick
             if revise(state, a):
-                x = arc_var[a]
-                if sizes[x] == 0:
+                z = arc_var[a]
+                if sizes[z] == 0:
                     state.bump_weight(cid)
                     state.wipeouts += 1
-                    return Wipeout(x, cid)
-                push((tick, cid, x))
+                    return Wipeout(z, cid)
+                push((tick, cid, z))
         done.append(record)
     return None
 
 
 def establish_root_gac(state: SearchState) -> Optional[Wipeout]:
     """Propagate every arc of the problem once (root preprocessing)."""
-    return propagate(state, state.tables.root_arcs)
+    return propagate(state)

@@ -16,9 +16,11 @@ the interpreter recursion limit.  Root GAC and every propagated branch lead to
 the same step: a consistent state with every domain a singleton is the
 solution, checked once by :func:`verify`; any other consistent state gets one
 new choice point, one :func:`select_variable` and one :func:`plan` call.  A
-frame's level token is the trail length before its branch was applied.  After
-``solve`` returns, the state has been unwound: re-running on the same problem
-starts from the original domains.
+branch changes only its variable's domain, so it is propagated as that one
+change, ``propagate(state, x)``.  A frame's level token is the trail length
+before its branch was applied.  Each ``solve`` builds its own
+:class:`SearchState` and leaves it as the search stopped; the problem is not
+changed, so re-running on it starts from the original domains.
 """
 
 from __future__ import annotations
@@ -104,12 +106,10 @@ def solve(
     wall_ms = limits.wall_time_ms if limits else None
     names = problem.names
     values_of = state.tables.values
-    decision_arcs = state.tables.decision_arcs
     stack: list[_Frame] = []
     status = Status.UNSAT
     assignment: Optional[tuple[int, ...]] = None
 
-    root = state.push_level()
     consistent = establish_root_gac(state) is None
     while consistent or stack:
         if consistent:
@@ -162,9 +162,8 @@ def solve(
             joined = ",".join(str(v) for v in mask_values(values_of[x], mask))
             trace.append(f"{len(stack) - 1} {names[x]} {{{joined}}} {kind}")
         # on wipeout the next pass unwinds this branch
-        consistent = propagate(state, decision_arcs[x]) is None
+        consistent = propagate(state, x) is None
 
-    state.undo_to(root)
     stats = RunStats(
         nodes=state.nodes,
         decisions=state.decisions,

@@ -50,10 +50,19 @@ def test_search_matches_golden_records(source):
 
 @pytest.mark.parametrize("source", write_golden.SOURCES)
 def test_walk_tables_list_the_arcs_the_slack_test_keeps(source):
-    """``walk[x][s]`` is ``decision_arcs[x]`` filtered by ``s <= slack``, in
-    order, for every size ``s`` of ``x``; equal tuples are one object."""
-    tables = write_golden.load_source(source, GOLDEN).tables
-    for x, arcs in enumerate(tables.decision_arcs):
+    """``walk[x][s]`` lists, in ascending ``(cid, var)`` order, the arcs of
+    every constraint on ``x`` at its other scope variables whose slack ``s``
+    does not exceed, for every size ``s`` of ``x``; equal tuples are one
+    object."""
+    problem = write_golden.load_source(source, GOLDEN)
+    tables = problem.tables
+    arcs_of = list(zip(tables.arc_cid, tables.arc_var))
+    assert arcs_of == sorted((c.cid, y) for c in problem.constraints for y in c.scope)
+    for x in range(problem.n_vars):
+        arcs = [
+            a for a, (cid, y) in enumerate(arcs_of)
+            if y != x and x in problem.constraints[cid].scope
+        ]
         walk = tables.walk[x]
         for s in range(1, len(tables.values[x]) + 1):
             assert walk[s] == tuple(a for a in arcs if s <= tables.arc_slack[a])

@@ -271,7 +271,7 @@ def test_zero_promise_assignments_wipe_a_neighbor():
                 checked += 1
                 tok = st.push_level()
                 reduce_domain(st, x, (v,))
-                assert propagate(st, st.tables.decision_arcs[x]) is not None
+                assert propagate(st, x) is not None
                 st.undo_to(tok)
     assert checked >= 10  # the sweep actually exercised the property
 
@@ -337,8 +337,9 @@ def test_cached_wdeg_matches_reference_at_every_selection(monkeypatch, name):
         return _select(state)
 
     monkeypatch.setattr(search, "select_variable", checked_select)
-    for problem in (gen_langford(7), gen_forced(30, 20, 150, 180, 1)):
-        search.solve(problem, parse_scheme(name))
+    nary = parse_instance((GOLDEN / "nary.csp").read_text())
+    for problem in (gen_langford(7), nary, gen_forced(30, 20, 150, 180, 1)):
+        search.solve(problem, parse_scheme(name), search.Limits(max_nodes=1500))
     # the forced instance bumps weights before some selections
     assert len(selections) > 100 and selections[-1] > 0
     assert checked >= 5000

@@ -131,12 +131,14 @@ def test_decision_arcs_cover_other_scope_vars_sorted():
     )
     tables = p.tables
 
-    def arcs(x):
-        return [(tables.arc_cid[a], tables.arc_var[a]) for a in tables.decision_arcs[x]]
+    def arcs(x, size):
+        return [(tables.arc_cid[a], tables.arc_var[a]) for a in tables.walk[x][size]]
 
-    assert arcs(0) == [(0, 1), (1, 2)]
-    assert arcs(1) == [(0, 0), (2, 2)]
-    assert arcs(2) == [(1, 0), (2, 1)]
+    # an event on x lists every arc at its size 1; ne has slack 1, so none at 2
+    assert arcs(0, 1) == [(0, 1), (1, 2)]
+    assert arcs(1, 1) == [(0, 0), (2, 2)]
+    assert arcs(2, 1) == [(1, 0), (2, 1)]
+    assert arcs(0, 2) == arcs(1, 2) == arcs(2, 2) == []
 
 
 def test_propagate_after_decision_reaches_fixpoint():
@@ -150,7 +152,7 @@ def test_propagate_after_decision_reaches_fixpoint():
         v = domain_values(st, x)[0]
         st.push_level()
         reduce_domain(st, x, (v,))
-        w = propagate(st, st.tables.decision_arcs[x])
+        w = propagate(st, x)
         domains = [domain_values(st, z) for z in range(p.n_vars)]
         seeded = [list(d) for d in domains] if w is None else None
         expected = gac_fixpoint(p, [[v]] + [domain_values(st, z) for z in range(1, p.n_vars)])
@@ -175,11 +177,11 @@ def test_ternary_constraints_propagate():
     assert establish_root_gac(st) is None
     st.push_level()
     reduce_domain(st, 2, (2,))
-    assert propagate(st, st.tables.decision_arcs[2]) is None
+    assert propagate(st, 2) is None
     assert domain_values(st, 0) == [0, 1, 2]
     st.push_level()
     reduce_domain(st, 0, (2,))
-    assert propagate(st, st.tables.decision_arcs[0]) is None
+    assert propagate(st, 0) is None
     assert domain_values(st, 1) == [0]
 
 
@@ -210,7 +212,7 @@ def test_weights_persist_across_undo():
     st = SearchState(p)
     tok = st.push_level()
     reduce_domain(st, 0, (1,))
-    w = propagate(st, st.tables.decision_arcs[0])
+    w = propagate(st, 0)
     assert w is not None
     assert st.weights[0] == 2
     st.undo_to(tok)
@@ -293,7 +295,7 @@ def _walk_against_reference(p, r, calls, steps=12):
         removals = []
         revisions = []
         calls.clear()
-        got = propagate(st, st.tables.decision_arcs[x])
+        got = propagate(st, x)
         expected = reference_propagate(
             p, domains, weights, _seed_arcs(p, x), removals, revisions
         )

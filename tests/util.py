@@ -80,7 +80,7 @@ def walk_states(p: Problem, r: random.Random, steps: int):
         reduce_domain(st, x, kept)
         if len(kept) == 1:
             st.assign(x)
-        wiped = propagate(st, st.tables.decision_arcs[x]) is not None
+        wiped = propagate(st, x) is not None
         if wiped or r.randrange(4) == 0:
             token, x = levels.pop()
             st.unassign(x)
