@@ -3,7 +3,8 @@
 
     PYTHONPATH=src python3 scripts/write_golden.py [--out tests/golden]
 
-Solves every corpus instance under all seven schemes (default threshold and
+Solves every corpus instance (the core sources, then each line of
+``suites/desk.txt`` they lack) under all seven schemes (default threshold and
 kmax) and writes one JSON record per (instance, scheme) to ``corpus.jsonl``:
 the instance source, the scheme, status, nodes, decisions, wipeouts,
 backtracks and the sha256 of the search trace.  It also writes ``nary.csp``,
@@ -34,7 +35,7 @@ from branchbench.search import solve
 ROOT = Path(__file__).resolve().parent.parent
 NARY_FILE = "nary.csp"
 
-SOURCES = (
+CORE_SOURCES = (
     "gen pigeons n=7",
     "gen langford n=7",
     "gen langford n=8",
@@ -43,27 +44,14 @@ SOURCES = (
     "gen qwh order=9 holes=50 seed=1",
     "gen coloring n=25 edges=90 k=4 seed=1",
     f"file {NARY_FILE}",
-    # suites/desk.txt, less gen langford n=7 above
-    "gen pigeons n=4",
-    "gen pigeons n=5",
-    "gen pigeons n=6",
-    "gen langford n=4",
-    "gen langford n=5",
-    "gen langford n=6",
-    "gen coloring n=12 edges=30 k=3 seed=1",
-    "gen coloring n=12 edges=30 k=3 seed=2",
-    "gen coloring n=14 edges=34 k=3 seed=5",
-    "gen randomb n=16 d=10 p1=70 p2=41 seed=5",
-    "gen randomb n=16 d=10 p1=70 p2=41 seed=8",
-    "gen randomb n=16 d=10 p1=70 p2=41 seed=10",
-    "gen randomb n=16 d=10 p1=70 p2=38 seed=43",
-    "gen forced n=16 d=10 p1=70 p2=44 seed=1",
-    "gen forced n=16 d=10 p1=70 p2=44 seed=2",
-    "gen forced n=16 d=10 p1=70 p2=44 seed=3",
-    "gen qwh order=4 holes=12 seed=2",
-    "gen qwh order=4 holes=14 seed=1",
-    "gen qwh order=4 holes=16 seed=3",
 )
+# then every line of the desk suite not among them, in suite order, so the
+# corpus pins each desk source (comments and blank lines dropped as in a manifest)
+_DESK = [
+    raw.split("#", 1)[0].strip()
+    for raw in (ROOT / "suites" / "desk.txt").read_text(encoding="utf-8").splitlines()
+]
+SOURCES = CORE_SOURCES + tuple(s for s in _DESK if s and s not in CORE_SOURCES)
 
 
 def nary_problem(seed: int = 5, n: int = 12, d: int = 4, m: int = 16, extra: int = 14) -> Problem:

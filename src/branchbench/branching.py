@@ -1,10 +1,12 @@
 """Branching schemes: how a choice point cuts the current domain into sets.
 
-A plan is either *enumerated* (d-way style: one branch per set, the variable
-stays the branching variable until the plan is exhausted) or *binary* (2-way
-style: reduce to the first set, or remove it and re-select freely; only the
-first set is materialized).  Each set is a bitmask over the positions of the
-variable's original domain, like the current domain it is cut from;
+The style is the scheme's, fixed by its kind, and :attr:`Scheme.binary` is
+the one place that tells it.  A d-way scheme's plan is *enumerated*: one
+branch per set, the variable stays the branching variable until the plan is
+exhausted.  A 2-way scheme's plan is *binary*: reduce to the first set, or
+remove it and re-select freely, so only the first set is materialized.  A
+:class:`BranchPlan` holds only its sets: each a bitmask over the positions of
+the variable's original domain, like the current domain it is cut from;
 :attr:`BranchPlan.sets` is the read-only view of the same sets as values.
 
 Schemes differ only in the sets they cut, best first, and in their style.
@@ -44,10 +46,9 @@ class SchemeKind(Enum):
 
 SCHEME_NAMES = tuple(kind.value for kind in SchemeKind)
 
-
-class BranchStyle(Enum):
-    ENUMERATED = "enumerated"
-    BINARY = "binary"
+_BINARY = frozenset(
+    (SchemeKind.TWO_WAY, SchemeKind.DOMAIN_SPLIT, SchemeKind.TIES_TWO_WAY, SchemeKind.CLUST_TWO_WAY)
+)
 
 
 @dataclass(frozen=True)
@@ -64,6 +65,11 @@ class Scheme:
         if self.kmax < 1:
             raise ValueError("kmax must be at least 1")
 
+    @property
+    def binary(self) -> bool:
+        """True for the 2-way style, False for the d-way (enumerated) one."""
+        return self.kind in _BINARY
+
 
 def parse_scheme(name: str, threshold_fraction=Fraction(1, 4), kmax: int = 4) -> Scheme:
     try:
@@ -77,10 +83,8 @@ def parse_scheme(name: str, threshold_fraction=Fraction(1, 4), kmax: int = 4) ->
 
 @dataclass(frozen=True)
 class BranchPlan:
-    variable: int
-    style: BranchStyle
     masks: tuple[int, ...]
-    # the original domain of ``variable``, which ``sets`` reads the masks in
+    # the branching variable's original domain, which ``sets`` reads the masks in
     values: tuple[int, ...] = field(repr=False, compare=False)
 
     @property
@@ -111,11 +115,6 @@ def _score_as_float(score: int) -> float:
         return float(score)
     except OverflowError:
         return sys.float_info.max if score > 0 else -sys.float_info.max
-
-
-_BINARY = frozenset(
-    (SchemeKind.TWO_WAY, SchemeKind.DOMAIN_SPLIT, SchemeKind.TIES_TWO_WAY, SchemeKind.CLUST_TWO_WAY)
-)
 
 
 def _value_sets(scheme: Scheme, state: SearchState, x: int, scored: Scored) -> list[int] | None:
@@ -151,9 +150,8 @@ def plan(scheme: Scheme, state: SearchState, x: int) -> BranchPlan:
     masks = _value_sets(scheme, state, x, scored)
     values = state.tables.values[x]
     # a binary plan keeps only its first set, so build no others
-    if scheme.kind in _BINARY:
-        first = 1 << scored[0][0] if masks is None else masks[0]
-        return BranchPlan(x, BranchStyle.BINARY, (first,), values)
+    if scheme.binary:
+        return BranchPlan((1 << scored[0][0] if masks is None else masks[0],), values)
     if masks is None:
         masks = [1 << bit for bit, _ in scored]
-    return BranchPlan(x, BranchStyle.ENUMERATED, tuple(masks), values)
+    return BranchPlan(tuple(masks), values)

@@ -3,8 +3,8 @@
 A :class:`Problem` is immutable after construction and safely shareable
 between solver runs.  Variables are identified by index; original domains
 are kept sorted ascending and duplicate-free.  Mutable search data (current
-domains and their sizes, constraint weights, assignments, the restoration
-trail and the search counters) lives in :class:`SearchState`.
+domains and their sizes, constraint weights, assignments and the restoration
+trail) lives in :class:`SearchState`; the search counters are ``solve``'s own.
 
 Current domains are bitmasks over positions in the original domain, which
 keeps membership tests, removals, and the compatibility counting done by the
@@ -370,8 +370,8 @@ class Problem:
 
 class SearchState:
     """Mutable per-run state: domain masks and their sizes (propagation reads
-    a size at every queue walk), weights, assignment flags, the trail and
-    counters.  The solution test, :meth:`all_singleton`, counts ``sizes``.
+    a size at every queue walk), weights, assignment flags and the trail.
+    The solution test, :meth:`all_singleton`, counts ``sizes``.
 
     ``assigned[x]`` is True while search has committed ``x``; the value is
     its singleton domain.  ``wdeg[x]`` caches the weighted degree of ``x``:
@@ -380,10 +380,7 @@ class SearchState:
     :meth:`bump_weight` change assignments or weights, and each keeps the
     cache exact for every variable, assigned or not."""
 
-    __slots__ = (
-        "problem", "tables", "masks", "sizes", "weights", "assigned", "wdeg",
-        "trail", "nodes", "decisions", "wipeouts", "backtracks",
-    )
+    __slots__ = ("problem", "tables", "masks", "sizes", "weights", "assigned", "wdeg", "trail")
 
     def __init__(self, problem: Problem) -> None:
         t = problem.tables
@@ -398,10 +395,6 @@ class SearchState:
             for pairs, cons in zip(t.var_binary, t.var_constraints)
         ]
         self.trail: list[tuple[int, int]] = []  # (variable, removed mask)
-        self.nodes = 0
-        self.decisions = 0
-        self.wipeouts = 0
-        self.backtracks = 0
 
     # -- domain queries ----------------------------------------------------
 

@@ -18,7 +18,8 @@ is where the plain AC-3 queue of arcs, which enqueues an arc unless it is
 already queued, pops it, so both revise the same arcs in the same order, at
 one queue operation per domain change instead of one per arc.  A revision
 that empties a domain bumps the weight of exactly that constraint by one and
-stops propagation immediately.
+stops propagation immediately: :func:`propagate` returns False, and True at a
+fixpoint.  Propagation counts nothing; search counts the wipeouts.
 
 A binary arc is revised inline from its per-arc tables: ``arc_sup`` maps
 each value bit of the arc's variable to the mask of its partner supports,
@@ -63,19 +64,10 @@ wipeout's weight are all those of the plain AC-3 queue.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Optional
 
 # check_tuple is unused here but kept: perfbench/tracing.py patches propagation.check_tuple
 from .model import SearchState, check_tuple  # noqa: F401
-
-
-@dataclass(frozen=True)
-class Wipeout:
-    """A revision emptied ``variable``'s domain; ``constraint`` did it."""
-
-    variable: int
-    constraint: int
 
 
 def revise(state: SearchState, a: int) -> bool:
@@ -110,9 +102,10 @@ def revise(state: SearchState, a: int) -> bool:
     return True
 
 
-def propagate(state: SearchState, x: Optional[int] = None) -> Optional[Wipeout]:
-    """Run the AC-3 queue to fixpoint after a change to ``x``'s domain; None
-    means consistent.  With ``x`` left as None (root GAC), walk every arc.
+def propagate(state: SearchState, x: Optional[int] = None) -> bool:
+    """Run the AC-3 queue to fixpoint after a change to ``x``'s domain; True
+    means consistent, False a wipeout, whose constraint has had its weight
+    bumped.  With ``x`` left as None (root GAC), walk every arc.
 
     A decision on ``x`` is the one queued event ``(0, -1, x)``; the root
     walks every arc in ascending order, each popped and stamped.  A revision
@@ -150,8 +143,7 @@ def propagate(state: SearchState, x: Optional[int] = None) -> Optional[Wipeout]:
                 y = arc_var[a]
                 if sizes[y] == 0:
                     state.bump_weight(cid)
-                    state.wipeouts += 1
-                    return Wipeout(y, cid)
+                    return False
                 push((tick, cid, y))
     # records[y]: (since, tick, excluded cid) of each earlier walk on y
     records: dict = {}
@@ -183,13 +175,13 @@ def propagate(state: SearchState, x: Optional[int] = None) -> Optional[Wipeout]:
                 z = arc_var[a]
                 if sizes[z] == 0:
                     state.bump_weight(cid)
-                    state.wipeouts += 1
-                    return Wipeout(z, cid)
+                    return False
                 push((tick, cid, z))
         done.append(record)
-    return None
+    return True
 
 
-def establish_root_gac(state: SearchState) -> Optional[Wipeout]:
-    """Propagate every arc of the problem once (root preprocessing)."""
+def establish_root_gac(state: SearchState) -> bool:
+    """Propagate every arc of the problem once (root preprocessing); False at
+    a wipeout."""
     return propagate(state)

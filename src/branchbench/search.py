@@ -2,14 +2,18 @@
 
 Every applied decision (an assignment, a set reduction, or a right-branch
 removal) is propagated and counts as exactly one node; root preprocessing is
-not counted.  A branch applies its plan's mask with the one domain edit
-propagation also uses, ``SearchState._remove_mask``.  A variable is treated as
-assigned only when a branch reduced its domain to a singleton; domains that
-collapse to one value through propagation stay unassigned until search selects
-them (their plans then commit them).  Only ``x``'s own frame assigns ``x``, so
-backtracking that frame clears it.  Both go through ``SearchState.assign`` and
-``unassign``, which set one flag per variable (the value is the singleton
-domain itself) and keep the cached wdeg that variable selection reads.
+not counted.  ``solve`` keeps its four counters itself and counts a wipeout
+wherever propagation returns False: at the root and after a branch.  The
+branching style is the scheme's (``Scheme.binary``), read once per solve; a
+plan gives only its sets, as masks.  A branch applies its mask with the one
+domain edit propagation also uses, ``SearchState._remove_mask``.  A variable
+is treated as assigned only when a branch reduced its domain to a singleton;
+domains that collapse to one value through propagation stay unassigned until
+search selects them (their plans then commit them).  Only ``x``'s own frame
+assigns ``x``, so backtracking that frame clears it.  Both go through
+``SearchState.assign`` and ``unassign``, which set one flag per variable (the
+value is the singleton domain itself) and keep the cached wdeg that variable
+selection reads.
 
 The engine is one loop over an explicit frame stack, so deep runs cannot hit
 the interpreter recursion limit.  Root GAC and every propagated branch lead to
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
-from .branching import BranchPlan, BranchStyle, Scheme, plan
+from .branching import Scheme, plan
 from .heuristics import select_variable
 from .model import Problem, SearchState, check_tuple, mask_values
 from .propagation import establish_root_gac, propagate
@@ -77,18 +81,12 @@ def verify(problem: Problem, assignment: Sequence[int]) -> bool:
 
 
 class _Frame:
-    __slots__ = ("x", "binary", "masks", "last", "idx", "token")
+    __slots__ = ("x", "masks", "last", "idx", "token")
 
-    def __init__(self, branch_plan: BranchPlan, domain: int) -> None:
-        self.x = branch_plan.variable
-        self.binary = branch_plan.style is BranchStyle.BINARY
-        self.masks = branch_plan.masks
-        # the final branch index: a binary plan's right branch removes its
-        # set, so it exists only while that set is not the whole ``domain``
-        if self.binary:
-            self.last = int(self.masks[0] != domain)
-        else:
-            self.last = len(self.masks) - 1
+    def __init__(self, x: int, masks: tuple[int, ...], last: int) -> None:
+        self.x = x
+        self.masks = masks
+        self.last = last  # the final branch index
         self.idx = 0
         self.token: Optional[int] = None
 
@@ -106,11 +104,14 @@ def solve(
     wall_ms = limits.wall_time_ms if limits else None
     names = problem.names
     values_of = state.tables.values
+    binary = scheme.binary
     stack: list[_Frame] = []
     status = Status.UNSAT
     assignment: Optional[tuple[int, ...]] = None
+    nodes = decisions = backtracks = 0
 
-    consistent = establish_root_gac(state) is None
+    consistent = establish_root_gac(state)
+    wipeouts = int(not consistent)
     while consistent or stack:
         if consistent:
             if state.all_singleton():
@@ -120,7 +121,11 @@ def solve(
                 status = Status.SAT
                 break
             x = select_variable(state)
-            stack.append(_Frame(plan(scheme, state, x), state.masks[x]))
+            masks = plan(scheme, state, x).masks
+            # a binary plan's right branch removes its set, so it exists
+            # only while that set is not the whole domain
+            last = int(masks[0] != state.masks[x]) if binary else len(masks) - 1
+            stack.append(_Frame(x, masks, last))
 
         fr = stack[-1]
         if fr.token is not None:
@@ -128,14 +133,14 @@ def solve(
             state.unassign(fr.x)
             state.undo_to(fr.token)
             fr.token = None
-            state.backtracks += 1
+            backtracks += 1
             fr.idx += 1
         if fr.idx > fr.last:
             stack.pop()
             continue
 
         # limits are checked before a decision is applied
-        if max_nodes is not None and state.nodes >= max_nodes:
+        if max_nodes is not None and nodes >= max_nodes:
             status = Status.LIMIT
             break
         if wall_ms is not None and (time.perf_counter() - started) * 1000.0 > wall_ms:
@@ -144,31 +149,28 @@ def solve(
 
         x = fr.x
         fr.token = state.push_level()
-        if fr.idx == 0:
-            state.decisions += 1  # one per choice point that applies a branch
-        if fr.binary and fr.idx == 1:
+        idx = fr.idx
+        if idx == 0:
+            decisions += 1  # one per choice point that applies a branch
+        right = binary and idx == 1
+        if right:
             mask = removed = fr.masks[0]
-            kind = "R"
         else:
-            mask = fr.masks[fr.idx]
+            mask = fr.masks[idx]
             removed = state.masks[x] ^ mask
-            kind = "L" if fr.binary else f"E#{fr.idx}"
             if mask & (mask - 1) == 0:
                 state.assign(x)
         if removed:  # empty when the plan's set is the whole domain
             state._remove_mask(x, removed)
-        state.nodes += 1
+        nodes += 1
         if trace is not None:
+            kind = "R" if right else "L" if binary else f"E#{idx}"
             joined = ",".join(str(v) for v in mask_values(values_of[x], mask))
             trace.append(f"{len(stack) - 1} {names[x]} {{{joined}}} {kind}")
         # on wipeout the next pass unwinds this branch
-        consistent = propagate(state, x) is None
+        consistent = propagate(state, x)
+        if not consistent:
+            wipeouts += 1
 
-    stats = RunStats(
-        nodes=state.nodes,
-        decisions=state.decisions,
-        wipeouts=state.wipeouts,
-        backtracks=state.backtracks,
-        elapsed_ms=(time.perf_counter() - started) * 1000.0,
-    )
-    return Outcome(status, assignment, stats)
+    elapsed_ms = (time.perf_counter() - started) * 1000.0
+    return Outcome(status, assignment, RunStats(nodes, decisions, wipeouts, backtracks, elapsed_ms))

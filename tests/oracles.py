@@ -13,7 +13,7 @@ import sys
 from collections import deque
 from typing import Iterable, Optional, Sequence
 
-from branchbench.branching import BranchPlan, BranchStyle, Scheme
+from branchbench.branching import BranchPlan, Scheme
 from branchbench.clustering import bic, xmeans
 from branchbench.model import Constraint, Problem, SearchState, check_tuple
 from util import domain_values
@@ -124,23 +124,23 @@ def reference_plan(scheme: Scheme, state: SearchState, x: int) -> BranchPlan:
     values = [v for v, _ in scored]
     domain = state.problem.domains[x]
 
-    def branch_plan(style, sets):
+    def branch_plan(sets):
         masks = tuple(sum(1 << domain.index(v) for v in s) for s in sets)
-        return BranchPlan(x, style, masks, domain)
+        return BranchPlan(masks, domain)
 
     kind = scheme.kind.value
     binary = kind in ("2way", "split", "ties-2way", "clust-2way")
     if binary:
-        fallback = branch_plan(BranchStyle.BINARY, ((values[0],),))
+        fallback = branch_plan(((values[0],),))
     else:
-        fallback = branch_plan(BranchStyle.ENUMERATED, tuple((v,) for v in values))
+        fallback = branch_plan(tuple((v,) for v in values))
     if kind in ("dway", "2way"):
         return fallback
     if len(values) <= scheme.threshold_fraction * len(state.problem.domains[x]):
         return fallback
     if kind == "split":
         top = tuple(sorted(values[: (len(values) + 1) // 2]))
-        return branch_plan(BranchStyle.BINARY, (top,))
+        return branch_plan((top,))
 
     if kind in ("ties-dway", "ties-2way"):
         levels = sorted({score for _, score in scored}, reverse=True)
@@ -163,8 +163,8 @@ def reference_plan(scheme: Scheme, state: SearchState, x: int) -> BranchPlan:
             tuple(sorted(values[i] for i in cluster)) for cluster in clustering.clusters
         )
     if binary:
-        return branch_plan(BranchStyle.BINARY, (sets[0],))
-    return branch_plan(BranchStyle.ENUMERATED, sets)
+        return branch_plan((sets[0],))
+    return branch_plan(sets)
 
 
 def gac_fixpoint(

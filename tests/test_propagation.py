@@ -14,12 +14,7 @@ from branchbench.model import (
     SearchState,
     mask_values,
 )
-from branchbench.propagation import (
-    Wipeout,
-    establish_root_gac,
-    propagate,
-    revise,
-)
+from branchbench.propagation import establish_root_gac, propagate, revise
 from oracles import gac_fixpoint, reference_propagate, supported_values
 from util import domain_values, make_binary, ne_rel, random_problem, reduce_domain
 
@@ -48,12 +43,12 @@ def test_root_gac_matches_oracle_on_generated_problems():
     for seed in range(150):
         p = random_problem(seed)
         st = SearchState(p)
-        w = establish_root_gac(st)
+        consistent = establish_root_gac(st)
         expected = gac_fixpoint(p)
         if expected is None:
-            assert isinstance(w, Wipeout)
+            assert consistent is False
         else:
-            assert w is None
+            assert consistent is True
             assert current_domains(st, p.n_vars) == expected
 
 
@@ -61,10 +56,10 @@ def test_propagation_is_idempotent():
     for seed in range(40):
         p = random_problem(seed)
         st = SearchState(p)
-        if establish_root_gac(st) is not None:
+        if not establish_root_gac(st):
             continue
         before = current_domains(st, p.n_vars)
-        assert establish_root_gac(st) is None
+        assert establish_root_gac(st)
         assert current_domains(st, p.n_vars) == before
 
 
@@ -87,13 +82,9 @@ def test_wipeout_bumps_only_the_wiping_constraint():
         ),
     )
     st = SearchState(p2)
-    w = establish_root_gac(st)
-    assert w is not None
-    assert st.wipeouts == 1
-    weights = st.weights[:]
-    assert weights[w.constraint] == 2
-    other = 1 - w.constraint
-    assert weights[other] == 1
+    assert not establish_root_gac(st)
+    # (0, 0) leaves x = y = 0, which the ne constraint then wipes out
+    assert st.weights == [1, 2]
     # p was only used to show the helper; silence the linter
     assert p.n_vars == 2
 
@@ -114,8 +105,8 @@ def test_wipeout_stops_propagation_immediately():
         ),
     )
     st = SearchState(p)
-    w = establish_root_gac(st)
-    assert w is not None and w.constraint == 0
+    assert not establish_root_gac(st)
+    assert st.weights == [2, 1]
     assert domain_values(st, 2) == [0, 1, 2]  # untouched: queue stopped
 
 
@@ -145,22 +136,22 @@ def test_propagate_after_decision_reaches_fixpoint():
     for seed in range(60):
         p = random_problem(seed)
         st = SearchState(p)
-        if establish_root_gac(st) is not None:
+        if not establish_root_gac(st):
             continue
         # simulate a decision: assign the first variable its first value
         x = 0
         v = domain_values(st, x)[0]
         st.push_level()
         reduce_domain(st, x, (v,))
-        w = propagate(st, x)
+        consistent = propagate(st, x)
         domains = [domain_values(st, z) for z in range(p.n_vars)]
-        seeded = [list(d) for d in domains] if w is None else None
+        seeded = [list(d) for d in domains] if consistent else None
         expected = gac_fixpoint(p, [[v]] + [domain_values(st, z) for z in range(1, p.n_vars)])
-        if w is None:
+        if consistent:
             # full fixpoint reached: oracle closure of the current domains is a no-op
             assert expected == seeded
         else:
-            assert st.sizes[w.variable] == 0
+            assert st.sizes.count(0) == 1
 
 
 def test_ternary_constraints_propagate():
@@ -174,14 +165,14 @@ def test_ternary_constraints_propagate():
         (Constraint(0, (0, 1, 2), ("a", "b", "c"), ExtensionalAllowed(triples)),),
     )
     st = SearchState(p)
-    assert establish_root_gac(st) is None
+    assert establish_root_gac(st)
     st.push_level()
     reduce_domain(st, 2, (2,))
-    assert propagate(st, 2) is None
+    assert propagate(st, 2)
     assert domain_values(st, 0) == [0, 1, 2]
     st.push_level()
     reduce_domain(st, 0, (2,))
-    assert propagate(st, 0) is None
+    assert propagate(st, 0)
     assert domain_values(st, 1) == [0]
 
 
@@ -199,7 +190,7 @@ def test_unary_constraint_prunes_at_root():
         ),
     )
     st = SearchState(p)
-    assert establish_root_gac(st) is None
+    assert establish_root_gac(st)
     assert domain_values(st, 0) == [1, 3]
 
 
@@ -212,8 +203,7 @@ def test_weights_persist_across_undo():
     st = SearchState(p)
     tok = st.push_level()
     reduce_domain(st, 0, (1,))
-    w = propagate(st, 0)
-    assert w is not None
+    assert not propagate(st, 0)
     assert st.weights[0] == 2
     st.undo_to(tok)
     assert st.weights[0] == 2  # weights are not trailed
@@ -224,7 +214,7 @@ def test_weights_persist_across_undo():
 def test_gac_subset_of_original(seed):
     p = random_problem(seed)
     st = SearchState(p)
-    if establish_root_gac(st) is None:
+    if establish_root_gac(st):
         for x in range(p.n_vars):
             assert set(domain_values(st, x)) <= set(p.domains[x])
 
@@ -234,8 +224,18 @@ def _seed_arcs(problem, x):
     return sorted((c.cid, y) for c in on_x for y in c.scope if y != x)
 
 
-def _as_pair(wipeout):
-    return None if wipeout is None else (wipeout.variable, wipeout.constraint)
+def _wipeout_pair(st, consistent, weights_before):
+    """None if ``consistent``; else the wipeout as ``(variable, constraint)``,
+    read off the state: the one emptied domain and the one weight raised by
+    one since ``weights_before``."""
+    emptied = [x for x, size in enumerate(st.sizes) if size == 0]
+    raised = [c for c, (w, was) in enumerate(zip(st.weights, weights_before)) if w != was]
+    if consistent:
+        assert emptied == raised == []
+        return None
+    assert len(emptied) == len(raised) == 1
+    assert st.weights[raised[0]] == weights_before[raised[0]] + 1
+    return emptied[0], raised[0]
 
 
 def _removals_since(st, p, token):
@@ -269,10 +269,8 @@ def _walk_against_reference(p, r, calls, steps=12):
     removals = []
     revisions = []
     calls.clear()
-    got = establish_root_gac(st)
-    assert _as_pair(got) == reference_propagate(
-        p, domains, weights, all_arcs, removals, revisions
-    )
+    got = _wipeout_pair(st, establish_root_gac(st), weights)
+    assert got == reference_propagate(p, domains, weights, all_arcs, removals, revisions)
     assert calls == revisions
     assert _removals_since(st, p, 0) == removals
     assert current_domains(st, p.n_vars) == domains
@@ -295,18 +293,19 @@ def _walk_against_reference(p, r, calls, steps=12):
         removals = []
         revisions = []
         calls.clear()
-        got = propagate(st, x)
+        consistent = propagate(st, x)
+        got = _wipeout_pair(st, consistent, weights)
         expected = reference_propagate(
             p, domains, weights, _seed_arcs(p, x), removals, revisions
         )
         decisions += 1
-        wiped += got is not None
-        assert _as_pair(got) == expected
+        wiped += not consistent
+        assert got == expected
         assert calls == revisions
         assert _removals_since(st, p, token) == removals
         assert st.weights == weights
         assert current_domains(st, p.n_vars) == domains
-        if got is not None or r.randrange(4) == 0:
+        if not consistent or r.randrange(4) == 0:
             token, domains = levels.pop()
             st.undo_to(token)
     return decisions, wiped
@@ -372,7 +371,7 @@ def test_unsupported_value_blocks_the_skip():
     p = make_binary(("x", "y"), (tuple(range(5)),) * 2, [((0, 1), shift)])
     assert _slack_of(p, 0, 0) == 5
     st = SearchState(p)
-    assert establish_root_gac(st) is None
+    assert establish_root_gac(st)
     assert domain_values(st, 0) == [0, 1, 2, 3]
     assert domain_values(st, 1) == [1, 2, 3, 4]
 

@@ -122,10 +122,13 @@ def test_whole_domain_binary_plan_has_no_right_branch():
 
 
 def test_root_wipeout_is_unsat_with_zero_nodes():
+    # root GAC wipes out, which counts as the one wipeout of a search of no node
     problem = make_binary(("x", "y"), ((0,), (0,)), [((0, 1), ne_rel("x", "y"))])
-    out = solve(problem, parse_scheme("2way"))
-    assert out.status is Status.UNSAT
-    assert out.stats.nodes == 0
+    for scheme in ALL_SCHEMES:
+        out = solve(problem, scheme)
+        assert out.status is Status.UNSAT and out.assignment is None
+        s = out.stats
+        assert (s.nodes, s.decisions, s.wipeouts, s.backtracks) == (0, 0, 1, 0), scheme.kind
 
 
 @pytest.mark.parametrize("name", SCHEME_NAMES)

@@ -64,7 +64,7 @@ def walk_states(p: Problem, r: random.Random, steps: int):
     search does.  The same state object is yielded each time, changed in
     place between yields."""
     st = SearchState(p)
-    if establish_root_gac(st) is not None:
+    if not establish_root_gac(st):
         return
     levels = []
     for _ in range(steps):
@@ -80,8 +80,7 @@ def walk_states(p: Problem, r: random.Random, steps: int):
         reduce_domain(st, x, kept)
         if len(kept) == 1:
             st.assign(x)
-        wiped = propagate(st, x) is not None
-        if wiped or r.randrange(4) == 0:
+        if not propagate(st, x) or r.randrange(4) == 0:
             token, x = levels.pop()
             st.unassign(x)
             st.undo_to(token)
