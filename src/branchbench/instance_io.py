@@ -309,9 +309,8 @@ def serialize_instance(problem: Problem) -> str:
             lines.append(f"con int {scope} : {format_expr(rel.expr)}")
         else:
             polarity = "allowed" if isinstance(rel, ExtensionalAllowed) else "forbidden"
-            tuples = " ".join(
-                "(" + ",".join(str(v) for v in t) + ")" for t in sorted(rel.tuples)
-            )
+            template = "(" + ",".join(["%d"] * len(c.scope)) + ")"
+            tuples = " ".join([template % t for t in sorted(rel.tuples)])
             line = f"con ext {polarity} {scope} :"
             if tuples:
                 line += " " + tuples

@@ -11,8 +11,9 @@ keeps membership tests, removals, and the compatibility counting done by the
 value heuristic cheap.  Every shrink of a domain, whatever number of values
 it removes, is one :meth:`SearchState._remove_mask`, which pushes one trail
 entry ``(variable, removed mask)``; undoing it is one OR into the mask.  The
-compiled tables on the problem (arc lists with per-arc support masks for
-binary constraints, per-arc rows of bit masks for every other constraint,
+compiled tables on the problem (arc lists with per-arc support masks and
+their unions per chunk of the partner's domain for binary constraints,
+per-arc rows of bit masks grouped by value for every other constraint,
 per-variable walk lists by domain size, neighbour tables) are built in one
 pass over the constraints and are a pure indexing layer: they change nothing
 about constraint semantics, which are always those of :func:`check_tuple`.
@@ -53,6 +54,10 @@ _NEVER_SKIP = 1 << 62
 # or intensional constraint of arity other than 2 may span; compiling it calls
 # check_tuple on each of them
 MAX_TABLE_TUPLES = 1 << 16
+
+# partner bits per chunk of a binary arc's cover tables: one lookup per chunk
+# of the partner's domain mask, in a table of 2**CHUNK_BITS entries
+CHUNK_BITS = 4
 
 
 @dataclass(frozen=True)
@@ -122,7 +127,7 @@ class _Tables:
 
     __slots__ = (
         "values", "pos", "full_masks",
-        "arc_cid", "arc_var", "arc_partner", "arc_slack", "arc_sup", "arc_opp",
+        "arc_cid", "arc_var", "arc_partner", "arc_slack", "arc_opp", "arc_cover",
         "arc_rows", "walk",
         "neighbors", "var_binary", "var_constraints",
     )
@@ -135,27 +140,29 @@ class _Tables:
 
         # arc i revises constraint arc_cid[i] at variable arc_var[i], numbered
         # in ascending (cid, var) order; a binary arc also keeps its partner
-        # variable, its slack, the support table of its own side (arc_sup:
-        # bit of x -> mask of partner values) and of the other side (arc_opp:
-        # bit of the partner -> mask of x values).  Any other arc has partner
-        # -1, a slack no domain size exceeds and, in arc_rows, one row per
-        # satisfying tuple: (bit of x, ((z, bit of z) for the other scope
-        # variables)).  An event on x lists decision_arcs[x]: every constraint
+        # variable, its slack, the supports of each partner value (arc_opp:
+        # bit of the partner -> mask of x values) and their unions per chunk
+        # of the partner's domain (arc_cover: one table per CHUNK_BITS partner
+        # bits, entry s -> the union of arc_opp over the set bits of s).  Any
+        # other arc has partner -1, a slack no domain size exceeds and, in
+        # arc_rows, its satisfying tuples grouped by the value of x, ascending:
+        # (bit of x, rows), a row being ((z, bit of z) for the other scope
+        # variables).  An event on x lists decision_arcs[x]: every constraint
         # on x revised at its other scope variables, ascending (cid, var).
         arc_cid: list[int] = []
         arc_var: list[int] = []
         partner: list[int] = []
         arc_slack: list[int] = []
-        arc_sup: list = []
         arc_opp: list = []
+        arc_cover: list = []
         arc_rows: list = []
         decision_arcs: list[list[int]] = [[] for _ in range(n)]
         # the constraints on x, for the wdeg cache: binary ones as (cid,
         # partner), every other one as (cid, the other scope variables)
         var_binary: list[list] = [[] for _ in range(n)]
         var_constraints: list[list] = [[] for _ in range(n)]
-        # binary supports and slacks, shared by relations equal up to renaming
-        # over the same domains
+        # binary supports, slacks and cover tables, shared by relations equal
+        # up to renaming over the same domains
         sup_cache: dict = {}
         # combined binary compatibility per ordered variable pair, used by
         # the value heuristic: comb[bit of x] = mask of compatible values of y
@@ -178,8 +185,10 @@ class _Tables:
                         len(self.values[v]) - min(map(int.bit_count, sup_u)),
                         len(self.values[u]) - min(map(int.bit_count, sup_v)),
                     )
-                    got = sup_cache[key] = (sup, slack)
-                sup, slack = got
+                    # the arc on u reads v's supports, and the arc on v u's
+                    cover = (_chunk_unions(sup_v), _chunk_unions(sup_u))
+                    got = sup_cache[key] = (sup, slack, cover)
+                sup, slack, cover = got
                 for a, b, rows in ((u, v, sup[0]), (v, u, sup[1])):
                     comb = pair_comb.get((a, b))
                     if comb is not None:
@@ -189,21 +198,26 @@ class _Tables:
                 if ordered[0] != scope[0]:
                     slack = slack[::-1]
                     sup = sup[::-1]
+                    cover = cover[::-1]
                 arc_slack += slack
-                arc_sup += sup
                 arc_opp += sup[::-1]
+                arc_cover += cover
                 arc_rows += [None, None]
             else:
                 partner += [-1] * len(scope)
                 arc_slack += [_NEVER_SKIP] * len(scope)
-                arc_sup += [None] * len(scope)
                 arc_opp += [None] * len(scope)
+                arc_cover += [None] * len(scope)
                 tuples = self._satisfying_positions(c)
                 for x in ordered:
                     k = scope.index(x)
+                    by_value: dict[int, list] = {}
+                    for t in tuples:
+                        by_value.setdefault(t[k], []).append(
+                            tuple((scope[j], 1 << i) for j, i in enumerate(t) if j != k)
+                        )
                     arc_rows.append(tuple(
-                        (1 << t[k], tuple((scope[j], 1 << i) for j, i in enumerate(t) if j != k))
-                        for t in tuples
+                        (1 << i, tuple(rows)) for i, rows in sorted(by_value.items())
                     ))
             for x in scope:
                 decision_arcs[x] += [first + k for k, y in enumerate(ordered) if y != x]
@@ -216,8 +230,8 @@ class _Tables:
         self.arc_var = arc_var
         self.arc_partner = partner
         self.arc_slack = arc_slack
-        self.arc_sup = arc_sup
         self.arc_opp = arc_opp
+        self.arc_cover = arc_cover
         self.arc_rows = arc_rows
         # walk[x][s]: the arcs of decision_arcs[x] that an event on x lists
         # while x has s values, those with slack at least s, in the same
@@ -276,6 +290,21 @@ class _Tables:
         ]
 
 
+def _chunk_unions(opp: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Cover tables of a binary arc whose ``opp[j]`` is the mask of the arc
+    variable's values that partner value ``j`` supports: one table per chunk
+    of :data:`CHUNK_BITS` partner bits, whose entry ``s`` is the union of
+    ``opp`` over the set bits of ``s`` (the last table is shorter when the
+    partner's domain size is not a multiple of the chunk width)."""
+    out = []
+    for base in range(0, len(opp), CHUNK_BITS):
+        union = [0]
+        for row in opp[base:base + CHUNK_BITS]:
+            union += [u | row for u in union]
+        out.append(tuple(union))
+    return tuple(out)
+
+
 def mask_values(values: Sequence[int], mask: int) -> tuple[int, ...]:
     """The values of ``values`` (an original domain) at the set bits of
     ``mask``, ascending."""
@@ -332,15 +361,21 @@ class Problem:
             rel = c.relation
             if isinstance(rel, (ExtensionalAllowed, ExtensionalForbidden)):
                 members = [value_sets[x] for x in c.scope]
-                for t in rel.tuples:
-                    if len(t) != len(c.scope):
-                        raise ValueError(f"constraint {i} tuple arity mismatch: {t}")
-                    for x, dom, v in zip(c.scope, members, t):
-                        if v not in dom:
-                            raise ValueError(
-                                f"constraint {i} tuple value {v} outside the domain "
-                                f"of {names[x]}"
-                            )
+                # one containment per scope column; only when one fails does
+                # the per-tuple loop run, to name the first bad tuple
+                fits = set(map(len, rel.tuples)) <= {len(c.scope)} and all(
+                    dom.issuperset(column) for dom, column in zip(members, zip(*rel.tuples))
+                )
+                if not fits:
+                    for t in rel.tuples:
+                        if len(t) != len(c.scope):
+                            raise ValueError(f"constraint {i} tuple arity mismatch: {t}")
+                        for x, dom, v in zip(c.scope, members, t):
+                            if v not in dom:
+                                raise ValueError(
+                                    f"constraint {i} tuple value {v} outside the domain "
+                                    f"of {names[x]}"
+                                )
             else:
                 extra = expr_vars(rel.expr) - set(c.var_names)
                 if extra:
@@ -370,8 +405,9 @@ class Problem:
 
 class SearchState:
     """Mutable per-run state: domain masks and their sizes (propagation reads
-    a size at every queue walk), weights, assignment flags and the trail.
-    The solution test, :meth:`all_singleton`, counts ``sizes``.
+    a size at every queue walk), weights, assignment flags, the trail, and
+    propagation's pop stamps.  The solution test, :meth:`all_singleton`,
+    counts ``sizes``.
 
     ``assigned[x]`` is True while search has committed ``x``; the value is
     its singleton domain.  ``wdeg[x]`` caches the weighted degree of ``x``:
@@ -380,7 +416,10 @@ class SearchState:
     :meth:`bump_weight` change assignments or weights, and each keeps the
     cache exact for every variable, assigned or not."""
 
-    __slots__ = ("problem", "tables", "masks", "sizes", "weights", "assigned", "wdeg", "trail")
+    __slots__ = (
+        "problem", "tables", "masks", "sizes", "weights", "assigned", "wdeg", "trail",
+        "stamps", "tick",
+    )
 
     def __init__(self, problem: Problem) -> None:
         t = problem.tables
@@ -395,6 +434,9 @@ class SearchState:
             for pairs, cons in zip(t.var_binary, t.var_constraints)
         ]
         self.trail: list[tuple[int, int]] = []  # (variable, removed mask)
+        # propagation's pop stamp per arc and its tick, which only grows
+        self.stamps = [0] * len(t.arc_cid)
+        self.tick = 0
 
     # -- domain queries ----------------------------------------------------
 

@@ -13,7 +13,9 @@ one event that carries ``x``, with ``c`` excluded.  Walking an event on
 ``x`` visits, in ascending order, the arcs of the constraints on ``x`` at
 their other scope variables that could remove a value (see below).  An arc
 is popped and revised at the first event that lists it and was queued after
-its last pop; a local list of pop ticks tells which events those are.  That
+its last pop; the pop ticks kept on the state tell which events those are
+(ticks keep growing across calls, so every stamp is at most the tick at
+which a call starts, and a decision's event carries that tick).  That
 is where the plain AC-3 queue of arcs, which enqueues an arc unless it is
 already queued, pops it, so both revise the same arcs in the same order, at
 one queue operation per domain change instead of one per arc.  A revision
@@ -21,19 +23,25 @@ that empties a domain bumps the weight of exactly that constraint by one and
 stops propagation immediately: :func:`propagate` returns False, and True at a
 fixpoint.  Propagation counts nothing; search counts the wipeouts.
 
-A binary arc is revised inline from its per-arc tables: ``arc_sup`` maps
-each value bit of the arc's variable to the mask of its partner supports,
-and ``arc_opp`` maps each partner bit to the mask of the variable's
-supports.  When the partner is a singleton, one AND with ``arc_opp`` at the
-partner's bit is the whole revision; otherwise each current value is tested
-against ``arc_sup``.  Every other arc (unary or n-ary, of any relation
-kind) scans its compiled rows, one per satisfying tuple of the constraint:
-a current value of the variable is kept once some row for it has every other
-scope variable's bit in that variable's current domain.  The rows are built
-once per problem, so a revision never calls ``check_tuple`` and costs at most
-one pass over a table of at most ``model.MAX_TABLE_TUPLES`` rows for a
-forbidden or intensional relation.  All removed values leave the domain as
-one trail entry.
+A binary arc is revised a whole domain at once from its per-arc tables:
+``arc_opp`` maps each partner bit to the mask of the variable's values it
+supports, so the values to keep are the variable's domain ANDed with the
+union of ``arc_opp`` over the partner's current domain.  When the partner
+is a singleton, that union is one ``arc_opp`` entry; otherwise it is read
+from ``arc_cover``, one lookup per ``model.CHUNK_BITS`` bits of the
+partner's mask, each table entry holding the union over one subset of that
+chunk (the word-level revision of AC3bit, Lecoutre & Vion 2008, and the
+union of supports of Compact-Table, Demeulenaere et al. 2016).  A value is
+in the union exactly when some current partner value supports it, so the
+result is that of testing each value.  Every other arc (unary or n-ary, of
+any relation kind) scans its compiled rows, one per satisfying tuple of the
+constraint, grouped by the variable's value: a current value is kept at the
+first of its rows that has every other scope variable's bit in that
+variable's current domain, and its other rows are not read.  The rows are
+built once per problem, so a revision never calls ``check_tuple`` and costs
+at most one pass over a table of at most ``model.MAX_TABLE_TUPLES`` rows
+for a forbidden or intensional relation.  All removed values leave the
+domain as one trail entry.
 
 Most revisions remove nothing, and many of them are never made.  A binary
 arc's *slack* is the largest number of original partner values that any
@@ -67,7 +75,9 @@ from collections import deque
 from typing import Optional
 
 # check_tuple is unused here but kept: perfbench/tracing.py patches propagation.check_tuple
-from .model import SearchState, check_tuple  # noqa: F401
+from .model import CHUNK_BITS, SearchState, check_tuple  # noqa: F401
+
+_CHUNK_MASK = (1 << CHUNK_BITS) - 1
 
 
 def revise(state: SearchState, a: int) -> bool:
@@ -76,26 +86,31 @@ def revise(state: SearchState, a: int) -> bool:
     masks = state.masks
     x = tables.arc_var[a]
     m = masks[x]
-    sup = tables.arc_sup[a]
-    if sup is None:
+    cover = tables.arc_cover[a]
+    if cover is None:
         new = 0
-        for b, others in tables.arc_rows[a]:
-            if m & b and not new & b and all(masks[z] & c for z, c in others):
-                new |= b
+        for b, rows in tables.arc_rows[a]:
+            if m & b:
+                for others in rows:
+                    for z, c in others:
+                        if not masks[z] & c:
+                            break
+                    else:
+                        new |= b
+                        break
     else:
         p = tables.arc_partner[a]
         pm = masks[p]
         if state.sizes[p] == 1:
-            # the partner's single bit indexes the opposite side's table
+            # the partner's single bit indexes its supports
             new = m & tables.arc_opp[a][pm.bit_length() - 1]
         else:
+            # the union of the supports of every partner value, a chunk at a time
             new = 0
-            t = m
-            while t:
-                b = t & -t
-                if sup[b.bit_length() - 1] & pm:
-                    new |= b
-                t ^= b
+            for union in cover:
+                new |= union[pm & _CHUNK_MASK]
+                pm >>= CHUNK_BITS
+            new &= m
     if new == m:
         return False
     state._remove_mask(x, m ^ new)
@@ -107,8 +122,9 @@ def propagate(state: SearchState, x: Optional[int] = None) -> bool:
     means consistent, False a wipeout, whose constraint has had its weight
     bumped.  With ``x`` left as None (root GAC), walk every arc.
 
-    A decision on ``x`` is the one queued event ``(0, -1, x)``; the root
-    walks every arc in ascending order, each popped and stamped.  A revision
+    A decision on ``x`` is the one queued event ``(start, -1, x)``, ``start``
+    being the state's tick when the call begins; the root walks every arc in
+    ascending order, each popped and stamped.  A revision
     by ``cid`` that shrinks ``y`` then queues the event ``(tick, cid, y)``,
     whose walk reads only ``walk[y][sizes[y]]``, the arcs the slack test
     keeps.  An arc is revised at the first event that lists it and was queued
@@ -122,13 +138,14 @@ def propagate(state: SearchState, x: Optional[int] = None) -> bool:
     arc_var = tables.arc_var
     walk = tables.walk
     sizes = state.sizes
-    # seen[a] is the tick of a's last pop; a tick counts pops and walks
-    seen = [0] * len(arc_cid)
-    tick = 0
+    # seen[a] is the tick of a's last pop; a tick counts pops and walks, and
+    # keeps growing across calls, so every stamp is at most the call's start
+    seen = state.stamps
+    tick = state.tick
     queue = deque()
     push = queue.append
     if x is not None:
-        push((0, -1, x))
+        push((tick, -1, x))
     else:
         partner = tables.arc_partner
         slack = tables.arc_slack
@@ -142,6 +159,7 @@ def propagate(state: SearchState, x: Optional[int] = None) -> bool:
                 cid = arc_cid[a]
                 y = arc_var[a]
                 if sizes[y] == 0:
+                    state.tick = tick
                     state.bump_weight(cid)
                     return False
                 push((tick, cid, y))
@@ -174,10 +192,12 @@ def propagate(state: SearchState, x: Optional[int] = None) -> bool:
             if revise(state, a):
                 z = arc_var[a]
                 if sizes[z] == 0:
+                    state.tick = tick
                     state.bump_weight(cid)
                     return False
                 push((tick, cid, z))
         done.append(record)
+    state.tick = tick
     return True
 
 

@@ -1,9 +1,12 @@
+import hashlib
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from branchbench.bench import parse_manifest
 from branchbench.branching import SCHEME_NAMES, parse_scheme
 from branchbench.generators import (
     gen_coloring,
@@ -22,6 +25,42 @@ from branchbench.instance_io import (
 from branchbench.model import ExtensionalAllowed, Intensional
 from branchbench.search import solve
 from util import random_problem
+
+DESK_SUITE = Path(__file__).resolve().parent.parent / "suites" / "desk.txt"
+
+# sha256 of serialize_instance's text for each desk source: a faster
+# serializer must write the same bytes
+DESK_TEXT_SHA256 = {
+    "pigeons-4": "97d7e64e364b43d2c8f61ed64a26234cd4d6bc8ee18bc2d6d57013759b7ae8f4",
+    "pigeons-5": "d1678f67f97d822aded28cdd170242e5f6c5202bf10a46e92deebea7cc470a6d",
+    "pigeons-6": "fc9af362b5fc9801856f8c2cb4358fbcb61ba0a5ce01628e3f810c53728f41ba",
+    "langford-4": "a92602e6557cb250c717d0a8245a6fcc47a5ea184c42d8c955dffb1badcc1bbb",
+    "langford-5": "5fd8fd9da6d4378249f2946533f43970d3b47621d8edf8449189602eb844e593",
+    "langford-6": "e626745b8b5c6fae638b45cc7721f9ecb1cb5aa404cdde5944f956de57285210",
+    "langford-7": "5a491c8cd42732482c907a71dded9744c03b388a670cf9cc2d60410b13e72751",
+    "coloring-12-30-3-s1": "290e4cd2a054ce392873cc82e279a51ddaeff9096a664e72c94a9e0e03509987",
+    "coloring-12-30-3-s2": "d59061cf6a77dcb542275208a762b8c72c2127ea2e1f729f8ac4abccce4b6e1d",
+    "coloring-14-34-3-s5": "5d18b2914bd096a1639db7b1d7e4f1306d709eb8871fe6c149fa886582b9c7b0",
+    "randomb-16-10-70-41-s5": "d9bebb3a28f0683a6619528641be1e39a32a49c1d921d285584f7d1935247819",
+    "randomb-16-10-70-41-s8": "7756385fb1776f9d1b472a1ec713a15231cf715af5f30dc47e3cfc5b0500e492",
+    "randomb-16-10-70-41-s10": "19c147f61b7c71b7b4f822b89f3716b86e68db85d79e3e122a8fa8dc981289aa",
+    "randomb-16-10-70-38-s43": "838fd44b1e8a691039a37118f35939e5c25b98800ed5dc92842fe0b1950c455b",
+    "forced-16-10-70-44-s1": "4c753fb2a32e36d2670c9a09d0d7c1ebae87eaddcd9359fe6b8eefdc2a4111ff",
+    "forced-16-10-70-44-s2": "f39f453a140f4afdceca2a3bd7d5ec487264318216aecc1b14e8e3941b0ba12a",
+    "forced-16-10-70-44-s3": "3e03a63b3e8c34849e0bacb87d1518977fdfde3d8b1027bfc7476f45f25efcb1",
+    "qwh-4-12-s2": "5f41ff97f1cd4a4f4e21b366b169a9de23f32cc1ad194fb22d6aad0ccf275eff",
+    "qwh-4-14-s1": "7b3c41346397ac3d43018195faf8e67886f938060dbcfe9dbd32b9c0f0e0d638",
+    "qwh-4-16-s3": "a5806002f8cc62330d44a211f3f135b13ce13157076f2ebaffec7d44ad4fa49d",
+}
+
+
+def test_serialized_desk_sources_keep_their_bytes():
+    sources = parse_manifest(DESK_SUITE.read_text(encoding="utf-8"), DESK_SUITE.parent)
+    got = {
+        source.name: hashlib.sha256(serialize_instance(source.load()).encode()).hexdigest()
+        for source in sources
+    }
+    assert got == DESK_TEXT_SHA256
 
 
 def test_minimal_intensional():

@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 
@@ -59,6 +60,50 @@ def test_extensional_tuple_outside_domain_rejected():
     rel = ExtensionalAllowed(frozenset({(0, 9)}))
     with pytest.raises(ValueError):
         two_var_problem(rel)
+
+
+def _first_bad_tuple_message(problem_names, scope, domains, tuples):
+    """The message of the per-tuple rule: the first tuple, in set order, of
+    the wrong arity or with a value outside its variable's domain."""
+    for t in tuples:
+        if len(t) != len(scope):
+            return f"constraint 0 tuple arity mismatch: {t}"
+        for x, v in zip(scope, t):
+            if v not in domains[x]:
+                return f"constraint 0 tuple value {v} outside the domain of {problem_names[x]}"
+    return None
+
+
+def test_bad_extensional_tuples_are_named_as_by_the_per_tuple_rule():
+    names = ("x", "y", "z")
+    domains = (tuple(range(6)), tuple(range(2, 9)), tuple(range(-3, 3)))
+    r = random.Random(7)
+    messages = Counter()
+    for _ in range(200):
+        arity = r.randint(1, 3)
+        scope = tuple(r.sample(range(3), arity))
+        good = list(itertools.product(*(domains[x] for x in scope)))
+        tuples = set(r.sample(good, r.randint(0, min(len(good), 20))))
+        for _ in range(r.randint(0, 2)):
+            bad = list(r.choice(good))
+            if r.randrange(2):
+                bad[r.randrange(arity)] = r.choice((-9, 9, 100))
+            else:
+                bad = bad[:-1] if r.randrange(2) else bad + [0]
+            tuples.add(tuple(bad))
+        rel = r.choice((ExtensionalAllowed, ExtensionalForbidden))(frozenset(tuples))
+        var_names = tuple(names[x] for x in scope)
+        expected = _first_bad_tuple_message(names, scope, domains, rel.tuples)
+        constraints = (Constraint(0, scope, var_names, rel),)
+        if expected is None:
+            Problem(names, domains, constraints)
+            messages["none"] += 1
+        else:
+            with pytest.raises(ValueError) as err:
+                Problem(names, domains, constraints)
+            assert str(err.value) == expected
+            messages[expected.split()[3]] += 1
+    assert messages["none"] >= 20 and messages["arity"] >= 20 and messages["value"] >= 20
 
 
 def test_expression_variable_outside_scope_rejected():

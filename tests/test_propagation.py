@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 
@@ -9,6 +10,7 @@ from branchbench.generators import gen_langford, gen_randomb
 from branchbench.model import (
     Constraint,
     ExtensionalAllowed,
+    ExtensionalForbidden,
     Intensional,
     Problem,
     SearchState,
@@ -16,7 +18,14 @@ from branchbench.model import (
 )
 from branchbench.propagation import establish_root_gac, propagate, revise
 from oracles import gac_fixpoint, reference_propagate, supported_values
-from util import domain_values, make_binary, ne_rel, random_problem, reduce_domain
+from util import (
+    _random_intensional,
+    domain_values,
+    make_binary,
+    ne_rel,
+    random_problem,
+    reduce_domain,
+)
 
 
 def current_domains(state, n):
@@ -469,6 +478,77 @@ def test_revise_every_arc_matches_the_support_oracle():
                 assert counts[order, single, changed] >= 50, (order, single, changed)
     for arity in (1, 3):
         assert counts[arity, True] >= 50 and counts[arity, False] >= 50
+
+
+def _wide_problem(r, arity):
+    """One constraint over ``arity`` variables of 9-18 values each, so a
+    partner's mask spans three to five 4-bit chunks and most domain sizes are
+    not a multiple of 4; the scope lists the variables in a random order."""
+    names = tuple(f"v{i}" for i in range(arity))
+    domains = tuple(
+        tuple(sorted(r.sample(range(-4, 30), r.randint(9, 18)))) for _ in range(arity)
+    )
+    scope = tuple(r.sample(range(arity), arity))
+    var_names = tuple(names[x] for x in scope)
+    if r.randrange(4) == 0:
+        rel = _random_intensional(r, var_names)
+    else:
+        # sparse allowed or dense forbidden tables remove values; the others
+        # mostly keep them
+        space = list(itertools.product(*(domains[x] for x in scope)))
+        share = r.choice((0.02, 0.1, 0.5, 0.9))
+        kind = r.choice((ExtensionalAllowed, ExtensionalForbidden))
+        rel = kind(frozenset(r.sample(space, int(share * len(space)))))
+    return Problem(names, domains, (Constraint(0, scope, var_names, rel),))
+
+
+def _wide_mask(r, size, shape):
+    """A domain mask over ``size`` values: ``high`` sets two or more bits of
+    one 4-bit chunk above the first and no other bit, ``some`` two or more
+    bits anywhere, ``one`` a single bit."""
+    if shape == "one":
+        return 1 << r.randrange(size)
+    if shape == "high":
+        chunks = [k for k in range(1, (size + 3) // 4) if size - 4 * k >= 2]
+        k = r.choice(chunks)
+        bits = range(4 * k, min(4 * k + 4, size))
+    else:
+        bits = range(size)
+    return sum(1 << b for b in r.sample(bits, r.randint(2, len(bits))))
+
+
+def test_revise_matches_the_support_oracle_across_chunk_boundaries():
+    counts = Counter()
+    for seed in range(120):
+        r = random.Random(seed)
+        arity = 2 if seed % 3 else 3
+        p = _wide_problem(r, arity)
+        c = p.constraints[0]
+        tables = p.tables
+        for _ in range(6):
+            st = SearchState(p)
+            shapes = [r.choice(("one", "high", "some", "some")) for _ in range(arity)]
+            for z, shape in enumerate(shapes):
+                kept = _wide_mask(r, len(p.domains[z]), shape)
+                reduce_domain(st, z, mask_values(p.domains[z], kept))
+            domains = current_domains(st, arity)
+            for a, x in enumerate(tables.arc_var):
+                expected = supported_values(c, domains, x)
+                token = st.push_level()
+                changed = revise(st, a)
+                assert domain_values(st, x) == expected, (c, x, domains)
+                assert changed == (expected != domains[x])
+                st.undo_to(token)
+                if arity == 2:
+                    order = "high-to-low" if c.scope[0] > c.scope[1] else "low-to-high"
+                    counts[order, shapes[1 - x], changed] += 1
+                else:
+                    counts[3, changed] += 1
+    for order in ("high-to-low", "low-to-high"):
+        for shape in ("high", "some"):
+            for changed in (True, False):
+                assert counts[order, shape, changed] >= 25, (order, shape, changed)
+    assert counts[3, True] >= 50 and counts[3, False] >= 50
 
 
 def test_revise_reads_the_tables_of_its_own_side():
