@@ -124,14 +124,14 @@ def propagate(state: SearchState, x: Optional[int] = None) -> bool:
 
     A decision on ``x`` is the one queued event ``(start, -1, x)``, ``start``
     being the state's tick when the call begins; the root walks every arc in
-    ascending order, each popped and stamped.  A revision
-    by ``cid`` that shrinks ``y`` then queues the event ``(tick, cid, y)``,
-    whose walk reads only ``walk[y][sizes[y]]``, the arcs the slack test
-    keeps.  An arc is revised at the first event that lists it and was queued
-    after its last pop, which is where the plain arc queue would pop it, so
-    the revisions and their order are those of that queue.  The pops of the
-    arcs left out are not stamped; replaying the records of the earlier walks
-    on ``y`` restores them when an arc is listed again.
+    ascending order, each popped and stamped.  A revision by ``cid`` that
+    shrinks ``y`` then queues the event ``(tick, cid, y)``, whose walk reads
+    only ``walk[y][sizes[y]]``, the arcs the slack test keeps.  An arc is
+    revised at the first event that lists it and was queued after its last
+    pop, which is where the plain arc queue would pop it, so the revisions
+    and their order are those of that queue.  The pops of the arcs left out
+    are not stamped; replaying the records of the earlier walks on ``y``
+    restores them when an arc is listed again.
     """
     tables = state.tables
     arc_cid = tables.arc_cid
