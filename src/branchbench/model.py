@@ -147,8 +147,8 @@ class _Tables:
         # other arc has partner -1, a slack no domain size exceeds and, in
         # arc_rows, its satisfying tuples grouped by the value of x, ascending:
         # (bit of x, rows), a row being ((z, bit of z) for the other scope
-        # variables).  An event on x lists decision_arcs[x]: every constraint
-        # on x revised at its other scope variables, ascending (cid, var).
+        # variables).  on_var[x]: every constraint on x revised at its other
+        # scope variables, ascending (cid, var), the arcs x's walk may list.
         arc_cid: list[int] = []
         arc_var: list[int] = []
         partner: list[int] = []
@@ -156,7 +156,7 @@ class _Tables:
         arc_opp: list = []
         arc_cover: list = []
         arc_rows: list = []
-        decision_arcs: list[list[int]] = [[] for _ in range(n)]
+        on_var: list[list[int]] = [[] for _ in range(n)]
         # the constraints on x, for the wdeg cache: binary ones as (cid,
         # partner), every other one as (cid, the other scope variables)
         var_binary: list[list] = [[] for _ in range(n)]
@@ -220,7 +220,7 @@ class _Tables:
                         (1 << i, tuple(rows)) for i, rows in sorted(by_value.items())
                     ))
             for x in scope:
-                decision_arcs[x] += [first + k for k, y in enumerate(ordered) if y != x]
+                on_var[x] += [first + k for k, y in enumerate(ordered) if y != x]
                 others = tuple(z for z in scope if z != x)
                 if len(others) == 1:
                     var_binary[x].append((cid, others[0]))
@@ -233,11 +233,11 @@ class _Tables:
         self.arc_opp = arc_opp
         self.arc_cover = arc_cover
         self.arc_rows = arc_rows
-        # walk[x][s]: the arcs of decision_arcs[x] that an event on x lists
+        # walk[x][s]: the arcs of on_var[x] that the walk of x lists
         # while x has s values, those with slack at least s, in the same
         # order; the sizes between two slacks share one tuple
         self.walk = []
-        for x, arcs in enumerate(decision_arcs):
+        for x, arcs in enumerate(on_var):
             arcs = tuple(arcs)
             top = len(self.values[x])
             kept = [arcs] * (top + 1)
@@ -405,9 +405,8 @@ class Problem:
 
 class SearchState:
     """Mutable per-run state: domain masks and their sizes (propagation reads
-    a size at every queue walk), weights, assignment flags, the trail, and
-    propagation's pop stamps.  The solution test, :meth:`all_singleton`,
-    counts ``sizes``.
+    a size at every queue walk), weights, assignment flags and the trail.
+    The solution test, :meth:`all_singleton`, counts ``sizes``.
 
     ``assigned[x]`` is True while search has committed ``x``; the value is
     its singleton domain.  ``wdeg[x]`` caches the weighted degree of ``x``:
@@ -418,7 +417,6 @@ class SearchState:
 
     __slots__ = (
         "problem", "tables", "masks", "sizes", "weights", "assigned", "wdeg", "trail",
-        "stamps", "tick",
     )
 
     def __init__(self, problem: Problem) -> None:
@@ -434,9 +432,6 @@ class SearchState:
             for pairs, cons in zip(t.var_binary, t.var_constraints)
         ]
         self.trail: list[tuple[int, int]] = []  # (variable, removed mask)
-        # propagation's pop stamp per arc and its tick, which only grows
-        self.stamps = [0] * len(t.arc_cid)
-        self.tick = 0
 
     # -- domain queries ----------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Arc consistency: revise single arcs and run AC-3 style propagation.
+"""Arc consistency: revise single arcs and propagate with a variable queue.
 
 An arc is a pair ``(constraint id, variable id)``; revising it deletes every
 value of the variable lacking a supporting tuple in the constraint over the
@@ -6,22 +6,21 @@ current domains of the other scope variables.  The compiled tables number
 the arcs in ascending ``(cid, var)`` order (arc ``i`` is
 ``(tables.arc_cid[i], tables.arc_var[i])``), and both ``revise`` and
 ``propagate`` work on those ids.  The FIFO queue of ``propagate`` holds
-domain-change events, not arcs.  A decision on ``x`` is one event on ``x``
-that excludes no constraint; only root GAC walks an arc list, every arc in
-ascending order.  A revision by constraint ``c`` that shrinks ``x`` queues
-one event that carries ``x``, with ``c`` excluded.  Walking an event on
-``x`` visits, in ascending order, the arcs of the constraints on ``x`` at
-their other scope variables that could remove a value (see below).  An arc
-is popped and revised at the first event that lists it and was queued after
-its last pop; the pop ticks kept on the state tell which events those are
-(ticks keep growing across calls, so every stamp is at most the tick at
-which a call starts, and a decision's event carries that tick).  That
-is where the plain AC-3 queue of arcs, which enqueues an arc unless it is
-already queued, pops it, so both revise the same arcs in the same order, at
-one queue operation per domain change instead of one per arc.  A revision
-that empties a domain bumps the weight of exactly that constraint by one and
-stops propagation immediately: :func:`propagate` returns False, and True at a
-fixpoint.  Propagation counts nothing; search counts the wipeouts.
+variables whose domains shrank, each at most once, as in variable-oriented
+AC-3 (McGregor 1979; Boussemart, Hemery, Lecoutre & Sais 2004).  Only root
+GAC walks an arc list, every arc in ascending order; it is what revises
+unary constraints, which no variable's walk lists.  A decision on ``x``
+queues ``x``.  Popping ``x`` revises, in ascending order, the arcs of the
+constraints on ``x`` at their other scope variables that could remove a
+value (see below).  A revision by constraint ``c`` that shrinks ``y``
+queues ``y`` with ``c`` excluded from its walk; if another constraint
+shrinks ``y`` before it is popped, nothing is excluded.  The exclusion is
+sound: a value that ``c`` removed had no support in ``c``, so it supported
+no value of another scope variable there, and ``c``'s other arcs would
+remove nothing more for its loss.  A revision that empties a domain bumps
+the weight of exactly that constraint by one and stops propagation
+immediately: :func:`propagate` returns False, and True at a fixpoint.
+Propagation counts nothing; search counts the wipeouts.
 
 A binary arc is revised a whole domain at once from its per-arc tables:
 ``arc_opp`` maps each partner bit to the mask of the variable's values it
@@ -48,25 +47,12 @@ arc's *slack* is the largest number of original partner values that any
 target value conflicts with (1 for ``ne``; the partner's whole original
 domain when some value has no support at all).  While the partner's current
 domain is larger than the slack, every target value still has a support, so
-the revision could remove nothing.  The root walk pops and stamps every
-arc, and drops the ones with such a partner unrevised.  An event on ``x``
-lists binary arcs whose partner is ``x``, and none of its arcs revises
-``x``, so ``x`` keeps its size while the event is walked.  So the walk reads
-``tables.walk[x][sizes[x]]``: the arcs an event on ``x`` lists whose slack
-that size does not exceed, in the same order.  A non-binary arc is always
-listed.
-
-The plain queue pops the arcs left out too, and a pop decides whether a
-later event revises the arc, so those pops are replayed rather than
-stamped.  This is exact because after the root walk, only events on ``x``
-list a binary arc with partner ``x``; because whether an arc is
-popped at a walk does not depend on its slack; and because sizes only fall
-within a call, so an arc is left out of a prefix of the walks on ``x`` and
-listed in the rest.  Each walk on ``x`` keeps a record ``(since, tick,
-excluded cid)``.  An arc listed again replays the records of the earlier
-walks on ``x`` onto its stamp before the usual test.  The revisions made,
-which of them remove values, in what order, and which constraint takes a
-wipeout's weight are all those of the plain AC-3 queue.
+the revision could remove nothing.  The root walk leaves such arcs
+unrevised.  The walk of ``x`` lists binary arcs whose partner is ``x``, and
+none of its arcs revises ``x``, so ``x`` keeps its size while it is walked.
+So the walk reads ``tables.walk[x][sizes[x]]``: the arcs of the constraints
+on ``x`` whose slack that size does not exceed, in ascending order.  A
+non-binary arc is always listed.
 """
 
 from __future__ import annotations
@@ -118,86 +104,64 @@ def revise(state: SearchState, a: int) -> bool:
 
 
 def propagate(state: SearchState, x: Optional[int] = None) -> bool:
-    """Run the AC-3 queue to fixpoint after a change to ``x``'s domain; True
-    means consistent, False a wipeout, whose constraint has had its weight
-    bumped.  With ``x`` left as None (root GAC), walk every arc.
+    """Run the variable queue to fixpoint after a change to ``x``'s domain;
+    True means consistent, False a wipeout, whose constraint has had its
+    weight bumped.  With ``x`` left as None (root GAC), revise every arc.
 
-    A decision on ``x`` is the one queued event ``(start, -1, x)``, ``start``
-    being the state's tick when the call begins; the root walks every arc in
-    ascending order, each popped and stamped.  A revision by ``cid`` that
-    shrinks ``y`` then queues the event ``(tick, cid, y)``, whose walk reads
-    only ``walk[y][sizes[y]]``, the arcs the slack test keeps.  An arc is
-    revised at the first event that lists it and was queued after its last
-    pop, which is where the plain arc queue would pop it, so the revisions
-    and their order are those of that queue.  The pops of the arcs left out
-    are not stamped; replaying the records of the earlier walks on ``y``
-    restores them when an arc is listed again.
+    A decision queues ``x`` with no constraint excluded; root GAC instead
+    revises every arc in ascending order, binary arcs whose partner is
+    larger than their slack left out.  A revision by ``cid`` that shrinks
+    ``y`` queues ``y``, unless it is queued already, and records ``cid`` as
+    its excluded constraint, or -1 when another constraint queued it too.
+    Popping ``y`` revises ``walk[y][sizes[y]]``, the arcs at its neighbours
+    that the slack test keeps, except those of the excluded constraint.
     """
     tables = state.tables
     arc_cid = tables.arc_cid
     arc_var = tables.arc_var
     walk = tables.walk
     sizes = state.sizes
-    # seen[a] is the tick of a's last pop; a tick counts pops and walks, and
-    # keeps growing across calls, so every stamp is at most the call's start
-    seen = state.stamps
-    tick = state.tick
+    # queued[y]: the constraint excluded at y's walk, or -1 for none
+    queued: dict = {}
     queue = deque()
-    push = queue.append
     if x is not None:
-        push((tick, -1, x))
+        queued[x] = -1
+        queue.append(x)
     else:
         partner = tables.arc_partner
         slack = tables.arc_slack
         for a in range(len(arc_cid)):
-            tick += 1
-            seen[a] = tick
             # a non-binary arc has partner -1 and a slack no size exceeds
-            if sizes[partner[a]] > slack[a]:
+            if sizes[partner[a]] > slack[a] or not revise(state, a):
                 continue
-            if revise(state, a):
-                cid = arc_cid[a]
-                y = arc_var[a]
-                if sizes[y] == 0:
-                    state.tick = tick
-                    state.bump_weight(cid)
-                    return False
-                push((tick, cid, y))
-    # records[y]: (since, tick, excluded cid) of each earlier walk on y
-    records: dict = {}
+            cid = arc_cid[a]
+            y = arc_var[a]
+            if sizes[y] == 0:
+                state.bump_weight(cid)
+                return False
+            if y not in queued:
+                queued[y] = cid
+                queue.append(y)
+            elif queued[y] != cid:
+                queued[y] = -1
     pop = queue.popleft
     while queue:
-        since, skip, y = pop()
-        tick += 1
-        record = (since, tick, skip)
-        done = records.setdefault(y, [])
-        last = done[-1][1] if done else 0
-        # an arc left out of an earlier walk on y was popped there iff its
-        # constraint was not excluded and it had not been popped since that
-        # walk's event was queued: replay onto stamps older than the last walk
+        y = pop()
+        skip = queued.pop(y)
+        # no arc of the walk revises y, so its size holds through the walk
         for a in walk[y][sizes[y]]:
             cid = arc_cid[a]
-            if cid == skip:
+            if cid == skip or not revise(state, a):
                 continue
-            t = seen[a]
-            if t < last:
-                for r_since, r_tick, r_skip in done:
-                    if t <= r_since and r_skip != cid:
-                        t = r_tick
-                seen[a] = t
-            if t > since:
-                continue
-            tick += 1
-            seen[a] = tick
-            if revise(state, a):
-                z = arc_var[a]
-                if sizes[z] == 0:
-                    state.tick = tick
-                    state.bump_weight(cid)
-                    return False
-                push((tick, cid, z))
-        done.append(record)
-    state.tick = tick
+            z = arc_var[a]
+            if sizes[z] == 0:
+                state.bump_weight(cid)
+                return False
+            if z not in queued:
+                queued[z] = cid
+                queue.append(z)
+            elif queued[z] != cid:
+                queued[z] = -1
     return True
 
 

@@ -11,10 +11,13 @@ from __future__ import annotations
 import itertools
 import sys
 from collections import deque
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
-from branchbench.branching import BranchPlan, Scheme
+import branchbench.search as search_mod
+from branchbench.branching import BranchPlan, Scheme, parse_scheme, plan
 from branchbench.clustering import bic, xmeans
+from branchbench.generators import gen_randomb
+from branchbench.heuristics import score_domain
 from branchbench.model import Constraint, Problem, SearchState, check_tuple
 from util import domain_values
 
@@ -209,23 +212,30 @@ def reference_propagate(
     problem: Problem,
     domains: list[list[int]],
     weights: list[int],
-    arcs: Iterable[tuple[int, int]],
+    changed: Optional[int] = None,
     removals: Optional[list[tuple[int, tuple[int, ...]]]] = None,
     revisions: Optional[list[tuple[int, int]]] = None,
 ) -> Optional[tuple[int, int]]:
-    """The plain AC-3 queue over ``(cid, var)`` arcs, revising by enumeration.
+    """The plain variable queue over ``(cid, var)`` arcs, revising by
+    enumeration.
 
-    A FIFO ``deque`` of arcs with a ``set`` of queued arcs: each popped arc
-    is revised with ``supported_values``.  When a revision shrinks
-    a domain, every arc of another constraint on that variable, at each of
-    its other scope variables, is enqueued in ascending ``(cid, var)`` order
-    unless already queued.  ``domains`` and ``weights`` are updated in
-    place; a wipeout bumps the wiping constraint's weight and returns
-    ``(variable, constraint)``, otherwise the result is None.  When given,
-    ``removals`` collects ``(variable, removed values)`` for each revision
-    that shrinks a domain, in revision order, removed values in domain order.
+    With ``changed`` None (root GAC), every arc is first revised in
+    ascending ``(cid, var)`` order; otherwise the queue starts as
+    ``[changed]`` with no constraint excluded.  The queue is a FIFO
+    ``deque`` of variables with a ``dict`` from each queued variable to its
+    excluded constraint.  A revision by constraint ``c`` that shrinks ``x``
+    queues ``x`` excluding ``c`` unless ``x`` is queued already; if it is,
+    and by another constraint, it excludes -1, that is nothing.  A popped
+    ``y`` revises, in ascending ``(cid, var)`` order, every arc of a
+    constraint on ``y`` but the excluded one, at each of its other scope
+    variables, each with ``supported_values``.  ``domains`` and ``weights``
+    are updated in place; a wipeout bumps the wiping constraint's weight and
+    returns ``(variable, constraint)``, otherwise the result is None.  When
+    given, ``removals`` collects ``(variable, removed values)`` for each
+    revision that shrinks a domain, in revision order, removed values in
+    domain order.
 
-    A popped binary arc whose partner's current domain is larger than its
+    A binary arc whose partner's current domain is larger than its
     ``binary_slack`` is not revised: every value keeps a support.  When
     given, ``revisions`` collects every arc revised, no-ops included, in
     order.
@@ -236,32 +246,50 @@ def reference_propagate(
             follows[x].extend((c.cid, y) for y in c.scope if y != x)
     for f in follows:
         f.sort()
-    queue = deque(arcs)
-    queued = set(queue)
-    while queue:
-        arc = queue.popleft()
-        queued.discard(arc)
+    queue: deque = deque()
+    excluded: dict[int, int] = {}
+
+    def revise(arc: tuple[int, int]) -> Optional[tuple[int, int]]:
         cid, x = arc
         c = problem.constraints[cid]
         if len(c.scope) == 2:
             (y,) = (z for z in c.scope if z != x)
             if len(domains[y]) > binary_slack(c, problem.domains, x):
-                continue
+                return None
         if revisions is not None:
             revisions.append(arc)
         kept = supported_values(c, domains, x)
         if len(kept) == len(domains[x]):
-            continue
+            return None
         if removals is not None:
             removals.append((x, tuple(v for v in domains[x] if v not in kept)))
         domains[x] = kept
         if not kept:
             weights[cid] += 1
             return (x, cid)
-        for follow in follows[x]:
-            if follow[0] != cid and follow not in queued:
-                queue.append(follow)
-                queued.add(follow)
+        if x not in excluded:
+            queue.append(x)
+            excluded[x] = cid
+        elif excluded[x] != cid:
+            excluded[x] = -1
+        return None
+
+    if changed is None:
+        for arc in sorted((c.cid, x) for c in problem.constraints for x in c.scope):
+            wiped = revise(arc)
+            if wiped:
+                return wiped
+    else:
+        queue.append(changed)
+        excluded[changed] = -1
+    while queue:
+        y = queue.popleft()
+        skip = excluded.pop(y)
+        for arc in follows[y]:
+            if arc[0] != skip:
+                wiped = revise(arc)
+                if wiped:
+                    return wiped
     return None
 
 
@@ -297,3 +325,37 @@ def best_contiguous_partition(scores: Sequence[float], kmax: int) -> tuple[int, 
             if score > best_bic:
                 best_k, best_bic = k, score
     return best_k, best_bic
+
+
+def tie_free_seeds() -> tuple[int, ...]:
+    """The first 30 seeds in ``range(260)`` for which
+    ``gen_randomb(16, 10, 70, 41, seed)`` takes 12 to 4000 nodes under
+    ``dway`` and neither the ``dway`` nor the ``2way`` search meets a
+    promise tie: a branch node at which ``score_domain`` scores two values
+    equally.  ``search.plan`` is wrapped while the scan runs, to see every
+    branch node's scores."""
+    ties = []
+
+    def recording_plan(scheme, state, x):
+        scores = [score for _, score in score_domain(state, x)]
+        if len(set(scores)) < len(scores):
+            ties.append(x)
+        return plan(scheme, state, x)
+
+    found: list[int] = []
+    search_mod.plan = recording_plan
+    try:
+        for seed in range(260):
+            problem = gen_randomb(16, 10, 70, 41, seed)
+            ties.clear()
+            out = search_mod.solve(problem, parse_scheme("dway"))
+            if ties or not 12 <= out.stats.nodes <= 4000:
+                continue
+            search_mod.solve(problem, parse_scheme("2way"))
+            if not ties:
+                found.append(seed)
+                if len(found) == 30:
+                    break
+    finally:
+        search_mod.plan = plan
+    return tuple(found)

@@ -30,7 +30,7 @@ from branchbench.model import SearchState
 from branchbench.propagation import establish_root_gac
 from branchbench.search import Status, solve, verify
 from branchbench.stats import categorize, folded_ratio, paired_ttest
-from oracles import best_contiguous_partition, brute_force_sat, gac_fixpoint
+from oracles import best_contiguous_partition, brute_force_sat, gac_fixpoint, tie_free_seeds
 from util import domain_values, random_problem, score_vector
 
 ALL_SCHEMES = tuple(parse_scheme(name) for name in SCHEME_NAMES)
@@ -82,14 +82,19 @@ def test_criterion_2_propagation_reaches_oracle_fixpoint():
 
 
 # randomb instances whose full searches never see a promise tie under the
-# plain schemes, pinned from a scan: the first 30 seeds in range(260) for
-# which gen_randomb(16, 10, 70, 41, seed) takes between 12 and 4000 nodes
-# under dway and neither the dway nor the 2way search scores two values of
-# a branch node equally (asserting_distinct_scores re-checks this below)
+# plain schemes, pinned from oracles.tie_free_seeds: the first 30 seeds in
+# range(260) for which gen_randomb(16, 10, 70, 41, seed) takes between 12
+# and 4000 nodes under dway and neither the dway nor the 2way search scores
+# two values of a branch node equally (asserting_distinct_scores re-checks
+# this below, and test_tie_free_seeds_are_the_scan_result the pin)
 TIE_FREE_SEEDS = (
-    5, 8, 10, 14, 15, 19, 20, 23, 27, 31, 32, 33, 36, 37, 38, 39, 40, 48,
-    52, 58, 59, 65, 70, 72, 83, 84, 88, 96, 98, 100,
+    5, 8, 10, 14, 15, 19, 20, 22, 23, 27, 30, 31, 32, 33, 36, 37, 38, 39, 40,
+    47, 48, 52, 58, 65, 70, 72, 73, 76, 77, 84,
 )
+
+
+def test_tie_free_seeds_are_the_scan_result():
+    assert TIE_FREE_SEEDS == tie_free_seeds()
 
 
 @contextlib.contextmanager

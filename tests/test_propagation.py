@@ -134,7 +134,7 @@ def test_decision_arcs_cover_other_scope_vars_sorted():
     def arcs(x, size):
         return [(tables.arc_cid[a], tables.arc_var[a]) for a in tables.walk[x][size]]
 
-    # an event on x lists every arc at its size 1; ne has slack 1, so none at 2
+    # the walk of x lists every arc at its size 1; ne has slack 1, so none at 2
     assert arcs(0, 1) == [(0, 1), (1, 2)]
     assert arcs(1, 1) == [(0, 0), (2, 2)]
     assert arcs(2, 1) == [(1, 0), (2, 1)]
@@ -228,11 +228,6 @@ def test_gac_subset_of_original(seed):
             assert set(domain_values(st, x)) <= set(p.domains[x])
 
 
-def _seed_arcs(problem, x):
-    on_x = (c for c in problem.constraints if x in c.scope)
-    return sorted((c.cid, y) for c in on_x for y in c.scope if y != x)
-
-
 def _wipeout_pair(st, consistent, weights_before):
     """None if ``consistent``; else the wipeout as ``(variable, constraint)``,
     read off the state: the one emptied domain and the one weight raised by
@@ -267,19 +262,18 @@ def revise_calls(monkeypatch):
 
 def _walk_against_reference(p, r, calls, steps=12):
     """Random decisions and backtracks, propagated by the library and by the
-    plain deque + set queue revising by tuple enumeration; both must give the
+    plain variable queue revising by tuple enumeration; both must give the
     same revisions (no-ops included) in the same order, removals, wipeouts,
     weights and domains.  ``calls`` is the ``revise_calls`` fixture's list.
     Returns (decisions, wipeouts)."""
     st = SearchState(p)
     domains = [list(d) for d in p.domains]
     weights = [1] * len(p.constraints)
-    all_arcs = sorted((c.cid, y) for c in p.constraints for y in c.scope)
     removals = []
     revisions = []
     calls.clear()
     got = _wipeout_pair(st, establish_root_gac(st), weights)
-    assert got == reference_propagate(p, domains, weights, all_arcs, removals, revisions)
+    assert got == reference_propagate(p, domains, weights, None, removals, revisions)
     assert calls == revisions
     assert _removals_since(st, p, 0) == removals
     assert current_domains(st, p.n_vars) == domains
@@ -304,9 +298,7 @@ def _walk_against_reference(p, r, calls, steps=12):
         calls.clear()
         consistent = propagate(st, x)
         got = _wipeout_pair(st, consistent, weights)
-        expected = reference_propagate(
-            p, domains, weights, _seed_arcs(p, x), removals, revisions
-        )
+        expected = reference_propagate(p, domains, weights, x, removals, revisions)
         decisions += 1
         wiped += not consistent
         assert got == expected
