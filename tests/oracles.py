@@ -3,7 +3,8 @@
 Everything here is deliberately written the slow, obvious way and shares no
 code with the library internals beyond the public constraint check, the BIC
 formula and x-means (both under test separately), so agreement between the
-two routes is meaningful.
+two routes is meaningful.  The one exception is ``tie_free_seeds``, a scan
+that runs the library's search to choose test inputs, not to check results.
 """
 
 from __future__ import annotations

@@ -82,11 +82,9 @@ def test_criterion_2_propagation_reaches_oracle_fixpoint():
 
 
 # randomb instances whose full searches never see a promise tie under the
-# plain schemes, pinned from oracles.tie_free_seeds: the first 30 seeds in
-# range(260) for which gen_randomb(16, 10, 70, 41, seed) takes between 12
-# and 4000 nodes under dway and neither the dway nor the 2way search scores
-# two values of a branch node equally (asserting_distinct_scores re-checks
-# this below, and test_tie_free_seeds_are_the_scan_result the pin)
+# plain schemes: the result of oracles.tie_free_seeds, whose docstring states
+# the scan's rule (asserting_distinct_scores re-checks each seed below, and
+# test_tie_free_seeds_are_the_scan_result the pin)
 TIE_FREE_SEEDS = (
     5, 8, 10, 14, 15, 19, 20, 22, 23, 27, 30, 31, 32, 33, 36, 37, 38, 39, 40,
     47, 48, 52, 58, 65, 70, 72, 73, 76, 77, 84,
