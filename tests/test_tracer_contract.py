@@ -63,6 +63,8 @@ def test_traced_solve_counts_set_plans_and_runs_the_same_search(monkeypatch):
         # ternary allowed tables and sums: revised by scanning compiled rows
         ("nary", "dway", 450, 71),
     ],
+    # named by instance and scheme only, so a re-pinned count keeps the name
+    ids=["langford 6-2way", "langford 6-dway", "nary-dway"],
 )
 def test_traced_solve_makes_the_pinned_revise_calls(
     monkeypatch, instance, scheme, revisions, effective
