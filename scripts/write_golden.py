@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Write the golden behaviour corpus under ``tests/golden/``.
+"""Write every search pin under ``tests/golden/``.
 
     PYTHONPATH=src python3 scripts/write_golden.py [--out tests/golden]
 
@@ -10,8 +10,19 @@ the instance source, the scheme, status, nodes, decisions, wipeouts,
 backtracks and the sha256 of the search trace.  It also writes ``nary.csp``,
 the one instance with ternary constraints, so the corpus does not depend on
 a generator outside the library.  ``tests/test_golden.py`` re-solves every
-record and compares.  Rewriting the corpus is a deliberate act: a change
-that is meant to keep the search as it was must leave both files
+record and compares.
+
+``pins.json`` holds the revise calls, and those that removed a value, of a
+traced solve of each ``REVISE_CASES`` pair (the trail shows only the latter);
+the ``tie_free_seeds`` scan; and each workload's ``search_digest`` and traced
+revision counts from ``perfbench/run.py --workload W --seed 1 --seconds 0
+--trace 1``, which checks that every span it wraps fired and the traced search
+against the untraced one.  ``sweep`` fires every span; ``proof`` checks the
+revise counter where propagate and revise take most of the time; ``sets``
+alone reaches ``clustering.xmeans``, which plans with all scores equal skip.
+When a run exits non-zero or prints no digest or result, nothing is written
+and the exit code is 1.  Rewriting the pins is a deliberate act: a change
+that is meant to keep the search as it was must leave all three files
 byte-identical.
 """
 
@@ -22,12 +33,16 @@ import hashlib
 import itertools
 import json
 import random
+import re
+import subprocess
 import sys
 from pathlib import Path
 
-from branchbench.branching import SCHEME_NAMES, parse_scheme
+from branchbench import search
+from branchbench.branching import SCHEME_NAMES, parse_scheme, plan
 from branchbench.exprs import Call, Const, VarRef
-from branchbench.generators import GenSpec
+from branchbench.generators import GenSpec, gen_randomb
+from branchbench.heuristics import score_domain
 from branchbench.instance_io import parse_instance, serialize_instance
 from branchbench.model import Constraint, ExtensionalAllowed, Intensional, Problem
 from branchbench.search import solve
@@ -52,6 +67,14 @@ _DESK = [
     for raw in (ROOT / "suites" / "desk.txt").read_text(encoding="utf-8").splitlines()
 ]
 SOURCES = CORE_SOURCES + tuple(s for s in _DESK if s and s not in CORE_SOURCES)
+REVISE_CASES = (
+    ("gen forced n=30 d=20 p1=150 p2=180 seed=1", "clust-2way"),
+    ("gen langford n=6", "2way"),
+    ("gen langford n=6", "dway"),
+    (f"file {NARY_FILE}", "dway"),
+)
+REVISIONS = ("revisions", "revisions_effective")
+WORKLOADS = ("sweep", "proof", "sets")
 
 
 def nary_problem(seed: int = 5, n: int = 12, d: int = 4, m: int = 16, extra: int = 14) -> Problem:
@@ -107,10 +130,82 @@ def record(source: str, problem: Problem, scheme_name: str) -> dict:
     }
 
 
+def revise_counts(problem: Problem, scheme_name: str) -> dict:
+    """Revise calls, and those that removed a value, of one traced solve."""
+    from perfbench.tracing import Tracer
+
+    tracer = Tracer()
+    with tracer.installed():
+        solve(problem, parse_scheme(scheme_name))
+    return {k: tracer.counts[f"propagation.{k}"] for k in REVISIONS}
+
+
+def bench_pin(returncode: int, stdout: str) -> dict:
+    """The search digest and traced revision counts of one ``run.py`` output;
+    ValueError if it exited non-zero or printed no digest or JSON result line."""
+    if returncode != 0:
+        raise ValueError(f"exit code {returncode}")
+    digest = re.search(r"^search_digest ([0-9a-f]{64})$", stdout, re.MULTILINE)
+    if digest is None:
+        raise ValueError("no search_digest line")
+    try:
+        metrics = json.loads(stdout.splitlines()[-1])["metrics"]
+        counts = {k: int(metrics[f"propagation.{k}"]["value"]) for k in REVISIONS}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"no JSON result line: {exc!r}") from exc
+    return {"search_digest": digest.group(1), **counts}
+
+
+def tie_free_seeds() -> list[int]:
+    """The first 30 seeds in ``range(260)`` for which
+    ``gen_randomb(16, 10, 70, 41, seed)`` takes 12 to 4000 nodes under
+    ``dway`` and neither the ``dway`` nor the ``2way`` search meets a
+    promise tie: a branch node at which ``score_domain`` scores two values
+    equally.  ``search.plan`` is wrapped while the scan runs, to see every
+    branch node's scores."""
+    ties = []
+
+    def recording_plan(scheme, state, x):
+        scores = [score for _, score in score_domain(state, x)]
+        if len(set(scores)) < len(scores):
+            ties.append(x)
+        return plan(scheme, state, x)
+
+    found: list[int] = []
+    search.plan = recording_plan
+    try:
+        for seed in range(260):
+            problem = gen_randomb(16, 10, 70, 41, seed)
+            ties.clear()
+            out = solve(problem, parse_scheme("dway"))
+            if ties or not 12 <= out.stats.nodes <= 4000:
+                continue
+            solve(problem, parse_scheme("2way"))
+            if not ties:
+                found.append(seed)
+                if len(found) == 30:
+                    break
+    finally:
+        search.plan = plan
+    return found
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--out", type=Path, default=ROOT / "tests" / "golden")
     args = ap.parse_args()
+    benchmark = {}
+    for workload in WORKLOADS:
+        child = subprocess.run(
+            [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
+             "--seed", "1", "--seconds", "0", "--trace", "1"],
+            stdout=subprocess.PIPE, text=True, check=False, cwd=ROOT,
+        )
+        try:
+            benchmark[workload] = bench_pin(child.returncode, child.stdout)
+        except ValueError as exc:
+            sys.stderr.write(f"{child.stdout}write_golden: {workload}: {exc}; nothing written\n")
+            return 1
     args.out.mkdir(parents=True, exist_ok=True)
     (args.out / NARY_FILE).write_text(serialize_instance(nary_problem()), encoding="utf-8")
     lines = []
@@ -119,9 +214,16 @@ def main() -> int:
         for scheme_name in SCHEME_NAMES:
             lines.append(json.dumps(record(source, problem, scheme_name), sort_keys=True))
     (args.out / "corpus.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"wrote {len(lines)} records to {args.out / 'corpus.jsonl'}", file=sys.stderr)
+    pins = {"benchmark": benchmark, "revise_counts": {}, "tie_free_seeds": tie_free_seeds()}
+    for source, scheme_name in REVISE_CASES:
+        counts = revise_counts(load_source(source, args.out), scheme_name)
+        pins["revise_counts"].setdefault(source, {})[scheme_name] = counts
+    text = json.dumps(pins, indent=1, sort_keys=True) + "\n"
+    (args.out / "pins.json").write_text(text, encoding="utf-8")
+    print(f"wrote {len(lines)} records and the search pins to {args.out}", file=sys.stderr)
     return 0
 
 
 if __name__ == "__main__":
+    sys.path.insert(0, str(ROOT))  # perfbench.tracing counts the revise calls
     sys.exit(main())

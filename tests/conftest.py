@@ -1,5 +1,7 @@
 import sys
 from pathlib import Path
 
-# make tests/util.py and tests/oracles.py importable regardless of invocation dir
-sys.path.insert(0, str(Path(__file__).resolve().parent))
+# make tests/util.py, tests/oracles.py and scripts/write_golden.py importable
+# regardless of invocation dir
+TESTS = Path(__file__).resolve().parent
+sys.path[:0] = [str(TESTS), str(TESTS.parent / "scripts")]

@@ -3,8 +3,7 @@
 Everything here is deliberately written the slow, obvious way and shares no
 code with the library internals beyond the public constraint check, the BIC
 formula and x-means (both under test separately), so agreement between the
-two routes is meaningful.  The one exception is ``tie_free_seeds``, a scan
-that runs the library's search to choose test inputs, not to check results.
+two routes is meaningful.
 """
 
 from __future__ import annotations
@@ -14,11 +13,8 @@ import sys
 from collections import deque
 from typing import Optional, Sequence
 
-import branchbench.search as search_mod
-from branchbench.branching import BranchPlan, Scheme, parse_scheme, plan
+from branchbench.branching import BranchPlan, Scheme
 from branchbench.clustering import bic, xmeans
-from branchbench.generators import gen_randomb
-from branchbench.heuristics import score_domain
 from branchbench.model import Constraint, Problem, SearchState, check_tuple
 from util import domain_values
 
@@ -327,36 +323,3 @@ def best_contiguous_partition(scores: Sequence[float], kmax: int) -> tuple[int, 
                 best_k, best_bic = k, score
     return best_k, best_bic
 
-
-def tie_free_seeds() -> tuple[int, ...]:
-    """The first 30 seeds in ``range(260)`` for which
-    ``gen_randomb(16, 10, 70, 41, seed)`` takes 12 to 4000 nodes under
-    ``dway`` and neither the ``dway`` nor the ``2way`` search meets a
-    promise tie: a branch node at which ``score_domain`` scores two values
-    equally.  ``search.plan`` is wrapped while the scan runs, to see every
-    branch node's scores."""
-    ties = []
-
-    def recording_plan(scheme, state, x):
-        scores = [score for _, score in score_domain(state, x)]
-        if len(set(scores)) < len(scores):
-            ties.append(x)
-        return plan(scheme, state, x)
-
-    found: list[int] = []
-    search_mod.plan = recording_plan
-    try:
-        for seed in range(260):
-            problem = gen_randomb(16, 10, 70, 41, seed)
-            ties.clear()
-            out = search_mod.solve(problem, parse_scheme("dway"))
-            if ties or not 12 <= out.stats.nodes <= 4000:
-                continue
-            search_mod.solve(problem, parse_scheme("2way"))
-            if not ties:
-                found.append(seed)
-                if len(found) == 30:
-                    break
-    finally:
-        search_mod.plan = plan
-    return tuple(found)

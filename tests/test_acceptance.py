@@ -30,8 +30,9 @@ from branchbench.model import SearchState
 from branchbench.propagation import establish_root_gac
 from branchbench.search import Status, solve, verify
 from branchbench.stats import categorize, folded_ratio, paired_ttest
-from oracles import best_contiguous_partition, brute_force_sat, gac_fixpoint, tie_free_seeds
-from util import domain_values, random_problem, score_vector
+from oracles import best_contiguous_partition, brute_force_sat, gac_fixpoint
+from util import PINS, domain_values, random_problem, score_vector
+import write_golden
 
 ALL_SCHEMES = tuple(parse_scheme(name) for name in SCHEME_NAMES)
 
@@ -82,17 +83,14 @@ def test_criterion_2_propagation_reaches_oracle_fixpoint():
 
 
 # randomb instances whose full searches never see a promise tie under the
-# plain schemes: the result of oracles.tie_free_seeds, whose docstring states
-# the scan's rule (asserting_distinct_scores re-checks each seed below, and
-# test_tie_free_seeds_are_the_scan_result the pin)
-TIE_FREE_SEEDS = (
-    5, 8, 10, 14, 15, 19, 20, 22, 23, 27, 30, 31, 32, 33, 36, 37, 38, 39, 40,
-    47, 48, 52, 58, 65, 70, 72, 73, 76, 77, 84,
-)
+# plain schemes, pinned by scripts/write_golden.py from its tie_free_seeds
+# scan, whose docstring states the rule (asserting_distinct_scores re-checks
+# each seed below, and test_tie_free_seeds_are_the_scan_result the pin)
+TIE_FREE_SEEDS = tuple(PINS["tie_free_seeds"])
 
 
 def test_tie_free_seeds_are_the_scan_result():
-    assert TIE_FREE_SEEDS == tie_free_seeds()
+    assert list(TIE_FREE_SEEDS) == write_golden.tie_free_seeds()
 
 
 @contextlib.contextmanager

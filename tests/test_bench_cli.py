@@ -1,6 +1,7 @@
 """Benchmark runner, manifest parsing, CSV round trips, and the CLI."""
 
 import io
+import json
 import os
 import re
 import subprocess
@@ -174,12 +175,17 @@ def test_run_bench_loads_each_instance_once(tmp_path):
 
 
 def test_run_bench_reuses_the_problem_after_early_exits():
-    # langford 8 takes 43 nodes under split and 36 under dway (tests/golden):
-    # with 38 nodes allowed the first solve stops at the limit and the second
-    # finds a solution, and both leave the shared problem as it was
+    # langford 8 takes more nodes under split than under dway (tests/golden):
+    # with a limit from dway's count to one below split's the first solve stops
+    # at the limit and the second finds a solution, and both leave the shared
+    # problem as it was
+    corpus = (ROOT / "tests" / "golden" / "corpus.jsonl").read_text().splitlines()
+    records = [r for r in map(json.loads, corpus) if r["source"] == "gen langford n=8"]
+    nodes = {r["scheme"]: r["nodes"] for r in records}
+    assert nodes["split"] > nodes["dway"]
     order = ("split", "dway", "2way", "ties-dway", "ties-2way", "clust-dway", "clust-2way")
     schemes = [parse_scheme(name) for name in order]
-    limits = Limits(max_nodes=38)
+    limits = Limits(max_nodes=(nodes["split"] + nodes["dway"]) // 2)
     source = CountingSource("langford-8", genspec=GenSpec("langford", {"n": 8}))
     records = run_bench([source], schemes, limits=limits)
     assert source.loads == [source.name]

@@ -3,23 +3,21 @@
 ``scripts/write_golden.py`` wrote ``tests/golden/corpus.jsonl``; this test
 re-solves every (instance, scheme) pair with the same record function and
 compares status, counters and trace hash.  A change that alters the search on
-purpose regenerates the corpus with that script and says so.
+purpose regenerates every pin with that script and says so.
 """
 
 from __future__ import annotations
 
-import importlib.util
 import json
 from pathlib import Path
 
 import pytest
 
+from util import PINS
+import write_golden
+
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
-
-_spec = importlib.util.spec_from_file_location("write_golden", ROOT / "scripts" / "write_golden.py")
-write_golden = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(write_golden)
 
 RECORDS = [
     json.loads(line)
@@ -39,6 +37,46 @@ def test_nary_file_is_the_written_instance():
 
     text = (GOLDEN / write_golden.NARY_FILE).read_text(encoding="utf-8")
     assert text == serialize_instance(write_golden.nary_problem())
+
+
+def test_pins_hold_every_case_workload_and_seed():
+    # a dropped or extra entry fails here, not as a skipped or missing case
+    assert sorted(PINS) == ["benchmark", "revise_counts", "tie_free_seeds"]
+    cases = [(s, k) for s, by_scheme in PINS["revise_counts"].items() for k in by_scheme]
+    assert sorted(cases) == sorted(write_golden.REVISE_CASES)
+    assert sorted(PINS["benchmark"]) == sorted(write_golden.WORKLOADS)
+    assert len(PINS["tie_free_seeds"]) == 30
+
+
+# the tail of one traced perfbench/run.py output, as bench_pin reads it
+RUN_OUTPUT = "\n".join([
+    "metrics:",
+    "search_digest " + "0f" * 32,
+    json.dumps({"correct": True, "metrics": {
+        "propagation.revisions": {"value": 157448.0, "unit": "count"},
+        "propagation.revisions_effective": {"value": 45251, "unit": "count"},
+    }}),
+]) + "\n"
+
+
+def test_bench_pin_reads_the_digest_and_both_counts():
+    pin = write_golden.bench_pin(0, RUN_OUTPUT)
+    assert pin == {"search_digest": "0f" * 32, "revisions": 157448, "revisions_effective": 45251}
+    assert type(pin["revisions"]) is int and type(pin["revisions_effective"]) is int
+
+
+@pytest.mark.parametrize(
+    "returncode, stdout",
+    [
+        (1, RUN_OUTPUT),
+        (0, RUN_OUTPUT.replace("search_digest ", "")),
+        (0, RUN_OUTPUT + "FAIL proof: traced nodes differ\n"),
+    ],
+    ids=["non-zero exit", "no digest line", "last line not JSON"],
+)
+def test_bench_pin_rejects_a_failed_run(returncode, stdout):
+    with pytest.raises(ValueError):
+        write_golden.bench_pin(returncode, stdout)
 
 
 @pytest.mark.parametrize("source", write_golden.SOURCES)

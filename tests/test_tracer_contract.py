@@ -16,8 +16,8 @@ import pytest
 import branchbench
 from branchbench import branching, propagation, search
 from branchbench.branching import parse_scheme
-from branchbench.generators import gen_forced, gen_langford
-from branchbench.instance_io import parse_instance
+from util import PINS
+import write_golden
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -41,8 +41,9 @@ def test_traced_solve_counts_set_plans_and_runs_the_same_search(monkeypatch):
     from perfbench.tracing import Tracer
 
     # clust-2way branches on a set at a few choice points of this instance
-    problem = gen_forced(30, 20, 150, 180, 1)
-    scheme = parse_scheme("clust-2way")
+    source, scheme_name = "gen forced n=30 d=20 p1=150 p2=180 seed=1", "clust-2way"
+    problem = write_golden.load_source(source, ROOT / "tests" / "golden")
+    scheme = parse_scheme(scheme_name)
     untraced = search.solve(problem, scheme)
     tracer = Tracer()
     with tracer.installed():
@@ -51,39 +52,31 @@ def test_traced_solve_counts_set_plans_and_runs_the_same_search(monkeypatch):
     assert traced.stats.nodes == untraced.stats.nodes
     assert traced.status is untraced.status
     # as in test_traced_solve_makes_the_pinned_revise_calls
-    assert tracer.counts["propagation.revisions"] == 188108
-    assert tracer.counts["propagation.revisions_effective"] == 36548
+    pinned = PINS["revise_counts"][source][scheme_name]
+    assert tracer.counts["propagation.revisions"] == pinned["revisions"]
+    assert tracer.counts["propagation.revisions_effective"] == pinned["revisions_effective"]
 
 
 @pytest.mark.parametrize(
-    "instance, scheme, revisions, effective",
+    "source, scheme",
     [
-        ("langford 6", "2way", 6139, 1710),
-        ("langford 6", "dway", 5950, 1677),
+        ("gen langford n=6", "2way"),
+        ("gen langford n=6", "dway"),
         # ternary allowed tables and sums: revised by scanning compiled rows
-        ("nary", "dway", 450, 71),
+        ("file nary.csp", "dway"),
     ],
     # named by instance and scheme only, so a re-pinned count keeps the name
     ids=["langford 6-2way", "langford 6-dway", "nary-dway"],
 )
-def test_traced_solve_makes_the_pinned_revise_calls(
-    monkeypatch, instance, scheme, revisions, effective
-):
+def test_traced_solve_makes_the_pinned_revise_calls(monkeypatch, source, scheme):
     """Every revise call counts, including the many that remove nothing.
 
     The trail shows only the revisions that remove values; the number of
-    revise calls is pinned here, so a queue change that revises more or
-    fewer arcs (the same fixpoint, at a different cost) shows.
+    revise calls is pinned in ``tests/golden/pins.json``, so a queue change
+    that revises more or fewer arcs (the same fixpoint, at a different cost)
+    shows.  A case missing from the pins fails with a KeyError.
     """
     monkeypatch.syspath_prepend(str(ROOT))
-    from perfbench.tracing import Tracer
-
-    if instance == "nary":
-        problem = parse_instance((ROOT / "tests" / "golden" / "nary.csp").read_text())
-    else:
-        problem = gen_langford(6)
-    tracer = Tracer()
-    with tracer.installed():
-        search.solve(problem, parse_scheme(scheme))
-    assert tracer.counts["propagation.revisions"] == revisions
-    assert tracer.counts["propagation.revisions_effective"] == effective
+    pinned = PINS["revise_counts"][source][scheme]
+    problem = write_golden.load_source(source, ROOT / "tests" / "golden")
+    assert write_golden.revise_counts(problem, scheme) == pinned

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
+from pathlib import Path
 
 from branchbench.exprs import Call, Const, VarRef
 from branchbench.model import (
@@ -17,6 +19,8 @@ from branchbench.model import (
 from branchbench.propagation import establish_root_gac, propagate
 
 _BIN_OPS = ("ne", "eq", "lt", "le", "add", "sub")
+# every pin scripts/write_golden.py writes beside the corpus
+PINS = json.loads((Path(__file__).resolve().parent / "golden" / "pins.json").read_text())
 
 
 def domain_values(state: SearchState, x: int) -> list[int]:
