@@ -86,11 +86,11 @@ def test_criterion_2_propagation_reaches_oracle_fixpoint():
 # plain schemes, pinned by scripts/write_golden.py from its tie_free_seeds
 # scan, whose docstring states the rule (asserting_distinct_scores re-checks
 # each seed below, and test_tie_free_seeds_are_the_scan_result the pin)
-TIE_FREE_SEEDS = tuple(PINS["tie_free_seeds"])
+TIE_FREE_SEEDS = PINS["tie_free_seeds"]
 
 
 def test_tie_free_seeds_are_the_scan_result():
-    assert list(TIE_FREE_SEEDS) == write_golden.tie_free_seeds()
+    assert TIE_FREE_SEEDS == write_golden.tie_free_seeds()
 
 
 @contextlib.contextmanager

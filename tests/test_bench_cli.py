@@ -180,8 +180,9 @@ def test_run_bench_reuses_the_problem_after_early_exits():
     # at the limit and the second finds a solution, and both leave the shared
     # problem as it was
     corpus = (ROOT / "tests" / "golden" / "corpus.jsonl").read_text().splitlines()
-    records = [r for r in map(json.loads, corpus) if r["source"] == "gen langford n=8"]
-    nodes = {r["scheme"]: r["nodes"] for r in records}
+    nodes = {
+        r["scheme"]: r["nodes"] for r in map(json.loads, corpus) if r["source"] == "gen langford n=8"
+    }
     assert nodes["split"] > nodes["dway"]
     order = ("split", "dway", "2way", "ties-dway", "ties-2way", "clust-dway", "clust-2way")
     schemes = [parse_scheme(name) for name in order]

@@ -53,15 +53,15 @@ RUN_OUTPUT = "\n".join([
     "metrics:",
     "search_digest " + "0f" * 32,
     json.dumps({"correct": True, "metrics": {
-        "propagation.revisions": {"value": 157448.0, "unit": "count"},
-        "propagation.revisions_effective": {"value": 45251, "unit": "count"},
+        "propagation.revisions": {"value": 1234.0, "unit": "count"},
+        "propagation.revisions_effective": {"value": 56, "unit": "count"},
     }}),
 ]) + "\n"
 
 
 def test_bench_pin_reads_the_digest_and_both_counts():
     pin = write_golden.bench_pin(0, RUN_OUTPUT)
-    assert pin == {"search_digest": "0f" * 32, "revisions": 157448, "revisions_effective": 45251}
+    assert pin == {"search_digest": "0f" * 32, "revisions": 1234, "revisions_effective": 56}
     assert type(pin["revisions"]) is int and type(pin["revisions_effective"]) is int
 
 
