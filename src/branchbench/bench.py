@@ -113,7 +113,7 @@ def _run_instance(task) -> list[RunRecord]:
         outcome = solve(problem, scheme, limits=limits)
         # every RunStats counter by name: one RunRecord lacks raises TypeError
         records.append(RunRecord(
-            instance=source.name, scheme=scheme.kind.value, status=outcome.status.value,
+            instance=source.name, scheme=scheme.name, status=outcome.status.value,
             **vars(outcome.stats),
         ))
     return records

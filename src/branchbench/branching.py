@@ -1,10 +1,12 @@
 """Branching schemes: how a choice point cuts the current domain into sets.
 
-The style is the scheme's, fixed by its kind, and :attr:`Scheme.binary` is
-the one place that tells it.  A d-way scheme's plan is *enumerated*: one
-branch per set, the variable stays the branching variable until the plan is
-exhausted.  A 2-way scheme's plan is *binary*: reduce to the first set, or
-remove it and re-select freely, so only the first set is materialized.  A
+A scheme is a style and a partition, and ``_SCHEMES`` is the one table that
+maps each name to both: :attr:`Scheme.binary` tells the style and
+:attr:`Scheme.partition` the partition (``none``, ``split``, ``ties`` or
+``clust``).  A d-way scheme's plan is *enumerated*: one branch per set, the
+variable stays the branching variable until the plan is exhausted.  A 2-way
+scheme's plan is *binary*: reduce to the first set, or remove it and
+re-select freely, so only the first set is materialized.  A
 :class:`BranchPlan` holds only its sets: each a bitmask over the positions of
 the variable's original domain, like the current domain it is cut from;
 :attr:`BranchPlan.sets` is the read-only view of the same sets as values.
@@ -26,7 +28,6 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from enum import Enum
 from fractions import Fraction
 
 from .clustering import xmeans
@@ -34,30 +35,36 @@ from .heuristics import score_domain
 from .model import SearchState, mask_values
 
 
-class SchemeKind(Enum):
-    DWAY = "dway"
-    TWO_WAY = "2way"
-    DOMAIN_SPLIT = "split"
-    TIES_DWAY = "ties-dway"
-    TIES_TWO_WAY = "ties-2way"
-    CLUST_DWAY = "clust-dway"
-    CLUST_TWO_WAY = "clust-2way"
-
-
-SCHEME_NAMES = tuple(kind.value for kind in SchemeKind)
-
-_BINARY = frozenset(
-    (SchemeKind.TWO_WAY, SchemeKind.DOMAIN_SPLIT, SchemeKind.TIES_TWO_WAY, SchemeKind.CLUST_TWO_WAY)
-)
+# name -> (binary style?, partition), in the order SCHEME_NAMES lists them
+_SCHEMES = {
+    "dway": (False, "none"),
+    "2way": (True, "none"),
+    "split": (True, "split"),
+    "ties-dway": (False, "ties"),
+    "ties-2way": (True, "ties"),
+    "clust-dway": (False, "clust"),
+    "clust-2way": (True, "clust"),
+}
+SCHEME_NAMES = tuple(_SCHEMES)
 
 
 @dataclass(frozen=True)
 class Scheme:
-    kind: SchemeKind
+    name: str
     threshold_fraction: Fraction = Fraction(1, 4)
     kmax: int = 4
+    # True for the 2-way style, False for the d-way (enumerated) one
+    binary: bool = field(init=False, compare=False, repr=False)
+    partition: str = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        if self.name not in _SCHEMES:
+            raise ValueError(
+                f"unknown scheme {self.name!r} (expected one of {', '.join(SCHEME_NAMES)})"
+            )
+        binary, partition = _SCHEMES[self.name]
+        object.__setattr__(self, "binary", binary)
+        object.__setattr__(self, "partition", partition)
         tf = Fraction(self.threshold_fraction)
         object.__setattr__(self, "threshold_fraction", tf)
         if not 0 <= tf <= 1:
@@ -65,20 +72,9 @@ class Scheme:
         if self.kmax < 1:
             raise ValueError("kmax must be at least 1")
 
-    @property
-    def binary(self) -> bool:
-        """True for the 2-way style, False for the d-way (enumerated) one."""
-        return self.kind in _BINARY
-
 
 def parse_scheme(name: str, threshold_fraction=Fraction(1, 4), kmax: int = 4) -> Scheme:
-    try:
-        kind = SchemeKind(name)
-    except ValueError:
-        raise ValueError(
-            f"unknown scheme {name!r} (expected one of {', '.join(SCHEME_NAMES)})"
-        ) from None
-    return Scheme(kind, Fraction(threshold_fraction), kmax)
+    return Scheme(name, threshold_fraction, kmax)
 
 
 @dataclass(frozen=True)
@@ -119,8 +115,8 @@ def _score_as_float(score: int) -> float:
 
 def _value_sets(scheme: Scheme, state: SearchState, x: int, scored: Scored) -> list[int] | None:
     """``scheme``'s sets for ``x`` as masks, best first; ``None`` for single values."""
-    kind = scheme.kind
-    if kind in (SchemeKind.DWAY, SchemeKind.TWO_WAY):
+    partition = scheme.partition
+    if partition == "none":
         return None
 
     # splitting engages only while the domain is still large
@@ -128,14 +124,14 @@ def _value_sets(scheme: Scheme, state: SearchState, x: int, scored: Scored) -> l
     if state.sizes[x] * tf.denominator <= tf.numerator * len(state.tables.values[x]):
         return None
 
-    if kind is SchemeKind.DOMAIN_SPLIT:
+    if partition == "split":
         return [sum(1 << bit for bit, _ in scored[: (len(scored) + 1) // 2])]
 
     # scored is sorted best first, so equal ends mean one distinct score
     if scored[0][1] == scored[-1][1]:
         return None
 
-    if kind in (SchemeKind.TIES_DWAY, SchemeKind.TIES_TWO_WAY):
+    if partition == "ties":
         return _tie_groups(scored)
 
     clustering = xmeans([_score_as_float(score) for _, score in scored], kmax=scheme.kmax)

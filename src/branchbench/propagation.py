@@ -108,9 +108,9 @@ def propagate(state: SearchState, x: Optional[int] = None) -> bool:
     True means consistent, False a wipeout, whose constraint has had its
     weight bumped.  With ``x`` left as None (root GAC), revise every arc.
 
-    A decision queues ``x`` with no constraint excluded; root GAC instead
-    revises every arc in ascending order, binary arcs whose partner is
-    larger than their slack left out.  A revision by ``cid`` that shrinks
+    The first pass is a decision's walk of ``x`` with no constraint
+    excluded, or at the root every arc in ascending order, binary arcs whose
+    partner is larger than their slack left out.  A revision by ``cid`` that shrinks
     ``y`` queues ``y``, unless it is queued already, and records ``cid`` as
     its excluded constraint, or -1 when another constraint queued it too.
     Popping ``y`` revises ``walk[y][sizes[y]]``, the arcs at its neighbours
@@ -121,35 +121,21 @@ def propagate(state: SearchState, x: Optional[int] = None) -> bool:
     arc_var = tables.arc_var
     walk = tables.walk
     sizes = state.sizes
+    if x is None:
+        partner = tables.arc_partner
+        slack = tables.arc_slack
+        # a non-binary arc has partner -1 and a slack no size exceeds; the
+        # test reads each partner's size as the pass reaches its arc
+        arcs = (a for a in range(len(arc_cid)) if sizes[partner[a]] <= slack[a])
+    else:
+        arcs = walk[x][sizes[x]]
+    skip = -1
     # queued[y]: the constraint excluded at y's walk, or -1 for none
     queued: dict = {}
     queue = deque()
-    if x is not None:
-        queued[x] = -1
-        queue.append(x)
-    else:
-        partner = tables.arc_partner
-        slack = tables.arc_slack
-        for a in range(len(arc_cid)):
-            # a non-binary arc has partner -1 and a slack no size exceeds
-            if sizes[partner[a]] > slack[a] or not revise(state, a):
-                continue
-            cid = arc_cid[a]
-            y = arc_var[a]
-            if sizes[y] == 0:
-                state.bump_weight(cid)
-                return False
-            if y not in queued:
-                queued[y] = cid
-                queue.append(y)
-            elif queued[y] != cid:
-                queued[y] = -1
     pop = queue.popleft
-    while queue:
-        y = pop()
-        skip = queued.pop(y)
-        # no arc of the walk revises y, so its size holds through the walk
-        for a in walk[y][sizes[y]]:
+    while True:
+        for a in arcs:
             cid = arc_cid[a]
             if cid == skip or not revise(state, a):
                 continue
@@ -162,7 +148,12 @@ def propagate(state: SearchState, x: Optional[int] = None) -> bool:
                 queue.append(z)
             elif queued[z] != cid:
                 queued[z] = -1
-    return True
+        if not queue:
+            return True
+        y = pop()
+        skip = queued.pop(y)
+        # no arc of the walk revises y, so its size holds through the walk
+        arcs = walk[y][sizes[y]]
 
 
 def establish_root_gac(state: SearchState) -> bool:

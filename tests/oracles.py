@@ -113,11 +113,11 @@ def reference_plan(scheme: Scheme, state: SearchState, x: int) -> BranchPlan:
     """The branch plan for ``x`` read straight off each scheme's definition.
 
     Values come from ``promise_scores``; each set becomes a mask by the
-    positions of its values in the original domain.  The set kinds always
+    positions of its values in the original domain.  The set schemes always
     build their partition, tie groups or an x-means clustering of the scores
     (an integer too large for a float becomes the signed largest float), and
     fall back to the plain plan of their style only when it degenerates: one
-    group, all-singleton groups, or one cluster.  Splitting kinds also fall
+    group, all-singleton groups, or one cluster.  Splitting schemes also fall
     back while the domain is at most ``threshold_fraction`` of the original.
     """
     scored = promise_scores(state, x)
@@ -128,21 +128,21 @@ def reference_plan(scheme: Scheme, state: SearchState, x: int) -> BranchPlan:
         masks = tuple(sum(1 << domain.index(v) for v in s) for s in sets)
         return BranchPlan(masks, domain)
 
-    kind = scheme.kind.value
-    binary = kind in ("2way", "split", "ties-2way", "clust-2way")
+    name = scheme.name
+    binary = name in ("2way", "split", "ties-2way", "clust-2way")
     if binary:
         fallback = branch_plan(((values[0],),))
     else:
         fallback = branch_plan(tuple((v,) for v in values))
-    if kind in ("dway", "2way"):
+    if name in ("dway", "2way"):
         return fallback
     if len(values) <= scheme.threshold_fraction * len(state.problem.domains[x]):
         return fallback
-    if kind == "split":
+    if name == "split":
         top = tuple(sorted(values[: (len(values) + 1) // 2]))
         return branch_plan((top,))
 
-    if kind in ("ties-dway", "ties-2way"):
+    if name in ("ties-dway", "ties-2way"):
         levels = sorted({score for _, score in scored}, reverse=True)
         sets = tuple(
             tuple(sorted(v for v, score in scored if score == level)) for level in levels

@@ -6,7 +6,6 @@ budgets are asserted, so a pathological slowdown fails loudly instead of
 silently degrading.
 """
 
-import contextlib
 import math
 import time
 from pathlib import Path
@@ -25,7 +24,6 @@ from branchbench.generators import (
     gen_qwh,
     gen_randomb,
 )
-from branchbench.heuristics import score_domain
 from branchbench.model import SearchState
 from branchbench.propagation import establish_root_gac
 from branchbench.search import Status, solve, verify
@@ -51,9 +49,9 @@ def test_criterion_1_verdicts_match_brute_force():
         unsat += not expected
         for scheme in ALL_SCHEMES:
             out = solve(problem, scheme)
-            assert (out.status is Status.SAT) == expected, (seed, scheme.kind)
+            assert (out.status is Status.SAT) == expected, (seed, scheme.name)
             if expected:
-                assert verify(problem, out.assignment), (seed, scheme.kind)
+                assert verify(problem, out.assignment), (seed, scheme.name)
     elapsed = time.monotonic() - started
     assert elapsed < 120.0
     report(1, f"500 instances ({sat} sat, {unsat} unsat) x 7 schemes, {elapsed:.1f}s")
@@ -84,31 +82,14 @@ def test_criterion_2_propagation_reaches_oracle_fixpoint():
 
 # randomb instances whose full searches never see a promise tie under the
 # plain schemes, pinned by scripts/write_golden.py from its tie_free_seeds
-# scan, whose docstring states the rule (asserting_distinct_scores re-checks
-# each seed below, and test_tie_free_seeds_are_the_scan_result the pin)
+# scan, whose docstring states the rule (criterion 3 re-checks each seed
+# below with the writer's promise_ties, and
+# test_tie_free_seeds_are_the_scan_result the pin)
 TIE_FREE_SEEDS = PINS["tie_free_seeds"]
 
 
 def test_tie_free_seeds_are_the_scan_result():
     assert TIE_FREE_SEEDS == write_golden.tie_free_seeds()
-
-
-@contextlib.contextmanager
-def asserting_distinct_scores():
-    """Fail the test if any branch node scores two values equally."""
-    import branchbench.search as search_mod
-    from branchbench.branching import plan as real_plan
-
-    def checking_plan(scheme, state, x):
-        scores = [score for _, score in score_domain(state, x)]
-        assert len(set(scores)) == len(scores), "promise tie at a branch node"
-        return real_plan(scheme, state, x)
-
-    search_mod.plan = checking_plan
-    try:
-        yield
-    finally:
-        search_mod.plan = real_plan
 
 
 def traced(problem, scheme_name, **scheme_kwargs):
@@ -119,7 +100,7 @@ def traced(problem, scheme_name, **scheme_kwargs):
 
 def test_criterion_3_degenerate_schemes_equal_their_base():
     checked_nodes = 0
-    with asserting_distinct_scores():
+    with write_golden.promise_ties() as ties:
         for seed in TIE_FREE_SEEDS:
             problem = gen_randomb(16, 10, 70, 41, seed)
             for tied, base in (("ties-dway", "dway"), ("ties-2way", "2way")):
@@ -128,6 +109,7 @@ def test_criterion_3_degenerate_schemes_equal_their_base():
                 assert trace_t == trace_b, (seed, tied)
                 assert out_t.status is out_b.status
                 checked_nodes += out_b.stats.nodes
+            assert not ties, (seed, "promise tie at a branch node")
 
     for seed in range(50):
         problem = random_problem(seed)
@@ -154,27 +136,27 @@ def test_criterion_4_family_ground_truth():
     for n in range(2, 9):
         problem = gen_pigeons(n)
         for scheme in ALL_SCHEMES:
-            assert solve(problem, scheme).status is Status.UNSAT, (n, scheme.kind)
+            assert solve(problem, scheme).status is Status.UNSAT, (n, scheme.name)
 
     for n in range(3, 9):
         problem = gen_langford(n)
         expected_sat = n % 4 in (0, 3)
         for scheme in ALL_SCHEMES:
             out = solve(problem, scheme)
-            assert (out.status is Status.SAT) == expected_sat, (n, scheme.kind)
+            assert (out.status is Status.SAT) == expected_sat, (n, scheme.name)
             if expected_sat:
                 assert verify(problem, out.assignment)
 
     hard = gen_langford(10)
     for scheme in ALL_SCHEMES:
-        assert solve(hard, scheme).status is Status.UNSAT, scheme.kind
+        assert solve(hard, scheme).status is Status.UNSAT, scheme.name
 
     forced_params = ((16, 10, 70, 44, 1), (16, 10, 70, 44, 2), (12, 8, 60, 50, 4))
     for params in forced_params:
         problem = gen_forced(*params)
         for scheme in ALL_SCHEMES:
             out = solve(problem, scheme)
-            assert out.status is Status.SAT, (params, scheme.kind)
+            assert out.status is Status.SAT, (params, scheme.name)
             assert verify(problem, out.assignment)
 
     qwh_params = ((4, 12, 2), (4, 16, 3), (5, 14, 1))
@@ -182,7 +164,7 @@ def test_criterion_4_family_ground_truth():
         problem = gen_qwh(*params)
         for scheme in ALL_SCHEMES:
             out = solve(problem, scheme)
-            assert out.status is Status.SAT, (params, scheme.kind)
+            assert out.status is Status.SAT, (params, scheme.name)
             assert verify(problem, out.assignment)
 
     elapsed = time.monotonic() - started

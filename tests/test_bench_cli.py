@@ -150,7 +150,7 @@ def fresh_fields(sources, schemes, limits=None):
         for scheme in schemes:
             out = solve(source.load(), scheme, limits=limits)
             s = out.stats
-            rows.append((source.name, scheme.kind.value, out.status.value,
+            rows.append((source.name, scheme.name, out.status.value,
                          s.nodes, s.decisions, s.wipeouts, s.backtracks))
     return rows
 

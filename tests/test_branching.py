@@ -1,5 +1,6 @@
 """Branch plan construction for all seven schemes."""
 
+import pickle
 import random
 from fractions import Fraction
 
@@ -8,7 +9,6 @@ import pytest
 from branchbench.branching import (
     SCHEME_NAMES,
     Scheme,
-    SchemeKind,
     parse_scheme,
     plan,
 )
@@ -255,24 +255,47 @@ def test_plan_masks_cut_the_current_domain(name):
 # -------------------------------------------------------------- parsing
 
 def test_parse_scheme_roundtrip():
+    # name -> (binary style?, partition), written out apart from the library's table
+    expected = {
+        "dway": (False, "none"),
+        "2way": (True, "none"),
+        "split": (True, "split"),
+        "ties-dway": (False, "ties"),
+        "ties-2way": (True, "ties"),
+        "clust-dway": (False, "clust"),
+        "clust-2way": (True, "clust"),
+    }
+    assert SCHEME_NAMES == tuple(expected)
     for name in SCHEME_NAMES:
         sc = parse_scheme(name)
-        assert sc.kind.value == name
+        assert (sc.name, sc.binary, sc.partition) == (name, *expected[name])
         assert sc.threshold_fraction == Fraction(1, 4)
         assert sc.kmax == 4
+    # the style and partition follow from the name, so they neither compare
+    # nor show: a scheme is its three init fields
+    sc = Scheme("clust-2way")
+    assert sc == parse_scheme("clust-2way")
+    assert hash(sc) == hash(parse_scheme("clust-2way"))
+    assert sc != Scheme("clust-2way", kmax=2)
+    assert repr(sc) == "Scheme(name='clust-2way', threshold_fraction=Fraction(1, 4), kmax=4)"
+    copy = pickle.loads(pickle.dumps(sc))
+    assert (copy, copy.binary, copy.partition) == (sc, True, "clust")
 
 
 def test_parse_scheme_rejects_unknown_names():
-    with pytest.raises(ValueError, match="unknown scheme"):
+    with pytest.raises(ValueError, match="unknown scheme") as parsed:
         parse_scheme("3way")
+    with pytest.raises(ValueError) as built:
+        Scheme("3way")
+    assert str(built.value) == str(parsed.value)
 
 
 def test_scheme_validates_parameters():
     with pytest.raises(ValueError):
-        Scheme(SchemeKind.DWAY, threshold_fraction=Fraction(5, 4))
+        Scheme("dway", threshold_fraction=Fraction(5, 4))
     with pytest.raises(ValueError):
-        Scheme(SchemeKind.DWAY, threshold_fraction=Fraction(-1, 4))
+        Scheme("dway", threshold_fraction=Fraction(-1, 4))
     with pytest.raises(ValueError):
-        Scheme(SchemeKind.CLUST_DWAY, kmax=0)
-    assert Scheme(SchemeKind.DWAY, threshold_fraction=0).threshold_fraction == 0
-    assert Scheme(SchemeKind.DWAY, threshold_fraction=1).threshold_fraction == 1
+        Scheme("clust-dway", kmax=0)
+    assert Scheme("dway", threshold_fraction=0).threshold_fraction == 0
+    assert Scheme("dway", threshold_fraction=1).threshold_fraction == 1

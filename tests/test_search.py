@@ -128,7 +128,7 @@ def test_root_wipeout_is_unsat_with_zero_nodes():
         out = solve(problem, scheme)
         assert out.status is Status.UNSAT and out.assignment is None
         s = out.stats
-        assert (s.nodes, s.decisions, s.wipeouts, s.backtracks) == (0, 0, 1, 0), scheme.kind
+        assert (s.nodes, s.decisions, s.wipeouts, s.backtracks) == (0, 0, 1, 0), scheme.name
 
 
 @pytest.mark.parametrize("name", SCHEME_NAMES)

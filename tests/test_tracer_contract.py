@@ -64,9 +64,11 @@ def test_traced_solve_counts_set_plans_and_runs_the_same_search(monkeypatch):
         ("gen langford n=6", "dway"),
         # ternary allowed tables and sums: revised by scanning compiled rows
         ("file nary.csp", "dway"),
+        # singleton cells, so the root pass's arc order moves these counts
+        ("gen qwh order=9 holes=50 seed=1", "dway"),
     ],
     # named by instance and scheme only, so a re-pinned count keeps the name
-    ids=["langford 6-2way", "langford 6-dway", "nary-dway"],
+    ids=["langford 6-2way", "langford 6-dway", "nary-dway", "qwh 9-dway"],
 )
 def test_traced_solve_makes_the_pinned_revise_calls(monkeypatch, source, scheme):
     """Every revise call counts, including the many that remove nothing.
