@@ -6,6 +6,10 @@ that range raises :class:`EvalError` instead of wrapping.  ``div`` truncates
 toward zero and ``mod`` takes the sign of the dividend (C semantics), and
 both raise :class:`EvalError` on a zero divisor.  Comparisons and logical
 operators return 1 or 0; ``and``/``or`` treat any non-zero operand as true.
+
+The table ``_OPS`` is the one place an operator is defined: its arity and
+its meaning.  ``OP_ARITY``, which the parser and :class:`Call` check against,
+is derived from it.
 """
 
 from __future__ import annotations
@@ -15,15 +19,6 @@ from typing import Mapping, Union
 
 INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
-
-UNARY_OPS = ("neg", "abs")
-BINARY_OPS = (
-    "add", "sub", "mul", "div", "mod", "min", "max",
-    "eq", "ne", "lt", "le", "gt", "ge", "and", "or", "dist",
-)
-
-OP_ARITY = {op: 1 for op in UNARY_OPS}
-OP_ARITY.update({op: 2 for op in BINARY_OPS})
 
 
 class EvalError(Exception):
@@ -78,8 +73,37 @@ def _trunc_mod(a: int, b: int) -> int:
     return r if a >= 0 else -r
 
 
+# name -> (arity, function of the evaluated arguments).  Arithmetic results
+# pass through ``_check64``; ``min``/``max`` cannot leave their arguments' range.
+_OPS = {
+    "neg": (1, lambda a: _check64(-a)),
+    "abs": (1, lambda a: _check64(abs(a))),
+    "add": (2, lambda a, b: _check64(a + b)),
+    "sub": (2, lambda a, b: _check64(a - b)),
+    "mul": (2, lambda a, b: _check64(a * b)),
+    "div": (2, lambda a, b: _check64(_trunc_div(a, b))),
+    "mod": (2, lambda a, b: _check64(_trunc_mod(a, b))),
+    "min": (2, lambda a, b: a if a <= b else b),
+    "max": (2, lambda a, b: a if a >= b else b),
+    "eq": (2, lambda a, b: int(a == b)),
+    "ne": (2, lambda a, b: int(a != b)),
+    "lt": (2, lambda a, b: int(a < b)),
+    "le": (2, lambda a, b: int(a <= b)),
+    "gt": (2, lambda a, b: int(a > b)),
+    "ge": (2, lambda a, b: int(a >= b)),
+    "and": (2, lambda a, b: int(a != 0 and b != 0)),
+    "or": (2, lambda a, b: int(a != 0 or b != 0)),
+    "dist": (2, lambda a, b: _check64(abs(a - b))),
+}
+
+OP_ARITY = {op: arity for op, (arity, _) in _OPS.items()}
+
+
 def eval_expr(expr: Expr, bindings: Mapping[str, int]) -> int:
-    """Evaluate ``expr`` with variables bound by ``bindings``."""
+    """Evaluate ``expr`` with variables bound by ``bindings``.
+
+    Arguments are evaluated left to right before the operator is applied.
+    """
     if isinstance(expr, Const):
         return _check64(expr.value)
     if isinstance(expr, VarRef):
@@ -87,46 +111,11 @@ def eval_expr(expr: Expr, bindings: Mapping[str, int]) -> int:
             return _check64(bindings[expr.name])
         except KeyError:
             raise EvalError(f"unbound variable {expr.name!r}") from None
-    op = expr.op
-    if op == "neg":
-        return _check64(-eval_expr(expr.args[0], bindings))
-    if op == "abs":
-        return _check64(abs(eval_expr(expr.args[0], bindings)))
-    a = eval_expr(expr.args[0], bindings)
-    b = eval_expr(expr.args[1], bindings)
-    if op == "add":
-        return _check64(a + b)
-    if op == "sub":
-        return _check64(a - b)
-    if op == "mul":
-        return _check64(a * b)
-    if op == "div":
-        return _check64(_trunc_div(a, b))
-    if op == "mod":
-        return _check64(_trunc_mod(a, b))
-    if op == "min":
-        return a if a <= b else b
-    if op == "max":
-        return a if a >= b else b
-    if op == "eq":
-        return int(a == b)
-    if op == "ne":
-        return int(a != b)
-    if op == "lt":
-        return int(a < b)
-    if op == "le":
-        return int(a <= b)
-    if op == "gt":
-        return int(a > b)
-    if op == "ge":
-        return int(a >= b)
-    if op == "and":
-        return int(a != 0 and b != 0)
-    if op == "or":
-        return int(a != 0 or b != 0)
-    if op == "dist":
-        return _check64(abs(a - b))
-    raise EvalError(f"unknown operator {op!r}")  # pragma: no cover
+    arity, fn = _OPS[expr.op]
+    args = expr.args
+    if arity == 1:
+        return fn(eval_expr(args[0], bindings))
+    return fn(eval_expr(args[0], bindings), eval_expr(args[1], bindings))
 
 
 def expr_vars(expr: Expr) -> set[str]:

