@@ -84,10 +84,10 @@ def _build_parser() -> _Parser:
 def _cmd_gen(args) -> int:
     params = {k: getattr(args, k) for k in GEN_PARAMS if getattr(args, k) is not None}
     try:
-        spec = GenSpec(args.family, params)
+        problem = GenSpec(args.family, params).build()
     except ValueError as exc:
         raise _UsageError(f"branchbench gen: {exc}")
-    text = serialize_instance(spec.build())
+    text = serialize_instance(problem)
     if args.out == "-":
         sys.stdout.write(text)
     else:

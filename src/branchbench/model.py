@@ -18,12 +18,15 @@ per-variable walk lists by domain size, neighbour tables) are built in one
 pass over the constraints and are a pure indexing layer: they change nothing
 about constraint semantics, which are always those of :func:`check_tuple`.
 
-A unary or n-ary constraint is compiled once into its satisfying tuples over
-the original domains: an allowed table directly, a forbidden or intensional
-relation by calling :func:`check_tuple` on every candidate tuple.  That
-enumeration is bounded by :data:`MAX_TABLE_TUPLES`; a problem whose forbidden
-or intensional constraint of arity other than 2 has more candidate tuples is
-rejected when it is built, so it fails at load rather than during a solve.
+A constraint is compiled once into its satisfying tuples over the original
+domains: an extensional relation by mapping its tuples to positions, any
+other relation (intensional, or forbidden of arity other than 2) by one
+function, ``_Tables._satisfying_positions``, calling :func:`check_tuple` on
+every candidate tuple.  For arity other than 2 that enumeration is bounded by
+:data:`MAX_TABLE_TUPLES`; a problem that exceeds it is rejected when built,
+so it fails at load rather than during a solve.  Binary tables are shared,
+over equal domains, by relations equal up to renaming: the key is an
+extensional relation itself or an intensional expression over positions.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from .exprs import (
     INT64_MIN,
     eval_expr,
     expr_vars,
-    format_expr,
     rename_expr,
 )
 
@@ -112,14 +114,14 @@ def check_tuple(constraint: Constraint, values: Sequence[int]) -> bool:
 
 
 def _relation_signature(constraint: Constraint):
-    """Cache key identifying a relation up to renaming of scope variables."""
+    """Cache key identifying a relation up to renaming of scope variables:
+    an extensional relation itself, or an intensional relation's expression
+    with its scope names replaced by positions."""
     rel = constraint.relation
-    if isinstance(rel, ExtensionalAllowed):
-        return ("ea", rel.tuples)
-    if isinstance(rel, ExtensionalForbidden):
-        return ("ef", rel.tuples)
+    if not isinstance(rel, Intensional):
+        return rel
     positional = {name: f"${i}" for i, name in enumerate(constraint.var_names)}
-    return ("in", format_expr(rename_expr(rel.expr, positional)))
+    return rename_expr(rel.expr, positional)
 
 
 class _Tables:
@@ -256,12 +258,7 @@ class _Tables:
         du, dv = self.values[u], self.values[v]
         rel = c.relation
         if isinstance(rel, Intensional):
-            pairs = [
-                (i, j)
-                for i, a in enumerate(du)
-                for j, b in enumerate(dv)
-                if check_tuple(c, (a, b))
-            ]
+            pairs = self._satisfying_positions(c)
         else:
             pu, pv = self.pos[u], self.pos[v]
             pairs = [(pu[a], pv[b]) for a, b in rel.tuples]
@@ -285,8 +282,10 @@ class _Tables:
         doms = [self.values[x] for x in c.scope]
         return [
             idx
-            for idx in itertools.product(*(range(len(d)) for d in doms))
-            if check_tuple(c, tuple(d[i] for d, i in zip(doms, idx)))
+            for idx, values in zip(
+                itertools.product(*map(range, map(len, doms))), itertools.product(*doms)
+            )
+            if check_tuple(c, values)
         ]
 
 
@@ -344,6 +343,9 @@ class Problem:
             raise ValueError("names/domains length mismatch")
         if len(set(names)) != len(names):
             raise ValueError("duplicate variable names")
+        for name in names:
+            if not (name.isascii() and name.isidentifier()):
+                raise ValueError(f"variable name {name!r} is not an ASCII identifier")
         value_sets = [frozenset(d) for d in domains]
         for i, c in enumerate(constraints):
             if c.cid != i:

@@ -154,7 +154,15 @@ def paired_ttest(diffs: Sequence[float]) -> TTestReport:
 
 # -- record aggregation ---------------------------------------------------
 
-_BUCKETS = (">1", ">2", ">3", "<1", "<2", "<3")
+# each bucket of categorize, in report order, and its test of a method-centric fold
+_BUCKETS = {
+    ">1": lambda f: f > 1.0,
+    ">2": lambda f: f >= 2.0,
+    ">3": lambda f: f >= 3.0,
+    "<1": lambda f: f < 0.0,
+    "<2": lambda f: f <= -2.0,
+    "<3": lambda f: f <= -3.0,
+}
 
 
 def _paired(
@@ -206,23 +214,10 @@ def categorize(records: Iterable[RunRecord], base_scheme: str) -> list[BucketRow
     rows = []
     for scheme, pairs in _paired(records, base_scheme):
         kept = [p for p in pairs if _timed(p)]
-        counts = dict.fromkeys(_BUCKETS, 0)
-        for rec, base_rec in kept:
-            f = folded_ratio(base_rec.elapsed_ms, rec.elapsed_ms)
-            if f > 1.0:
-                counts[">1"] += 1
-                if f >= 2.0:
-                    counts[">2"] += 1
-                if f >= 3.0:
-                    counts[">3"] += 1
-            elif f < 0.0:
-                counts["<1"] += 1
-                if f <= -2.0:
-                    counts["<2"] += 1
-                if f <= -3.0:
-                    counts["<3"] += 1
+        folds = [folded_ratio(base_rec.elapsed_ms, rec.elapsed_ms) for rec, base_rec in kept]
         pct = {
-            k: (100.0 * v / len(kept) if kept else 0.0) for k, v in counts.items()
+            name: 100.0 * sum(map(test, folds)) / len(kept) if kept else 0.0
+            for name, test in _BUCKETS.items()
         }
         rows.append(BucketRow(scheme, pct, len(kept), len(pairs) - len(kept)))
     return rows

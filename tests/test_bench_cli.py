@@ -256,6 +256,10 @@ def test_cli_gen_usage_errors(tmp_path):
     assert main(["gen", "--family", "pigeons", "--out", out]) == 1  # n missing
     assert main(["gen", "--family", "nosuch", "--n", "3", "--out", out]) == 1
     assert main(["gen", "--family", "pigeons", "--n", "3", "--d", "2", "--out", out]) == 1
+    # out-of-range family parameters, rejected when the instance is built
+    assert main(["gen", "--family", "pigeons", "--n", "1", "--out", "-"]) == 1
+    randomb = ["--n", "5", "--d", "3", "--p1", "99", "--p2", "1", "--seed", "1"]
+    assert main(["gen", "--family", "randomb", *randomb, "--out", "-"]) == 1
 
 
 def test_cli_solve_reports_unsat(tmp_path, capsys):

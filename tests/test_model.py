@@ -7,6 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from branchbench.exprs import Call, Const, VarRef
+from branchbench.generators import gen_langford
 from branchbench.model import (
     Constraint,
     ExtensionalAllowed,
@@ -42,6 +43,13 @@ def test_empty_domain_rejected():
 def test_duplicate_names_rejected():
     with pytest.raises(ValueError):
         Problem(("a", "a"), ((0,), (0,)), ())
+
+
+@pytest.mark.parametrize("bad", ["a b", "1x", "", "é"])
+def test_names_the_instance_format_cannot_write_rejected(bad):
+    # the instance format's names are [A-Za-z_][A-Za-z0-9_]*
+    with pytest.raises(ValueError, match=repr(bad)):
+        Problem((bad, "x"), ((0, 1), (0,)), ())
 
 
 def test_cid_must_match_position():
@@ -133,6 +141,37 @@ def test_table_tuple_cap_rejects_large_non_binary_enumerations():
     # allowed tables are listed, not enumerated; binary tables are not rows
     problem(over, ExtensionalAllowed(frozenset({(0, 0, 0), (40, 39, 39)})))
     problem((300, 300), Intensional(Call("ne", (VarRef("x0"), VarRef("x1")))))
+
+
+def test_binary_tables_are_shared_by_relations_equal_up_to_renaming():
+    p = gen_langford(6)
+    t = p.tables
+
+    def covers(op):
+        arcs = [a for a, cid in enumerate(t.arc_cid) if p.constraints[cid].relation.expr.op == op]
+        return len(arcs), {id(t.arc_cover[a]) for a in arcs}
+
+    n_ne, ne_covers = covers("ne")
+    n_eq, eq_covers = covers("eq")
+    # every ne(x,y) over 0..11 is one relation: one cover table per side
+    assert (n_ne, len(ne_covers)) == (132, 2)
+    # eq(add(x,i+1),y) differs in its constant for each pair i
+    assert (n_eq, len(eq_covers)) == (12, 12)
+    assert not ne_covers & eq_covers
+
+    pairs = frozenset({(0, 1), (1, 2)})
+    rels = (ExtensionalForbidden(pairs), ExtensionalForbidden(pairs), ExtensionalAllowed(pairs))
+    scopes = ((0, 1), (1, 2), (0, 2))
+    names = ("x", "y", "z")
+    p = Problem(names, ((0, 1, 2),) * 3, tuple(
+        Constraint(i, s, tuple(names[v] for v in s), r)
+        for i, (s, r) in enumerate(zip(scopes, rels))
+    ))
+    t = p.tables
+    # arcs 2c and 2c + 1 revise constraint c at its first and second variable
+    for table in (t.arc_opp, t.arc_cover):
+        assert table[0] is table[2] and table[1] is table[3]
+        assert table[4] is not table[0] and table[5] is not table[1]
 
 
 def test_check_tuple_three_relation_kinds():

@@ -218,6 +218,23 @@ def test_categorize_buckets_and_exclusions():
     assert split.percentages["<3"] == third
 
 
+@pytest.mark.parametrize(
+    "base_ms, scheme_ms, buckets",
+    [
+        (1.0, 1.0, set()),  # fold 1.0: neither faster nor slower
+        (2.0, 1.0, {">1", ">2"}),
+        (3.0, 1.0, {">1", ">2", ">3"}),
+        (1.0, 2.0, {"<1", "<2"}),
+        (1.0, 3.0, {"<1", "<2", "<3"}),
+    ],
+)
+def test_categorize_bucket_boundaries_are_inclusive(base_ms, scheme_ms, buckets):
+    (row,) = categorize([rec("i", "dway", base_ms), rec("i", "split", scheme_ms)], "dway")
+    assert {b for b, pct in row.percentages.items() if pct == 100.0} == buckets
+    assert all(pct in (0.0, 100.0) for pct in row.percentages.values())
+    assert list(row.percentages) == [">1", ">2", ">3", "<1", "<2", "<3"]
+
+
 def test_speedups_per_class():
     rows = speedups(FIXTURE, "dway")
     by_key = {(r.cls, r.scheme): r for r in rows}
