@@ -53,6 +53,17 @@ none of its arcs revises ``x``, so ``x`` keeps its size while it is walked.
 So the walk reads ``tables.walk[x][sizes[x]]``: the arcs of the constraints
 on ``x`` whose slack that size does not exceed, in ascending order.  A
 non-binary arc is always listed.
+
+Of the arcs a walk lists, the binary ones of a singleton's walk are decided
+with one AND.  When the walked variable ``y`` has a single value, of bit
+``b``, the walk skips a binary arc ``a`` when ``m & arc_opp[a][b] == m``,
+``m`` being the mask of the arc's variable.  This is exact: every arc of
+``walk[y]`` has ``y`` as its partner, so ``arc_opp[a][b]`` is the very mask
+that ``revise`` ANDs with ``m`` for a singleton partner.  ``revise`` is
+thus called only for a revision that removes a value or that one AND cannot
+decide (a non-binary arc, the walk of a variable with more values, or the
+root's first pass), and it stays the one path by which propagation removes
+values.
 """
 
 from __future__ import annotations
@@ -114,12 +125,16 @@ def propagate(state: SearchState, x: Optional[int] = None) -> bool:
     ``y`` queues ``y``, unless it is queued already, and records ``cid`` as
     its excluded constraint, or -1 when another constraint queued it too.
     Popping ``y`` revises ``walk[y][sizes[y]]``, the arcs at its neighbours
-    that the slack test keeps, except those of the excluded constraint.
+    that the slack test keeps, except those of the excluded constraint; when
+    ``y`` (or the decision's ``x``) has one value, a binary arc is revised
+    only if one AND with its supports shows a removal.
     """
     tables = state.tables
     arc_cid = tables.arc_cid
     arc_var = tables.arc_var
+    arc_opp = tables.arc_opp
     walk = tables.walk
+    masks = state.masks
     sizes = state.sizes
     if x is None:
         partner = tables.arc_partner
@@ -127,8 +142,10 @@ def propagate(state: SearchState, x: Optional[int] = None) -> bool:
         # a non-binary arc has partner -1 and a slack no size exceeds; the
         # test reads each partner's size as the pass reaches its arc
         arcs = (a for a in range(len(arc_cid)) if sizes[partner[a]] <= slack[a])
+        bit = -1
     else:
         arcs = walk[x][sizes[x]]
+        bit = masks[x].bit_length() - 1 if sizes[x] == 1 else -1
     skip = -1
     # queued[y]: the constraint excluded at y's walk, or -1 for none
     queued: dict = {}
@@ -137,7 +154,14 @@ def propagate(state: SearchState, x: Optional[int] = None) -> bool:
     while True:
         for a in arcs:
             cid = arc_cid[a]
-            if cid == skip or not revise(state, a):
+            if cid == skip:
+                continue
+            if bit >= 0 and arc_opp[a] is not None:
+                # the walked variable is this arc's singleton partner
+                m = masks[arc_var[a]]
+                if m & arc_opp[a][bit] == m:
+                    continue
+            if not revise(state, a):
                 continue
             z = arc_var[a]
             if sizes[z] == 0:
@@ -154,6 +178,7 @@ def propagate(state: SearchState, x: Optional[int] = None) -> bool:
         skip = queued.pop(y)
         # no arc of the walk revises y, so its size holds through the walk
         arcs = walk[y][sizes[y]]
+        bit = masks[y].bit_length() - 1 if sizes[y] == 1 else -1
 
 
 def establish_root_gac(state: SearchState) -> bool:

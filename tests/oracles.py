@@ -234,8 +234,10 @@ def reference_propagate(
 
     A binary arc whose partner's current domain is larger than its
     ``binary_slack`` is not revised: every value keeps a support.  When
-    given, ``revisions`` collects every arc revised, no-ops included, in
-    order.
+    given, ``revisions`` collects the arcs revised, in order: every one of
+    the root's first pass, and, once the queue runs, every one but the
+    binary arcs whose partner (the popped variable) has one value and that
+    remove nothing, which the library decides without a revision.
     """
     follows: list[list[tuple[int, int]]] = [[] for _ in range(problem.n_vars)]
     for c in problem.constraints:
@@ -246,17 +248,21 @@ def reference_propagate(
     queue: deque = deque()
     excluded: dict[int, int] = {}
 
-    def revise(arc: tuple[int, int]) -> Optional[tuple[int, int]]:
+    def revise(arc: tuple[int, int], popped: Optional[int] = None) -> Optional[tuple[int, int]]:
         cid, x = arc
         c = problem.constraints[cid]
-        if len(c.scope) == 2:
+        binary = len(c.scope) == 2
+        if binary:
             (y,) = (z for z in c.scope if z != x)
             if len(domains[y]) > binary_slack(c, problem.domains, x):
                 return None
-        if revisions is not None:
-            revisions.append(arc)
         kept = supported_values(c, domains, x)
-        if len(kept) == len(domains[x]):
+        shrinks = len(kept) < len(domains[x])
+        # popped is this binary arc's partner; a singleton decides it
+        decided = binary and popped is not None and len(domains[popped]) == 1
+        if revisions is not None and (shrinks or not decided):
+            revisions.append(arc)
+        if not shrinks:
             return None
         if removals is not None:
             removals.append((x, tuple(v for v in domains[x] if v not in kept)))
@@ -284,7 +290,7 @@ def reference_propagate(
         skip = excluded.pop(y)
         for arc in follows[y]:
             if arc[0] != skip:
-                wiped = revise(arc)
+                wiped = revise(arc, y)
                 if wiped:
                     return wiped
     return None

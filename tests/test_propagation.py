@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 from branchbench import propagation
+from branchbench.branching import parse_scheme
 from branchbench.exprs import Call, Const, VarRef
 from branchbench.generators import gen_langford, gen_randomb
 from branchbench.model import (
@@ -17,6 +18,7 @@ from branchbench.model import (
     mask_values,
 )
 from branchbench.propagation import establish_root_gac, propagate, revise
+from branchbench.search import solve
 from oracles import gac_fixpoint, reference_propagate, supported_values
 from util import (
     _random_intensional,
@@ -263,8 +265,8 @@ def revise_calls(monkeypatch):
 def _walk_against_reference(p, r, calls, steps=12):
     """Random decisions and backtracks, propagated by the library and by the
     plain variable queue revising by tuple enumeration; both must give the
-    same revisions (no-ops included) in the same order, removals, wipeouts,
-    weights and domains.  ``calls`` is the ``revise_calls`` fixture's list.
+    same revisions (every no-op but those a singleton partner decides) in
+    the same order, removals, wipeouts, weights and domains.  ``calls`` is the ``revise_calls`` fixture's list.
     Returns (decisions, wipeouts)."""
     st = SearchState(p)
     domains = [list(d) for d in p.domains]
@@ -344,6 +346,54 @@ def test_propagate_revises_the_reference_arcs_on_structured_walks(revise_calls, 
         r = random.Random(seed)
         decisions += _walk_against_reference(p, r, revise_calls, steps=20)[0]
     assert decisions >= 30
+
+
+def test_one_and_decides_a_singleton_partners_revision():
+    """The walk of a singleton reads ``m & arc_opp[a][bit] == m`` for each of
+    its binary arcs instead of revising: that test holds exactly when
+    ``revise`` would remove nothing."""
+    counts = Counter()
+    for seed in range(60):
+        r = random.Random(seed)
+        for p in (random_problem(seed, max_vars=6, max_dom=6), gen_randomb(8, 5, 20, 11, seed)):
+            st = SearchState(p)
+            for x in range(p.n_vars):
+                values = domain_values(st, x)
+                reduce_domain(st, x, r.sample(values, r.randint(1, len(values))))
+            tables = p.tables
+            for a, opp in enumerate(tables.arc_opp):
+                if opp is None:
+                    continue
+                x, partner = tables.arc_var[a], tables.arc_partner[a]
+                for v in domain_values(st, partner):
+                    token = st.push_level()
+                    reduce_domain(st, partner, (v,))
+                    m = st.masks[x]
+                    decided = m & opp[tables.pos[partner][v]] == m
+                    assert decided == (not revise(st, a)), (p, a, v)
+                    counts[decided] += 1
+                    st.undo_to(token)
+    assert counts[True] >= 500 and counts[False] >= 500
+
+
+def test_a_singleton_walk_revises_only_to_remove(revise_calls, monkeypatch):
+    """Every constraint of langford is binary, so the variable a walk reads
+    is the partner of each arc it revises.  Under 2way, every revise call
+    made while that partner has one value removes a value."""
+    recorded = propagation.revise  # the fixture's recorder
+    seen = Counter()
+
+    def observing_revise(state, a):
+        partner = state.tables.arc_partner[a]
+        removed = recorded(state, a)
+        seen[state.sizes[partner] == 1, removed] += 1
+        return removed
+
+    monkeypatch.setattr(propagation, "revise", observing_revise)
+    solve(gen_langford(6), parse_scheme("2way"))
+    assert seen[True, False] == 0
+    assert seen[True, True] >= 1000 and seen[False, False] >= 10
+    assert len(revise_calls) == sum(seen.values())
 
 
 def _slack_of(problem, cid, x):

@@ -71,7 +71,9 @@ def test_traced_solve_counts_set_plans_and_runs_the_same_search(monkeypatch):
     ids=["langford 6-2way", "langford 6-dway", "nary-dway", "qwh 9-dway"],
 )
 def test_traced_solve_makes_the_pinned_revise_calls(monkeypatch, source, scheme):
-    """Every revise call counts, including the many that remove nothing.
+    """Every revise call counts, including those that remove nothing: the
+    root's first pass and the walks of variables with more than one value
+    make them, while a singleton's walk calls ``revise`` only to remove.
 
     The trail shows only the revisions that remove values; the number of
     revise calls is pinned in ``tests/golden/pins.json``, so a queue change
