@@ -29,14 +29,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from perf import ROOT, git
+
 WORKLOADS = ("proof", "sets", "sweep")
-
-
-def git(*args: str) -> str:
-    return subprocess.run(
-        ["git", *args], cwd=ROOT, stdout=subprocess.PIPE, text=True, check=True
-    ).stdout.rstrip()
 
 
 def parse_run(workload: str, returncode: int, stdout: str) -> dict[str, float] | None:
@@ -151,8 +146,8 @@ def main(argv=None) -> int:
             else:
                 for side in order:
                     results[side].append(got[side])
-                differ = sorted(k for k in got["base"] if k.endswith(".nodes")
-                                and got["base"][k] != got["change"].get(k))
+                differ = [k for k in got["base"] if k.endswith(".nodes")
+                          and got["base"][k] != got["change"].get(k)]
                 if args.same_search and differ:
                     bad.append(f"pair {pair}: nodes differ in {', '.join(differ)}")
             print(f"pair {pair}/{args.pairs}: {'failed' if failed else 'ok'}",
