@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
 """Alternating base/change runs of the benchmark, with a sign test per metric.
 
-    python3 scripts/pairs.py --base REV [--workload all] [--pairs 10] [--seconds 6]
-                             [--same-search]
+    python3 scripts/pairs.py --base REV [--workload all] [--same-search]
 
 Exports ``REV`` and ``HEAD`` with ``git archive`` into two temporary
 directories and runs ``perfbench/run.py --workload W --seed <pair>
---seconds S --trace 0`` in each, ``--pairs`` times, the base first in odd
-pairs and the change first in even ones.  For each workload and each
+--seconds S --trace 0`` in each for 10 pairs, the base first in odd pairs
+and the change first in even ones; ``S`` is ``run_seconds`` from
+``BENCHMARK.json``, as in ``scripts/perf.py``.  For each workload and each
 end-to-end metric of ``BENCHMARK.json`` it prints the base's median and
 quartiles, the change's median, their ratio, the number of pairs in which
 the change was better, and the exact two-sided sign-test p-value over the
@@ -29,20 +29,17 @@ import sys
 import tempfile
 from pathlib import Path
 
-from perf import ROOT, git
+from perf import ROOT, git, run
 
 WORKLOADS = ("proof", "sets", "sweep")
+PAIRS = 10
 
 
-def parse_run(workload: str, returncode: int, stdout: str) -> dict[str, float] | None:
-    """The end-to-end metrics of one ``run.py`` output as ``{"W.metric":
-    value}``, or None if the run exited non-zero, printed no JSON result as
-    its last line, or reported itself incorrect or a failed task."""
-    lines = stdout.strip().splitlines()
-    if returncode != 0 or not lines:
-        return None
+def metrics_of(workload: str, result: dict | None) -> dict[str, float] | None:
+    """The end-to-end metrics of one ``run.py`` result as ``{"W.metric":
+    value}``, or None if there is no result or it reports itself incorrect
+    or a failed task."""
     try:
-        result = json.loads(lines[-1])
         if not result["correct"] or result["failed"]:
             return None
         metrics = {k: float(v["value"]) for k, v in result["metrics"].items()}
@@ -99,24 +96,10 @@ def export(rev: str, into: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(into)], input=archive.stdout, check=True)
 
 
-def run_side(tree: Path, workload: str, seed: int, seconds: float) -> dict[str, float] | None:
-    child = subprocess.run(
-        [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        stdout=subprocess.PIPE, text=True, check=False, cwd=tree,
-    )
-    got = parse_run(workload, child.returncode, child.stdout)
-    if got is None:
-        sys.stderr.write(child.stdout[-2000:])
-    return got
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", required=True, help="the revision to compare HEAD against")
     ap.add_argument("--workload", default="all", choices=WORKLOADS + ("all",))
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=6.0)
     ap.add_argument("--same-search", action="store_true",
                     help="also fail when a pair's nodes differ between the sides")
     args = ap.parse_args(argv)
@@ -124,11 +107,12 @@ def main(argv=None) -> int:
     if changed:
         print(f"pairs: uncommitted changes; commit them first:\n{changed}", file=sys.stderr)
         return 1
-    better = {m["name"]: m["better"]
-              for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     base_rev, head_rev = git("rev-parse", args.base), git("rev-parse", "HEAD")
-    print(f"base {base_rev}\nchange {head_rev}\n{args.pairs} pairs of "
-          f"--workload {args.workload} --seconds {args.seconds:g}, seed = pair number")
+    print(f"base {base_rev}\nchange {head_rev}\n{PAIRS} pairs of "
+          f"--workload {args.workload} --seconds {seconds:g}, seed = pair number")
     results: dict[str, list[dict]] = {"base": [], "change": []}
     bad = []
     with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
@@ -136,9 +120,10 @@ def main(argv=None) -> int:
         for side, rev in (("base", base_rev), ("change", head_rev)):
             trees[side].mkdir()
             export(rev, trees[side])
-        for pair in range(1, args.pairs + 1):
+        for pair in range(1, PAIRS + 1):
             order = ("base", "change") if pair % 2 else ("change", "base")
-            got = {side: run_side(trees[side], args.workload, pair, args.seconds)
+            got = {side: metrics_of(args.workload,
+                                    run(trees[side], args.workload, pair, seconds, 0))
                    for side in order}
             failed = [side for side in order if got[side] is None]
             if failed:
@@ -150,7 +135,7 @@ def main(argv=None) -> int:
                           and got["base"][k] != got["change"].get(k)]
                 if args.same_search and differ:
                     bad.append(f"pair {pair}: nodes differ in {', '.join(differ)}")
-            print(f"pair {pair}/{args.pairs}: {'failed' if failed else 'ok'}",
+            print(f"pair {pair}/{PAIRS}: {'failed' if failed else 'ok'}",
                   file=sys.stderr, flush=True)
     if results["base"]:
         print("\n".join(summary_rows(results["base"], results["change"], better)))

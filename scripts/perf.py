@@ -44,21 +44,30 @@ def git(*args: str) -> str:
     ).stdout.rstrip()
 
 
-def run(seconds: float, trace: int) -> dict | None:
-    """The final JSON line of one ``--workload all`` run, or None on failure."""
-    child = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "all",
-         "--seed", str(SEED), "--seconds", str(seconds), "--trace", str(trace)],
-        stdout=subprocess.PIPE, text=True, check=False, cwd=ROOT,
-    )
-    sys.stdout.write(child.stdout)
-    lines = child.stdout.strip().splitlines()
-    if child.returncode != 0 or not lines:
+def parse_result(returncode: int, stdout: str) -> dict | None:
+    """The final JSON line of one ``run.py`` output, or None if the run exited
+    non-zero or its last line is not JSON."""
+    lines = stdout.strip().splitlines()
+    if returncode != 0 or not lines:
         return None
     try:
         return json.loads(lines[-1])
     except json.JSONDecodeError:
         return None
+
+
+def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict | None:
+    """The final JSON line of one ``perfbench/run.py`` run in ``tree``, or None
+    on failure, when the tail of the run's output goes to stderr."""
+    child = subprocess.run(
+        [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
+        stdout=subprocess.PIPE, text=True, check=False, cwd=tree,
+    )
+    result = parse_result(child.returncode, child.stdout)
+    if result is None:
+        sys.stderr.write(child.stdout[-2000:])
+    return result
 
 
 def main() -> int:
@@ -67,8 +76,8 @@ def main() -> int:
         print(f"perf: uncommitted changes; commit them first:\n{changed}", file=sys.stderr)
         return 1
     seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
-    untraced = run(seconds, 0)
-    traced = run(seconds, 1) if untraced is not None else None
+    untraced = run(ROOT, "all", SEED, seconds, 0)
+    traced = run(ROOT, "all", SEED, seconds, 1) if untraced is not None else None
     if traced is None:
         print("perf: a benchmark run failed; no BENCH file written", file=sys.stderr)
         return 1

@@ -6,6 +6,7 @@ import json
 import pytest
 
 import pairs
+import perf
 
 
 def run_output(correct=True, failed=0, **values):
@@ -18,13 +19,18 @@ def run_output(correct=True, failed=0, **values):
     ]) + "\n"
 
 
+def parse_run(workload, returncode, stdout):
+    """What ``pairs.py`` keeps of one run: ``perf.run``'s parse, then its own check."""
+    return pairs.metrics_of(workload, perf.parse_result(returncode, stdout))
+
+
 def test_parse_run_names_each_metric_by_its_workload():
-    got = pairs.parse_run("proof", 0, run_output(solve_s=1.25, nodes=40609))
+    got = parse_run("proof", 0, run_output(solve_s=1.25, nodes=40609))
     assert got == {"proof.solve_s": 1.25, "proof.nodes": 40609.0}
 
 
 def test_parse_run_keeps_the_names_of_an_all_run():
-    got = pairs.parse_run("all", 0, run_output(**{"sets.wall_s": 2.0, "sweep.wall_s": 0.4}))
+    got = parse_run("all", 0, run_output(**{"sets.wall_s": 2.0, "sweep.wall_s": 0.4}))
     assert got == {"sets.wall_s": 2.0, "sweep.wall_s": 0.4}
 
 
@@ -42,7 +48,7 @@ def test_parse_run_keeps_the_names_of_an_all_run():
          "no output"],
 )
 def test_parse_run_rejects_a_failed_run(returncode, stdout):
-    assert pairs.parse_run("proof", returncode, stdout) is None
+    assert parse_run("proof", returncode, stdout) is None
 
 
 def test_sign_test_is_exact_and_two_sided():
