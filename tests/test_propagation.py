@@ -266,8 +266,8 @@ def _walk_against_reference(p, r, calls, steps=12):
     """Random decisions and backtracks, propagated by the library and by the
     plain variable queue revising by tuple enumeration; both must give the
     same revisions (every no-op but those a singleton partner decides) in
-    the same order, removals, wipeouts, weights and domains.  ``calls`` is the ``revise_calls`` fixture's list.
-    Returns (decisions, wipeouts)."""
+    the same order, removals, wipeouts, weights and domains.  ``calls`` is
+    the ``revise_calls`` fixture's list.  Returns (decisions, wipeouts)."""
     st = SearchState(p)
     domains = [list(d) for d in p.domains]
     weights = [1] * len(p.constraints)
@@ -346,34 +346,6 @@ def test_propagate_revises_the_reference_arcs_on_structured_walks(revise_calls, 
         r = random.Random(seed)
         decisions += _walk_against_reference(p, r, revise_calls, steps=20)[0]
     assert decisions >= 30
-
-
-def test_one_and_decides_a_singleton_partners_revision():
-    """The walk of a singleton reads ``m & arc_opp[a][bit] == m`` for each of
-    its binary arcs instead of revising: that test holds exactly when
-    ``revise`` would remove nothing."""
-    counts = Counter()
-    for seed in range(60):
-        r = random.Random(seed)
-        for p in (random_problem(seed, max_vars=6, max_dom=6), gen_randomb(8, 5, 20, 11, seed)):
-            st = SearchState(p)
-            for x in range(p.n_vars):
-                values = domain_values(st, x)
-                reduce_domain(st, x, r.sample(values, r.randint(1, len(values))))
-            tables = p.tables
-            for a, opp in enumerate(tables.arc_opp):
-                if opp is None:
-                    continue
-                x, partner = tables.arc_var[a], tables.arc_partner[a]
-                for v in domain_values(st, partner):
-                    token = st.push_level()
-                    reduce_domain(st, partner, (v,))
-                    m = st.masks[x]
-                    decided = m & opp[tables.pos[partner][v]] == m
-                    assert decided == (not revise(st, a)), (p, a, v)
-                    counts[decided] += 1
-                    st.undo_to(token)
-    assert counts[True] >= 500 and counts[False] >= 500
 
 
 def test_a_singleton_walk_revises_only_to_remove(revise_calls, monkeypatch):

@@ -72,8 +72,9 @@ def test_traced_solve_counts_set_plans_and_runs_the_same_search(monkeypatch):
 )
 def test_traced_solve_makes_the_pinned_revise_calls(monkeypatch, source, scheme):
     """Every revise call counts, including those that remove nothing: the
-    root's first pass and the walks of variables with more than one value
-    make them, while a singleton's walk calls ``revise`` only to remove.
+    root's first pass, the walks of variables with more than one value and
+    every non-binary arc make them.  A singleton's walk skips only the
+    binary arcs that one AND shows remove nothing.
 
     The trail shows only the revisions that remove values; the number of
     revise calls is pinned in ``tests/golden/pins.json``, so a queue change
