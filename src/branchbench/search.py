@@ -1,16 +1,20 @@
 """Backtracking search maintaining arc consistency.
 
 Every applied decision (an assignment, a set reduction, or a right-branch
-removal) is propagated and counts as exactly one node; root preprocessing is
-not counted.  ``solve`` keeps its four counters itself and counts a wipeout
-wherever propagation returns False: at the root and after a branch.  The
-branching style is the scheme's (``Scheme.binary``), read once per solve; a
-plan gives only its sets, as masks.  A branch applies its mask with the one
-domain edit propagation also uses, ``SearchState._remove_mask``.  A variable
-is treated as assigned only when a branch reduced its domain to a singleton;
-domains that collapse to one value through propagation stay unassigned until
-search selects them (their plans then commit them).  Only ``x``'s own frame
-assigns ``x``, so backtracking that frame clears it.  Both go through
+removal) is propagated and counts as exactly one node; root preprocessing and
+forced commits are not counted.  ``solve`` keeps its four counters itself and
+counts a wipeout wherever propagation returns False: at the root and after a
+branch.  The branching style is the scheme's (``Scheme.binary``), read once
+per solve; a plan gives only its sets, as masks.  A branch applies its mask
+with the one domain edit propagation also uses, ``SearchState._remove_mask``.
+A variable is treated as assigned only when a branch reduced its domain to a
+singleton, or when search selects it after propagation did.  Selecting a
+one-value domain is a forced commit, not a choice point: it assigns ``x`` in
+a frame with no branches, and makes no node, no plan and no ``propagate``
+call, since the walk that cut ``x`` to one value (or root GAC) has already
+run.  So a plan is only cut from two or more values: every branch removes
+something, and a binary plan always has its right branch.  Only ``x``'s own
+frame assigns ``x``, so unwinding that frame clears it.  Both go through
 ``SearchState.assign`` and ``unassign``, which set one flag per variable (the
 value is the singleton domain itself) and keep the cached wdeg that variable
 selection reads.
@@ -19,12 +23,12 @@ The engine is one loop over an explicit frame stack, so deep runs cannot hit
 the interpreter recursion limit.  Root GAC and every propagated branch lead to
 the same step: a consistent state with every domain a singleton is the
 solution, checked once by :func:`verify`; any other consistent state gets one
-new choice point, one :func:`select_variable` and one :func:`plan` call.  A
-branch changes only its variable's domain, so it is propagated as that one
-change, ``propagate(state, x)``.  A frame's level token is the trail length
-before its branch was applied.  Each ``solve`` builds its own
-:class:`SearchState` and leaves it as the search stopped; the problem is not
-changed, so re-running on it starts from the original domains.
+:func:`select_variable` call, then a forced commit or one new choice point
+with one :func:`plan` call.  A branch changes only its variable's domain, so
+it is propagated as that one change, ``propagate(state, x)``.  A frame's level
+token is the trail length before its branch was applied.  Each ``solve``
+builds its own :class:`SearchState` and leaves it as the search stopped; the
+problem is not changed, so re-running on it starts from the original domains.
 """
 
 from __future__ import annotations
@@ -86,7 +90,9 @@ class _Frame:
     def __init__(self, x: int, masks: tuple[int, ...], last: int) -> None:
         self.x = x
         self.masks = masks
-        self.last = last  # the final branch index
+        # the final branch index: 1 for a binary plan, whose right branch
+        # always exists; -1 for a forced commit, which has no branch
+        self.last = last
         self.idx = 0
         self.token: Optional[int] = None
 
@@ -121,11 +127,15 @@ def solve(
                 status = Status.SAT
                 break
             x = select_variable(state)
+            if state.sizes[x] == 1:
+                # a forced commit: no choice point, and already propagated
+                state.assign(x)
+                stack.append(_Frame(x, (), -1))
+                if trace is not None:
+                    trace.append(f"{len(stack) - 1} {names[x]} {{{state.value_of(x)}}} F")
+                continue
             masks = plan(scheme, state, x).masks
-            # a binary plan's right branch removes its set, so it exists
-            # only while that set is not the whole domain
-            last = int(masks[0] != state.masks[x]) if binary else len(masks) - 1
-            stack.append(_Frame(x, masks, last))
+            stack.append(_Frame(x, masks, 1 if binary else len(masks) - 1))
 
         fr = stack[-1]
         if fr.token is not None:
@@ -136,6 +146,7 @@ def solve(
             backtracks += 1
             fr.idx += 1
         if fr.idx > fr.last:
+            state.unassign(fr.x)  # a no-op unless fr is a forced commit
             stack.pop()
             continue
 
@@ -160,8 +171,7 @@ def solve(
             removed = state.masks[x] ^ mask
             if mask & (mask - 1) == 0:
                 state.assign(x)
-        if removed:  # empty when the plan's set is the whole domain
-            state._remove_mask(x, removed)
+        state._remove_mask(x, removed)
         nodes += 1
         if trace is not None:
             kind = "R" if right else "L" if binary else f"E#{idx}"

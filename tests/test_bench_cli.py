@@ -25,10 +25,9 @@ from branchbench.cli import main
 from branchbench.generators import GenSpec, gen_langford, gen_pigeons
 from branchbench.instance_io import parse_instance, serialize_instance
 from branchbench.search import Limits, RunStats, solve
+from util import TRACE_LINE
 
 ROOT = Path(__file__).resolve().parent.parent
-
-TRACE_LINE = re.compile(r"^\d+ \S+ \{-?\d+(,-?\d+)*\} (L|R|E#\d+)$")
 
 
 # -------------------------------------------------------------- manifests

@@ -1,7 +1,5 @@
 """Search engine: soundness, completeness, counters, limits, traces."""
 
-import re
-
 import pytest
 
 from branchbench.branching import SCHEME_NAMES, parse_scheme
@@ -10,11 +8,9 @@ from branchbench.generators import gen_langford, gen_pigeons, gen_qwh
 from branchbench.model import Constraint, Intensional, Problem
 from branchbench.search import Limits, Status, solve, verify
 from oracles import brute_force_sat, brute_force_solutions
-from util import make_binary, ne_rel, random_problem
+from util import TRACE_LINE, make_binary, ne_rel, random_problem
 
 ALL_SCHEMES = tuple(parse_scheme(name) for name in SCHEME_NAMES)
-
-TRACE_LINE = re.compile(r"^\d+ \S+ \{-?\d+(,-?\d+)*\} (L|R|E#\d+)$")
 
 
 @pytest.mark.parametrize("name", SCHEME_NAMES)
@@ -93,9 +89,9 @@ def test_root_propagation_alone_can_solve():
     assert verify(problem, out.assignment)
 
 
-def test_whole_domain_binary_plan_has_no_right_branch():
-    # x's only value passes root GAC, so x's plan is its whole domain: the
-    # left branch removes nothing and there is no right branch to take
+def test_forced_value_is_committed_without_a_node():
+    # x's only value passes root GAC, so selecting x commits it without a
+    # choice point: no node, decision or backtrack, and one F trace line
     def rel(op, a, b):
         return Intensional(Call(op, (VarRef(a), VarRef(b))))
 
@@ -109,16 +105,25 @@ def test_whole_domain_binary_plan_has_no_right_branch():
             ((1, 2), rel("eq", "y", "z")),
         ],
     )
-    for name in ("2way", "split"):
+    for name in ("2way", "split", "dway"):
         trace: list[str] = []
         out = solve(problem, parse_scheme(name), trace=trace)
         assert out.status is Status.UNSAT
         s = out.stats
-        assert (s.nodes, s.decisions, s.wipeouts, s.backtracks) == (3, 2, 2, 3)
-        assert trace == ["0 x {0} L", "1 y {0} L", "1 y {0} R"]
-    trace = []
-    solve(problem, parse_scheme("dway"), trace=trace)
-    assert trace == ["0 x {0} E#0", "1 y {0} E#0", "1 y {1} E#1"]
+        assert (s.nodes, s.decisions, s.wipeouts, s.backtracks) == (2, 1, 2, 2)
+        if name == "dway":
+            assert trace == ["0 x {0} F", "1 y {0} E#0", "1 y {1} E#1"]
+        else:
+            assert trace == ["0 x {0} F", "1 y {0} L", "1 y {0} R"]
+
+
+def test_node_limit_counts_real_nodes_only():
+    # 60 of the 73 nodes this run took when forced commits counted as nodes
+    problem = gen_qwh(9, 50, seed=1)
+    out = solve(problem, parse_scheme("2way"), Limits(max_nodes=13))
+    assert out.status is Status.SAT and out.stats.nodes == 13
+    out = solve(problem, parse_scheme("2way"), Limits(max_nodes=12))
+    assert out.status is Status.LIMIT and out.stats.nodes == 12
 
 
 def test_root_wipeout_is_unsat_with_zero_nodes():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import re
 from pathlib import Path
 
 from branchbench.exprs import Call, Const, VarRef
@@ -21,6 +22,9 @@ from branchbench.propagation import establish_root_gac, propagate
 _BIN_OPS = ("ne", "eq", "lt", "le", "add", "sub")
 # every pin scripts/write_golden.py writes beside the corpus
 PINS = json.loads((Path(__file__).resolve().parent / "golden" / "pins.json").read_text())
+# one line of a search trace: depth, variable, values, and the branch kind
+# (a binary plan's left or right branch, a d-way plan's i-th, or a forced commit)
+TRACE_LINE = re.compile(r"^\d+ \S+ \{-?\d+(,-?\d+)*\} (L|R|E#\d+|F)$")
 
 
 def domain_values(state: SearchState, x: int) -> list[int]:
