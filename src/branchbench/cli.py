@@ -62,7 +62,7 @@ def _build_parser() -> _Parser:
     p_solve.add_argument("--kmax", type=_in_range(int, 1), default=4)
     p_solve.add_argument("--timeout-ms", type=_in_range(float, 0))
     p_solve.add_argument("--max-nodes", type=_in_range(int, 0))
-    p_solve.add_argument("--trace", help="write one line per branch here")
+    p_solve.add_argument("--trace", help="write one line per branch and forced commit here")
 
     p_bench = sub.add_parser("bench", help="run a manifest under many schemes")
     p_bench.add_argument("--manifest", required=True)

@@ -118,7 +118,8 @@ def test_forced_value_is_committed_without_a_node():
 
 
 def test_node_limit_counts_real_nodes_only():
-    # 60 of the 73 nodes this run took when forced commits counted as nodes
+    # the limit is read only before a real node, and 60 forced commits
+    # come between this run's 13 nodes
     problem = gen_qwh(9, 50, seed=1)
     out = solve(problem, parse_scheme("2way"), Limits(max_nodes=13))
     assert out.status is Status.SAT and out.stats.nodes == 13
