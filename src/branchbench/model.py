@@ -130,7 +130,7 @@ class _Tables:
     __slots__ = (
         "values", "pos", "full_masks",
         "arc_cid", "arc_var", "arc_partner", "arc_slack", "arc_opp", "arc_cover",
-        "arc_rows", "walk",
+        "arc_rows", "arcs", "walk",
         "neighbors", "var_binary", "var_constraints",
     )
 
@@ -235,16 +235,22 @@ class _Tables:
         self.arc_opp = arc_opp
         self.arc_cover = arc_cover
         self.arc_rows = arc_rows
-        # walk[x][s]: the arcs of on_var[x] that the walk of x lists
+        # arcs[a]: the entry (a, cid, var, opp) that propagation walks, with
+        # opp arc_opp[a], or None for a non-binary arc, so one unpacking
+        # reads every field a walk needs
+        self.arcs = [
+            (a, cid, x, opp) for a, (cid, x, opp) in enumerate(zip(arc_cid, arc_var, arc_opp))
+        ]
+        # walk[x][s]: the entries of on_var[x] that the walk of x lists
         # while x has s values, those with slack at least s, in the same
         # order; the sizes between two slacks share one tuple
         self.walk = []
-        for x, arcs in enumerate(on_var):
-            arcs = tuple(arcs)
+        for x, ids in enumerate(on_var):
+            entries = tuple(self.arcs[a] for a in ids)
             top = len(self.values[x])
-            kept = [arcs] * (top + 1)
-            for s in sorted({arc_slack[a] + 1 for a in arcs if arc_slack[a] < top}):
-                kept[s:] = [tuple(a for a in arcs if s <= arc_slack[a])] * (top + 1 - s)
+            kept = [entries] * (top + 1)
+            for s in sorted({arc_slack[a] + 1 for a in ids if arc_slack[a] < top}):
+                kept[s:] = [tuple(e for e in entries if s <= arc_slack[e[0]])] * (top + 1 - s)
             self.walk.append(kept)
         self.var_binary = [tuple(v) for v in var_binary]
         self.var_constraints = [tuple(v) for v in var_constraints]

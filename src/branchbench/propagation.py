@@ -25,11 +25,10 @@ Propagation counts nothing; search counts the wipeouts.
 A binary arc is revised a whole domain at once from its per-arc tables:
 ``arc_opp`` maps each partner bit to the mask of the variable's values it
 supports, so the values to keep are the variable's domain ANDed with the
-union of ``arc_opp`` over the partner's current domain.  When the partner
-is a singleton, that union is one ``arc_opp`` entry; otherwise it is read
-from ``arc_cover``, one lookup per ``model.CHUNK_BITS`` bits of the
-partner's mask, each table entry holding the union over one subset of that
-chunk (the word-level revision of AC3bit, Lecoutre & Vion 2008, and the
+union of ``arc_opp`` over the partner's current domain.  :func:`revise` reads
+that union from ``arc_cover``, one lookup per ``model.CHUNK_BITS`` bits of
+the partner's mask, each table entry holding the union over one subset of
+that chunk (the word-level revision of AC3bit, Lecoutre & Vion 2008, and the
 union of supports of Compact-Table, Demeulenaere et al. 2016).  A value is
 in the union exactly when some current partner value supports it, so the
 result is that of testing each value.  Every other arc (unary or n-ary, of
@@ -50,20 +49,21 @@ domain is larger than the slack, every target value still has a support, so
 the revision could remove nothing.  The root walk leaves such arcs
 unrevised.  The walk of ``x`` lists binary arcs whose partner is ``x``, and
 none of its arcs revises ``x``, so ``x`` keeps its size while it is walked.
-So the walk reads ``tables.walk[x][sizes[x]]``: the arcs of the constraints
-on ``x`` whose slack that size does not exceed, in ascending order.  A
-non-binary arc is always listed.
+So the walk reads ``tables.walk[x][sizes[x]]``: the entries ``(arc, cid,
+var, opp)`` of the constraints on ``x`` whose slack that size does not
+exceed, in ascending arc order, ``opp`` being the arc's ``arc_opp`` or None
+for a non-binary arc.  A non-binary arc is always listed.
 
-Of the arcs a walk lists, the binary ones of a singleton's walk are decided
-with one AND.  When the walked variable ``y`` has a single value, of bit
-``b``, the walk skips a binary arc ``a`` when ``m & arc_opp[a][b] == m``,
-``m`` being the mask of the arc's variable.  This is exact: every arc of
-``walk[y]`` has ``y`` as its partner, so ``arc_opp[a][b]`` is the very mask
-that ``revise`` ANDs with ``m`` for a singleton partner.  ``revise`` is
-thus called only for a revision that removes a value or that one AND cannot
-decide (a non-binary arc, the walk of a variable with more values, or the
-root's first pass), and it stays the one path by which propagation removes
-values.
+The walk of a singleton revises its binary arcs itself, with one AND.  When
+the walked variable ``y`` has a single value, of bit ``b``, the values of a
+binary arc's variable to keep are ``m & opp[b]``, ``m`` being that
+variable's mask: every arc of ``walk[y]`` has ``y`` as its partner, so
+``opp[b]`` is the whole union of supports over ``y``'s domain.  The walk
+skips the arc when nothing goes and otherwise removes the rest itself, with
+no :func:`revise` call.  So :func:`revise` runs only for an arc that one AND
+cannot decide (a non-binary arc, the walk of a variable with more values, or
+the root's first pass), and ``SearchState._remove_mask``, which both call,
+is the one path by which propagation removes values.
 """
 
 from __future__ import annotations
@@ -78,7 +78,10 @@ _CHUNK_MASK = (1 << CHUNK_BITS) - 1
 
 
 def revise(state: SearchState, a: int) -> bool:
-    """Revise arc ``a``; True iff at least one value was removed."""
+    """Revise arc ``a``; True iff at least one value was removed.  A binary
+    arc reads the union of its partner's supports from ``arc_cover``, one
+    chunk of the partner's mask at a time, whatever the partner's size; any
+    other arc scans its compiled rows."""
     tables = state.tables
     masks = state.masks
     x = tables.arc_var[a]
@@ -96,18 +99,13 @@ def revise(state: SearchState, a: int) -> bool:
                         new |= b
                         break
     else:
-        p = tables.arc_partner[a]
-        pm = masks[p]
-        if state.sizes[p] == 1:
-            # the partner's single bit indexes its supports
-            new = m & tables.arc_opp[a][pm.bit_length() - 1]
-        else:
-            # the union of the supports of every partner value, a chunk at a time
-            new = 0
-            for union in cover:
-                new |= union[pm & _CHUNK_MASK]
-                pm >>= CHUNK_BITS
-            new &= m
+        # the union of the supports of every partner value, a chunk at a time
+        pm = masks[tables.arc_partner[a]]
+        new = 0
+        for union in cover:
+            new |= union[pm & _CHUNK_MASK]
+            pm >>= CHUNK_BITS
+        new &= m
     if new == m:
         return False
     state._remove_mask(x, m ^ new)
@@ -117,31 +115,31 @@ def revise(state: SearchState, a: int) -> bool:
 def propagate(state: SearchState, x: Optional[int] = None) -> bool:
     """Run the variable queue to fixpoint after a change to ``x``'s domain;
     True means consistent, False a wipeout, whose constraint has had its
-    weight bumped.  With ``x`` left as None (root GAC), revise every arc.
+    weight bumped.  With ``x`` left as None (root GAC), the first pass is
+    every arc in ascending order but the binary arcs whose partner is larger
+    than their slack.
 
-    The first pass is a decision's walk of ``x`` with no constraint
-    excluded, or at the root every arc in ascending order, binary arcs whose
-    partner is larger than their slack left out.  A revision by ``cid`` that shrinks
-    ``y`` queues ``y``, unless it is queued already, and records ``cid`` as
-    its excluded constraint, or -1 when another constraint queued it too.
-    Popping ``y`` revises ``walk[y][sizes[y]]``, the arcs at its neighbours
-    that the slack test keeps, except those of the excluded constraint; when
-    ``y`` (or the decision's ``x``) has one value, a binary arc is revised
-    only if one AND with its supports shows a removal.
+    The first pass is otherwise a decision's walk of ``x`` with no
+    constraint excluded.  A revision by ``cid`` that shrinks ``y`` queues
+    ``y``, unless it is queued already, and records ``cid`` as its excluded
+    constraint, or -1 when another constraint queued it too.  Popping ``y``
+    walks ``walk[y][sizes[y]]``, the arcs at its neighbours that the slack
+    test keeps, except those of the excluded constraint.  When ``y`` (or
+    the decision's ``x``) has one value, the walk revises each binary arc
+    itself, with one AND of the arc's domain against that value's supports;
+    every other arc goes through :func:`revise`.
     """
     tables = state.tables
-    arc_cid = tables.arc_cid
-    arc_var = tables.arc_var
-    arc_opp = tables.arc_opp
     walk = tables.walk
     masks = state.masks
     sizes = state.sizes
+    remove = state._remove_mask
     if x is None:
         partner = tables.arc_partner
         slack = tables.arc_slack
         # a non-binary arc has partner -1 and a slack no size exceeds; the
         # test reads each partner's size as the pass reaches its arc
-        arcs = (a for a in range(len(arc_cid)) if sizes[partner[a]] <= slack[a])
+        arcs = (e for e in tables.arcs if sizes[partner[e[0]]] <= slack[e[0]])
         bit = -1
     else:
         arcs = walk[x][sizes[x]]
@@ -152,18 +150,18 @@ def propagate(state: SearchState, x: Optional[int] = None) -> bool:
     queue = deque()
     pop = queue.popleft
     while True:
-        for a in arcs:
-            cid = arc_cid[a]
+        for a, cid, z, opp in arcs:
             if cid == skip:
                 continue
-            if bit >= 0 and arc_opp[a] is not None:
+            if bit >= 0 and opp is not None:
                 # the walked variable is this arc's singleton partner
-                m = masks[arc_var[a]]
-                if m & arc_opp[a][bit] == m:
+                m = masks[z]
+                kept = m & opp[bit]
+                if kept == m:
                     continue
-            if not revise(state, a):
+                remove(z, m ^ kept)
+            elif not revise(state, a):
                 continue
-            z = arc_var[a]
             if sizes[z] == 0:
                 state.bump_weight(cid)
                 return False

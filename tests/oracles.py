@@ -236,8 +236,9 @@ def reference_propagate(
     ``binary_slack`` is not revised: every value keeps a support.  When
     given, ``revisions`` collects the arcs revised, in order: every one of
     the root's first pass, and, once the queue runs, every one but the
-    binary arcs whose partner (the popped variable) has one value and that
-    remove nothing, which the library decides without a revision.
+    binary arcs whose partner (the popped variable) has one value, which
+    the library's walk revises itself, removals included, with no
+    ``revise`` call.
     """
     follows: list[list[tuple[int, int]]] = [[] for _ in range(problem.n_vars)]
     for c in problem.constraints:
@@ -260,7 +261,7 @@ def reference_propagate(
         shrinks = len(kept) < len(domains[x])
         # popped is this binary arc's partner; a singleton decides it
         decided = binary and popped is not None and len(domains[popped]) == 1
-        if revisions is not None and (shrinks or not decided):
+        if revisions is not None and not decided:
             revisions.append(arc)
         if not shrinks:
             return None

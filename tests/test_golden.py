@@ -88,10 +88,10 @@ def test_search_matches_golden_records(source):
 
 @pytest.mark.parametrize("source", write_golden.SOURCES)
 def test_walk_tables_list_the_arcs_the_slack_test_keeps(source):
-    """``walk[x][s]`` lists, in ascending ``(cid, var)`` order, the arcs of
-    every constraint on ``x`` at its other scope variables whose slack ``s``
-    does not exceed, for every size ``s`` of ``x``; equal tuples are one
-    object."""
+    """``walk[x][s]`` lists, in ascending ``(cid, var)`` order, the entries
+    of the arcs of every constraint on ``x`` at its other scope variables
+    whose slack ``s`` does not exceed, for every size ``s`` of ``x``; each
+    entry carries the arc's own fields, and equal tuples are one object."""
     problem = write_golden.load_source(source, GOLDEN)
     tables = problem.tables
     arcs_of = list(zip(tables.arc_cid, tables.arc_var))
@@ -103,5 +103,10 @@ def test_walk_tables_list_the_arcs_the_slack_test_keeps(source):
         ]
         walk = tables.walk[x]
         for s in range(1, len(tables.values[x]) + 1):
-            assert walk[s] == tuple(a for a in arcs if s <= tables.arc_slack[a])
+            assert tuple(e[0] for e in walk[s]) == tuple(
+                a for a in arcs if s <= tables.arc_slack[a]
+            )
+            for entry in walk[s]:
+                a = entry[0]
+                assert entry == (a, tables.arc_cid[a], tables.arc_var[a], tables.arc_opp[a])
         assert len({id(t) for t in walk[1:]}) == len(set(walk[1:]))
