@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from branchbench import propagation
+from branchbench import propagation, search
 from branchbench.branching import parse_scheme
 from branchbench.exprs import Call, Const, VarRef
 from branchbench.generators import gen_langford, gen_randomb
@@ -359,19 +359,38 @@ def test_a_singleton_walk_makes_no_revise_call(revise_calls, monkeypatch):
     """Every constraint of langford is binary, so the variable a walk reads
     is the partner of each arc it revises.  Under 2way, no revise call is
     made while that partner has one value: the walk removes those values
-    itself."""
+    itself, through ``_remove_mask``."""
     recorded = propagation.revise  # the fixture's recorder
     seen = Counter()
+    inside = {"propagate": False, "revise": False}
+    walk_removals = 0
 
     def observing_revise(state, a):
         partner = state.tables.arc_partner[a]
+        inside["revise"] = True
         removed = recorded(state, a)
+        inside["revise"] = False
         seen[state.sizes[partner] == 1, removed] += 1
         return removed
 
+    def observing_propagate(*args, _propagate=search.propagate):
+        inside["propagate"] = True
+        try:
+            return _propagate(*args)
+        finally:
+            inside["propagate"] = False
+
+    def observing_remove(state, x, removed, _remove=SearchState._remove_mask):
+        nonlocal walk_removals
+        walk_removals += inside["propagate"] and not inside["revise"]
+        _remove(state, x, removed)
+
     monkeypatch.setattr(propagation, "revise", observing_revise)
+    monkeypatch.setattr(search, "propagate", observing_propagate)
+    monkeypatch.setattr(SearchState, "_remove_mask", observing_remove)
     solve(gen_langford(6), parse_scheme("2way"))
     assert seen[True, False] == seen[True, True] == 0
+    assert walk_removals >= 1000
     assert seen[False, True] >= 1 and seen[False, False] >= 10
     assert len(revise_calls) == sum(seen.values())
 
