@@ -9,13 +9,17 @@ operators return 1 or 0; ``and``/``or`` treat any non-zero operand as true.
 
 The table ``_OPS`` is the one place an operator is defined: its arity and
 its meaning.  ``OP_ARITY``, which the parser and :class:`Call` check against,
-is derived from it.
+is derived from it.  :func:`compile_expr` is the one evaluator: it turns a
+tree into nested closures over a sequence of values, once per tree, so
+evaluating a constraint's expression on many tuples walks no tree and builds
+no bindings.  ``model.check_tuple`` keeps each constraint's compiled
+expression; :func:`eval_expr` compiles and evaluates in one call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Callable, Mapping, Sequence, Union
 
 INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
@@ -99,23 +103,42 @@ _OPS = {
 OP_ARITY = {op: arity for op, (arity, _) in _OPS.items()}
 
 
-def eval_expr(expr: Expr, bindings: Mapping[str, int]) -> int:
-    """Evaluate ``expr`` with variables bound by ``bindings``.
+def compile_expr(expr: Expr, names: Sequence[str]) -> Callable[[Sequence[int]], int]:
+    """``expr`` as one function of a sequence of values, ``values[i]`` being
+    bound to ``names[i]``.
 
-    Arguments are evaluated left to right before the operator is applied.
+    The function evaluates arguments left to right before an operator is
+    applied, checks every constant, bound value and arithmetic result
+    against the 64-bit range, and raises :class:`EvalError` for a name
+    outside ``names`` only when evaluation reaches it, so it raises the
+    error that a walk of the tree would meet first.
     """
     if isinstance(expr, Const):
-        return _check64(expr.value)
+        value = expr.value
+        # checked here once; a constant out of range raises whenever reached
+        if INT64_MIN <= value <= INT64_MAX:
+            return lambda values: value
+        return lambda values: _check64(value)
     if isinstance(expr, VarRef):
-        try:
-            return _check64(bindings[expr.name])
-        except KeyError:
-            raise EvalError(f"unbound variable {expr.name!r}") from None
+        name = expr.name
+        if name not in names:
+            def unbound(values: Sequence[int]) -> int:
+                raise EvalError(f"unbound variable {name!r}")
+            return unbound
+        i = names.index(name)
+        return lambda values: _check64(values[i])
     arity, fn = _OPS[expr.op]
-    args = expr.args
     if arity == 1:
-        return fn(eval_expr(args[0], bindings))
-    return fn(eval_expr(args[0], bindings), eval_expr(args[1], bindings))
+        a = compile_expr(expr.args[0], names)
+        return lambda values: fn(a(values))
+    a, b = (compile_expr(arg, names) for arg in expr.args)
+    return lambda values: fn(a(values), b(values))
+
+
+def eval_expr(expr: Expr, bindings: Mapping[str, int]) -> int:
+    """Evaluate ``expr`` with variables bound by ``bindings``, as
+    :func:`compile_expr` defines."""
+    return compile_expr(expr, tuple(bindings))(tuple(bindings.values()))
 
 
 def expr_vars(expr: Expr) -> set[str]:

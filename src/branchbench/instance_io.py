@@ -13,8 +13,9 @@ Names are ASCII identifiers and integers are decimal (``-?[0-9]+``, within
 64 bits, any number of leading zeros); a ``con int`` expression nests at most
 ``MAX_EXPR_DEPTH`` operators; blanks are space, tab and CR, and lines break where
 ``str.splitlines`` breaks them.  Each statement shape is one anchored regular
-expression; a tuple list is checked by one pattern and split by ``findall``;
-only ``con int`` expressions are read by a recursive descent over tokens.
+expression; a tuple list is checked by one pattern and split into tuple texts
+by ``findall``, and each distinct tuple text is converted to integers once per
+file; only ``con int`` expressions are read by a recursive descent over tokens.
 
 Syntax errors raise :class:`ParseError` carrying line and column; a
 well-formed file that describes an invalid problem raises it with no position.
@@ -77,6 +78,8 @@ _CON = re.compile(
     rf"\(({_WS}{_NAME}{_WS}(?:,{_WS}{_NAME}{_WS})*)\){_WS}:"
 )
 _INT_TEXT = re.compile(r"-?[0-9]+")
+# the text between the parentheses of each tuple of a checked tuple list
+_TUPLE_TEXT = re.compile(r"\(([^)]*)\)")
 # the lexer of ``con int`` expressions: longest names and integers, the
 # format's punctuation, and group 4 for any other character
 _TOKEN = re.compile(rf"{_WS}(?:([A-Za-z_][A-Za-z0-9_]*)|(-?[0-9]+)|(\.\.|[(){{}},:])|([^ \t\r]))")
@@ -169,32 +172,49 @@ def _parse_intensional(line: str, pos: int, scope: tuple[str, ...], lineno: int)
 
 
 def _parse_tuple_list(
-    line: str, pos: int, scope: tuple[str, ...], members: list, lineno: int
+    line: str, pos: int, scope: tuple[str, ...], members: list, lineno: int, memo: dict
 ) -> frozenset[tuple[int, ...]]:
     """The tuples from ``pos`` to the end of ``line``; ``members[j]`` holds the
-    values allowed at position ``j``."""
+    values allowed at position ``j``.  ``memo`` maps the text between a
+    tuple's parentheses to its values, for every tuple text of the file read
+    so far."""
     arity = len(scope)
     run = _tuple_run(arity).match(line, pos)
     if run.end() != len(line):
         raise _syntax_error(line, lineno, run.end(), f"expected a tuple of {arity} integers")
+    texts = set(_TUPLE_TEXT.findall(line, pos))
     try:
-        values = [int(v) for v in _INT_TEXT.findall(line, pos)]
+        for text in texts.difference(memo):
+            memo[text] = tuple(map(int, text.split(",")))
     except ValueError:  # over int()'s digit limit: read each value the slow way
         values = [_int(v.group(), lineno, v.start() + 1) for v in _INT_TEXT.finditer(line, pos)]
-    for j, name in enumerate(scope):
-        column = values[j::arity]
-        dom = members[j]
+        tuples = frozenset(zip(*[iter(values)] * arity))
+    else:
+        tuples = frozenset(map(memo.__getitem__, texts))
+    # each distinct value of each position is looked up once
+    for dom, column in zip(members, zip(*tuples)):
         if not all(v in dom for v in set(column)):
-            found = list(_INT_TEXT.finditer(line, pos))
-            # a value outside 64 bits is outside every domain: report it as such
-            for v in found:
-                _int(v.group(), lineno, v.start() + 1)
-            t = next(t for t, v in enumerate(column) if v not in dom)
-            at = found[t * arity + j]
-            raise ParseError(
-                f"value {column[t]} outside the domain of {name!r}", lineno, at.start() + 1
-            )
-    return frozenset(zip(*[iter(values)] * arity))
+            raise _tuple_error(line, pos, scope, members, lineno)
+    return tuples
+
+
+def _tuple_error(
+    line: str, pos: int, scope: tuple[str, ...], members: list, lineno: int
+) -> ParseError:
+    """The error of a tuple list with a value outside its domain: the first
+    integer outside 64 bits, else, in the first scope position that holds
+    one, the first value outside that variable's domain."""
+    found = list(_INT_TEXT.finditer(line, pos))
+    values = [_int(v.group(), lineno, v.start() + 1) for v in found]
+    arity = len(scope)
+    at = next(
+        i for j, dom in enumerate(members) for i in range(j, len(values), arity)
+        if values[i] not in dom
+    )
+    return ParseError(
+        f"value {values[at]} outside the domain of {scope[at % arity]!r}", lineno,
+        found[at].start() + 1,
+    )
 
 
 def parse_instance(text: str) -> Problem:
@@ -204,6 +224,7 @@ def parse_instance(text: str) -> Problem:
     domains: list[tuple[int, ...]] = []
     members: list = []  # per variable, a container of its values for fast lookup
     constraints: list[Constraint] = []
+    tuple_memo: dict[str, tuple[int, ...]] = {}  # see _parse_tuple_list
     seen_statement = False
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -273,7 +294,8 @@ def parse_instance(text: str) -> Problem:
             else:
                 polarity = ExtensionalAllowed if m.group(1) == "allowed" else ExtensionalForbidden
                 relation = polarity(_parse_tuple_list(
-                    line, m.end(), scope, [members[declared[n]] for n in scope], lineno
+                    line, m.end(), scope, [members[declared[n]] for n in scope], lineno,
+                    tuple_memo,
                 ))
             constraints.append(
                 Constraint(

@@ -42,7 +42,7 @@ from .exprs import (
     Expr,
     INT64_MAX,
     INT64_MIN,
-    eval_expr,
+    compile_expr,
     expr_vars,
     rename_expr,
 )
@@ -92,13 +92,18 @@ class Constraint:
     scope: tuple[int, ...]
     var_names: tuple[str, ...]
     relation: Relation
+    # an intensional relation's expression compiled over var_names, built by
+    # the first check_tuple call on this constraint
+    _test: object = field(default=None, init=False, repr=False, compare=False)
 
 
 def check_tuple(constraint: Constraint, values: Sequence[int]) -> bool:
     """True iff ``values`` (one per scope position) satisfies the constraint.
 
-    Evaluation errors (zero divisor, 64-bit overflow) make the tuple
-    unsatisfying; a diagnostic is logged.
+    An intensional relation is evaluated by its expression compiled once,
+    by :func:`compile_expr` over the scope names, and kept on the
+    constraint.  Evaluation errors (zero divisor, 64-bit overflow) make the
+    tuple unsatisfying; a diagnostic is logged.
     """
     rel = constraint.relation
     tup = tuple(values)
@@ -106,8 +111,12 @@ def check_tuple(constraint: Constraint, values: Sequence[int]) -> bool:
         return tup in rel.tuples
     if isinstance(rel, ExtensionalForbidden):
         return tup not in rel.tuples
+    test = constraint._test
+    if test is None:
+        test = compile_expr(rel.expr, constraint.var_names)
+        object.__setattr__(constraint, "_test", test)
     try:
-        return eval_expr(rel.expr, dict(zip(constraint.var_names, tup))) != 0
+        return test(tup) != 0
     except EvalError as err:
         logger.debug("constraint %d rejects %r: %s", constraint.cid, tup, err)
         return False
@@ -129,8 +138,7 @@ class _Tables:
 
     __slots__ = (
         "values", "pos", "full_masks",
-        "arc_cid", "arc_var", "arc_partner", "arc_slack", "arc_opp", "arc_cover",
-        "arc_rows", "arcs", "walk",
+        "arc_var", "arc_partner", "arc_slack", "arc_cover", "arc_rows", "arcs", "walk",
         "neighbors", "var_binary", "var_constraints",
     )
 
@@ -145,7 +153,8 @@ class _Tables:
         # variable, its slack, the supports of each partner value (arc_opp:
         # bit of the partner -> mask of x values) and their unions per chunk
         # of the partner's domain (arc_cover: one table per CHUNK_BITS partner
-        # bits, entry s -> the union of arc_opp over the set bits of s).  Any
+        # bits, entry s -> the union of arc_opp over the set bits of s);
+        # arc_cid and arc_opp stay local, kept only in the entries of arcs.  Any
         # other arc has partner -1, a slack no domain size exceeds and, in
         # arc_rows, its satisfying tuples grouped by the value of x, ascending:
         # (bit of x, rows), a row being ((z, bit of z) for the other scope
@@ -228,16 +237,14 @@ class _Tables:
                     var_binary[x].append((cid, others[0]))
                 else:
                     var_constraints[x].append((cid, others))
-        self.arc_cid = arc_cid
         self.arc_var = arc_var
         self.arc_partner = partner
         self.arc_slack = arc_slack
-        self.arc_opp = arc_opp
         self.arc_cover = arc_cover
         self.arc_rows = arc_rows
         # arcs[a]: the entry (a, cid, var, opp) that propagation walks, with
-        # opp arc_opp[a], or None for a non-binary arc, so one unpacking
-        # reads every field a walk needs
+        # cid arc_cid[a] and opp arc_opp[a], or None for a non-binary arc, so
+        # one unpacking reads every field a walk needs
         self.arcs = [
             (a, cid, x, opp) for a, (cid, x, opp) in enumerate(zip(arc_cid, arc_var, arc_opp))
         ]

@@ -3,8 +3,8 @@
 An arc is a pair ``(constraint id, variable id)``; revising it deletes every
 value of the variable lacking a supporting tuple in the constraint over the
 current domains of the other scope variables.  The compiled tables number
-the arcs in ascending ``(cid, var)`` order (arc ``i`` is
-``(tables.arc_cid[i], tables.arc_var[i])``), and both ``revise`` and
+the arcs in ascending ``(cid, var)`` order: arc ``i`` is the entry
+``tables.arcs[i] == (i, cid, var, opp)``, and both ``revise`` and
 ``propagate`` work on those ids.  The FIFO queue of ``propagate`` holds
 variables whose domains shrank, each at most once, as in variable-oriented
 AC-3 (McGregor 1979; Boussemart, Hemery, Lecoutre & Sais 2004).  Only root
@@ -23,23 +23,23 @@ immediately: :func:`propagate` returns False, and True at a fixpoint.
 Propagation counts nothing; search counts the wipeouts.
 
 A binary arc is revised a whole domain at once from its per-arc tables:
-``arc_opp`` maps each partner bit to the mask of the variable's values it
-supports, so the values to keep are the variable's domain ANDed with the
-union of ``arc_opp`` over the partner's current domain.  :func:`revise` reads
-that union from ``arc_cover``, one lookup per ``model.CHUNK_BITS`` bits of
-the partner's mask, each table entry holding the union over one subset of
-that chunk (the word-level revision of AC3bit, Lecoutre & Vion 2008, and the
-union of supports of Compact-Table, Demeulenaere et al. 2016).  A value is
-in the union exactly when some current partner value supports it, so the
-result is that of testing each value.  Every other arc (unary or n-ary, of
-any relation kind) scans its compiled rows, one per satisfying tuple of the
-constraint, grouped by the variable's value: a current value is kept at the
-first of its rows that has every other scope variable's bit in that
-variable's current domain, and its other rows are not read.  The rows are
-built once per problem, so a revision never calls ``check_tuple`` and costs
-at most one pass over a table of at most ``model.MAX_TABLE_TUPLES`` rows
-for a forbidden or intensional relation.  All removed values leave the
-domain as one trail entry.
+its entry's ``opp`` maps each partner bit to the mask of the variable's
+values it supports, so the values to keep are the variable's domain ANDed
+with the union of ``opp`` over the partner's current domain.
+:func:`revise` reads that union from ``arc_cover``, one lookup per
+``model.CHUNK_BITS`` bits of the partner's mask, each table entry holding
+the union over one subset of that chunk (the word-level revision of AC3bit,
+Lecoutre & Vion 2008, and the union of supports of Compact-Table,
+Demeulenaere et al. 2016).  A value is in the union exactly when some
+current partner value supports it, so the result is that of testing each
+value.  Every other arc (unary or n-ary, of any relation kind) scans its
+compiled rows, one per satisfying tuple of the constraint, grouped by the
+variable's value: a current value is kept at the first of its rows that
+has every other scope variable's bit in that variable's current domain, and
+its other rows are not read.  The rows are built once per problem, so a
+revision never calls ``check_tuple`` and costs at most one pass over a table
+of at most ``model.MAX_TABLE_TUPLES`` rows for a forbidden or intensional
+relation.  All removed values leave the domain as one trail entry.
 
 Most revisions remove nothing, and many of them are never made.  A binary
 arc's *slack* is the largest number of original partner values that any
@@ -51,8 +51,8 @@ unrevised.  The walk of ``x`` lists binary arcs whose partner is ``x``, and
 none of its arcs revises ``x``, so ``x`` keeps its size while it is walked.
 So the walk reads ``tables.walk[x][sizes[x]]``: the entries ``(arc, cid,
 var, opp)`` of the constraints on ``x`` whose slack that size does not
-exceed, in ascending arc order, ``opp`` being the arc's ``arc_opp`` or None
-for a non-binary arc.  A non-binary arc is always listed.
+exceed, in ascending arc order, ``opp`` being None for a non-binary arc.  A
+non-binary arc is always listed.
 
 The walk of a singleton revises its binary arcs itself, with one AND.  When
 the walked variable ``y`` has a single value, of bit ``b``, the values of a

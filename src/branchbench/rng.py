@@ -12,7 +12,8 @@ constants, so instance streams can be reproduced in any language.
 
 Derived helpers are pinned too: ``below(n)`` is ``next_u64() % n``,
 ``shuffle`` is a Fisher-Yates pass from the highest index down, and
-``sample`` is a partial Fisher-Yates that keeps the first k slots.
+``sample`` is a partial Fisher-Yates that keeps the first k slots; both
+draw each swap index as ``below`` would, by ``next_u64() % n``.
 """
 
 from __future__ import annotations
@@ -58,8 +59,9 @@ class Rng:
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle, swapping from the top index down."""
+        draw = self.next_u64
         for i in range(len(items) - 1, 0, -1):
-            j = self.below(i + 1)
+            j = draw() % (i + 1)
             items[i], items[j] = items[j], items[i]
 
     def sample(self, items: Sequence[T], k: int) -> list[T]:
@@ -67,7 +69,9 @@ class Rng:
         if not 0 <= k <= len(items):
             raise ValueError("sample size out of range")
         pool = list(items)
+        draw = self.next_u64
+        n = len(pool)
         for i in range(k):
-            j = i + self.below(len(pool) - i)
+            j = i + draw() % (n - i)
             pool[i], pool[j] = pool[j], pool[i]
         return pool[:k]

@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 
 from branchbench.branching import BranchPlan, Scheme
 from branchbench.clustering import bic, xmeans
+from branchbench.exprs import INT64_MAX, INT64_MIN, Call, Const, EvalError, Expr, VarRef
 from branchbench.model import Constraint, Problem, SearchState, check_tuple
 from util import domain_values
 
@@ -67,6 +68,66 @@ def supported_values(
                 kept.append(v)
                 break
     return kept
+
+
+def _in64(x: int) -> int:
+    if x < INT64_MIN or x > INT64_MAX:
+        raise EvalError(f"64-bit overflow: {x}")
+    return x
+
+
+def _reference_div(a: int, b: int) -> int:
+    if b == 0:
+        raise EvalError("division by zero")
+    sign = 1 if (a < 0) == (b < 0) else -1
+    return _in64(sign * (abs(a) // abs(b)))
+
+
+def _reference_mod(a: int, b: int) -> int:
+    if b == 0:
+        raise EvalError("modulo by zero")
+    sign = 1 if (a < 0) == (b < 0) else -1
+    return _in64(a - b * sign * (abs(a) // abs(b)))
+
+
+# each operator spelled out on its own: C-style truncating division, the
+# remainder defined from it, 1/0 for comparisons and logic
+_REFERENCE_OPS = {
+    "neg": lambda a: _in64(-a),
+    "abs": lambda a: _in64(abs(a)),
+    "add": lambda a, b: _in64(a + b),
+    "sub": lambda a, b: _in64(a - b),
+    "mul": lambda a, b: _in64(a * b),
+    "div": _reference_div,
+    "mod": _reference_mod,
+    "min": min,
+    "max": max,
+    "eq": lambda a, b: 1 if a == b else 0,
+    "ne": lambda a, b: 1 if a != b else 0,
+    "lt": lambda a, b: 1 if a < b else 0,
+    "le": lambda a, b: 1 if a <= b else 0,
+    "gt": lambda a, b: 1 if a > b else 0,
+    "ge": lambda a, b: 1 if a >= b else 0,
+    "and": lambda a, b: 1 if a and b else 0,
+    "or": lambda a, b: 1 if a or b else 0,
+    "dist": lambda a, b: _in64(abs(a - b)),
+}
+
+
+def reference_eval(expr: Expr, bindings: dict[str, int]) -> int:
+    """The value of ``expr`` by a walk of the tree: every argument evaluated
+    left to right, then the operator; every constant, bound value and
+    arithmetic result checked against 64 bits; ``EvalError`` at the first
+    zero divisor, overflow or unbound name met."""
+    if isinstance(expr, Const):
+        return _in64(expr.value)
+    if isinstance(expr, VarRef):
+        if expr.name not in bindings:
+            raise EvalError(f"unbound variable {expr.name!r}")
+        return _in64(bindings[expr.name])
+    assert isinstance(expr, Call)
+    args = [reference_eval(a, bindings) for a in expr.args]
+    return _REFERENCE_OPS[expr.op](*args)
 
 
 def reference_wdeg(state: SearchState) -> list[int]:

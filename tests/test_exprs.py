@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from branchbench.exprs import (
@@ -14,6 +14,8 @@ from branchbench.exprs import (
     expr_vars,
     format_expr,
 )
+from branchbench.model import Constraint, Intensional, check_tuple
+from oracles import reference_eval
 
 
 def _c(op, *args):
@@ -156,3 +158,48 @@ def test_comparison_ops_match_python(a, b):
     }
     for op, expected in table.items():
         assert ev(_c(op, Const(a), Const(b))) == int(expected)
+
+
+# constants and bound values around both ends of the 64-bit range, zero
+# divisors, and one step past each end, which evaluation must reject
+_EDGE_VALUES = st.sampled_from([
+    INT64_MIN - 1, INT64_MIN, INT64_MIN + 1, -(2**32), -2, -1, 0, 1, 2, 2**32,
+    INT64_MAX - 1, INT64_MAX, INT64_MAX + 1,
+])
+_VALUES = st.one_of(st.integers(-5, 5), _EDGE_VALUES)
+_SCOPE = ("x", "y", "z")
+
+
+def _exprs():
+    # "w" is never bound: the evaluation must raise only once it is reached
+    leaves = st.one_of(st.builds(Const, _VALUES), st.sampled_from("xyzw").map(VarRef))
+    return st.recursive(
+        leaves,
+        lambda sub: st.sampled_from(sorted(OP_ARITY)).flatmap(
+            lambda op: st.tuples(*[sub] * OP_ARITY[op]).map(lambda args: Call(op, args))
+        ),
+        max_leaves=12,
+    )
+
+
+def _reference(expr, bindings):
+    try:
+        return reference_eval(expr, bindings), None
+    except EvalError as err:
+        return None, str(err)
+
+
+@settings(max_examples=400)
+@given(_exprs(), st.lists(st.tuples(_VALUES, _VALUES, _VALUES), min_size=1, max_size=4))
+def test_compiled_evaluation_matches_the_tree_walk_oracle(expr, rows):
+    constraint = Constraint(0, (0, 1, 2), _SCOPE, Intensional(expr))
+    for values in rows:  # the first row compiles the expression, the rest reuse it
+        bindings = dict(zip(_SCOPE, values))
+        value, error = _reference(expr, bindings)
+        assert check_tuple(constraint, values) == (error is None and value != 0)
+        if error is None:
+            assert eval_expr(expr, bindings) == value
+        else:
+            with pytest.raises(EvalError) as info:
+                eval_expr(expr, bindings)
+            assert str(info.value) == error

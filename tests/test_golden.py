@@ -92,10 +92,21 @@ def test_walk_tables_list_the_arcs_the_slack_test_keeps(source):
     of the arcs of every constraint on ``x`` at its other scope variables
     whose slack ``s`` does not exceed, for every size ``s`` of ``x``; each
     entry carries the arc's own fields, and equal tuples are one object."""
+    from branchbench.model import CHUNK_BITS
+
     problem = write_golden.load_source(source, GOLDEN)
     tables = problem.tables
-    arcs_of = list(zip(tables.arc_cid, tables.arc_var))
+    arcs_of = [(cid, y) for _, cid, y, _ in tables.arcs]
     assert arcs_of == sorted((c.cid, y) for c in problem.constraints for y in c.scope)
+    for a, (b, _, y, opp) in enumerate(tables.arcs):
+        assert (b, y) == (a, tables.arc_var[a])
+        # opp[j], the supports of partner bit j, is the cover entry of that bit alone
+        cover = tables.arc_cover[a]
+        assert (opp is None) == (cover is None)
+        if opp is not None:
+            assert opp == tuple(
+                cover[j // CHUNK_BITS][1 << j % CHUNK_BITS] for j in range(len(opp))
+            )
     for x in range(problem.n_vars):
         arcs = [
             a for a, (cid, y) in enumerate(arcs_of)
@@ -107,6 +118,5 @@ def test_walk_tables_list_the_arcs_the_slack_test_keeps(source):
                 a for a in arcs if s <= tables.arc_slack[a]
             )
             for entry in walk[s]:
-                a = entry[0]
-                assert entry == (a, tables.arc_cid[a], tables.arc_var[a], tables.arc_opp[a])
+                assert entry is tables.arcs[entry[0]]
         assert len({id(t) for t in walk[1:]}) == len(set(walk[1:]))

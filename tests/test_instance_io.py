@@ -339,3 +339,65 @@ def test_the_deepest_expression_compiles_and_solves():
     problem = parse_instance(_nested(MAX_EXPR_DEPTH - 1))
     for scheme in SCHEME_NAMES:
         assert solve(problem, parse_scheme(scheme)).assignment == (0,)
+
+
+def test_tuple_texts_of_one_value_give_one_relation():
+    # spacing and leading zeros change the text of a tuple, not its value,
+    # whether the variant comes before or after the canonical text
+    variants = ["(1,2)", "( 01 , 2 )", "(1,\t02)", f"({ZEROS}1,2)", "(0001,2) ( 1,2 )"]
+    canonical = parse_instance("var x 0..3\nvar y 0..3\ncon ext allowed (x,y) : (1,2)")
+    for order in (variants, variants[::-1]):
+        problem = parse_instance("var x 0..3\nvar y 0..3\n" + "".join(
+            f"con ext allowed (x,y) : {v}\n" for v in order
+        ))
+        for c in problem.constraints:
+            assert c.relation == canonical.constraints[0].relation
+
+
+# (text, error line, col, message): a tuple text read before, and valid in
+# the scope it had there, is still checked against the domains of each line
+# that repeats it, and every error names the first value of the line that
+# the rule picks: the first integer outside 64 bits, else, in the first scope
+# position holding one, the first value outside its variable's domain
+REPEATED_BAD_TUPLES = [
+    pytest.param(
+        "var x 0..1\nvar y 0..5\ncon ext allowed (y,x) : (5,0) (2,1)\n"
+        "con ext allowed (x,y) : (0,1) (5,0) (1,1) (5,0)",
+        4, 32, "value 5 outside the domain of 'x'", id="valid-on-an-earlier-line",
+    ),
+    pytest.param(
+        "var x 0..1\nvar y 0..5\ncon ext allowed (y,x) : (5,0)\n"
+        "con ext forbidden (x,y) : ( 5 ,0) (0,0) (5,0)",
+        4, 29, "value 5 outside the domain of 'x'", id="spacing-variant-first",
+    ),
+    pytest.param(
+        "var x 0..1\nvar y 0..5\ncon ext allowed (x,y) : (0,9) (0,1) (4,1) (0,9) (4,1)",
+        3, 38, "value 4 outside the domain of 'x'", id="first-scope-position-first",
+    ),
+    pytest.param(
+        "var x 0..1\ncon ext allowed (x) : (0) (" + "12345" * 5 + ")\n"
+        "con ext allowed (x) : (1) (" + "12345" * 5 + ")",
+        2, 28, "integer 12345123451234512345... (25 digits) outside 64-bit range",
+        id="25-digit-tuple-twice",
+    ),
+    pytest.param(  # past int()'s digit limit, read by the slow path
+        "var x 0..1\ncon ext allowed (x) : (0) (" + "7" * 5000 + ") (" + "7" * 5000 + ")",
+        2, 28, "integer 77777777777777777777... (5000 digits) outside 64-bit range",
+        id="5000-digit-tuple-twice",
+    ),
+]
+
+
+@pytest.mark.parametrize("text,line,col,message", REPEATED_BAD_TUPLES)
+def test_repeated_bad_tuples_report_their_first_occurrence(text, line, col, message):
+    with pytest.raises(ParseError) as info:
+        parse_instance(text)
+    assert (info.value.line, info.value.col, info.value.message) == (line, col, message)
+
+
+def test_leading_zeros_past_the_digit_limit_on_two_lines():
+    problem = parse_instance(
+        f"var x 0..1\ncon ext allowed (x) : ({ZEROS}1) (1)\n"
+        f"con ext forbidden (x) : ({ZEROS}1) (0{ZEROS})"
+    )
+    assert [c.relation.tuples for c in problem.constraints] == [{(1,)}, {(0,), (1,)}]

@@ -148,7 +148,7 @@ def test_binary_tables_are_shared_by_relations_equal_up_to_renaming():
     t = p.tables
 
     def covers(op):
-        arcs = [a for a, cid in enumerate(t.arc_cid) if p.constraints[cid].relation.expr.op == op]
+        arcs = [a for a, cid, _, _ in t.arcs if p.constraints[cid].relation.expr.op == op]
         return len(arcs), {id(t.arc_cover[a]) for a in arcs}
 
     n_ne, ne_covers = covers("ne")
@@ -169,7 +169,7 @@ def test_binary_tables_are_shared_by_relations_equal_up_to_renaming():
     ))
     t = p.tables
     # arcs 2c and 2c + 1 revise constraint c at its first and second variable
-    for table in (t.arc_opp, t.arc_cover):
+    for table in ([opp for *_, opp in t.arcs], t.arc_cover):
         assert table[0] is table[2] and table[1] is table[3]
         assert table[4] is not table[0] and table[5] is not table[1]
 
@@ -359,7 +359,7 @@ def test_trail_restores_snapshots_on_random_walks():
         r = random.Random(seed)
         p = random_problem(seed, max_vars=6, max_dom=6)
         st = SearchState(p)
-        n_arcs = len(p.tables.arc_cid)
+        n_arcs = len(p.tables.arcs)
         levels = [(st.push_level(), _snapshot(st))]
         for _ in range(40):
             op = r.randrange(6)

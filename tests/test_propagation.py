@@ -136,9 +136,8 @@ def test_decision_arcs_cover_other_scope_vars_sorted():
     def arcs(x, size):
         walked = tables.walk[x][size]
         for entry in walked:
-            a = entry[0]
-            assert entry == (a, tables.arc_cid[a], tables.arc_var[a], tables.arc_opp[a])
-        return [(tables.arc_cid[a], tables.arc_var[a]) for a, *_ in walked]
+            assert entry is tables.arcs[entry[0]]
+        return [(cid, z) for _, cid, z, _ in walked]
 
     # the walk of x lists every arc at its size 1; ne has slack 1, so none at 2
     assert arcs(0, 1) == [(0, 1), (1, 2)]
@@ -261,7 +260,7 @@ def revise_calls(monkeypatch):
     calls = []
 
     def recording_revise(state, a, _revise=revise):
-        calls.append((state.tables.arc_cid[a], state.tables.arc_var[a]))
+        calls.append(state.tables.arcs[a][1:3])
         return _revise(state, a)
 
     monkeypatch.setattr(propagation, "revise", recording_revise)
@@ -397,7 +396,7 @@ def test_a_singleton_walk_makes_no_revise_call(revise_calls, monkeypatch):
 
 def _slack_of(problem, cid, x):
     tables = problem.tables
-    arcs = list(zip(tables.arc_cid, tables.arc_var))
+    arcs = [(c, z) for _, c, z, _ in tables.arcs]
     return tables.arc_slack[arcs.index((cid, x))]
 
 
@@ -437,7 +436,7 @@ def test_non_binary_arcs_are_never_skippable():
     )
     tables = p.tables
     largest = max(len(d) for d in p.domains)
-    for a in range(len(tables.arc_cid)):
+    for a in range(len(tables.arcs)):
         assert tables.arc_partner[a] == -1
         assert tables.arc_slack[a] > largest
 
@@ -453,7 +452,7 @@ def test_skip_fires_only_where_revise_removes_nothing():
             values = domain_values(st, x)
             reduce_domain(st, x, r.sample(values, r.randint(1, len(values))))
         tables = p.tables
-        for a, (cid, x) in enumerate(zip(tables.arc_cid, tables.arc_var)):
+        for a, cid, x, _ in tables.arcs:
             partner = tables.arc_partner[a]
             if partner >= 0 and st.sizes[partner] > tables.arc_slack[a]:
                 fired += 1
@@ -487,7 +486,7 @@ def _check_every_arc(st, r, counts):
         k = 1 if r.randrange(3) == 0 else r.randint(1, len(values))
         reduce_domain(st, x, r.sample(values, k))
     domains = current_domains(st, p.n_vars)
-    for a, (cid, x) in enumerate(zip(tables.arc_cid, tables.arc_var)):
+    for a, cid, x, _ in tables.arcs:
         c = p.constraints[cid]
         expected = supported_values(c, domains, x)
         token = st.push_level()

@@ -87,6 +87,12 @@ def test_shuffle_is_a_permutation(seed, n):
     xs = list(range(n))
     r.shuffle(xs)
     assert sorted(xs) == list(range(n))
+    # the same swaps as a Fisher-Yates pass drawing through below()
+    twin, ys = Rng(seed), list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = twin.below(i + 1)
+        ys[i], ys[j] = ys[j], ys[i]
+    assert (xs, r.state) == (ys, twin.state)
 
 
 @given(
@@ -99,6 +105,12 @@ def test_sample_without_replacement(seed, k):
     assert len(picked) == k
     assert len(set(picked)) == k
     assert all(0 <= v < 12 for v in picked)
+    # the same slots as a partial Fisher-Yates drawing through below()
+    twin, pool = Rng(seed), list(range(12))
+    for i in range(k):
+        j = i + twin.below(12 - i)
+        pool[i], pool[j] = pool[j], pool[i]
+    assert (picked, r.state) == (pool[:k], twin.state)
 
 
 def test_same_seed_same_stream():
