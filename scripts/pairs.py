@@ -15,7 +15,9 @@ pairs that differ.  ``HEAD`` must name the code that runs, so when
 ``git status --porcelain`` shows any change under ``src``, ``perfbench`` or
 ``BENCHMARK.json`` nothing runs and the exit code is 1.  The exit code is
 also 1 when any run fails, is incorrect or prints no result, and, with
-``--same-search``, when a pair's ``nodes`` differ between the sides.
+``--same-search``, when a pair's two sides differ in the search: in any
+workload's ``nodes`` or in its ``search_digest`` line, the hash of every
+task's search fingerprint.
 """
 
 from __future__ import annotations
@@ -23,10 +25,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import statistics
 import subprocess
 import sys
 import tempfile
+from itertools import zip_longest
 from pathlib import Path
 
 from perf import ROOT, git, run
@@ -48,6 +52,28 @@ def metrics_of(workload: str, result: dict | None) -> dict[str, float] | None:
     if workload == "all":
         return metrics  # run.py already names each metric by its workload
     return {f"{workload}.{k}": v for k, v in metrics.items()}
+
+
+def search_digests(stdout: str) -> list[str]:
+    """The ``search_digest`` lines of one ``run.py`` output, one per workload
+    run, in order."""
+    return re.findall(r"^search_digest .*$", stdout, re.MULTILINE)
+
+
+def search_differences(workload: str, base: tuple[dict, str], change: tuple[dict, str]
+                       ) -> list[str]:
+    """Where one pair's two runs, each given as its metrics (as
+    :func:`metrics_of` returns them) and its output, differ in the search:
+    each ``W.nodes`` metric that differs, then ``W.search_digest`` for each
+    workload whose digest line differs or is missing."""
+    (base_metrics, base_out), (change_metrics, change_out) = base, change
+    differ = [k for k in base_metrics if k.endswith(".nodes")
+              and base_metrics[k] != change_metrics.get(k)]
+    names = WORKLOADS if workload == "all" else (workload,)
+    lines = zip_longest(search_digests(base_out), search_digests(change_out))
+    differ += [f"{name}.search_digest" for name, (b, c) in zip(names, lines)
+               if b is None or b != c]
+    return differ
 
 
 def sign_test(wins: int, losses: int) -> float:
@@ -101,7 +127,8 @@ def main(argv=None) -> int:
     ap.add_argument("--base", required=True, help="the revision to compare HEAD against")
     ap.add_argument("--workload", default="all", choices=WORKLOADS + ("all",))
     ap.add_argument("--same-search", action="store_true",
-                    help="also fail when a pair's nodes differ between the sides")
+                    help="also fail when a pair's nodes or search digests differ "
+                         "between the sides")
     args = ap.parse_args(argv)
     changed = git("status", "--porcelain", "--", "src", "perfbench", "BENCHMARK.json")
     if changed:
@@ -122,19 +149,19 @@ def main(argv=None) -> int:
             export(rev, trees[side])
         for pair in range(1, PAIRS + 1):
             order = ("base", "change") if pair % 2 else ("change", "base")
-            got = {side: metrics_of(args.workload,
-                                    run(trees[side], args.workload, pair, seconds, 0))
-                   for side in order}
-            failed = [side for side in order if got[side] is None]
+            got = {}
+            for side in order:
+                result, stdout = run(trees[side], args.workload, pair, seconds, 0)
+                got[side] = (metrics_of(args.workload, result), stdout)
+            failed = [side for side in order if got[side][0] is None]
             if failed:
                 bad.append(f"pair {pair}: {' and '.join(failed)} run failed")
             else:
                 for side in order:
-                    results[side].append(got[side])
-                differ = [k for k in got["base"] if k.endswith(".nodes")
-                          and got["base"][k] != got["change"].get(k)]
+                    results[side].append(got[side][0])
+                differ = search_differences(args.workload, got["base"], got["change"])
                 if args.same_search and differ:
-                    bad.append(f"pair {pair}: nodes differ in {', '.join(differ)}")
+                    bad.append(f"pair {pair}: search differs in {', '.join(differ)}")
             print(f"pair {pair}/{PAIRS}: {'failed' if failed else 'ok'}",
                   file=sys.stderr, flush=True)
     if results["base"]:

@@ -56,9 +56,11 @@ def parse_result(returncode: int, stdout: str) -> dict | None:
         return None
 
 
-def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict | None:
+def run(tree: Path, workload: str, seed: int, seconds: float, trace: int
+        ) -> tuple[dict | None, str]:
     """The final JSON line of one ``perfbench/run.py`` run in ``tree``, or None
-    on failure, when the tail of the run's output goes to stderr."""
+    on failure, when the tail of the run's output goes to stderr; and the
+    run's whole output."""
     child = subprocess.run(
         [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
@@ -67,7 +69,7 @@ def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dic
     result = parse_result(child.returncode, child.stdout)
     if result is None:
         sys.stderr.write(child.stdout[-2000:])
-    return result
+    return result, child.stdout
 
 
 def main() -> int:
@@ -76,8 +78,8 @@ def main() -> int:
         print(f"perf: uncommitted changes; commit them first:\n{changed}", file=sys.stderr)
         return 1
     seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
-    untraced = run(ROOT, "all", SEED, seconds, 0)
-    traced = run(ROOT, "all", SEED, seconds, 1) if untraced is not None else None
+    untraced = run(ROOT, "all", SEED, seconds, 0)[0]
+    traced = run(ROOT, "all", SEED, seconds, 1)[0] if untraced is not None else None
     if traced is None:
         print("perf: a benchmark run failed; no BENCH file written", file=sys.stderr)
         return 1

@@ -121,7 +121,7 @@ def _value_sets(scheme: Scheme, state: SearchState, x: int, scored: Scored) -> l
 
     # splitting engages only while the domain is still large
     tf = scheme.threshold_fraction
-    if state.sizes[x] * tf.denominator <= tf.numerator * len(state.tables.values[x]):
+    if state.masks[x].bit_count() * tf.denominator <= tf.numerator * len(state.tables.values[x]):
         return None
 
     if partition == "split":

@@ -13,7 +13,7 @@ is derived from it.  :func:`compile_expr` is the one evaluator: it turns a
 tree into nested closures over a sequence of values, once per tree, so
 evaluating a constraint's expression on many tuples walks no tree and builds
 no bindings.  ``model.check_tuple`` keeps each constraint's compiled
-expression; :func:`eval_expr` compiles and evaluates in one call.
+expression.
 """
 
 from __future__ import annotations
@@ -133,12 +133,6 @@ def compile_expr(expr: Expr, names: Sequence[str]) -> Callable[[Sequence[int]], 
         return lambda values: fn(a(values))
     a, b = (compile_expr(arg, names) for arg in expr.args)
     return lambda values: fn(a(values), b(values))
-
-
-def eval_expr(expr: Expr, bindings: Mapping[str, int]) -> int:
-    """Evaluate ``expr`` with variables bound by ``bindings``, as
-    :func:`compile_expr` defines."""
-    return compile_expr(expr, tuple(bindings))(tuple(bindings.values()))
 
 
 def expr_vars(expr: Expr) -> set[str]:

@@ -28,14 +28,14 @@ from .model import SearchState
 def select_variable(state: SearchState) -> int:
     """Unassigned variable minimizing |domain| / wdeg (exact comparison)."""
     assigned = state.assigned
-    sizes = state.sizes
+    masks = state.masks
     wdeg = state.wdeg
     best = -1
     best_d = best_w = 0
-    for x in range(len(sizes)):
+    for x in range(len(masks)):
         if assigned[x]:
             continue
-        d = sizes[x]
+        d = masks[x].bit_count()
         w = wdeg[x]
         if best < 0:
             best, best_d, best_w = x, d, w

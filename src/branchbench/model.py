@@ -3,8 +3,8 @@
 A :class:`Problem` is immutable after construction and safely shareable
 between solver runs.  Variables are identified by index; original domains
 are kept sorted ascending and duplicate-free.  Mutable search data (current
-domains and their sizes, constraint weights, assignments and the restoration
-trail) lives in :class:`SearchState`; the search counters are ``solve``'s own.
+domains, constraint weights, assignments and the restoration trail) lives in
+:class:`SearchState`; the search counters are ``solve``'s own.
 
 Current domains are bitmasks over positions in the original domain, which
 keeps membership tests, removals, and the compatibility counting done by the
@@ -419,9 +419,10 @@ class Problem:
 
 
 class SearchState:
-    """Mutable per-run state: domain masks and their sizes (propagation reads
-    a size at every queue walk), weights, assignment flags and the trail.
-    The solution test, :meth:`all_singleton`, counts ``sizes``.
+    """Mutable per-run state: domain masks, weights, assignment flags and
+    the trail.  A domain is its mask: every reader takes a size as
+    ``masks[x].bit_count()``, and the solution test, :meth:`all_singleton`,
+    reads the masks.
 
     ``assigned[x]`` is True while search has committed ``x``; the value is
     its singleton domain.  ``wdeg[x]`` caches the weighted degree of ``x``:
@@ -431,7 +432,7 @@ class SearchState:
     cache exact for every variable, assigned or not."""
 
     __slots__ = (
-        "problem", "tables", "masks", "sizes", "weights", "assigned", "wdeg", "trail",
+        "problem", "tables", "masks", "weights", "assigned", "wdeg", "trail",
     )
 
     def __init__(self, problem: Problem) -> None:
@@ -439,7 +440,6 @@ class SearchState:
         self.problem = problem
         self.tables = t
         self.masks = list(t.full_masks)
-        self.sizes = [len(dom) for dom in t.values]
         self.weights = [1] * len(problem.constraints)
         self.assigned = [False] * problem.n_vars
         self.wdeg = [
@@ -453,13 +453,14 @@ class SearchState:
     def value_of(self, x: int) -> int:
         """The value of a singleton domain."""
         m = self.masks[x]
-        if self.sizes[x] != 1:
+        if m.bit_count() != 1:
             raise ValueError(f"variable {x} is not singleton")
         return self.tables.values[x][m.bit_length() - 1]
 
     def all_singleton(self) -> bool:
         """True iff every current domain holds exactly one value."""
-        return self.sizes.count(1) == len(self.sizes)
+        masks = self.masks
+        return list(map(int.bit_count, masks)).count(1) == len(masks)
 
     # -- assignments and weights -------------------------------------------
 
@@ -523,10 +524,8 @@ class SearchState:
         by undoing the trail entries from position ``token`` on."""
         trail = self.trail
         masks = self.masks
-        sizes = self.sizes
         for x, removed in trail[token:]:
             masks[x] |= removed
-            sizes[x] += removed.bit_count()
         del trail[token:]
 
     def _remove_mask(self, x: int, removed: int) -> None:
@@ -535,4 +534,3 @@ class SearchState:
         way a domain shrinks: propagation and branch decisions both call it."""
         self.masks[x] ^= removed
         self.trail.append((x, removed))
-        self.sizes[x] -= removed.bit_count()

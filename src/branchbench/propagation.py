@@ -49,10 +49,11 @@ domain is larger than the slack, every target value still has a support, so
 the revision could remove nothing.  The root walk leaves such arcs
 unrevised.  The walk of ``x`` lists binary arcs whose partner is ``x``, and
 none of its arcs revises ``x``, so ``x`` keeps its size while it is walked.
-So the walk reads ``tables.walk[x][sizes[x]]``: the entries ``(arc, cid,
-var, opp)`` of the constraints on ``x`` whose slack that size does not
-exceed, in ascending arc order, ``opp`` being None for a non-binary arc.  A
-non-binary arc is always listed.
+So the walk reads ``tables.walk[x][masks[x].bit_count()]``, the size
+taken from ``x``'s mask: the entries ``(arc, cid, var, opp)`` of the
+constraints on ``x`` whose slack that size does not exceed, in ascending
+arc order, ``opp`` being None for a non-binary arc.  A non-binary arc is
+always listed.
 
 The walk of a singleton revises its binary arcs itself, with one AND.  When
 the walked variable ``y`` has a single value, of bit ``b``, the values of a
@@ -119,36 +120,35 @@ def propagate(state: SearchState, x: Optional[int] = None) -> bool:
     every arc in ascending order but the binary arcs whose partner is larger
     than their slack.
 
-    The first pass is otherwise a decision's walk of ``x`` with no
-    constraint excluded.  A revision by ``cid`` that shrinks ``y`` queues
-    ``y``, unless it is queued already, and records ``cid`` as its excluded
-    constraint, or -1 when another constraint queued it too.  Popping ``y``
-    walks ``walk[y][sizes[y]]``, the arcs at its neighbours that the slack
-    test keeps, except those of the excluded constraint.  When ``y`` (or
-    the decision's ``x``) has one value, the walk revises each binary arc
+    Otherwise ``x`` is queued alone with no constraint excluded, so the
+    first pass is its walk.  A revision by ``cid`` that shrinks ``y``
+    queues ``y``, unless it is queued already, and records ``cid`` as its
+    excluded constraint, or -1 when another constraint queued it too.
+    Popping ``y`` walks ``walk[y][masks[y].bit_count()]``, the arcs at its
+    neighbours that the slack test keeps, except those of the excluded
+    constraint.  When ``y`` has one value, the walk revises each binary arc
     itself, with one AND of the arc's domain against that value's supports;
     every other arc goes through :func:`revise`.
     """
     tables = state.tables
     walk = tables.walk
     masks = state.masks
-    sizes = state.sizes
     remove = state._remove_mask
-    if x is None:
-        partner = tables.arc_partner
-        slack = tables.arc_slack
-        # a non-binary arc has partner -1 and a slack no size exceeds; the
-        # test reads each partner's size as the pass reaches its arc
-        arcs = (e for e in tables.arcs if sizes[partner[e[0]]] <= slack[e[0]])
-        bit = -1
-    else:
-        arcs = walk[x][sizes[x]]
-        bit = masks[x].bit_length() - 1 if sizes[x] == 1 else -1
-    skip = -1
     # queued[y]: the constraint excluded at y's walk, or -1 for none
     queued: dict = {}
     queue = deque()
     pop = queue.popleft
+    if x is None:
+        partner = tables.arc_partner
+        slack = tables.arc_slack
+        # a non-binary arc has partner -1 and a slack no size exceeds; the
+        # test reads each partner's mask as the pass reaches its arc
+        arcs = (e for e in tables.arcs if masks[partner[e[0]]].bit_count() <= slack[e[0]])
+    else:
+        queued[x] = -1
+        queue.append(x)
+        arcs = ()
+    skip = bit = -1
     while True:
         for a, cid, z, opp in arcs:
             if cid == skip:
@@ -162,7 +162,7 @@ def propagate(state: SearchState, x: Optional[int] = None) -> bool:
                 remove(z, m ^ kept)
             elif not revise(state, a):
                 continue
-            if sizes[z] == 0:
+            if not masks[z]:
                 state.bump_weight(cid)
                 return False
             if z not in queued:
@@ -174,9 +174,11 @@ def propagate(state: SearchState, x: Optional[int] = None) -> bool:
             return True
         y = pop()
         skip = queued.pop(y)
-        # no arc of the walk revises y, so its size holds through the walk
-        arcs = walk[y][sizes[y]]
-        bit = masks[y].bit_length() - 1 if sizes[y] == 1 else -1
+        # no arc of the walk revises y, so its mask holds through the walk
+        my = masks[y]
+        size = my.bit_count()
+        arcs = walk[y][size]
+        bit = my.bit_length() - 1 if size == 1 else -1
 
 
 def establish_root_gac(state: SearchState) -> bool:

@@ -127,7 +127,7 @@ def solve(
                 status = Status.SAT
                 break
             x = select_variable(state)
-            if state.sizes[x] == 1:
+            if state.masks[x].bit_count() == 1:
                 # a forced commit: no choice point, and already propagated
                 state.assign(x)
                 stack.append(_Frame(x, (), -1))

@@ -181,7 +181,7 @@ def test_set_scheme_plans_match_the_reference_on_random_walks():
                 several = len({score for _, score in promise_scores(state, x)}) > 1
                 for sc in schemes:
                     assert plan(sc, state, x) == reference_plan(sc, state, x)
-                if 4 * state.sizes[x] > len(p.domains[x]):
+                if 4 * state.masks[x].bit_count() > len(p.domains[x]):
                     for name in SET_SCHEMES:
                         engaged[name, several] += 1
     assert min(engaged.values()) >= 50, engaged

@@ -10,7 +10,7 @@ from branchbench.exprs import (
     INT64_MIN,
     OP_ARITY,
     VarRef,
-    eval_expr,
+    compile_expr,
     expr_vars,
     format_expr,
 )
@@ -20,6 +20,12 @@ from oracles import reference_eval
 
 def _c(op, *args):
     return Call(op, tuple(args))
+
+
+def eval_expr(expr, bindings):
+    """Evaluate ``expr`` with variables bound by ``bindings``, as
+    :func:`compile_expr` defines."""
+    return compile_expr(expr, tuple(bindings))(tuple(bindings.values()))
 
 
 def ev(expr, **bindings):

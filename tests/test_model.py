@@ -201,7 +201,7 @@ def test_state_initial_view():
     p = two_var_problem(ne_rel("x", "y"))
     st = SearchState(p)
     assert domain_values(st, 0) == [0, 1, 2]
-    assert st.sizes[1] == 3
+    assert st.masks[1].bit_count() == 3
     assert 2 in domain_values(st, 0)
     assert 7 not in domain_values(st, 0)
     assert not st.all_singleton()
@@ -249,6 +249,11 @@ def test_value_of_requires_singleton():
     st = SearchState(p)
     with pytest.raises(ValueError):
         st.value_of(0)
+    # an emptied domain is no singleton either: its mask 0 has no value
+    remove_values(st, 1, (0, 1, 2))
+    assert st.masks[1] == 0
+    with pytest.raises(ValueError):
+        st.value_of(1)
 
 
 def test_nested_levels_restore_in_order():
@@ -277,7 +282,7 @@ _STEPS = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 15), st.booleans()
 # (False), then that undone (True)
 @example([(0, 0b1110, False), (1, 0b110, False), (2, 0b1110, False), (2, 0b1, False),
           (0, 0, True)])
-def test_all_singleton_matches_sizes(steps):
+def test_all_singleton_matches_masks(steps):
     """Over removals, emptied domains and undos, the solution test is true
     exactly when every domain holds one value."""
     p = Problem(
@@ -293,17 +298,13 @@ def test_all_singleton_matches_sizes(steps):
         else:
             tokens.append(state.push_level())
             remove_values(state, x, [v for v in domain_values(state, x) if bits >> v & 1])
-        assert state.all_singleton() == all(s == 1 for s in state.sizes)
+        assert state.all_singleton() == all(m.bit_count() == 1 for m in state.masks)
     state.undo_to(0)
-    assert state.sizes == [4, 3, 4] and not state.all_singleton()
+    assert [m.bit_count() for m in state.masks] == [4, 3, 4] and not state.all_singleton()
 
 
 def _snapshot(state):
-    return (list(state.masks), list(state.sizes))
-
-
-def _assert_sizes_match_masks(state):
-    assert state.sizes == [m.bit_count() for m in state.masks]
+    return list(state.masks)
 
 
 def test_trail_restores_multi_value_shrinks_under_nested_levels():
@@ -329,12 +330,12 @@ def test_trail_restores_multi_value_shrinks_under_nested_levels():
     after_y = _snapshot(st)
     t2 = st.push_level()
     remove_values(st, 1, (2,))  # empties y
-    assert st.sizes[1] == 0
+    assert st.masks[1] == 0
     st.undo_to(t2)
     assert _snapshot(st) == after_y
     t2 = st.push_level()
     remove_values(st, 2, (3, 1))  # empties z in one entry
-    assert st.sizes[2] == 0 and len(st.trail) == 4
+    assert st.masks[2] == 0 and len(st.trail) == 4
     st.undo_to(t2)
     assert _snapshot(st) == after_y
     st.undo_to(t1)
@@ -343,7 +344,7 @@ def test_trail_restores_multi_value_shrinks_under_nested_levels():
     t1 = st.push_level()
     reduce_domain(st, 1, (0,))
     assert revise(st, at_x)  # x < 0 empties x: 4 values -> 0
-    assert st.sizes[0] == 0 and len(st.trail) == 3
+    assert st.masks[0] == 0 and len(st.trail) == 3
     st.undo_to(t1)
     assert _snapshot(st) == after_z
     st.undo_to(t0)
@@ -363,7 +364,7 @@ def test_trail_restores_snapshots_on_random_walks():
         levels = [(st.push_level(), _snapshot(st))]
         for _ in range(40):
             op = r.randrange(6)
-            open_vars = [x for x in range(p.n_vars) if st.sizes[x]]
+            open_vars = [x for x in range(p.n_vars) if st.masks[x]]
             if op == 0 or not open_vars:
                 levels.append((st.push_level(), _snapshot(st)))
                 continue
@@ -374,12 +375,12 @@ def test_trail_restores_snapshots_on_random_walks():
                 continue
             x = r.choice(open_vars)
             values = domain_values(st, x)
-            sizes = list(st.sizes)  # before this step
+            sizes = [m.bit_count() for m in st.masks]  # before this step
             before = len(st.trail)
             if op in (1, 2):
                 a = r.randrange(n_arcs)
                 x = p.tables.arc_var[a]
-                assert revise(st, a) == (st.sizes[x] < sizes[x])
+                assert revise(st, a) == (st.masks[x].bit_count() < sizes[x])
                 how = "revise"
             elif op == 3:
                 reduce_domain(st, x, r.sample(values, r.randint(1, len(values))))
@@ -390,11 +391,11 @@ def test_trail_restores_snapshots_on_random_walks():
             else:
                 remove_values(st, x, r.sample(values, r.randint(1, len(values))))
                 how = "remove_values"
-            shrank = st.sizes[x] < sizes[x]
+            size = st.masks[x].bit_count()
+            shrank = size < sizes[x]
             assert len(st.trail) == before + shrank
-            if shrank and sizes[x] - st.sizes[x] > 1:
+            if shrank and sizes[x] - size > 1:
                 shrinks[how] += 1
-            _assert_sizes_match_masks(st)
         while levels:
             token, snap = levels.pop()
             st.undo_to(token)

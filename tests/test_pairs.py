@@ -9,12 +9,12 @@ import pairs
 import perf
 
 
-def run_output(correct=True, failed=0, **values):
+def run_output(correct=True, failed=0, digest="0f" * 32, **values):
     """The tail of one untraced ``run.py --workload W`` output."""
     metrics = {k: {"value": v, "unit": "s"} for k, v in values.items()}
     return "\n".join([
         "metrics:",
-        "search_digest " + "0f" * 32,
+        "search_digest " + digest,
         json.dumps({"correct": correct, "attempted": 3, "failed": failed, "metrics": metrics}),
     ]) + "\n"
 
@@ -73,3 +73,40 @@ def test_summary_counts_the_pairs_the_change_is_better_in():
     # equal counts are ties: no pair is won and p is 1
     assert nodes[-3:] == ["1.000", "0/10", "1.000"]
     assert float(solve[1]) == pytest.approx(1.255)
+
+
+
+def pair_differences(workload, base_stdout, change_stdout):
+    """What ``pairs.py --same-search`` fails a pair on, from both sides' output."""
+    return pairs.search_differences(
+        workload,
+        (parse_run(workload, 0, base_stdout), base_stdout),
+        (parse_run(workload, 0, change_stdout), change_stdout),
+    )
+
+
+def all_output(*digests):
+    """``run.py --workload all``: each child's output, then the merged line."""
+    metrics = {f"{w}.nodes": {"value": 7, "unit": "count"} for w in pairs.WORKLOADS}
+    merged = {"correct": True, "attempted": 9, "failed": 0, "metrics": metrics}
+    return "".join(run_output(digest=d, nodes=7) for d in digests) + json.dumps(merged) + "\n"
+
+
+def test_same_search_fails_a_pair_whose_digests_differ_with_equal_nodes():
+    same = run_output(solve_s=1.0, nodes=40609)
+    assert pair_differences("proof", same, same) == []
+    assert pair_differences("proof", same, run_output(digest="1e" * 32, solve_s=1.0,
+                                                      nodes=40609)) == ["proof.search_digest"]
+    assert pair_differences("proof", same, run_output(solve_s=1.0, nodes=40610)) == [
+        "proof.nodes"
+    ]
+    # a side that printed no digest line differs too
+    assert pair_differences("proof", same, same.replace("search_digest ", "digest ")) == [
+        "proof.search_digest"
+    ]
+    # in an all run, the differing line names its workload
+    base = all_output("0f" * 32, "3c" * 32, "2d" * 32)
+    assert pair_differences("all", base, base) == []
+    assert pair_differences("all", base, all_output("0f" * 32, "4b" * 32, "2d" * 32)) == [
+        "sets.search_digest"
+    ]

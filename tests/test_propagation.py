@@ -167,7 +167,7 @@ def test_propagate_after_decision_reaches_fixpoint():
             # full fixpoint reached: oracle closure of the current domains is a no-op
             assert expected == seeded
         else:
-            assert st.sizes.count(0) == 1
+            assert st.masks.count(0) == 1
 
 
 def test_ternary_constraints_propagate():
@@ -239,7 +239,7 @@ def _wipeout_pair(st, consistent, weights_before):
     """None if ``consistent``; else the wipeout as ``(variable, constraint)``,
     read off the state: the one emptied domain and the one weight raised by
     one since ``weights_before``."""
-    emptied = [x for x, size in enumerate(st.sizes) if size == 0]
+    emptied = [x for x, m in enumerate(st.masks) if not m]
     raised = [c for c, (w, was) in enumerate(zip(st.weights, weights_before)) if w != was]
     if consistent:
         assert emptied == raised == []
@@ -290,7 +290,7 @@ def _walk_against_reference(p, r, calls, steps=12):
     decisions = wiped = 0
     levels = []
     for _ in range(steps):
-        open_vars = [x for x in range(p.n_vars) if st.sizes[x] > 1]
+        open_vars = [x for x in range(p.n_vars) if st.masks[x].bit_count() > 1]
         if not open_vars:
             break
         x = r.choice(open_vars)
@@ -369,7 +369,7 @@ def test_a_singleton_walk_makes_no_revise_call(revise_calls, monkeypatch):
         inside["revise"] = True
         removed = recorded(state, a)
         inside["revise"] = False
-        seen[state.sizes[partner] == 1, removed] += 1
+        seen[state.masks[partner].bit_count() == 1, removed] += 1
         return removed
 
     def observing_propagate(*args, _propagate=search.propagate):
@@ -454,7 +454,7 @@ def test_skip_fires_only_where_revise_removes_nothing():
         tables = p.tables
         for a, cid, x, _ in tables.arcs:
             partner = tables.arc_partner[a]
-            if partner >= 0 and st.sizes[partner] > tables.arc_slack[a]:
+            if partner >= 0 and st.masks[partner].bit_count() > tables.arc_slack[a]:
                 fired += 1
                 before = domain_values(st, x)
                 assert not revise(st, a)
@@ -497,7 +497,7 @@ def _check_every_arc(st, r, counts):
         st.undo_to(token)
         assert current_domains(st, p.n_vars) == domains
         if len(c.scope) == 2:
-            single = st.sizes[tables.arc_partner[a]] == 1
+            single = st.masks[tables.arc_partner[a]].bit_count() == 1
             key = ("high-to-low" if c.scope[0] > c.scope[1] else "low-to-high", single)
             counts[key + (changed,)] += 1
         else:
