@@ -420,9 +420,9 @@ class Problem:
 
 class SearchState:
     """Mutable per-run state: domain masks, weights, assignment flags and
-    the trail.  A domain is its mask: every reader takes a size as
-    ``masks[x].bit_count()``, and the solution test, :meth:`all_singleton`,
-    reads the masks.
+    the trail.  A domain is its mask, and its size is read from it as
+    ``masks[x].bit_count()``; the solution test, :meth:`all_singleton`,
+    reads the masks too.
 
     ``assigned[x]`` is True while search has committed ``x``; the value is
     its singleton domain.  ``wdeg[x]`` caches the weighted degree of ``x``:

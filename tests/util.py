@@ -77,7 +77,9 @@ def walk_states(p: Problem, r: random.Random, steps: int):
     levels = []
     for _ in range(steps):
         yield st
-        open_vars = [x for x in range(p.n_vars) if not st.assigned[x] and st.masks[x].bit_count() > 1]
+        open_vars = [
+            x for x in range(p.n_vars) if not st.assigned[x] and st.masks[x].bit_count() > 1
+        ]
         if not open_vars:
             return
         x = r.choice(open_vars)
