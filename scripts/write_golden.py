@@ -13,7 +13,7 @@ a generator outside the library.  ``tests/test_golden.py`` re-solves every
 record and compares.
 
 ``pins.json`` holds the revise calls, and those that removed a value, of a
-traced solve of each ``REVISE_CASES`` pair (the trail shows only the latter;
+traced solve of each ``REVISE_CASES`` pair (removals show only the latter;
 ``revisions_effective`` leaves out the removals that a singleton's walk makes
 itself, with no revise call, so it no longer counts every removal);
 the ``tie_free_seeds`` scan; and each workload's ``search_digest`` and traced

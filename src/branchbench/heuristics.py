@@ -26,7 +26,9 @@ from .model import SearchState
 
 
 def select_variable(state: SearchState) -> int:
-    """Unassigned variable minimizing |domain| / wdeg (exact comparison)."""
+    """Unassigned variable minimizing |domain| / wdeg (exact comparison), or
+    -1 when no unassigned domain holds two or more values: the solution test
+    of a consistent state."""
     assigned = state.assigned
     masks = state.masks
     wdeg = state.wdeg
@@ -44,8 +46,10 @@ def select_variable(state: SearchState) -> int:
             continue  # infinite ratio never improves
         if best_w == 0 or d * best_w < best_d * w:
             best, best_d, best_w = x, d, w
-    if best < 0:
-        raise ValueError("no unassigned variable to select")
+    # a best of two or more values settles it; a singleton's ratio can be
+    # lowest beside wider domains, so only then are the masks read again
+    if best_d < 2 and not any(m & (m - 1) for m, a in zip(masks, assigned) if not a):
+        return -1
     return best
 
 

@@ -9,8 +9,10 @@ domains, constraint weights, assignments and the restoration trail) lives in
 Current domains are bitmasks over positions in the original domain, which
 keeps membership tests, removals, and the compatibility counting done by the
 value heuristic cheap.  Every shrink of a domain, whatever number of values
-it removes, is one :meth:`SearchState._remove_mask`, which pushes one trail
-entry ``(variable, removed mask)``; undoing it is one OR into the mask.  The
+it removes, is one store into ``SearchState.masks`` and records nothing:
+each restoration level saves a copy of the whole mask list when it opens
+(copying rather than trailing, Schulte 1999), and undoing it copies that
+list back.  The
 compiled tables on the problem (arc lists with per-arc support masks and
 their unions per chunk of the partner's domain for binary constraints,
 per-arc rows of bit masks grouped by value for every other constraint,
@@ -421,8 +423,9 @@ class Problem:
 class SearchState:
     """Mutable per-run state: domain masks, weights, assignment flags and
     the trail.  A domain is its mask, and its size is read from it as
-    ``masks[x].bit_count()``; the solution test, :meth:`all_singleton`,
-    reads the masks too.
+    ``masks[x].bit_count()``.  ``trail`` holds one saved copy of ``masks``
+    per open level; ``masks`` itself stays one list object for the whole
+    run, so propagation and search may hold it across an undo.
 
     ``assigned[x]`` is True while search has committed ``x``; the value is
     its singleton domain.  ``wdeg[x]`` caches the weighted degree of ``x``:
@@ -446,7 +449,7 @@ class SearchState:
             len(pairs) + sum(1 for _, others in cons if others)
             for pairs, cons in zip(t.var_binary, t.var_constraints)
         ]
-        self.trail: list[tuple[int, int]] = []  # (variable, removed mask)
+        self.trail: list[list[int]] = []  # the masks as each open level began
 
     # -- domain queries ----------------------------------------------------
 
@@ -456,11 +459,6 @@ class SearchState:
         if m.bit_count() != 1:
             raise ValueError(f"variable {x} is not singleton")
         return self.tables.values[x][m.bit_length() - 1]
-
-    def all_singleton(self) -> bool:
-        """True iff every current domain holds exactly one value."""
-        masks = self.masks
-        return list(map(int.bit_count, masks)).count(1) == len(masks)
 
     # -- assignments and weights -------------------------------------------
 
@@ -515,22 +513,15 @@ class SearchState:
     # -- trail -------------------------------------------------------------
 
     def push_level(self) -> int:
-        """Open a restoration level; the token for :meth:`undo_to` is the
-        current trail length."""
-        return len(self.trail)
+        """Open a restoration level by saving a copy of the masks; the token
+        for :meth:`undo_to` is that copy's index in the trail."""
+        trail = self.trail
+        trail.append(self.masks[:])
+        return len(trail) - 1
 
     def undo_to(self, token: int) -> None:
         """Restore exactly the domains that held when ``token`` was pushed,
-        by undoing the trail entries from position ``token`` on."""
+        in place, and close that level and every level opened after it."""
         trail = self.trail
-        masks = self.masks
-        for x, removed in trail[token:]:
-            masks[x] |= removed
+        self.masks[:] = trail[token]
         del trail[token:]
-
-    def _remove_mask(self, x: int, removed: int) -> None:
-        """Delete the values of ``removed``, a non-empty subset of the current
-        domain of ``x`` as a bitmask, as one trail entry.  This is the only
-        way a domain shrinks: propagation and branch decisions both call it."""
-        self.masks[x] ^= removed
-        self.trail.append((x, removed))

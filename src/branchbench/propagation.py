@@ -39,7 +39,7 @@ has every other scope variable's bit in that variable's current domain, and
 its other rows are not read.  The rows are built once per problem, so a
 revision never calls ``check_tuple`` and costs at most one pass over a table
 of at most ``model.MAX_TABLE_TUPLES`` rows for a forbidden or intensional
-relation.  All removed values leave the domain as one trail entry.
+relation.  All removed values leave the domain in one store of its mask.
 
 Most revisions remove nothing, and many of them are never made.  A binary
 arc's *slack* is the largest number of original partner values that any
@@ -60,11 +60,11 @@ the walked variable ``y`` has a single value, of bit ``b``, the values of a
 binary arc's variable to keep are ``m & opp[b]``, ``m`` being that
 variable's mask: every arc of ``walk[y]`` has ``y`` as its partner, so
 ``opp[b]`` is the whole union of supports over ``y``'s domain.  The walk
-skips the arc when nothing goes and otherwise removes the rest itself, with
-no :func:`revise` call.  So :func:`revise` runs only for an arc that one AND
-cannot decide (a non-binary arc, the walk of a variable with more values, or
-the root's first pass), and ``SearchState._remove_mask``, which both call,
-is the one path by which propagation removes values.
+skips the arc when nothing goes and otherwise stores the kept values itself,
+with no :func:`revise` call.  So :func:`revise` runs only for an arc that one
+AND cannot decide (a non-binary arc, the walk of a variable with more values,
+or the root's first pass).  Neither records a removal: the level that search
+opened before its branch holds a copy of every mask, and restores them all.
 """
 
 from __future__ import annotations
@@ -109,7 +109,7 @@ def revise(state: SearchState, a: int) -> bool:
         new &= m
     if new == m:
         return False
-    state._remove_mask(x, m ^ new)
+    masks[x] = new
     return True
 
 
@@ -133,7 +133,6 @@ def propagate(state: SearchState, x: Optional[int] = None) -> bool:
     tables = state.tables
     walk = tables.walk
     masks = state.masks
-    remove = state._remove_mask
     # queued[y]: the constraint excluded at y's walk, or -1 for none
     queued: dict = {}
     queue = deque()
@@ -159,7 +158,7 @@ def propagate(state: SearchState, x: Optional[int] = None) -> bool:
                 kept = m & opp[bit]
                 if kept == m:
                     continue
-                remove(z, m ^ kept)
+                masks[z] = kept
             elif not revise(state, a):
                 continue
             if not masks[z]:

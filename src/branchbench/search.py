@@ -6,7 +6,7 @@ forced commits are not counted.  ``solve`` keeps its four counters itself and
 counts a wipeout wherever propagation returns False: at the root and after a
 branch.  The branching style is the scheme's (``Scheme.binary``), read once
 per solve; a plan gives only its sets, as masks.  A branch applies its mask
-with the one domain edit propagation also uses, ``SearchState._remove_mask``.
+with one store into ``state.masks``, as propagation does.
 A variable is treated as assigned only when a branch reduced its domain to a
 singleton, or when search selects it after propagation did.  Selecting a
 one-value domain is a forced commit, not a choice point: it assigns ``x`` in
@@ -21,12 +21,13 @@ selection reads.
 
 The engine is one loop over an explicit frame stack, so deep runs cannot hit
 the interpreter recursion limit.  Root GAC and every propagated branch lead to
-the same step: a consistent state with every domain a singleton is the
-solution, checked once by :func:`verify`; any other consistent state gets one
-:func:`select_variable` call, then a forced commit or one new choice point
-with one :func:`plan` call.  A branch changes only its variable's domain, so
-it is propagated as that one change, ``propagate(state, x)``.  A frame's level
-token is the trail length before its branch was applied.  Each ``solve``
+the same step: one :func:`select_variable` call.  When it finds no unassigned
+domain of two or more values, every domain is a singleton and the state is
+the solution, checked once by :func:`verify`; otherwise it gives a forced
+commit or one new choice point with one :func:`plan` call.  A branch changes
+only its variable's domain, so it is propagated as that one change,
+``propagate(state, x)``.  A frame opens one level per branch, saving every
+mask before the branch is applied, and its token restores them.  Each ``solve``
 builds its own :class:`SearchState` and leaves it as the search stopped; the
 problem is not changed, so re-running on it starts from the original domains.
 """
@@ -118,24 +119,25 @@ def solve(
 
     consistent = establish_root_gac(state)
     wipeouts = int(not consistent)
+    masks = state.masks  # one list for the whole run: undo_to restores it in place
     while consistent or stack:
         if consistent:
-            if state.all_singleton():
+            x = select_variable(state)
+            if x < 0:
                 assignment = tuple(state.value_of(x) for x in range(problem.n_vars))
                 if not verify(problem, assignment):
                     raise RuntimeError("internal error: produced assignment fails verify()")
                 status = Status.SAT
                 break
-            x = select_variable(state)
-            if state.masks[x].bit_count() == 1:
+            if masks[x].bit_count() == 1:
                 # a forced commit: no choice point, and already propagated
                 state.assign(x)
                 stack.append(_Frame(x, (), -1))
                 if trace is not None:
                     trace.append(f"{len(stack) - 1} {names[x]} {{{state.value_of(x)}}} F")
                 continue
-            masks = plan(scheme, state, x).masks
-            stack.append(_Frame(x, masks, 1 if binary else len(masks) - 1))
+            branches = plan(scheme, state, x).masks
+            stack.append(_Frame(x, branches, 1 if binary else len(branches) - 1))
 
         fr = stack[-1]
         if fr.token is not None:
@@ -165,13 +167,12 @@ def solve(
             decisions += 1  # one per choice point that applies a branch
         right = binary and idx == 1
         if right:
-            mask = removed = fr.masks[0]
+            mask = fr.masks[0]
+            masks[x] ^= mask
         else:
-            mask = fr.masks[idx]
-            removed = state.masks[x] ^ mask
+            mask = masks[x] = fr.masks[idx]
             if mask & (mask - 1) == 0:
                 state.assign(x)
-        state._remove_mask(x, removed)
         nodes += 1
         if trace is not None:
             kind = "R" if right else "L" if binary else f"E#{idx}"

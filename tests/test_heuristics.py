@@ -221,11 +221,17 @@ def test_select_variable_exact_ratio_compare():
 
 
 def test_select_requires_an_unassigned_variable():
+    """With no unassigned variable, or none of two or more values, selection
+    returns -1: the solution test of search."""
     p = Problem(("a",), ((0, 1),), ())
     st = SearchState(p)
     st.assign(0)
-    with pytest.raises(ValueError):
-        select_variable(st)
+    assert select_variable(st) == -1
+    # an unassigned singleton is selected while another domain is open
+    st = SearchState(Problem(("a", "b"), ((0,), (0, 1)), ()))
+    assert select_variable(st) == 0
+    remove_values(st, 1, (1,))
+    assert select_variable(st) == -1
 
 
 def test_promise_rejects_values_outside_domain():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from branchbench.exprs import Call, Const, VarRef
 from branchbench.generators import gen_langford
+from branchbench.heuristics import select_variable
 from branchbench.model import (
     Constraint,
     ExtensionalAllowed,
@@ -204,7 +205,7 @@ def test_state_initial_view():
     assert st.masks[1].bit_count() == 3
     assert 2 in domain_values(st, 0)
     assert 7 not in domain_values(st, 0)
-    assert not st.all_singleton()
+    assert select_variable(st) >= 0  # the solution test: not every domain is one value
 
 
 def test_remove_and_undo_roundtrip():
@@ -272,19 +273,80 @@ def test_nested_levels_restore_in_order():
     assert domain_values(st, 0) == list(range(8))
 
 
+def test_a_store_after_push_level_leaves_the_saved_level_unchanged():
+    p = Problem(("a", "b"), (tuple(range(4)), tuple(range(3))), ())
+    st = SearchState(p)
+    token = st.push_level()
+    saved = list(st.masks)
+    remove_values(st, 0, (1, 2))
+    reduce_domain(st, 1, (0,))
+    assert st.trail[token] == saved != st.masks
+    st.undo_to(token)
+    assert st.masks == saved
+
+
+def test_undo_to_restores_into_the_same_masks_list():
+    """``propagate`` and ``solve`` hold ``state.masks`` across undos, so a
+    restore writes into that list rather than binding another."""
+    st = SearchState(two_var_problem(ne_rel("x", "y")))
+    masks = st.masks
+    token = st.push_level()
+    remove_values(st, 0, (0, 1))
+    st.undo_to(token)
+    assert st.masks is masks and masks == [0b111, 0b111]
+
+
+def test_nested_levels_of_a_d_way_frame_restore_exactly():
+    """A d-way frame opens one level per branch, each at the same token, with
+    a nested frame's levels above it: undoing a branch restores the frame's
+    domains and closes the nested level it left open."""
+    p = Problem(("a", "b", "c"), (tuple(range(3)),) * 3, ())
+    st = SearchState(p)
+    root = _snapshot(st)
+    tokens = []
+    for v in range(3):
+        token = st.push_level()
+        tokens.append(token)
+        reduce_domain(st, 0, (v,))
+        at_branch = _snapshot(st)
+        for w in range(3):  # the nested frame's branches; the last stays open
+            inner = st.push_level()
+            reduce_domain(st, 1, (w,))
+            remove_values(st, 2, (w,))
+            if w < 2:
+                st.undo_to(inner)
+                assert _snapshot(st) == at_branch
+        assert len(st.trail) == 2
+        st.undo_to(token)
+        assert _snapshot(st) == root and st.trail == []
+    assert tokens == [0, 0, 0]
+
+
+def test_an_emptied_domain_comes_back():
+    st = SearchState(two_var_problem(ne_rel("x", "y")))
+    token = st.push_level()
+    reduce_domain(st, 1, (1,))
+    remove_values(st, 0, (0, 1, 2))  # a wipeout leaves the mask 0
+    assert st.masks == [0, 0b010]
+    st.undo_to(token)
+    assert st.masks == [0b111, 0b111]
+
+
 # (variable, bits of values to remove, undo instead): a, b, c hold 0..3,
 # 0..2, 0..3, so the value at bit i is i
 _STEPS = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 15), st.booleans()), max_size=30)
 
 
 @given(_STEPS)
-# every domain one value (True), then c emptied beside two singletons
-# (False), then that undone (True)
+# every domain one value (-1), then c emptied beside two singletons (still
+# -1: no domain of two or more values), then that undone (-1)
 @example([(0, 0b1110, False), (1, 0b110, False), (2, 0b1110, False), (2, 0b1, False),
           (0, 0, True)])
-def test_all_singleton_matches_masks(steps):
-    """Over removals, emptied domains and undos, the solution test is true
-    exactly when every domain holds one value."""
+def test_solution_test_matches_masks(steps):
+    """Over removals, emptied domains and undos, the solution test (a -1
+    from ``select_variable``) holds exactly when no domain has two or more
+    values.  Search asks it only in consistent states, where no domain is
+    empty, so there it means every domain holds one value."""
     p = Problem(
         ("a", "b", "c"),
         (tuple(range(4)), tuple(range(3)), tuple(range(4))),
@@ -298,9 +360,10 @@ def test_all_singleton_matches_masks(steps):
         else:
             tokens.append(state.push_level())
             remove_values(state, x, [v for v in domain_values(state, x) if bits >> v & 1])
-        assert state.all_singleton() == all(m.bit_count() == 1 for m in state.masks)
-    state.undo_to(0)
-    assert [m.bit_count() for m in state.masks] == [4, 3, 4] and not state.all_singleton()
+        assert (select_variable(state) < 0) == all(m.bit_count() <= 1 for m in state.masks)
+    if tokens:
+        state.undo_to(0)  # with no level open, every removal is undone already
+    assert [m.bit_count() for m in state.masks] == [4, 3, 4] and select_variable(state) >= 0
 
 
 def _snapshot(state):
@@ -319,14 +382,14 @@ def test_trail_restores_multi_value_shrinks_under_nested_levels():
     base = _snapshot(st)
     t0 = st.push_level()
     reduce_domain(st, 2, (1, 3))
-    assert len(st.trail) == 1  # one entry per shrink, however many values
+    assert len(st.trail) == 1  # one level per push_level, however many values shrink
     after_z = _snapshot(st)
 
     t1 = st.push_level()
     reduce_domain(st, 0, (1,))
     assert revise(st, at_y)  # y: 3 values -> 1
     assert domain_values(st, 1) == [2]
-    assert len(st.trail) == 3
+    assert len(st.trail) == 2
     after_y = _snapshot(st)
     t2 = st.push_level()
     remove_values(st, 1, (2,))  # empties y
@@ -334,8 +397,8 @@ def test_trail_restores_multi_value_shrinks_under_nested_levels():
     st.undo_to(t2)
     assert _snapshot(st) == after_y
     t2 = st.push_level()
-    remove_values(st, 2, (3, 1))  # empties z in one entry
-    assert st.masks[2] == 0 and len(st.trail) == 4
+    remove_values(st, 2, (3, 1))  # empties z in one store
+    assert st.masks[2] == 0 and len(st.trail) == 3
     st.undo_to(t2)
     assert _snapshot(st) == after_y
     st.undo_to(t1)
@@ -344,7 +407,7 @@ def test_trail_restores_multi_value_shrinks_under_nested_levels():
     t1 = st.push_level()
     reduce_domain(st, 1, (0,))
     assert revise(st, at_x)  # x < 0 empties x: 4 values -> 0
-    assert st.masks[0] == 0 and len(st.trail) == 3
+    assert st.masks[0] == 0 and len(st.trail) == 2
     st.undo_to(t1)
     assert _snapshot(st) == after_z
     st.undo_to(t0)
@@ -353,8 +416,9 @@ def test_trail_restores_multi_value_shrinks_under_nested_levels():
 
 
 def test_trail_restores_snapshots_on_random_walks():
-    """Random revisions, reductions and removals under nested levels: every
-    shrink is one trail entry, and every undo restores its snapshot."""
+    """Random revisions, reductions and removals under nested levels: the
+    trail holds one level per open ``push_level`` whatever shrinks, and
+    every undo restores its snapshot."""
     shrinks = Counter()
     for seed in range(150):
         r = random.Random(seed)
@@ -393,7 +457,7 @@ def test_trail_restores_snapshots_on_random_walks():
                 how = "remove_values"
             size = st.masks[x].bit_count()
             shrank = size < sizes[x]
-            assert len(st.trail) == before + shrank
+            assert len(st.trail) == before == len(levels)
             if shrank and sizes[x] - size > 1:
                 shrinks[how] += 1
         while levels:

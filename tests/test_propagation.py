@@ -249,9 +249,25 @@ def _wipeout_pair(st, consistent, weights_before):
     return emptied[0], raised[0]
 
 
-def _removals_since(st, p, token):
-    """The trail from ``token`` on as ``(variable, removed values)`` pairs."""
-    return [(x, mask_values(p.domains[x], m)) for x, m in st.trail[token:]]
+class RemovalLog(list):
+    """Domain masks that log each store to one variable as ``(variable,
+    removed bits)`` in ``removals``; a slice store, which is how a level is
+    restored, passes through unlogged.  Installed as ``state.masks``."""
+
+    def __init__(self, masks):
+        super().__init__(masks)
+        self.removals = []
+
+    def __setitem__(self, i, new):
+        if isinstance(i, int):
+            self.removals.append((i, self[i] & ~new))
+        super().__setitem__(i, new)
+
+
+def _removals_since(st, p, start):
+    """The removals logged from position ``start`` on, as ``(variable,
+    removed values)`` pairs."""
+    return [(x, mask_values(p.domains[x], m)) for x, m in st.masks.removals[start:]]
 
 
 @pytest.fixture
@@ -275,6 +291,7 @@ def _walk_against_reference(p, r, calls, steps=12):
     domains.  ``calls`` is
     the ``revise_calls`` fixture's list.  Returns (decisions, wipeouts)."""
     st = SearchState(p)
+    st.masks = RemovalLog(st.masks)
     domains = [list(d) for d in p.domains]
     weights = [1] * len(p.constraints)
     removals = []
@@ -300,7 +317,7 @@ def _walk_against_reference(p, r, calls, steps=12):
         levels.append((st.push_level(), [list(d) for d in domains]))
         reduce_domain(st, x, kept)
         domains[x] = kept
-        token = len(st.trail)
+        start = len(st.masks.removals)
         removals = []
         revisions = []
         calls.clear()
@@ -311,7 +328,7 @@ def _walk_against_reference(p, r, calls, steps=12):
         wiped += not consistent
         assert got == expected
         assert calls == revisions
-        assert _removals_since(st, p, token) == removals
+        assert _removals_since(st, p, start) == removals
         assert st.weights == weights
         assert current_domains(st, p.n_vars) == domains
         if not consistent or r.randrange(4) == 0:
@@ -358,35 +375,37 @@ def test_a_singleton_walk_makes_no_revise_call(revise_calls, monkeypatch):
     """Every constraint of langford is binary, so the variable a walk reads
     is the partner of each arc it revises.  Under 2way, no revise call is
     made while that partner has one value: the walk removes those values
-    itself, through ``_remove_mask``."""
+    itself, with one store into the masks."""
     recorded = propagation.revise  # the fixture's recorder
     seen = Counter()
-    inside = {"propagate": False, "revise": False}
-    walk_removals = 0
+    revise_removals = walk_removals = 0
 
     def observing_revise(state, a):
+        nonlocal revise_removals
         partner = state.tables.arc_partner[a]
-        inside["revise"] = True
+        before = len(state.masks.removals)
         removed = recorded(state, a)
-        inside["revise"] = False
+        revise_removals += len(state.masks.removals) - before
         seen[state.masks[partner].bit_count() == 1, removed] += 1
         return removed
 
-    def observing_propagate(*args, _propagate=search.propagate):
-        inside["propagate"] = True
-        try:
-            return _propagate(*args)
-        finally:
-            inside["propagate"] = False
-
-    def observing_remove(state, x, removed, _remove=SearchState._remove_mask):
+    def observing_propagate(state, *args, _propagate=search.propagate):
+        # the removals a branch's propagation logs outside its revise calls
         nonlocal walk_removals
-        walk_removals += inside["propagate"] and not inside["revise"]
-        _remove(state, x, removed)
+        before, by_revise = len(state.masks.removals), revise_removals
+        try:
+            return _propagate(state, *args)
+        finally:
+            walk_removals += len(state.masks.removals) - before - (revise_removals - by_revise)
+
+    def logging_state(problem, _state=SearchState):
+        state = _state(problem)
+        state.masks = RemovalLog(state.masks)
+        return state
 
     monkeypatch.setattr(propagation, "revise", observing_revise)
     monkeypatch.setattr(search, "propagate", observing_propagate)
-    monkeypatch.setattr(SearchState, "_remove_mask", observing_remove)
+    monkeypatch.setattr(search, "SearchState", logging_state)
     solve(gen_langford(6), parse_scheme("2way"))
     assert seen[True, False] == seen[True, True] == 0
     assert walk_removals >= 1000

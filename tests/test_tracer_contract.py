@@ -3,9 +3,9 @@
 ``perfbench/tracing.py`` wraps module attributes it looks up by name
 (``owner.__dict__[attr]``), so a library change that removes or renames one
 of them breaks every traced benchmark run.  Its ``plan`` wrapper also reads
-``len(s)`` for each ``s`` in ``BranchPlan.sets`` to count set plans.  Entering
-and leaving the tracer's context, and one short traced solve, catch both in
-seconds.  ``perfbench/run.py`` reads ``branchbench.SCHEME_NAMES`` from the
+``len(s)`` for each ``s`` in ``BranchPlan.sets`` to count set plans, and its
+``undo_to`` wrapper reads ``len(state.trail)``.  Entering and leaving the
+tracer's context, and short traced solves, catch all of these in seconds.  ``perfbench/run.py`` reads ``branchbench.SCHEME_NAMES`` from the
 package itself, which is the one name the package re-exports.
 """
 
@@ -16,6 +16,7 @@ import pytest
 import branchbench
 from branchbench import branching, propagation, search
 from branchbench.branching import parse_scheme
+from branchbench.generators import gen_langford
 from util import PINS
 import write_golden
 
@@ -76,7 +77,7 @@ def test_traced_solve_makes_the_pinned_revise_calls(monkeypatch, source, scheme)
     every non-binary arc make them.  A singleton's walk revises its binary
     arcs itself, with one AND, and makes no revise call for them.
 
-    The trail shows only the revisions that remove values; the number of
+    The removals show only the revisions that remove values; the number of
     revise calls is pinned in ``tests/golden/pins.json``, so a queue change
     that revises more or fewer arcs (the same fixpoint, at a different cost)
     shows.  A case missing from the pins fails with a KeyError.
@@ -85,3 +86,20 @@ def test_traced_solve_makes_the_pinned_revise_calls(monkeypatch, source, scheme)
     pinned = PINS["revise_counts"][source][scheme]
     problem = write_golden.load_source(source, ROOT / "tests" / "golden")
     assert write_golden.revise_counts(problem, scheme) == pinned
+
+
+def test_traced_solve_fires_the_undo_span_and_counts_restored_levels(monkeypatch):
+    """``model.undo_to`` is a span, and ``model.trail_restored`` adds how far
+    each call shortens ``state.trail``.  A frame undoes only the one level
+    its branch opened, so the counter moves by one per call, and search
+    makes one call per backtrack.  ``scripts/perf.py`` fails a run whose
+    counter never moves."""
+    monkeypatch.syspath_prepend(str(ROOT))
+    from perfbench.tracing import Tracer
+
+    tracer = Tracer()
+    with tracer.installed():
+        out = search.solve(gen_langford(6), parse_scheme("2way"))
+    undo = tracer.summary()["model.undo_to"]
+    assert undo.calls == out.stats.backtracks > 0
+    assert tracer.counts["model.trail_restored"] == undo.calls

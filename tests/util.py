@@ -45,12 +45,12 @@ def _mask_of(state: SearchState, x: int, values) -> int:
 
 
 def remove_values(state: SearchState, x: int, values) -> None:
-    """Delete ``values`` from the current domain of ``x`` (one trail entry)."""
+    """Delete ``values`` from the current domain of ``x`` (one mask store)."""
     removed = _mask_of(state, x, values)
     if removed & ~state.masks[x]:
         raise ValueError(f"a value to remove is not in the current domain of variable {x}")
     if removed:
-        state._remove_mask(x, removed)
+        state.masks[x] ^= removed
 
 
 def reduce_domain(state: SearchState, x: int, values) -> None:
@@ -62,7 +62,7 @@ def reduce_domain(state: SearchState, x: int, values) -> None:
     if target & ~cur:
         raise ValueError("reduce_domain target is not a subset of the current domain")
     if target != cur:
-        state._remove_mask(x, cur ^ target)
+        state.masks[x] = target
 
 
 def walk_states(p: Problem, r: random.Random, steps: int):
