@@ -12,13 +12,13 @@ value heuristic cheap.  Every shrink of a domain, whatever number of values
 it removes, is one store into ``SearchState.masks`` and records nothing:
 each restoration level saves a copy of the whole mask list when it opens
 (copying rather than trailing, Schulte 1999), and undoing it copies that
-list back.  The
-compiled tables on the problem (arc lists with per-arc support masks and
-their unions per chunk of the partner's domain for binary constraints,
-per-arc rows of bit masks grouped by value for every other constraint,
-per-variable walk lists by domain size, neighbour tables) are built in one
-pass over the constraints and are a pure indexing layer: they change nothing
-about constraint semantics, which are always those of :func:`check_tuple`.
+list back.  The compiled tables on the problem (arc lists with per-arc
+support masks and their unions per chunk of the partner's domain for binary
+constraints, per-arc rows of bit masks grouped by value for every other
+constraint, per-variable walk lists by domain size, neighbour tables) are
+built in one pass over the constraints and are a pure indexing layer: they
+change nothing about constraint semantics, which are always those of
+:func:`check_tuple`.
 
 A constraint is compiled once into its satisfying tuples over the original
 domains: an extensional relation by mapping its tuples to positions, any
