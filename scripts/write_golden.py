@@ -75,8 +75,8 @@ REVISE_CASES = (
     ("gen langford n=6", "2way"),
     ("gen langford n=6", "dway"),
     (f"file {NARY_FILE}", "dway"),
-    # singleton cells: the root pass decides its counts, so they move with
-    # the root arc order
+    # ne constraints only: a walk of more than one value lists none of them
+    # and a singleton's walk ANDs them itself, so no revise call is made
     ("gen qwh order=9 holes=50 seed=1", "dway"),
 )
 REVISIONS = ("revisions", "revisions_effective")

@@ -74,15 +74,15 @@ def _means(scores: Sequence[float], assignment: list[int], k: int):
     return centroids, [remap[a] for a in assignment]
 
 
-def kmeans_1d(
-    scores: Sequence[float], k: int, initial_centroids: Sequence[float]
-) -> KMeansResult:
-    """Lloyd iteration from the given centroids; empty clusters are dropped."""
+def kmeans_1d(scores: Sequence[float], initial_centroids: Sequence[float]) -> KMeansResult:
+    """Lloyd iteration from the given centroids, ``k`` of them; empty
+    clusters are dropped."""
+    k = len(initial_centroids)
     if k < 1:
-        raise ValueError("k must be at least 1")
+        raise ValueError("need at least one initial centroid")
     if len(scores) < k:
         raise ValueError("need at least k scores")
-    if len(initial_centroids) != k or len(set(initial_centroids)) != k:
+    if len(set(initial_centroids)) != k:
         raise ValueError("initial centroids must be k distinct values")
     assignment = _assign(scores, initial_centroids)
     centroids, assignment = _means(scores, assignment, k)
@@ -132,7 +132,7 @@ def _try_split(pts: list[float], centroid: float) -> Optional[tuple[tuple[float,
     if lo == hi:
         # sd is below float resolution at this magnitude; nothing to split
         return None
-    child = kmeans_1d(pts, 2, (lo, hi))
+    child = kmeans_1d(pts, (lo, hi))
     if len(child.centroids) < 2:
         return None
     parent_bic = bic(pts, [0] * len(pts), [sum(pts) / len(pts)])
@@ -180,7 +180,7 @@ def xmeans(scores: Sequence[float], kmax: int = 4) -> Clustering:
             break
         out = [c for j, c in enumerate(centroids) if j != chosen[0]]
         out.extend(chosen[1])
-        refined = kmeans_1d(pts, len(set(out)), sorted(set(out)))
+        refined = kmeans_1d(pts, sorted(set(out)))
         centroids = list(refined.centroids)
         assignment = list(refined.assignment)
         score = bic(pts, assignment, centroids)

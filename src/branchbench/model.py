@@ -140,7 +140,7 @@ class _Tables:
 
     __slots__ = (
         "values", "pos", "full_masks",
-        "arc_var", "arc_partner", "arc_slack", "arc_cover", "arc_rows", "arcs", "walk",
+        "arc_var", "arc_partner", "arc_cover", "arc_rows", "unary", "walk",
         "neighbors", "var_binary", "var_constraints",
     )
 
@@ -156,12 +156,13 @@ class _Tables:
         # bit of the partner -> mask of x values) and their unions per chunk
         # of the partner's domain (arc_cover: one table per CHUNK_BITS partner
         # bits, entry s -> the union of arc_opp over the set bits of s);
-        # arc_cid and arc_opp stay local, kept only in the entries of arcs.  Any
-        # other arc has partner -1, a slack no domain size exceeds and, in
-        # arc_rows, its satisfying tuples grouped by the value of x, ascending:
-        # (bit of x, rows), a row being ((z, bit of z) for the other scope
-        # variables).  on_var[x]: every constraint on x revised at its other
-        # scope variables, ascending (cid, var), the arcs x's walk may list.
+        # arc_cid, arc_slack and arc_opp stay local, kept only in the walk
+        # tables and their entries.  Any other arc has partner -1, a slack no
+        # domain size exceeds and, in arc_rows, its satisfying tuples grouped
+        # by the value of x, ascending: (bit of x, rows), a row being ((z, bit
+        # of z) for the other scope variables).  on_var[x]: every constraint
+        # on x revised at its other scope variables, ascending (cid, var), the
+        # arcs x's walk may list.
         arc_cid: list[int] = []
         arc_var: list[int] = []
         partner: list[int] = []
@@ -241,21 +242,23 @@ class _Tables:
                     var_constraints[x].append((cid, others))
         self.arc_var = arc_var
         self.arc_partner = partner
-        self.arc_slack = arc_slack
         self.arc_cover = arc_cover
         self.arc_rows = arc_rows
         # arcs[a]: the entry (a, cid, var, opp) that propagation walks, with
         # cid arc_cid[a] and opp arc_opp[a], or None for a non-binary arc, so
         # one unpacking reads every field a walk needs
-        self.arcs = [
+        arcs = [
             (a, cid, x, opp) for a, (cid, x, opp) in enumerate(zip(arc_cid, arc_var, arc_opp))
         ]
+        # unary: the entries of the unary constraints' arcs, ascending, which
+        # no walk lists; root GAC revises each of them once
+        self.unary = tuple(e for e in arcs if len(problem.constraints[e[1]].scope) == 1)
         # walk[x][s]: the entries of on_var[x] that the walk of x lists
         # while x has s values, those with slack at least s, in the same
         # order; the sizes between two slacks share one tuple
         self.walk = []
         for x, ids in enumerate(on_var):
-            entries = tuple(self.arcs[a] for a in ids)
+            entries = tuple(arcs[a] for a in ids)
             top = len(self.values[x])
             kept = [entries] * (top + 1)
             for s in sorted({arc_slack[a] + 1 for a in ids if arc_slack[a] < top}):

@@ -3,24 +3,24 @@
 An arc is a pair ``(constraint id, variable id)``; revising it deletes every
 value of the variable lacking a supporting tuple in the constraint over the
 current domains of the other scope variables.  The compiled tables number
-the arcs in ascending ``(cid, var)`` order: arc ``i`` is the entry
-``tables.arcs[i] == (i, cid, var, opp)``, and both ``revise`` and
-``propagate`` work on those ids.  The FIFO queue of ``propagate`` holds
-variables whose domains shrank, each at most once, as in variable-oriented
-AC-3 (McGregor 1979; Boussemart, Hemery, Lecoutre & Sais 2004).  Only root
-GAC walks an arc list, every arc in ascending order; it is what revises
-unary constraints, which no variable's walk lists.  A decision on ``x``
-queues ``x``.  Popping ``x`` revises, in ascending order, the arcs of the
-constraints on ``x`` at their other scope variables that could remove a
-value (see below).  A revision by constraint ``c`` that shrinks ``y``
-queues ``y`` with ``c`` excluded from its walk; if another constraint
-shrinks ``y`` before it is popped, nothing is excluded.  The exclusion is
-sound: a value that ``c`` removed had no support in ``c``, so it supported
-no value of another scope variable there, and ``c``'s other arcs would
-remove nothing more for its loss.  A revision that empties a domain bumps
-the weight of exactly that constraint by one and stops propagation
-immediately: :func:`propagate` returns False, and True at a fixpoint.
-Propagation counts nothing; search counts the wipeouts.
+the arcs in ascending ``(cid, var)`` order, that is ``sorted((c.cid, x) for
+c in constraints for x in c.scope)``; both ``revise`` and ``propagate``
+work on those ids.  The FIFO queue of ``propagate`` holds variables whose
+domains shrank, each at most once, as in variable-oriented AC-3 (McGregor
+1979; Boussemart, Hemery, Lecoutre & Sais 2004).  Root GAC and every
+decision run the same queue.  The root first revises each unary arc, in
+``tables.unary``, since no variable's walk lists it, and then queues every
+variable; a decision on ``x`` queues ``x``.  Popping ``x`` revises, in
+ascending order, the arcs of the constraints on ``x`` at their other scope
+variables that could remove a value (see below).  A revision by constraint
+``c`` that shrinks ``y`` queues ``y`` with ``c`` excluded from its walk; if
+another constraint shrinks ``y`` before it is popped, nothing is excluded.
+The exclusion is sound: a value that ``c`` removed had no support in
+``c``, so it supported no value of another scope variable there, and
+``c``'s other arcs would remove nothing more for its loss.  A revision that
+empties a domain bumps the weight of exactly that constraint by one and
+stops propagation immediately: :func:`propagate` returns False, and True at
+a fixpoint.  Propagation counts nothing; search counts the wipeouts.
 
 A binary arc is revised a whole domain at once from its per-arc tables:
 its entry's ``opp`` maps each partner bit to the mask of the variable's
@@ -46,14 +46,13 @@ arc's *slack* is the largest number of original partner values that any
 target value conflicts with (1 for ``ne``; the partner's whole original
 domain when some value has no support at all).  While the partner's current
 domain is larger than the slack, every target value still has a support, so
-the revision could remove nothing.  The root walk leaves such arcs
-unrevised.  The walk of ``x`` lists binary arcs whose partner is ``x``, and
-none of its arcs revises ``x``, so ``x`` keeps its size while it is walked.
-So the walk reads ``tables.walk[x][masks[x].bit_count()]``, the size
-taken from ``x``'s mask: the entries ``(arc, cid, var, opp)`` of the
-constraints on ``x`` whose slack that size does not exceed, in ascending
-arc order, ``opp`` being None for a non-binary arc.  A non-binary arc is
-always listed.
+the revision could remove nothing.  The walk of ``x`` lists binary arcs
+whose partner is ``x``, and none of its arcs revises ``x``, so ``x`` keeps
+its size while it is walked.  So the walk reads
+``tables.walk[x][masks[x].bit_count()]``, the size taken from ``x``'s mask:
+the entries ``(arc, cid, var, opp)`` of the constraints on ``x`` whose slack
+that size does not exceed, in ascending arc order, ``opp`` being None for a
+non-binary arc.  A non-binary arc is always listed.
 
 The walk of a singleton revises its binary arcs itself, with one AND.  When
 the walked variable ``y`` has a single value, of bit ``b``, the values of a
@@ -62,9 +61,10 @@ variable's mask: every arc of ``walk[y]`` has ``y`` as its partner, so
 ``opp[b]`` is the whole union of supports over ``y``'s domain.  The walk
 skips the arc when nothing goes and otherwise stores the kept values itself,
 with no :func:`revise` call.  So :func:`revise` runs only for an arc that one
-AND cannot decide (a non-binary arc, the walk of a variable with more values,
-or the root's first pass).  Neither records a removal: the level that search
-opened before its branch holds a copy of every mask, and restores them all.
+AND cannot decide (a unary arc at the root, a non-binary arc, or the walk of
+a variable with more values).  Neither records a removal: the level that
+search opened before its branch holds a copy of every mask, and restores
+them all.
 """
 
 from __future__ import annotations
@@ -116,40 +116,42 @@ def revise(state: SearchState, a: int) -> bool:
 def propagate(state: SearchState, x: Optional[int] = None) -> bool:
     """Run the variable queue to fixpoint after a change to ``x``'s domain;
     True means consistent, False a wipeout, whose constraint has had its
-    weight bumped.  With ``x`` left as None (root GAC), the first pass is
-    every arc in ascending order but the binary arcs whose partner is larger
-    than their slack.
+    weight bumped.  With ``x`` left as None (root GAC), each unary arc is
+    revised first, through :func:`revise`, and the queue starts as every
+    variable in index order; otherwise it starts as ``x`` alone.  Nothing
+    is excluded at the start.
 
-    Otherwise ``x`` is queued alone with no constraint excluded, so the
-    first pass is its walk.  A revision by ``cid`` that shrinks ``y``
-    queues ``y``, unless it is queued already, and records ``cid`` as its
-    excluded constraint, or -1 when another constraint queued it too.
-    Popping ``y`` walks ``walk[y][masks[y].bit_count()]``, the arcs at its
-    neighbours that the slack test keeps, except those of the excluded
-    constraint.  When ``y`` has one value, the walk revises each binary arc
-    itself, with one AND of the arc's domain against that value's supports;
-    every other arc goes through :func:`revise`.
+    A revision by ``cid`` that shrinks ``y`` queues ``y``, unless it is
+    queued already, and records ``cid`` as its excluded constraint, or -1
+    when another constraint queued it too.  Popping ``y`` walks
+    ``walk[y][masks[y].bit_count()]``, the arcs at its neighbours that the
+    slack test keeps, except those of the excluded constraint.  When ``y``
+    has one value, the walk revises each binary arc itself, with one AND of
+    the arc's domain against that value's supports; every other arc goes
+    through :func:`revise`.
     """
     tables = state.tables
     walk = tables.walk
     masks = state.masks
     # queued[y]: the constraint excluded at y's walk, or -1 for none
-    queued: dict = {}
-    queue = deque()
-    pop = queue.popleft
     if x is None:
-        partner = tables.arc_partner
-        slack = tables.arc_slack
-        # a non-binary arc has partner -1 and a slack no size exceeds; the
-        # test reads each partner's mask as the pass reaches its arc
-        arcs = (e for e in tables.arcs if masks[partner[e[0]]].bit_count() <= slack[e[0]])
+        for a, cid, z, _ in tables.unary:
+            if revise(state, a) and not masks[z]:
+                state.bump_weight(cid)
+                return False
+        queued = dict.fromkeys(range(len(masks)), -1)
     else:
-        queued[x] = -1
-        queue.append(x)
-        arcs = ()
-    skip = bit = -1
-    while True:
-        for a, cid, z, opp in arcs:
+        queued = {x: -1}
+    queue = deque(queued)
+    pop = queue.popleft
+    while queue:
+        y = pop()
+        skip = queued.pop(y)
+        # no arc of the walk revises y, so its mask holds through the walk
+        my = masks[y]
+        size = my.bit_count()
+        bit = my.bit_length() - 1 if size == 1 else -1
+        for a, cid, z, opp in walk[y][size]:
             if cid == skip:
                 continue
             if bit >= 0 and opp is not None:
@@ -169,18 +171,10 @@ def propagate(state: SearchState, x: Optional[int] = None) -> bool:
                 queue.append(z)
             elif queued[z] != cid:
                 queued[z] = -1
-        if not queue:
-            return True
-        y = pop()
-        skip = queued.pop(y)
-        # no arc of the walk revises y, so its mask holds through the walk
-        my = masks[y]
-        size = my.bit_count()
-        arcs = walk[y][size]
-        bit = my.bit_length() - 1 if size == 1 else -1
+    return True
 
 
 def establish_root_gac(state: SearchState) -> bool:
-    """Propagate every arc of the problem once (root preprocessing); False at
-    a wipeout."""
+    """Root GAC: revise every unary arc, then run the queue from every
+    variable (see :func:`propagate`); False at a wipeout."""
     return propagate(state)

@@ -277,9 +277,11 @@ def reference_propagate(
     """The plain variable queue over ``(cid, var)`` arcs, revising by
     enumeration.
 
-    With ``changed`` None (root GAC), every arc is first revised in
-    ascending ``(cid, var)`` order; otherwise the queue starts as
-    ``[changed]`` with no constraint excluded.  The queue is a FIFO
+    With ``changed`` None (root GAC), each unary constraint's arc is
+    revised first, in ascending cid, since no variable's walk lists it;
+    then the queue starts as every variable in index order, with no
+    constraint excluded.  Otherwise the queue starts as ``[changed]`` with
+    no constraint excluded.  The queue is a FIFO
     ``deque`` of variables with a ``dict`` from each queued variable to its
     excluded constraint.  A revision by constraint ``c`` that shrinks ``x``
     queues ``x`` excluding ``c`` unless ``x`` is queued already; if it is,
@@ -295,11 +297,11 @@ def reference_propagate(
 
     A binary arc whose partner's current domain is larger than its
     ``binary_slack`` is not revised: every value keeps a support.  When
-    given, ``revisions`` collects the arcs revised, in order: every one of
-    the root's first pass, and, once the queue runs, every one but the
-    binary arcs whose partner (the popped variable) has one value, which
-    the library's walk revises itself, removals included, with no
-    ``revise`` call.
+    given, ``revisions`` collects the arcs revised, in order: every unary
+    arc of the root, and, once the queue runs, every one but the binary
+    arcs whose partner (the popped variable) has one value, which the
+    library's walk revises itself, removals included, with no ``revise``
+    call.
     """
     follows: list[list[tuple[int, int]]] = [[] for _ in range(problem.n_vars)]
     for c in problem.constraints:
@@ -340,13 +342,15 @@ def reference_propagate(
         return None
 
     if changed is None:
-        for arc in sorted((c.cid, x) for c in problem.constraints for x in c.scope):
-            wiped = revise(arc)
+        for c in problem.constraints:
+            wiped = len(c.scope) == 1 and revise((c.cid, c.scope[0]))
             if wiped:
                 return wiped
-    else:
-        queue.append(changed)
-        excluded[changed] = -1
+        queue.clear()
+        excluded.clear()
+    for y in range(problem.n_vars) if changed is None else (changed,):
+        queue.append(y)
+        excluded[y] = -1
     while queue:
         y = queue.popleft()
         skip = excluded.pop(y)

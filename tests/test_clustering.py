@@ -15,19 +15,19 @@ from util import score_vector
 # ---------------------------------------------------------------- k-means
 
 def test_kmeans_separated_groups_exact():
-    res = kmeans_1d([1.0, 1.0, 1.0, 10.0, 10.0], 2, (1.0, 10.0))
+    res = kmeans_1d([1.0, 1.0, 1.0, 10.0, 10.0], (1.0, 10.0))
     assert res.assignment == (0, 0, 0, 1, 1)
     assert res.centroids == (1.0, 10.0)
 
 
 def test_kmeans_recovers_groups_from_rough_seeds():
-    res = kmeans_1d([1.0, 1.0, 1.0, 10.0, 10.0], 2, (0.191, 9.009))
+    res = kmeans_1d([1.0, 1.0, 1.0, 10.0, 10.0], (0.191, 9.009))
     assert res.assignment == (0, 0, 0, 1, 1)
     assert res.centroids == (1.0, 10.0)
 
 
 def test_kmeans_k1_is_the_mean():
-    res = kmeans_1d([1.0, 2.0, 3.0, 6.0], 1, (0.0,))
+    res = kmeans_1d([1.0, 2.0, 3.0, 6.0], (0.0,))
     assert res.centroids == (3.0,)
     assert res.assignment == (0, 0, 0, 0)
 
@@ -35,20 +35,18 @@ def test_kmeans_k1_is_the_mean():
 def test_kmeans_constant_input_collapses_to_one_cluster():
     # every point ties between both centroids; ties keep the lower index,
     # so the second cluster empties out and is dropped
-    res = kmeans_1d([5.0] * 4, 2, (4.0, 6.0))
+    res = kmeans_1d([5.0] * 4, (4.0, 6.0))
     assert res.centroids == (5.0,)
     assert res.assignment == (0, 0, 0, 0)
 
 
 def test_kmeans_input_validation():
     with pytest.raises(ValueError):
-        kmeans_1d([1.0, 2.0], 0, ())
+        kmeans_1d([1.0, 2.0], ())
     with pytest.raises(ValueError):
-        kmeans_1d([1.0], 2, (0.0, 1.0))
+        kmeans_1d([1.0], (0.0, 1.0))
     with pytest.raises(ValueError):
-        kmeans_1d([1.0, 2.0], 2, (3.0, 3.0))
-    with pytest.raises(ValueError):
-        kmeans_1d([1.0, 2.0], 2, (3.0,))
+        kmeans_1d([1.0, 2.0], (3.0, 3.0))
 
 
 @given(
@@ -61,7 +59,7 @@ def test_kmeans_centroids_are_cluster_means(pts, k, r):
     if k == 0:
         return
     init = r.sample(sorted(set(pts)), k)
-    res = kmeans_1d(pts, k, init)
+    res = kmeans_1d(pts, init)
     assert len(res.centroids) <= k
     assert sorted(set(res.assignment)) == list(range(len(res.centroids)))
     for j, centroid in enumerate(res.centroids):

@@ -90,16 +90,25 @@ def test_search_matches_golden_records(source):
 def test_walk_tables_list_the_arcs_the_slack_test_keeps(source):
     """``walk[x][s]`` lists, in ascending ``(cid, var)`` order, the entries
     of the arcs of every constraint on ``x`` at its other scope variables
-    whose slack ``s`` does not exceed, for every size ``s`` of ``x``; each
+    whose slack (by ``oracles.binary_slack``) ``s`` does not exceed, for
+    every size ``s`` of ``x``; ``tables.unary`` lists the unary arcs; each
     entry carries the arc's own fields, and equal tuples are one object."""
     from branchbench.model import CHUNK_BITS
+    from oracles import binary_slack
+    from util import arc_ids
 
     problem = write_golden.load_source(source, GOLDEN)
     tables = problem.tables
-    arcs_of = [(cid, y) for _, cid, y, _ in tables.arcs]
-    assert arcs_of == sorted((c.cid, y) for c in problem.constraints for y in c.scope)
-    for a, (b, _, y, opp) in enumerate(tables.arcs):
-        assert (b, y) == (a, tables.arc_var[a])
+    arcs_of = arc_ids(problem)
+    # every arc's entry: the unary ones, and those a walk lists at size 0
+    entries = {e[0]: e for e in tables.unary}
+    for walk in tables.walk:
+        for e in walk[0]:
+            assert entries.setdefault(e[0], e) is e
+    assert sorted(entries) == list(range(len(arcs_of)))
+    for a, (b, cid, y, opp) in sorted(entries.items()):
+        assert (b, (cid, y)) == (a, arcs_of[a])
+        assert y == tables.arc_var[a]
         # opp[j], the supports of partner bit j, is the cover entry of that bit alone
         cover = tables.arc_cover[a]
         assert (opp is None) == (cover is None)
@@ -107,6 +116,12 @@ def test_walk_tables_list_the_arcs_the_slack_test_keeps(source):
             assert opp == tuple(
                 cover[j // CHUNK_BITS][1 << j % CHUNK_BITS] for j in range(len(opp))
             )
+    # a non-binary arc has no slack: every size lists it
+    slack = [
+        binary_slack(problem.constraints[cid], problem.domains, y)
+        if len(problem.constraints[cid].scope) == 2 else float("inf")
+        for cid, y in arcs_of
+    ]
     for x in range(problem.n_vars):
         arcs = [
             a for a, (cid, y) in enumerate(arcs_of)
@@ -114,9 +129,7 @@ def test_walk_tables_list_the_arcs_the_slack_test_keeps(source):
         ]
         walk = tables.walk[x]
         for s in range(1, len(tables.values[x]) + 1):
-            assert tuple(e[0] for e in walk[s]) == tuple(
-                a for a in arcs if s <= tables.arc_slack[a]
-            )
+            assert tuple(e[0] for e in walk[s]) == tuple(a for a in arcs if s <= slack[a])
             for entry in walk[s]:
-                assert entry is tables.arcs[entry[0]]
+                assert entry is entries[entry[0]]
         assert len({id(t) for t in walk[1:]}) == len(set(walk[1:]))

@@ -20,7 +20,7 @@ from branchbench.model import (
     check_tuple,
 )
 from branchbench.propagation import revise
-from util import domain_values, ne_rel, random_problem, reduce_domain, remove_values
+from util import arc_ids, domain_values, ne_rel, random_problem, reduce_domain, remove_values
 
 
 def two_var_problem(rel):
@@ -149,7 +149,10 @@ def test_binary_tables_are_shared_by_relations_equal_up_to_renaming():
     t = p.tables
 
     def covers(op):
-        arcs = [a for a, cid, _, _ in t.arcs if p.constraints[cid].relation.expr.op == op]
+        arcs = [
+            a for a, (cid, _) in enumerate(arc_ids(p))
+            if p.constraints[cid].relation.expr.op == op
+        ]
         return len(arcs), {id(t.arc_cover[a]) for a in arcs}
 
     n_ne, ne_covers = covers("ne")
@@ -169,8 +172,10 @@ def test_binary_tables_are_shared_by_relations_equal_up_to_renaming():
         for i, (s, r) in enumerate(zip(scopes, rels))
     ))
     t = p.tables
-    # arcs 2c and 2c + 1 revise constraint c at its first and second variable
-    for table in ([opp for *_, opp in t.arcs], t.arc_cover):
+    # arcs 2c and 2c + 1 revise constraint c at its first and second variable;
+    # a walk at size 0 lists every arc of the walked variable's constraints
+    opp = {a: o for walk in t.walk for a, _, _, o in walk[0]}
+    for table in ([opp[a] for a in range(6)], t.arc_cover):
         assert table[0] is table[2] and table[1] is table[3]
         assert table[4] is not table[0] and table[5] is not table[1]
 
@@ -424,7 +429,7 @@ def test_trail_restores_snapshots_on_random_walks():
         r = random.Random(seed)
         p = random_problem(seed, max_vars=6, max_dom=6)
         st = SearchState(p)
-        n_arcs = len(p.tables.arcs)
+        n_arcs = len(arc_ids(p))
         levels = [(st.push_level(), _snapshot(st))]
         for _ in range(40):
             op = r.randrange(6)

@@ -19,9 +19,10 @@ from branchbench.model import (
 )
 from branchbench.propagation import establish_root_gac, propagate, revise
 from branchbench.search import solve
-from oracles import gac_fixpoint, reference_propagate, supported_values
+from oracles import binary_slack, gac_fixpoint, reference_propagate, supported_values
 from util import (
     _random_intensional,
+    arc_ids,
     domain_values,
     make_binary,
     ne_rel,
@@ -132,11 +133,15 @@ def test_decision_arcs_cover_other_scope_vars_sorted():
         ),
     )
     tables = p.tables
+    ids = arc_ids(p)
+    entries = {}
 
     def arcs(x, size):
         walked = tables.walk[x][size]
         for entry in walked:
-            assert entry is tables.arcs[entry[0]]
+            # one entry object per arc, numbered as documented
+            assert entries.setdefault(entry[0], entry) is entry
+            assert entry[1:3] == ids[entry[0]]
         return [(cid, z) for _, cid, z, _ in walked]
 
     # the walk of x lists every arc at its size 1; ne has slack 1, so none at 2
@@ -272,11 +277,11 @@ def _removals_since(st, p, start):
 
 @pytest.fixture
 def revise_calls(monkeypatch):
-    """Every ``propagation.revise`` call from then on, as its ``(cid, var)``."""
+    """Every ``propagation.revise`` call from then on, as its arc id."""
     calls = []
 
     def recording_revise(state, a, _revise=revise):
-        calls.append(state.tables.arcs[a][1:3])
+        calls.append(a)
         return _revise(state, a)
 
     monkeypatch.setattr(propagation, "revise", recording_revise)
@@ -292,6 +297,7 @@ def _walk_against_reference(p, r, calls, steps=12):
     the ``revise_calls`` fixture's list.  Returns (decisions, wipeouts)."""
     st = SearchState(p)
     st.masks = RemovalLog(st.masks)
+    ids = arc_ids(p)
     domains = [list(d) for d in p.domains]
     weights = [1] * len(p.constraints)
     removals = []
@@ -299,7 +305,7 @@ def _walk_against_reference(p, r, calls, steps=12):
     calls.clear()
     got = _wipeout_pair(st, establish_root_gac(st), weights)
     assert got == reference_propagate(p, domains, weights, None, removals, revisions)
-    assert calls == revisions
+    assert [ids[a] for a in calls] == revisions
     assert _removals_since(st, p, 0) == removals
     assert current_domains(st, p.n_vars) == domains
     if got is not None:
@@ -327,7 +333,7 @@ def _walk_against_reference(p, r, calls, steps=12):
         decisions += 1
         wiped += not consistent
         assert got == expected
-        assert calls == revisions
+        assert [ids[a] for a in calls] == revisions
         assert _removals_since(st, p, start) == removals
         assert st.weights == weights
         assert current_domains(st, p.n_vars) == domains
@@ -414,9 +420,12 @@ def test_a_singleton_walk_makes_no_revise_call(revise_calls, monkeypatch):
 
 
 def _slack_of(problem, cid, x):
-    tables = problem.tables
-    arcs = [(c, z) for _, c, z, _ in tables.arcs]
-    return tables.arc_slack[arcs.index((cid, x))]
+    """The slack of binary arc ``(cid, x)`` as the walk tables hold it: the
+    largest size of its partner at which the partner's walk lists it."""
+    a = arc_ids(problem).index((cid, x))
+    (y,) = (z for z in problem.constraints[cid].scope if z != x)
+    walk = problem.tables.walk[y]
+    return max(s for s in range(len(walk)) if a in [e[0] for e in walk[s]])
 
 
 def test_slack_of_ne_is_one():
@@ -454,10 +463,14 @@ def test_non_binary_arcs_are_never_skippable():
         ),
     )
     tables = p.tables
-    largest = max(len(d) for d in p.domains)
-    for a in range(len(tables.arcs)):
+    for a in range(len(arc_ids(p))):
         assert tables.arc_partner[a] == -1
-        assert tables.arc_slack[a] > largest
+    # the unary arc 0 is revised at the root; ternary arcs 1..3, at a, b and
+    # c, are listed in the other two variables' walks at every size
+    assert [e[0] for e in tables.unary] == [0]
+    for x in range(3):
+        for s in range(len(p.domains[x]) + 1):
+            assert [e[0] for e in tables.walk[x][s]] == [1 + z for z in range(3) if z != x]
 
 
 def test_skip_fires_only_where_revise_removes_nothing():
@@ -471,9 +484,15 @@ def test_skip_fires_only_where_revise_removes_nothing():
             values = domain_values(st, x)
             reduce_domain(st, x, r.sample(values, r.randint(1, len(values))))
         tables = p.tables
-        for a, cid, x, _ in tables.arcs:
+        for a, (cid, x) in enumerate(arc_ids(p)):
             partner = tables.arc_partner[a]
-            if partner >= 0 and st.masks[partner].bit_count() > tables.arc_slack[a]:
+            if partner < 0:
+                continue
+            listed = tables.walk[partner][st.masks[partner].bit_count()]
+            if a not in [e[0] for e in listed]:
+                assert st.masks[partner].bit_count() > binary_slack(
+                    p.constraints[cid], p.domains, x
+                )
                 fired += 1
                 before = domain_values(st, x)
                 assert not revise(st, a)
@@ -505,7 +524,7 @@ def _check_every_arc(st, r, counts):
         k = 1 if r.randrange(3) == 0 else r.randint(1, len(values))
         reduce_domain(st, x, r.sample(values, k))
     domains = current_domains(st, p.n_vars)
-    for a, cid, x, _ in tables.arcs:
+    for a, (cid, x) in enumerate(arc_ids(p)):
         c = p.constraints[cid]
         expected = supported_values(c, domains, x)
         token = st.push_level()

@@ -65,7 +65,8 @@ def test_traced_solve_counts_set_plans_and_runs_the_same_search(monkeypatch):
         ("gen langford n=6", "dway"),
         # ternary allowed tables and sums: revised by scanning compiled rows
         ("file nary.csp", "dway"),
-        # singleton cells, so the root pass's arc order moves these counts
+        # ne constraints only: a walk of more than one value lists none of
+        # them and a singleton's walk ANDs them itself, so the pin is zero
         ("gen qwh order=9 holes=50 seed=1", "dway"),
     ],
     # named by instance and scheme only, so a re-pinned count keeps the name
@@ -73,7 +74,7 @@ def test_traced_solve_counts_set_plans_and_runs_the_same_search(monkeypatch):
 )
 def test_traced_solve_makes_the_pinned_revise_calls(monkeypatch, source, scheme):
     """Every revise call counts, including those that remove nothing: the
-    root's first pass, the walks of variables with more than one value and
+    root's unary arcs, the walks of variables with more than one value and
     every non-binary arc make them.  A singleton's walk revises its binary
     arcs itself, with one AND, and makes no revise call for them.
 

@@ -96,6 +96,12 @@ def walk_states(p: Problem, r: random.Random, steps: int):
             st.undo_to(token)
 
 
+def arc_ids(problem: Problem) -> list[tuple[int, int]]:
+    """``(cid, var)`` of every arc by its id: the arcs are numbered in
+    ascending ``(cid, var)`` order."""
+    return sorted((c.cid, x) for c in problem.constraints for x in c.scope)
+
+
 def make_binary(names, domains, pairs_with_relations) -> Problem:
     cons = []
     for (u, v), rel in pairs_with_relations:
