@@ -431,7 +431,9 @@ class SearchState:
     run, so propagation and search may hold it across an undo.
 
     ``assigned[x]`` is True while search has committed ``x``; the value is
-    its singleton domain.  ``wdeg[x]`` caches the weighted degree of ``x``:
+    its singleton domain.  A branch commits ``x`` only once its propagation
+    holds, so no assigned variable is ever wider than one value.
+    ``wdeg[x]`` caches the weighted degree of ``x``:
     the summed weights of its constraints with at least one other unassigned
     scope variable.  Only :meth:`assign`, :meth:`unassign` and
     :meth:`bump_weight` change assignments or weights, and each keeps the
@@ -484,7 +486,9 @@ class SearchState:
                     wdeg[z] -= w
 
     def unassign(self, x: int) -> None:
-        """Undo :meth:`assign` of ``x``; nothing if ``x`` is not assigned."""
+        """Undo :meth:`assign` of ``x``; nothing if ``x`` is not assigned,
+        the common case: the backtrack of a branch whose propagation failed,
+        which never assigned ``x``."""
         assigned = self.assigned
         if not assigned[x]:
             return

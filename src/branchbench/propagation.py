@@ -54,17 +54,19 @@ the entries ``(arc, cid, var, opp)`` of the constraints on ``x`` whose slack
 that size does not exceed, in ascending arc order, ``opp`` being None for a
 non-binary arc.  A non-binary arc is always listed.
 
-The walk of a singleton revises its binary arcs itself, with one AND.  When
-the walked variable ``y`` has a single value, of bit ``b``, the values of a
-binary arc's variable to keep are ``m & opp[b]``, ``m`` being that
-variable's mask: every arc of ``walk[y]`` has ``y`` as its partner, so
-``opp[b]`` is the whole union of supports over ``y``'s domain.  The walk
-skips the arc when nothing goes and otherwise stores the kept values itself,
-with no :func:`revise` call.  So :func:`revise` runs only for an arc that one
-AND cannot decide (a unary arc at the root, a non-binary arc, or the walk of
-a variable with more values).  Neither records a removal: the level that
-search opened before its branch holds a copy of every mask, and restores
-them all.
+The walk of a singleton revises its binary arcs itself, with one AND, in a
+loop of its own.  When the walked variable ``y`` has a single value, of bit
+``b``, the values of a binary arc's variable to keep are ``m & opp[b]``,
+``m`` being that variable's mask: every arc of ``walk[y]`` has ``y`` as its
+partner, so ``opp[b]`` is the whole union of supports over ``y``'s domain.
+The walk skips the arc when nothing goes and otherwise stores the kept values
+itself, with no :func:`revise` call.  The walk of a variable with more values
+is a second loop, which sends every arc to :func:`revise`.  So :func:`revise`
+runs only for an arc that one AND cannot decide (a unary arc at the root, a
+non-binary arc, or the walk of a variable with more values), and only the
+singleton loop reads an entry's kind, once per entry.  Neither records a
+removal: the level that search opened before its branch holds a copy of every
+mask, and restores them all.
 """
 
 from __future__ import annotations
@@ -125,10 +127,12 @@ def propagate(state: SearchState, x: Optional[int] = None) -> bool:
     queued already, and records ``cid`` as its excluded constraint, or -1
     when another constraint queued it too.  Popping ``y`` walks
     ``walk[y][masks[y].bit_count()]``, the arcs at its neighbours that the
-    slack test keeps, except those of the excluded constraint.  When ``y``
-    has one value, the walk revises each binary arc itself, with one AND of
-    the arc's domain against that value's supports; every other arc goes
-    through :func:`revise`.
+    slack test keeps, except those of the excluded constraint.  A ``y`` of
+    one value walks ``walk[y][1]`` in its own loop, which revises each
+    binary arc itself, with one AND of the arc's domain against that
+    value's supports, and sends every other arc through :func:`revise`; a
+    wider ``y`` walks in a second loop that sends every arc through
+    :func:`revise`.  So no entry re-tests its kind.
     """
     tables = state.tables
     walk = tables.walk
@@ -150,27 +154,39 @@ def propagate(state: SearchState, x: Optional[int] = None) -> bool:
         # no arc of the walk revises y, so its mask holds through the walk
         my = masks[y]
         size = my.bit_count()
-        bit = my.bit_length() - 1 if size == 1 else -1
-        for a, cid, z, opp in walk[y][size]:
-            if cid == skip:
-                continue
-            if bit >= 0 and opp is not None:
-                # the walked variable is this arc's singleton partner
-                m = masks[z]
-                kept = m & opp[bit]
-                if kept == m:
+        if size == 1:
+            bit = my.bit_length() - 1
+            for a, cid, z, opp in walk[y][1]:
+                if opp is not None:
+                    # y is this arc's singleton partner; the AND has no side
+                    # effect, so it may come before the exclusion test
+                    m = masks[z]
+                    kept = m & opp[bit]
+                    if kept == m or cid == skip:
+                        continue
+                    masks[z] = kept
+                elif cid == skip or not revise(state, a):
                     continue
-                masks[z] = kept
-            elif not revise(state, a):
-                continue
-            if not masks[z]:
-                state.bump_weight(cid)
-                return False
-            if z not in queued:
-                queued[z] = cid
-                queue.append(z)
-            elif queued[z] != cid:
-                queued[z] = -1
+                if not masks[z]:
+                    state.bump_weight(cid)
+                    return False
+                if z not in queued:
+                    queued[z] = cid
+                    queue.append(z)
+                elif queued[z] != cid:
+                    queued[z] = -1
+        else:
+            for a, cid, z, _ in walk[y][size]:
+                if cid == skip or not revise(state, a):
+                    continue
+                if not masks[z]:
+                    state.bump_weight(cid)
+                    return False
+                if z not in queued:
+                    queued[z] = cid
+                    queue.append(z)
+                elif queued[z] != cid:
+                    queued[z] = -1
     return True
 
 

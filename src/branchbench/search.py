@@ -8,16 +8,20 @@ branch.  The branching style is the scheme's (``Scheme.binary``), read once
 per solve; a plan gives only its sets, as masks.  A branch applies its mask
 with one store into ``state.masks``, as propagation does.
 A variable is treated as assigned only when a branch reduced its domain to a
-singleton, or when search selects it after propagation did.  Selecting a
-one-value domain is a forced commit, not a choice point: it assigns ``x`` in
-a frame with no branches, and makes no node, no plan and no ``propagate``
-call, since the walk that cut ``x`` to one value (or root GAC) has already
-run.  So a plan is only cut from two or more values: every branch removes
-something, and a binary plan always has its right branch.  Only ``x``'s own
-frame assigns ``x``, so unwinding that frame clears it.  Both go through
-``SearchState.assign`` and ``unassign``, which set one flag per variable (the
-value is the singleton domain itself) and keep the cached wdeg that variable
-selection reads.
+singleton and its propagation held, or when search selects it after
+propagation did.  A branch applies its mask and propagates first, and assigns
+``x`` only once ``propagate`` returns True: a failed branch, most of them,
+never assigns ``x``, and its wipeout bump reads ``x`` as unassigned, as the
+backtrack leaves it.  Propagation reads no assignment flag, so deferring the
+assignment changes nothing it does.  Selecting a one-value domain is a forced
+commit, not a choice point: it assigns ``x`` in a frame with no branches, and
+makes no node, no plan and no ``propagate`` call, since the walk that cut
+``x`` to one value (or root GAC) has already run.  So a plan is only cut from
+two or more values: every branch removes something, and a binary plan always
+has its right branch.  Only ``x``'s own frame assigns ``x``, so unwinding
+that frame clears it.  Both go through ``SearchState.assign`` and
+``unassign``, which set one flag per variable (the value is the singleton
+domain itself) and keep the cached wdeg that variable selection reads.
 
 The engine is one loop over an explicit frame stack, so deep runs cannot hit
 the interpreter recursion limit.  Root GAC and every propagated branch lead to
@@ -141,14 +145,18 @@ def solve(
 
         fr = stack[-1]
         if fr.token is not None:
-            # the applied branch (or its subtree) failed
+            # the applied branch (or its subtree) failed; a no-op unless the
+            # branch held and committed x
             state.unassign(fr.x)
             state.undo_to(fr.token)
             fr.token = None
             backtracks += 1
             fr.idx += 1
         if fr.idx > fr.last:
-            state.unassign(fr.x)  # a no-op unless fr is a forced commit
+            # a branch frame's variable was unassigned as its last branch
+            # backtracked; only a forced commit still holds its assignment
+            if fr.last < 0:
+                state.unassign(fr.x)
             stack.pop()
             continue
 
@@ -171,17 +179,17 @@ def solve(
             masks[x] ^= mask
         else:
             mask = masks[x] = fr.masks[idx]
-            if mask & (mask - 1) == 0:
-                state.assign(x)
         nodes += 1
         if trace is not None:
             kind = "R" if right else "L" if binary else f"E#{idx}"
             joined = ",".join(str(v) for v in mask_values(values_of[x], mask))
             trace.append(f"{len(stack) - 1} {names[x]} {{{joined}}} {kind}")
-        # on wipeout the next pass unwinds this branch
+        # on wipeout the next pass unwinds this branch, x still unassigned
         consistent = propagate(state, x)
         if not consistent:
             wipeouts += 1
+        elif not right and mask & (mask - 1) == 0:
+            state.assign(x)
 
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     return Outcome(status, assignment, RunStats(nodes, decisions, wipeouts, backtracks, elapsed_ms))

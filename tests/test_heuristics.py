@@ -329,16 +329,20 @@ def test_cached_wdeg_matches_reference_on_random_walks():
 
 @pytest.mark.parametrize("name", SCHEME_NAMES)
 def test_cached_wdeg_matches_reference_at_every_selection(monkeypatch, name):
+    """At every selection the cached wdeg is exact for every variable,
+    assigned ones too, and every assigned variable holds one value: a
+    branch commits its variable only once its propagation holds."""
     selections = []
-    checked = 0
+    checked = assigned = 0
 
     def checked_select(state, _select=search.select_variable):
-        nonlocal checked
-        expected = reference_wdeg(state)
+        nonlocal checked, assigned
+        assert state.wdeg == reference_wdeg(state)
+        checked += len(state.wdeg)
         for x in range(state.problem.n_vars):
-            if not state.assigned[x]:
-                assert state.wdeg[x] == expected[x]
-                checked += 1
+            if state.assigned[x]:
+                assert state.masks[x].bit_count() == 1
+                assigned += 1
         # each wipeout bumps one weight by one, so this counts them
         selections.append(sum(state.weights) - len(state.weights))
         return _select(state)
@@ -349,4 +353,4 @@ def test_cached_wdeg_matches_reference_at_every_selection(monkeypatch, name):
         search.solve(problem, parse_scheme(name), search.Limits(max_nodes=1500))
     # the forced instance bumps weights before some selections
     assert len(selections) > 100 and selections[-1] > 0
-    assert checked >= 5000
+    assert checked - assigned >= 5000 and assigned >= 1000

@@ -68,9 +68,10 @@ def reduce_domain(state: SearchState, x: int, values) -> None:
 def walk_states(p: Problem, r: random.Random, steps: int):
     """Yield up to ``steps`` consistent states of ``p`` along random
     decisions and backtracks, starting at the root GAC closure (nothing if
-    it wipes out).  A branch to a single value commits the variable, as
-    search does.  The same state object is yielded each time, changed in
-    place between yields."""
+    it wipes out).  A branch to a single value commits the variable once
+    its propagation holds, as search does, so a wipeout bumps a weight with
+    the branch's variable unassigned.  The same state object is yielded each
+    time, changed in place between yields."""
     st = SearchState(p)
     if not establish_root_gac(st):
         return
@@ -88,9 +89,10 @@ def walk_states(p: Problem, r: random.Random, steps: int):
         kept = [picked] if r.randrange(2) else [v for v in values if v != picked]
         levels.append((st.push_level(), x))
         reduce_domain(st, x, kept)
-        if len(kept) == 1:
+        consistent = propagate(st, x)
+        if consistent and len(kept) == 1:
             st.assign(x)
-        if not propagate(st, x) or r.randrange(4) == 0:
+        if not consistent or r.randrange(4) == 0:
             token, x = levels.pop()
             st.unassign(x)
             st.undo_to(token)
