@@ -77,8 +77,14 @@ def parse_scheme(name: str, threshold_fraction=Fraction(1, 4), kmax: int = 4) ->
     return Scheme(name, threshold_fraction, kmax)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BranchPlan:
+    """One choice point's sets, best first, as masks over the branching
+    variable's original domain; search reads only ``masks``.  Slotted and
+    not frozen, since one is built at every choice point and a frozen
+    dataclass sets each field through ``object.__setattr__``; nothing
+    changes a plan once :func:`plan` returns it."""
+
     masks: tuple[int, ...]
     # the branching variable's original domain, which ``sets`` reads the masks in
     values: tuple[int, ...] = field(repr=False, compare=False)

@@ -16,8 +16,12 @@ list back.  The compiled tables on the problem (arc lists with per-arc
 support masks and their unions per chunk of the partner's domain for binary
 constraints, per-arc rows of bit masks grouped by value for every other
 constraint, per-variable walk lists by domain size, neighbour tables) are
-built in one pass over the constraints and are a pure indexing layer: they
-change nothing about constraint semantics, which are always those of
+built in one pass over the constraints.  The one exception is the singleton
+rows, one per variable and value, which propagation builds from the walk
+lists the first time it walks that variable with that one value, and which
+the problem then keeps for every later solve.  So the tables are a
+deterministic cache, filled lazily, and a pure indexing layer: they change
+nothing about constraint semantics, which are always those of
 :func:`check_tuple`.
 
 A constraint is compiled once into its satisfying tuples over the original
@@ -136,12 +140,13 @@ def _relation_signature(constraint: Constraint):
 
 
 class _Tables:
-    """Compiled immutable lookup tables for one problem (see module docstring)."""
+    """Compiled lookup tables for one problem (see module docstring); only
+    the singleton rows are filled in after construction, each once."""
 
     __slots__ = (
         "values", "pos", "full_masks",
         "arc_var", "arc_partner", "arc_cover", "arc_rows", "unary", "walk",
-        "neighbors", "var_binary", "var_constraints",
+        "rows", "_nsup", "neighbors", "var_binary", "var_constraints",
     )
 
     def __init__(self, problem: "Problem") -> None:
@@ -264,12 +269,39 @@ class _Tables:
             for s in sorted({arc_slack[a] + 1 for a in ids if arc_slack[a] < top}):
                 kept[s:] = [tuple(e for e in entries if s <= arc_slack[e[0]])] * (top + 1 - s)
             self.walk.append(kept)
+        # rows[y][b]: the singleton row of y at bit b (see row), None until
+        # y's first walk with that one value builds it; _nsup: ~opp of each
+        # distinct binary support table opp, by value, which the rows share
+        self.rows = [[None] * len(dom) for dom in self.values]
+        self._nsup: dict[tuple[int, ...], tuple[int, ...]] = {}
         self.var_binary = [tuple(v) for v in var_binary]
         self.var_constraints = [tuple(v) for v in var_constraints]
         grouped: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(n)]
         for (a, b), comb in sorted(pair_comb.items()):
             grouped[a].append((b, comb))
         self.neighbors = [tuple(g) for g in grouped]
+
+    def row(self, y: int, b: int) -> tuple:
+        """The singleton row of ``y`` at bit ``b``: the entries of
+        ``walk[y][1]`` in the same order, each as ``(z, nsup, entry)``, with
+        ``nsup`` the values of ``z`` that ``y``'s value does not support,
+        ``~opp[b]``, for a binary entry and -1 for any other.  Built on the
+        first call and kept in ``rows``."""
+        row = self.rows[y][b]
+        if row is None:
+            nsups = self._nsup
+            out = []
+            for entry in self.walk[y][1]:
+                opp = entry[3]
+                if opp is None:
+                    out.append((entry[2], -1, entry))
+                    continue
+                nsup = nsups.get(opp)
+                if nsup is None:
+                    nsup = nsups[opp] = tuple(~s for s in opp)
+                out.append((entry[2], nsup[b], entry))
+            row = self.rows[y][b] = tuple(out)
+        return row
 
     def _build_binary_support(self, c: Constraint):
         u, v = c.scope
@@ -486,9 +518,9 @@ class SearchState:
                     wdeg[z] -= w
 
     def unassign(self, x: int) -> None:
-        """Undo :meth:`assign` of ``x``; nothing if ``x`` is not assigned,
-        the common case: the backtrack of a branch whose propagation failed,
-        which never assigned ``x``."""
+        """Undo :meth:`assign` of ``x``; nothing if ``x`` is not assigned.
+        Search calls it only for an assigned ``x``: the backtrack of a
+        branch whose propagation failed, most of them, never assigned it."""
         assigned = self.assigned
         if not assigned[x]:
             return
@@ -506,15 +538,22 @@ class SearchState:
 
     def bump_weight(self, cid: int) -> None:
         """Add one to the weight of constraint ``cid`` and to the wdeg of
-        each scope variable that has another unassigned one in it."""
+        each scope variable that has another unassigned one in it: every
+        scope variable when two or more are unassigned, all but the
+        unassigned one when it is alone, none when none is."""
         self.weights[cid] += 1
         assigned = self.assigned
         scope = self.problem.constraints[cid].scope
-        free = [z for z in scope if not assigned[z]]
+        free = 0
+        last = -1
+        for z in scope:
+            if not assigned[z]:
+                free += 1
+                last = z
         if free:
             wdeg = self.wdeg
             for z in scope:
-                if free != [z]:
+                if free > 1 or z != last:
                     wdeg[z] += 1
 
     # -- trail -------------------------------------------------------------

@@ -55,18 +55,25 @@ that size does not exceed, in ascending arc order, ``opp`` being None for a
 non-binary arc.  A non-binary arc is always listed.
 
 The walk of a singleton revises its binary arcs itself, with one AND, in a
-loop of its own.  When the walked variable ``y`` has a single value, of bit
-``b``, the values of a binary arc's variable to keep are ``m & opp[b]``,
-``m`` being that variable's mask: every arc of ``walk[y]`` has ``y`` as its
-partner, so ``opp[b]`` is the whole union of supports over ``y``'s domain.
-The walk skips the arc when nothing goes and otherwise stores the kept values
-itself, with no :func:`revise` call.  The walk of a variable with more values
-is a second loop, which sends every arc to :func:`revise`.  So :func:`revise`
-runs only for an arc that one AND cannot decide (a unary arc at the root, a
-non-binary arc, or the walk of a variable with more values), and only the
-singleton loop reads an entry's kind, once per entry.  Neither records a
-removal: the level that search opened before its branch holds a copy of every
-mask, and restores them all.
+loop of its own over a per-value row.  When the walked variable ``y`` has a
+single value, of bit ``b``, the values of a binary arc's variable to keep are
+``m & opp[b]``, ``m`` being that variable's mask: every arc of ``walk[y]``
+has ``y`` as its partner, so ``opp[b]`` is the whole union of supports over
+``y``'s domain.  ``tables.row(y, b)`` lists the entries of ``walk[y][1]`` in
+the same order as ``(z, nsup, entry)``, ``nsup`` being ``~opp[b]``, the
+values of ``z`` that ``y``'s value does not support, for a binary entry and
+-1 for any other.  The loop ANDs ``z``'s mask with ``nsup`` first, before the
+entry's kind and exclusion are tested, and an entry whose AND is empty could
+remove nothing and stops there: most entries do.  Only the rest unpack the
+entry: a binary one past the exclusion test stores ``m & ~nsup`` itself, with
+no :func:`revise` call, and any other one (its ``nsup`` of -1 always goes on)
+is sent to :func:`revise`.  The walk of a variable with more values is a
+second loop, which sends every arc to :func:`revise`.  So :func:`revise` runs
+only for an arc that one AND cannot decide (a unary arc at the root, a
+non-binary arc, or the walk of a variable with more values), and the
+singleton loop reads an entry's kind only when its AND leaves values to
+remove.  Neither records a removal: the level that search opened before its
+branch holds a copy of every mask, and restores them all.
 """
 
 from __future__ import annotations
@@ -128,14 +135,17 @@ def propagate(state: SearchState, x: Optional[int] = None) -> bool:
     when another constraint queued it too.  Popping ``y`` walks
     ``walk[y][masks[y].bit_count()]``, the arcs at its neighbours that the
     slack test keeps, except those of the excluded constraint.  A ``y`` of
-    one value walks ``walk[y][1]`` in its own loop, which revises each
-    binary arc itself, with one AND of the arc's domain against that
-    value's supports, and sends every other arc through :func:`revise`; a
-    wider ``y`` walks in a second loop that sends every arc through
-    :func:`revise`.  So no entry re-tests its kind.
+    one value, of bit ``b``, walks ``tables.row(y, b)`` in its own loop: each
+    entry's AND of its domain against ``nsup``, the values that ``b`` does
+    not support, comes before its kind and exclusion tests, so an entry that
+    could remove nothing costs that one AND; past it, a binary arc is revised
+    by storing the AND of its domain with ``~nsup`` and any other arc through
+    :func:`revise`.  A wider ``y`` walks in a second loop that sends every
+    arc through :func:`revise`.
     """
     tables = state.tables
     walk = tables.walk
+    rows = tables.rows
     masks = state.masks
     # queued[y]: the constraint excluded at y's walk, or -1 for none
     if x is None:
@@ -156,17 +166,22 @@ def propagate(state: SearchState, x: Optional[int] = None) -> bool:
         size = my.bit_count()
         if size == 1:
             bit = my.bit_length() - 1
-            for a, cid, z, opp in walk[y][1]:
-                if opp is not None:
-                    # y is this arc's singleton partner; the AND has no side
-                    # effect, so it may come before the exclusion test
-                    m = masks[z]
-                    kept = m & opp[bit]
-                    if kept == m or cid == skip:
-                        continue
-                    masks[z] = kept
-                elif cid == skip or not revise(state, a):
+            row = rows[y][bit]
+            if row is None:
+                row = tables.row(y, bit)
+            for z, nsup, e in row:
+                # the AND has no side effect, so it may come before the kind
+                # and exclusion tests: most entries stop here
+                if not masks[z] & nsup:
                     continue
+                a, cid, _, opp = e
+                if cid == skip:
+                    continue
+                if opp is None:
+                    if not revise(state, a):
+                        continue
+                else:
+                    masks[z] &= ~nsup
                 if not masks[z]:
                     state.bump_weight(cid)
                     return False

@@ -19,9 +19,11 @@ makes no node, no plan and no ``propagate`` call, since the walk that cut
 ``x`` to one value (or root GAC) has already run.  So a plan is only cut from
 two or more values: every branch removes something, and a binary plan always
 has its right branch.  Only ``x``'s own frame assigns ``x``, so unwinding
-that frame clears it.  Both go through ``SearchState.assign`` and
-``unassign``, which set one flag per variable (the value is the singleton
-domain itself) and keep the cached wdeg that variable selection reads.
+that frame clears it: a backtrack calls ``unassign`` only when ``x`` is
+assigned, so a failed branch's backtrack makes no call.  Both go through
+``SearchState.assign`` and ``unassign``, which set one flag per variable (the
+value is the singleton domain itself) and keep the cached wdeg that variable
+selection reads.
 
 The engine is one loop over an explicit frame stack, so deep runs cannot hit
 the interpreter recursion limit.  Root GAC and every propagated branch lead to
@@ -124,6 +126,7 @@ def solve(
     consistent = establish_root_gac(state)
     wipeouts = int(not consistent)
     masks = state.masks  # one list for the whole run: undo_to restores it in place
+    assigned = state.assigned
     while consistent or stack:
         if consistent:
             x = select_variable(state)
@@ -145,9 +148,11 @@ def solve(
 
         fr = stack[-1]
         if fr.token is not None:
-            # the applied branch (or its subtree) failed; a no-op unless the
-            # branch held and committed x
-            state.unassign(fr.x)
+            # the applied branch (or its subtree) failed; x is assigned only
+            # if the branch's propagation held and cut it to one value, so
+            # most backtracks, of branches that wiped out, skip the call
+            if assigned[fr.x]:
+                state.unassign(fr.x)
             state.undo_to(fr.token)
             fr.token = None
             backtracks += 1

@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 from pathlib import Path
@@ -10,7 +11,13 @@ from branchbench.exprs import Call, Const, VarRef
 from branchbench.generators import gen_forced, gen_langford, gen_randomb
 from branchbench.heuristics import score_domain, select_variable
 from branchbench.instance_io import parse_instance
-from branchbench.model import Constraint, Intensional, Problem, SearchState
+from branchbench.model import (
+    Constraint,
+    ExtensionalAllowed,
+    Intensional,
+    Problem,
+    SearchState,
+)
 from branchbench.propagation import establish_root_gac, propagate
 from oracles import promise_scores, reference_wdeg
 from util import (
@@ -170,6 +177,35 @@ def test_wdeg_hand_values_and_selection():
     st.unassign(2)
     assert st.wdeg == [2, 1, 1]
     assert select_variable(st) == 0
+
+
+def test_bump_weight_keeps_wdeg_exact_for_each_count_of_unassigned_scope_variables():
+    """A wipeout bump adds one to each scope variable that has another
+    unassigned one in the constraint: to all of them with two or more
+    unassigned, to all but the one with exactly one, to none with none."""
+    ternary = ExtensionalAllowed(frozenset({(0, 0, 1), (1, 1, 0), (0, 1, 1)}))
+    p = Problem(
+        ("w", "x", "y", "z"),
+        ((0, 1),) * 4,
+        (
+            Constraint(0, (0, 1), ("w", "x"), ne_rel("w", "x")),
+            Constraint(1, (1, 2, 3), ("x", "y", "z"), ternary),
+        ),
+    )
+    seen = Counter()
+    for committed in itertools.chain.from_iterable(
+        itertools.combinations(range(4), k) for k in range(5)
+    ):
+        st = SearchState(p)
+        for x in committed:
+            st.assign(x)
+        assert st.wdeg == reference_wdeg(st)
+        for c in p.constraints:
+            free = sum(not st.assigned[z] for z in c.scope)
+            seen[len(c.scope), free] += 1
+            st.bump_weight(c.cid)
+            assert st.wdeg == reference_wdeg(st)
+    assert set(seen) == {(2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2), (3, 3)}
 
 
 def test_wdeg_zero_is_ratio_infinity():

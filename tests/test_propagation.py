@@ -1,6 +1,7 @@
 import itertools
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +9,7 @@ from branchbench import propagation, search
 from branchbench.branching import parse_scheme
 from branchbench.exprs import Call, Const, VarRef
 from branchbench.generators import gen_langford, gen_randomb
+from branchbench.instance_io import parse_instance
 from branchbench.model import (
     Constraint,
     ExtensionalAllowed,
@@ -29,6 +31,9 @@ from util import (
     random_problem,
     reduce_domain,
 )
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def current_domains(state, n):
@@ -417,6 +422,52 @@ def test_a_singleton_walk_makes_no_revise_call(revise_calls, monkeypatch):
     assert walk_removals >= 1000
     assert seen[False, True] >= 1 and seen[False, False] >= 10
     assert len(revise_calls) == sum(seen.values())
+
+
+def _row_problems():
+    yield from (random_problem(seed, max_vars=7, max_dom=6) for seed in range(60))
+    yield parse_instance((GOLDEN / "nary.csp").read_text())
+    yield gen_langford(6)
+
+
+def test_a_singleton_row_lists_the_size_one_walk_with_each_arcs_unsupported_values():
+    """``row(y, b)`` holds the entries of ``walk[y][1]``, the same objects in
+    the same order, each with its target variable and the values of it that
+    ``y``'s value ``b`` does not support: ``~opp[b]`` for a binary entry
+    (-1 where ``b`` supports nothing), -1 for any other."""
+    kinds = Counter()
+    for p in _row_problems():
+        tables = p.tables
+        for y, dom in enumerate(p.domains):
+            entries = tables.walk[y][1]
+            for b in range(len(dom)):
+                row = tables.row(y, b)
+                assert tables.rows[y][b] is row
+                assert len(row) == len(entries)
+                for (z, nsup, e), entry in zip(row, entries):
+                    assert e is entry and z == entry[2]
+                    opp = entry[3]
+                    if opp is None:
+                        assert nsup == -1
+                        kinds["other"] += 1
+                    else:
+                        assert nsup == ~opp[b]
+                        kinds["binary", opp[b] == 0] += 1
+    assert kinds["binary", False] >= 1000 and kinds["other"] >= 100
+    assert kinds["binary", True] >= 10
+
+
+def test_a_singleton_row_is_built_on_its_first_walk_and_kept_across_solves():
+    p = gen_langford(6)
+    rows = p.tables.rows
+    assert all(r is None for per_var in rows for r in per_var)
+    solve(p, parse_scheme("2way"))
+    built = {(y, b): r for y, per_var in enumerate(rows) for b, r in enumerate(per_var)
+             if r is not None}
+    assert len(built) >= 20
+    solve(p, parse_scheme("dway"))
+    assert p.tables.rows is rows
+    assert all(rows[y][b] is r for (y, b), r in built.items())
 
 
 def _slack_of(problem, cid, x):
