@@ -37,9 +37,10 @@ import itertools
 import json
 import random
 import re
-import subprocess
 import sys
 from pathlib import Path
+
+import perf
 
 from branchbench import search
 from branchbench.branching import SCHEME_NAMES, parse_scheme
@@ -146,19 +147,19 @@ def revise_counts(problem: Problem, scheme_name: str) -> dict:
     return {k: tracer.counts[f"propagation.{k}"] for k in REVISIONS}
 
 
-def bench_pin(returncode: int, stdout: str) -> dict:
-    """The search digest and traced revision counts of one ``run.py`` output;
-    ValueError if it exited non-zero or printed no digest or JSON result line."""
-    if returncode != 0:
-        raise ValueError(f"exit code {returncode}")
+def bench_pin(result: dict | None, stdout: str) -> dict:
+    """The search digest and traced revision counts of one ``run.py`` run,
+    given as :func:`perf.run` returns it; ValueError if the run failed or
+    printed no digest, or its result holds no revision counts."""
+    if result is None:
+        raise ValueError("the run failed or printed no JSON result line")
     digest = re.search(r"^search_digest ([0-9a-f]{64})$", stdout, re.MULTILINE)
     if digest is None:
         raise ValueError("no search_digest line")
     try:
-        metrics = json.loads(stdout.splitlines()[-1])["metrics"]
-        counts = {k: int(metrics[f"propagation.{k}"]["value"]) for k in REVISIONS}
+        counts = {k: int(result["metrics"][f"propagation.{k}"]["value"]) for k in REVISIONS}
     except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"no JSON result line: {exc!r}") from exc
+        raise ValueError(f"no revision counts in the result: {exc!r}") from exc
     return {"search_digest": digest.group(1), **counts}
 
 
@@ -210,15 +211,11 @@ def main() -> int:
     args = ap.parse_args()
     benchmark = {}
     for workload in WORKLOADS:
-        child = subprocess.run(
-            [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
-             "--seed", "1", "--seconds", "0", "--trace", "1"],
-            stdout=subprocess.PIPE, text=True, check=False, cwd=ROOT,
-        )
+        result, stdout = perf.run(ROOT, workload, 1, 0, 1)
         try:
-            benchmark[workload] = bench_pin(child.returncode, child.stdout)
+            benchmark[workload] = bench_pin(result, stdout)
         except ValueError as exc:
-            sys.stderr.write(f"{child.stdout}write_golden: {workload}: {exc}; nothing written\n")
+            print(f"write_golden: {workload}: {exc}; nothing written", file=sys.stderr)
             return 1
     args.out.mkdir(parents=True, exist_ok=True)
     (args.out / NARY_FILE).write_text(serialize_instance(nary_problem()), encoding="utf-8")

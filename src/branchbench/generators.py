@@ -66,6 +66,24 @@ def _sampled_pairs(rng: Rng, n: int, count: int) -> list[tuple[int, int]]:
     return sorted(rng.sample(all_pairs, count))
 
 
+def _model_b(rng: Rng, n: int, d: int, p1_count: int, p2_count: int,
+             solution: list[int] | None = None) -> Problem:
+    """Model B over ``n`` variables of ``d`` values: ``p1_count`` distinct
+    pairs, each forbidding ``p2_count`` distinct tuples drawn from ``rng``,
+    none of them ``solution``'s pair of values when one is given."""
+    names = [f"x{i}" for i in range(n)]
+    domains = [tuple(range(d))] * n
+    all_tuples = list(itertools.product(range(d), repeat=2))
+    constraints: list[Constraint] = []
+    for u, v in _sampled_pairs(rng, n, p1_count):
+        candidates = all_tuples
+        if solution is not None:
+            candidates = [t for t in all_tuples if t != (solution[u], solution[v])]
+        forbidden = frozenset(rng.sample(candidates, p2_count))
+        _binary(constraints, names, u, v, ExtensionalForbidden(forbidden))
+    return Problem(tuple(names), tuple(domains), tuple(constraints))
+
+
 def gen_randomb(n: int, d: int, p1_count: int, p2_count: int, seed: int) -> Problem:
     """Model B random binary CSP with exact counts.
 
@@ -76,15 +94,7 @@ def gen_randomb(n: int, d: int, p1_count: int, p2_count: int, seed: int) -> Prob
         raise ValueError("randomb needs n >= 2 and d >= 1")
     if not 0 <= p2_count <= d * d:
         raise ValueError(f"p2_count {p2_count} out of range (max {d * d})")
-    rng = Rng(seed)
-    names = [f"x{i}" for i in range(n)]
-    domains = [tuple(range(d))] * n
-    all_tuples = list(itertools.product(range(d), repeat=2))
-    constraints: list[Constraint] = []
-    for u, v in _sampled_pairs(rng, n, p1_count):
-        forbidden = frozenset(rng.sample(all_tuples, p2_count))
-        _binary(constraints, names, u, v, ExtensionalForbidden(forbidden))
-    return Problem(tuple(names), tuple(domains), tuple(constraints))
+    return _model_b(Rng(seed), n, d, p1_count, p2_count)
 
 
 def gen_forced(n: int, d: int, p1_count: int, p2_count: int, seed: int) -> Problem:
@@ -95,15 +105,7 @@ def gen_forced(n: int, d: int, p1_count: int, p2_count: int, seed: int) -> Probl
         raise ValueError(f"p2_count {p2_count} out of range (max {d * d - 1})")
     rng = Rng(seed)
     solution = [rng.below(d) for _ in range(n)]
-    names = [f"x{i}" for i in range(n)]
-    domains = [tuple(range(d))] * n
-    all_tuples = list(itertools.product(range(d), repeat=2))
-    constraints: list[Constraint] = []
-    for u, v in _sampled_pairs(rng, n, p1_count):
-        candidates = [t for t in all_tuples if t != (solution[u], solution[v])]
-        forbidden = frozenset(rng.sample(candidates, p2_count))
-        _binary(constraints, names, u, v, ExtensionalForbidden(forbidden))
-    return Problem(tuple(names), tuple(domains), tuple(constraints))
+    return _model_b(rng, n, d, p1_count, p2_count, solution)
 
 
 def gen_qwh(order: int, holes: int, seed: int) -> Problem:

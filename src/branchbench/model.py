@@ -12,11 +12,11 @@ value heuristic cheap.  Every shrink of a domain, whatever number of values
 it removes, is one store into ``SearchState.masks`` and records nothing:
 each restoration level saves a copy of the whole mask list when it opens
 (copying rather than trailing, Schulte 1999), and undoing it copies that
-list back.  The compiled tables on the problem (arc lists with per-arc
-support masks and their unions per chunk of the partner's domain for binary
-constraints, per-arc rows of bit masks grouped by value for every other
-constraint, per-variable walk lists by domain size, neighbour tables) are
-built in one pass over the constraints.  The one exception is the singleton
+list back.  The compiled tables on the problem (one entry per arc, which
+holds a binary arc's support masks and their unions per chunk of the
+partner's domain or any other arc's rows of bit masks grouped by value;
+per-variable walk lists of those entries by domain size; neighbour tables)
+are built in one pass over the constraints.  The one exception is the singleton
 rows, one per variable and value, which propagation builds from the walk
 lists the first time it walks that variable with that one value, and which
 the problem then keeps for every later solve.  So the tables are a
@@ -144,9 +144,8 @@ class _Tables:
     the singleton rows are filled in after construction, each once."""
 
     __slots__ = (
-        "values", "pos", "full_masks",
-        "arc_var", "arc_partner", "arc_cover", "arc_rows", "unary", "walk",
-        "rows", "_nsup", "neighbors", "var_binary", "var_constraints",
+        "values", "pos", "full_masks", "unary", "walk", "rows", "_nsup",
+        "neighbors", "var_binary", "var_constraints",
     )
 
     def __init__(self, problem: "Problem") -> None:
@@ -155,27 +154,20 @@ class _Tables:
         self.pos = [{v: i for i, v in enumerate(dom)} for dom in self.values]
         self.full_masks = [(1 << len(dom)) - 1 for dom in self.values]
 
-        # arc i revises constraint arc_cid[i] at variable arc_var[i], numbered
-        # in ascending (cid, var) order; a binary arc also keeps its partner
-        # variable, its slack, the supports of each partner value (arc_opp:
-        # bit of the partner -> mask of x values) and their unions per chunk
-        # of the partner's domain (arc_cover: one table per CHUNK_BITS partner
-        # bits, entry s -> the union of arc_opp over the set bits of s);
-        # arc_cid, arc_slack and arc_opp stay local, kept only in the walk
-        # tables and their entries.  Any other arc has partner -1, a slack no
-        # domain size exceeds and, in arc_rows, its satisfying tuples grouped
-        # by the value of x, ascending: (bit of x, rows), a row being ((z, bit
-        # of z) for the other scope variables).  on_var[x]: every constraint
-        # on x revised at its other scope variables, ascending (cid, var), the
-        # arcs x's walk may list.
-        arc_cid: list[int] = []
-        arc_var: list[int] = []
-        partner: list[int] = []
-        arc_slack: list[int] = []
-        arc_opp: list = []
-        arc_cover: list = []
-        arc_rows: list = []
-        on_var: list[list[int]] = [[] for _ in range(n)]
+        # an arc revises one constraint at one scope variable x, and is one
+        # entry (cid, x, opp, table, partner).  A binary arc keeps in opp the
+        # supports of each partner value (bit of the partner -> mask of x
+        # values), in table their unions per chunk of the partner's domain
+        # (one table per CHUNK_BITS partner bits, entry s -> the union of opp
+        # over the set bits of s) and its partner variable.  Any other arc has
+        # opp None, partner -1 and, in table, its satisfying tuples grouped by
+        # the value of x, ascending: (bit of x, rows), a row being ((z, bit of
+        # z) for the other scope variables).  on_var[x]: (slack, entry) of
+        # every arc of a constraint on x at its other scope variables,
+        # ascending (cid, var), the arcs x's walk may list; a non-binary arc's
+        # slack exceeds every domain size.
+        on_var: list[list] = [[] for _ in range(n)]
+        unary = []
         # the constraints on x, for the wdeg cache: binary ones as (cid,
         # partner), every other one as (cid, the other scope variables)
         var_binary: list[list] = [[] for _ in range(n)]
@@ -188,86 +180,65 @@ class _Tables:
         pair_comb: dict[tuple[int, int], tuple[int, ...]] = {}
         for c in problem.constraints:
             cid, scope = c.cid, c.scope
-            first = len(arc_cid)
-            ordered = sorted(scope)
-            arc_cid += [cid] * len(scope)
-            arc_var += ordered
             if len(scope) == 2:
                 u, v = scope
                 key = (_relation_signature(c), self.values[u], self.values[v])
                 got = sup_cache.get(key)
                 if got is None:
-                    sup_u, sup_v = sup = self._build_binary_support(c)
-                    # slack per side: the most partner values that any value
-                    # of this side conflicts with
-                    slack = (
-                        len(self.values[v]) - min(map(int.bit_count, sup_u)),
-                        len(self.values[u]) - min(map(int.bit_count, sup_v)),
+                    sup_u, sup_v = self._build_binary_support(c)
+                    # the arc on u reads v's supports, and the arc on v u's;
+                    # slack per arc: the most partner values that any value
+                    # of its variable conflicts with
+                    got = sup_cache[key] = (
+                        (sup_v, _chunk_unions(sup_v),
+                         len(self.values[v]) - min(map(int.bit_count, sup_u))),
+                        (sup_u, _chunk_unions(sup_u),
+                         len(self.values[u]) - min(map(int.bit_count, sup_v))),
                     )
-                    # the arc on u reads v's supports, and the arc on v u's
-                    cover = (_chunk_unions(sup_v), _chunk_unions(sup_u))
-                    got = sup_cache[key] = (sup, slack, cover)
-                sup, slack, cover = got
-                for a, b, rows in ((u, v, sup[0]), (v, u, sup[1])):
+                (opp_u, cover_u, slack_u), (opp_v, cover_v, slack_v) = got
+                # each arc is listed by its partner's walk only
+                on_var[v].append((slack_u, (cid, u, opp_u, cover_u, v)))
+                on_var[u].append((slack_v, (cid, v, opp_v, cover_v, u)))
+                # the arc on v maps each bit of u to its supports in v
+                for a, b, rows in ((u, v, opp_v), (v, u, opp_u)):
                     comb = pair_comb.get((a, b))
                     if comb is not None:
                         rows = tuple(old & r for old, r in zip(comb, rows))
                     pair_comb[(a, b)] = rows
-                partner += ordered[::-1]
-                if ordered[0] != scope[0]:
-                    slack = slack[::-1]
-                    sup = sup[::-1]
-                    cover = cover[::-1]
-                arc_slack += slack
-                arc_opp += sup[::-1]
-                arc_cover += cover
-                arc_rows += [None, None]
-            else:
-                partner += [-1] * len(scope)
-                arc_slack += [_NEVER_SKIP] * len(scope)
-                arc_opp += [None] * len(scope)
-                arc_cover += [None] * len(scope)
-                tuples = self._satisfying_positions(c)
-                for x in ordered:
-                    k = scope.index(x)
-                    by_value: dict[int, list] = {}
-                    for t in tuples:
-                        by_value.setdefault(t[k], []).append(
-                            tuple((scope[j], 1 << i) for j, i in enumerate(t) if j != k)
-                        )
-                    arc_rows.append(tuple(
-                        (1 << i, tuple(rows)) for i, rows in sorted(by_value.items())
-                    ))
+                var_binary[u].append((cid, v))
+                var_binary[v].append((cid, u))
+                continue
+            tuples = self._satisfying_positions(c)
+            for x in sorted(scope):
+                k = scope.index(x)
+                by_value: dict[int, list] = {}
+                for t in tuples:
+                    by_value.setdefault(t[k], []).append(
+                        tuple((scope[j], 1 << i) for j, i in enumerate(t) if j != k)
+                    )
+                entry = (cid, x, None, tuple(
+                    (1 << i, tuple(rows)) for i, rows in sorted(by_value.items())
+                ), -1)
+                if len(scope) == 1:
+                    unary.append(entry)
+                for z in scope:
+                    if z != x:
+                        on_var[z].append((_NEVER_SKIP, entry))
             for x in scope:
-                on_var[x] += [first + k for k, y in enumerate(ordered) if y != x]
-                others = tuple(z for z in scope if z != x)
-                if len(others) == 1:
-                    var_binary[x].append((cid, others[0]))
-                else:
-                    var_constraints[x].append((cid, others))
-        self.arc_var = arc_var
-        self.arc_partner = partner
-        self.arc_cover = arc_cover
-        self.arc_rows = arc_rows
-        # arcs[a]: the entry (a, cid, var, opp) that propagation walks, with
-        # cid arc_cid[a] and opp arc_opp[a], or None for a non-binary arc, so
-        # one unpacking reads every field a walk needs
-        arcs = [
-            (a, cid, x, opp) for a, (cid, x, opp) in enumerate(zip(arc_cid, arc_var, arc_opp))
-        ]
-        # unary: the entries of the unary constraints' arcs, ascending, which
-        # no walk lists; root GAC revises each of them once
-        self.unary = tuple(e for e in arcs if len(problem.constraints[e[1]].scope) == 1)
+                var_constraints[x].append((cid, tuple(z for z in scope if z != x)))
+        # unary: the entries of the unary constraints' arcs, in cid order,
+        # which no walk lists; root GAC revises each of them once
+        self.unary = tuple(unary)
         # walk[x][s]: the entries of on_var[x] that the walk of x lists
         # while x has s values, those with slack at least s, in the same
         # order; the sizes between two slacks share one tuple
         self.walk = []
-        for x, ids in enumerate(on_var):
-            entries = tuple(arcs[a] for a in ids)
+        for x, listed in enumerate(on_var):
+            entries = tuple(e for _, e in listed)
             top = len(self.values[x])
             kept = [entries] * (top + 1)
-            for s in sorted({arc_slack[a] + 1 for a in ids if arc_slack[a] < top}):
-                kept[s:] = [tuple(e for e in entries if s <= arc_slack[e[0]])] * (top + 1 - s)
+            for s in sorted({slack + 1 for slack, _ in listed if slack < top}):
+                kept[s:] = [tuple(e for slack, e in listed if s <= slack)] * (top + 1 - s)
             self.walk.append(kept)
         # rows[y][b]: the singleton row of y at bit b (see row), None until
         # y's first walk with that one value builds it; _nsup: ~opp of each
@@ -292,14 +263,14 @@ class _Tables:
             nsups = self._nsup
             out = []
             for entry in self.walk[y][1]:
-                opp = entry[3]
+                opp = entry[2]
                 if opp is None:
-                    out.append((entry[2], -1, entry))
+                    out.append((entry[1], -1, entry))
                     continue
                 nsup = nsups.get(opp)
                 if nsup is None:
                     nsup = nsups[opp] = tuple(~s for s in opp)
-                out.append((entry[2], nsup[b], entry))
+                out.append((entry[1], nsup[b], entry))
             row = self.rows[y][b] = tuple(out)
         return row
 

@@ -1,18 +1,17 @@
 """Arc consistency: revise single arcs and propagate with a variable queue.
 
-An arc is a pair ``(constraint id, variable id)``; revising it deletes every
-value of the variable lacking a supporting tuple in the constraint over the
-current domains of the other scope variables.  The compiled tables number
-the arcs in ascending ``(cid, var)`` order, that is ``sorted((c.cid, x) for
-c in constraints for x in c.scope)``; both ``revise`` and ``propagate``
-work on those ids.  The FIFO queue of ``propagate`` holds variables whose
-domains shrank, each at most once, as in variable-oriented AC-3 (McGregor
-1979; Boussemart, Hemery, Lecoutre & Sais 2004).  Root GAC and every
-decision run the same queue.  The root first revises each unary arc, in
-``tables.unary``, since no variable's walk lists it, and then queues every
-variable; a decision on ``x`` queues ``x``.  Popping ``x`` revises, in
-ascending order, the arcs of the constraints on ``x`` at their other scope
-variables that could remove a value (see below).  A revision by constraint
+An arc is a constraint at one of its scope variables, held by the compiled
+tables as one entry (its format is stated in ``model._Tables``); revising it
+deletes every value of the variable lacking a supporting tuple in the
+constraint over the current domains of the other scope variables.  The FIFO
+queue of ``propagate`` holds variables whose domains shrank, each at most
+once, as in variable-oriented AC-3 (McGregor 1979; Boussemart, Hemery,
+Lecoutre & Sais 2004).  Root GAC and every decision run the same queue.
+The root first revises each unary arc, in ``tables.unary``, since no
+variable's walk lists it, and then queues every variable; a decision on
+``x`` queues ``x``.  Popping ``x`` revises, in ascending ``(cid, var)``
+order, the arcs of the constraints on ``x`` at their other scope variables
+that could remove a value (see below).  A revision by constraint
 ``c`` that shrinks ``y`` queues ``y`` with ``c`` excluded from its walk; if
 another constraint shrinks ``y`` before it is popped, nothing is excluded.
 The exclusion is sound: a value that ``c`` removed had no support in
@@ -22,15 +21,14 @@ empties a domain bumps the weight of exactly that constraint by one and
 stops propagation immediately: :func:`propagate` returns False, and True at
 a fixpoint.  Propagation counts nothing; search counts the wipeouts.
 
-A binary arc is revised a whole domain at once from its per-arc tables:
-its entry's ``opp`` maps each partner bit to the mask of the variable's
-values it supports, so the values to keep are the variable's domain ANDed
-with the union of ``opp`` over the partner's current domain.
-:func:`revise` reads that union from ``arc_cover``, one lookup per
-``model.CHUNK_BITS`` bits of the partner's mask, each table entry holding
-the union over one subset of that chunk (the word-level revision of AC3bit,
-Lecoutre & Vion 2008, and the union of supports of Compact-Table,
-Demeulenaere et al. 2016).  A value is in the union exactly when some
+A binary arc is revised a whole domain at once from its entry: ``opp`` maps
+each partner bit to the mask of the variable's values it supports, so the
+values to keep are the variable's domain ANDed with the union of ``opp``
+over the partner's current domain.  :func:`revise` reads that union from the
+entry's cover tables, one lookup per ``model.CHUNK_BITS`` bits of the
+partner's mask, each table entry holding the union over one subset of that
+chunk (the word-level revision of AC3bit, Lecoutre & Vion 2008, and the
+union of supports of Compact-Table, Demeulenaere et al. 2016).  A value is in the union exactly when some
 current partner value supports it, so the result is that of testing each
 value.  Every other arc (unary or n-ary, of any relation kind) scans its
 compiled rows, one per satisfying tuple of the constraint, grouped by the
@@ -50,9 +48,9 @@ the revision could remove nothing.  The walk of ``x`` lists binary arcs
 whose partner is ``x``, and none of its arcs revises ``x``, so ``x`` keeps
 its size while it is walked.  So the walk reads
 ``tables.walk[x][masks[x].bit_count()]``, the size taken from ``x``'s mask:
-the entries ``(arc, cid, var, opp)`` of the constraints on ``x`` whose slack
-that size does not exceed, in ascending arc order, ``opp`` being None for a
-non-binary arc.  A non-binary arc is always listed.
+the entries of the arcs of the constraints on ``x`` whose slack that size
+does not exceed, in ascending ``(cid, var)`` order.  A non-binary arc is
+always listed.
 
 The walk of a singleton revises its binary arcs itself, with one AND, in a
 loop of its own over a per-value row.  When the walked variable ``y`` has a
@@ -64,7 +62,7 @@ the same order as ``(z, nsup, entry)``, ``nsup`` being ``~opp[b]``, the
 values of ``z`` that ``y``'s value does not support, for a binary entry and
 -1 for any other.  The loop ANDs ``z``'s mask with ``nsup`` first, before the
 entry's kind and exclusion are tested, and an entry whose AND is empty could
-remove nothing and stops there: most entries do.  Only the rest unpack the
+remove nothing and stops there: most entries do.  Only the rest read the
 entry: a binary one past the exclusion test stores ``m & ~nsup`` itself, with
 no :func:`revise` call, and any other one (its ``nsup`` of -1 always goes on)
 is sent to :func:`revise`.  The walk of a variable with more values is a
@@ -87,19 +85,18 @@ from .model import CHUNK_BITS, SearchState, check_tuple  # noqa: F401
 _CHUNK_MASK = (1 << CHUNK_BITS) - 1
 
 
-def revise(state: SearchState, a: int) -> bool:
-    """Revise arc ``a``; True iff at least one value was removed.  A binary
-    arc reads the union of its partner's supports from ``arc_cover``, one
-    chunk of the partner's mask at a time, whatever the partner's size; any
-    other arc scans its compiled rows."""
-    tables = state.tables
+def revise(state: SearchState, e: tuple) -> bool:
+    """Revise the arc of entry ``e`` (see ``model._Tables``); True iff at
+    least one value was removed.  A binary arc reads the union of its
+    partner's supports from its cover tables, one chunk of the partner's mask
+    at a time, whatever the partner's size; any other arc scans its compiled
+    rows."""
     masks = state.masks
-    x = tables.arc_var[a]
+    _, x, opp, table, partner = e
     m = masks[x]
-    cover = tables.arc_cover[a]
-    if cover is None:
+    if opp is None:
         new = 0
-        for b, rows in tables.arc_rows[a]:
+        for b, rows in table:
             if m & b:
                 for others in rows:
                     for z, c in others:
@@ -110,9 +107,9 @@ def revise(state: SearchState, a: int) -> bool:
                         break
     else:
         # the union of the supports of every partner value, a chunk at a time
-        pm = masks[tables.arc_partner[a]]
+        pm = masks[partner]
         new = 0
-        for union in cover:
+        for union in table:
             new |= union[pm & _CHUNK_MASK]
             pm >>= CHUNK_BITS
         new &= m
@@ -149,9 +146,9 @@ def propagate(state: SearchState, x: Optional[int] = None) -> bool:
     masks = state.masks
     # queued[y]: the constraint excluded at y's walk, or -1 for none
     if x is None:
-        for a, cid, z, _ in tables.unary:
-            if revise(state, a) and not masks[z]:
-                state.bump_weight(cid)
+        for e in tables.unary:
+            if revise(state, e) and not masks[e[1]]:
+                state.bump_weight(e[0])
                 return False
         queued = dict.fromkeys(range(len(masks)), -1)
     else:
@@ -174,11 +171,11 @@ def propagate(state: SearchState, x: Optional[int] = None) -> bool:
                 # and exclusion tests: most entries stop here
                 if not masks[z] & nsup:
                     continue
-                a, cid, _, opp = e
+                cid = e[0]
                 if cid == skip:
                     continue
-                if opp is None:
-                    if not revise(state, a):
+                if e[2] is None:
+                    if not revise(state, e):
                         continue
                 else:
                     masks[z] &= ~nsup
@@ -191,9 +188,11 @@ def propagate(state: SearchState, x: Optional[int] = None) -> bool:
                 elif queued[z] != cid:
                     queued[z] = -1
         else:
-            for a, cid, z, _ in walk[y][size]:
-                if cid == skip or not revise(state, a):
+            for e in walk[y][size]:
+                cid = e[0]
+                if cid == skip or not revise(state, e):
                     continue
+                z = e[1]
                 if not masks[z]:
                     state.bump_weight(cid)
                     return False

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from util import PINS
+import perf
 import write_golden
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -59,8 +60,13 @@ RUN_OUTPUT = "\n".join([
 ]) + "\n"
 
 
+def pin_of(returncode, stdout):
+    """``bench_pin`` of one run, given its result as ``perf.run`` reads it."""
+    return write_golden.bench_pin(perf.parse_result(returncode, stdout), stdout)
+
+
 def test_bench_pin_reads_the_digest_and_both_counts():
-    pin = write_golden.bench_pin(0, RUN_OUTPUT)
+    pin = pin_of(0, RUN_OUTPUT)
     assert pin == {"search_digest": "0f" * 32, "revisions": 1234, "revisions_effective": 56}
     assert type(pin["revisions"]) is int and type(pin["revisions_effective"]) is int
 
@@ -71,12 +77,13 @@ def test_bench_pin_reads_the_digest_and_both_counts():
         (1, RUN_OUTPUT),
         (0, RUN_OUTPUT.replace("search_digest ", "")),
         (0, RUN_OUTPUT + "FAIL proof: traced nodes differ\n"),
+        (0, RUN_OUTPUT + json.dumps({"correct": True, "metrics": {}}) + "\n"),
     ],
-    ids=["non-zero exit", "no digest line", "last line not JSON"],
+    ids=["non-zero exit", "no digest line", "last line not JSON", "no revision counts"],
 )
 def test_bench_pin_rejects_a_failed_run(returncode, stdout):
     with pytest.raises(ValueError):
-        write_golden.bench_pin(returncode, stdout)
+        pin_of(returncode, stdout)
 
 
 @pytest.mark.parametrize("source", write_golden.SOURCES)
@@ -95,41 +102,37 @@ def test_walk_tables_list_the_arcs_the_slack_test_keeps(source):
     entry carries the arc's own fields, and equal tuples are one object."""
     from branchbench.model import CHUNK_BITS
     from oracles import binary_slack
-    from util import arc_ids
+    from util import arc_entries
 
     problem = write_golden.load_source(source, GOLDEN)
     tables = problem.tables
-    arcs_of = arc_ids(problem)
-    # every arc's entry: the unary ones, and those a walk lists at size 0
-    entries = {e[0]: e for e in tables.unary}
-    for walk in tables.walk:
-        for e in walk[0]:
-            assert entries.setdefault(e[0], e) is e
-    assert sorted(entries) == list(range(len(arcs_of)))
-    for a, (b, cid, y, opp) in sorted(entries.items()):
-        assert (b, (cid, y)) == (a, arcs_of[a])
-        assert y == tables.arc_var[a]
+    entries = arc_entries(problem)
+    assert list(tables.unary) == [e for e in entries if len(problem.constraints[e[0]].scope) == 1]
+    for cid, y, opp, table, partner in entries:
+        scope = problem.constraints[cid].scope
+        if len(scope) != 2:
+            assert (opp, partner) == (None, -1)
+            continue
+        (other,) = (z for z in scope if z != y)
+        assert partner == other
         # opp[j], the supports of partner bit j, is the cover entry of that bit alone
-        cover = tables.arc_cover[a]
-        assert (opp is None) == (cover is None)
-        if opp is not None:
-            assert opp == tuple(
-                cover[j // CHUNK_BITS][1 << j % CHUNK_BITS] for j in range(len(opp))
-            )
+        assert opp == tuple(
+            table[j // CHUNK_BITS][1 << j % CHUNK_BITS] for j in range(len(opp))
+        )
     # a non-binary arc has no slack: every size lists it
     slack = [
-        binary_slack(problem.constraints[cid], problem.domains, y)
-        if len(problem.constraints[cid].scope) == 2 else float("inf")
-        for cid, y in arcs_of
+        binary_slack(problem.constraints[e[0]], problem.domains, e[1])
+        if e[2] is not None else float("inf")
+        for e in entries
     ]
     for x in range(problem.n_vars):
         arcs = [
-            a for a, (cid, y) in enumerate(arcs_of)
-            if y != x and x in problem.constraints[cid].scope
+            (e, sl) for e, sl in zip(entries, slack)
+            if e[1] != x and x in problem.constraints[e[0]].scope
         ]
         walk = tables.walk[x]
         for s in range(1, len(tables.values[x]) + 1):
-            assert tuple(e[0] for e in walk[s]) == tuple(a for a in arcs if s <= slack[a])
-            for entry in walk[s]:
-                assert entry is entries[entry[0]]
+            listed = [e for e, sl in arcs if s <= sl]
+            assert len(walk[s]) == len(listed)
+            assert all(got is e for got, e in zip(walk[s], listed))
         assert len({id(t) for t in walk[1:]}) == len(set(walk[1:]))

@@ -20,7 +20,7 @@ from branchbench.model import (
     check_tuple,
 )
 from branchbench.propagation import revise
-from util import arc_ids, domain_values, ne_rel, random_problem, reduce_domain, remove_values
+from util import arc_entries, domain_values, ne_rel, random_problem, reduce_domain, remove_values
 
 
 def two_var_problem(rel):
@@ -146,14 +146,10 @@ def test_table_tuple_cap_rejects_large_non_binary_enumerations():
 
 def test_binary_tables_are_shared_by_relations_equal_up_to_renaming():
     p = gen_langford(6)
-    t = p.tables
 
     def covers(op):
-        arcs = [
-            a for a, (cid, _) in enumerate(arc_ids(p))
-            if p.constraints[cid].relation.expr.op == op
-        ]
-        return len(arcs), {id(t.arc_cover[a]) for a in arcs}
+        arcs = [e for e in arc_entries(p) if p.constraints[e[0]].relation.expr.op == op]
+        return len(arcs), {id(e[3]) for e in arcs}
 
     n_ne, ne_covers = covers("ne")
     n_eq, eq_covers = covers("eq")
@@ -171,11 +167,11 @@ def test_binary_tables_are_shared_by_relations_equal_up_to_renaming():
         Constraint(i, s, tuple(names[v] for v in s), r)
         for i, (s, r) in enumerate(zip(scopes, rels))
     ))
-    t = p.tables
-    # arcs 2c and 2c + 1 revise constraint c at its first and second variable;
-    # a walk at size 0 lists every arc of the walked variable's constraints
-    opp = {a: o for walk in t.walk for a, _, _, o in walk[0]}
-    for table in ([opp[a] for a in range(6)], t.arc_cover):
+    # entries 2c and 2c + 1 revise constraint c at its first and second
+    # variable; both the supports (opp) and the cover tables are shared
+    entries = arc_entries(p)
+    for field in (2, 3):
+        table = [e[field] for e in entries]
         assert table[0] is table[2] and table[1] is table[3]
         assert table[4] is not table[0] and table[5] is not table[1]
 
@@ -382,7 +378,7 @@ def test_trail_restores_multi_value_shrinks_under_nested_levels():
         (tuple(range(4)), tuple(range(3)), tuple(range(4))),
         (Constraint(0, (0, 1), ("x", "y"), lt),),
     )
-    at_x, at_y = 0, 1  # the arcs of x < y
+    at_x, at_y = arc_entries(p)  # the arcs of x < y
     st = SearchState(p)
     base = _snapshot(st)
     t0 = st.push_level()
@@ -429,7 +425,7 @@ def test_trail_restores_snapshots_on_random_walks():
         r = random.Random(seed)
         p = random_problem(seed, max_vars=6, max_dom=6)
         st = SearchState(p)
-        n_arcs = len(arc_ids(p))
+        entries = arc_entries(p)
         levels = [(st.push_level(), _snapshot(st))]
         for _ in range(40):
             op = r.randrange(6)
@@ -447,9 +443,9 @@ def test_trail_restores_snapshots_on_random_walks():
             sizes = [m.bit_count() for m in st.masks]  # before this step
             before = len(st.trail)
             if op in (1, 2):
-                a = r.randrange(n_arcs)
-                x = p.tables.arc_var[a]
-                assert revise(st, a) == (st.masks[x].bit_count() < sizes[x])
+                e = entries[r.randrange(len(entries))]
+                x = e[1]
+                assert revise(st, e) == (st.masks[x].bit_count() < sizes[x])
                 how = "revise"
             elif op == 3:
                 reduce_domain(st, x, r.sample(values, r.randint(1, len(values))))

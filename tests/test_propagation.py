@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from collections import Counter
@@ -6,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from branchbench import propagation, search
-from branchbench.branching import parse_scheme
+from branchbench.branching import SCHEME_NAMES, parse_scheme
 from branchbench.exprs import Call, Const, VarRef
 from branchbench.generators import gen_langford, gen_randomb
 from branchbench.instance_io import parse_instance
@@ -24,7 +25,7 @@ from branchbench.search import solve
 from oracles import binary_slack, gac_fixpoint, reference_propagate, supported_values
 from util import (
     _random_intensional,
-    arc_ids,
+    arc_entries,
     domain_values,
     make_binary,
     ne_rel,
@@ -48,12 +49,13 @@ def test_revise_removes_unsupported_values():
         [((0, 1), ExtensionalAllowed(frozenset({(0, 2), (1, 3)})))],
     )
     st = SearchState(p)
-    # arcs of constraint 0, in ascending variable order: 0 at x, 1 at y
-    assert revise(st, 0)
+    # the arcs of constraint 0, in ascending variable order: at x, at y
+    at_x, at_y = arc_entries(p)
+    assert revise(st, at_x)
     assert domain_values(st, 0) == [0, 1]
-    assert revise(st, 1)
+    assert revise(st, at_y)
     assert domain_values(st, 1) == [2, 3]
-    assert not revise(st, 0)  # already consistent
+    assert not revise(st, at_x)  # already consistent
 
 
 def test_root_gac_matches_oracle_on_generated_problems():
@@ -138,16 +140,15 @@ def test_decision_arcs_cover_other_scope_vars_sorted():
         ),
     )
     tables = p.tables
-    ids = arc_ids(p)
     entries = {}
 
     def arcs(x, size):
         walked = tables.walk[x][size]
         for entry in walked:
-            # one entry object per arc, numbered as documented
-            assert entries.setdefault(entry[0], entry) is entry
-            assert entry[1:3] == ids[entry[0]]
-        return [(cid, z) for _, cid, z, _ in walked]
+            # one entry object per arc, whose partner is the walked variable
+            assert entries.setdefault(entry[:2], entry) is entry
+            assert entry[4] == x
+        return [entry[:2] for entry in walked]
 
     # the walk of x lists every arc at its size 1; ne has slack 1, so none at 2
     assert arcs(0, 1) == [(0, 1), (1, 2)]
@@ -282,12 +283,13 @@ def _removals_since(st, p, start):
 
 @pytest.fixture
 def revise_calls(monkeypatch):
-    """Every ``propagation.revise`` call from then on, as its arc id."""
+    """Every ``propagation.revise`` call from then on, as its arc's ``(cid,
+    var)``."""
     calls = []
 
-    def recording_revise(state, a, _revise=revise):
-        calls.append(a)
-        return _revise(state, a)
+    def recording_revise(state, e, _revise=revise):
+        calls.append(e[:2])
+        return _revise(state, e)
 
     monkeypatch.setattr(propagation, "revise", recording_revise)
     return calls
@@ -302,7 +304,6 @@ def _walk_against_reference(p, r, calls, steps=12):
     the ``revise_calls`` fixture's list.  Returns (decisions, wipeouts)."""
     st = SearchState(p)
     st.masks = RemovalLog(st.masks)
-    ids = arc_ids(p)
     domains = [list(d) for d in p.domains]
     weights = [1] * len(p.constraints)
     removals = []
@@ -310,7 +311,7 @@ def _walk_against_reference(p, r, calls, steps=12):
     calls.clear()
     got = _wipeout_pair(st, establish_root_gac(st), weights)
     assert got == reference_propagate(p, domains, weights, None, removals, revisions)
-    assert [ids[a] for a in calls] == revisions
+    assert calls == revisions
     assert _removals_since(st, p, 0) == removals
     assert current_domains(st, p.n_vars) == domains
     if got is not None:
@@ -338,7 +339,7 @@ def _walk_against_reference(p, r, calls, steps=12):
         decisions += 1
         wiped += not consistent
         assert got == expected
-        assert [ids[a] for a in calls] == revisions
+        assert calls == revisions
         assert _removals_since(st, p, start) == removals
         assert st.weights == weights
         assert current_domains(st, p.n_vars) == domains
@@ -391,11 +392,11 @@ def test_a_singleton_walk_makes_no_revise_call(revise_calls, monkeypatch):
     seen = Counter()
     revise_removals = walk_removals = 0
 
-    def observing_revise(state, a):
+    def observing_revise(state, e):
         nonlocal revise_removals
-        partner = state.tables.arc_partner[a]
+        partner = e[4]
         before = len(state.masks.removals)
-        removed = recorded(state, a)
+        removed = recorded(state, e)
         revise_removals += len(state.masks.removals) - before
         seen[state.masks[partner].bit_count() == 1, removed] += 1
         return removed
@@ -445,8 +446,8 @@ def test_a_singleton_row_lists_the_size_one_walk_with_each_arcs_unsupported_valu
                 assert tables.rows[y][b] is row
                 assert len(row) == len(entries)
                 for (z, nsup, e), entry in zip(row, entries):
-                    assert e is entry and z == entry[2]
-                    opp = entry[3]
+                    assert e is entry and z == entry[1]
+                    opp = entry[2]
                     if opp is None:
                         assert nsup == -1
                         kinds["other"] += 1
@@ -473,10 +474,9 @@ def test_a_singleton_row_is_built_on_its_first_walk_and_kept_across_solves():
 def _slack_of(problem, cid, x):
     """The slack of binary arc ``(cid, x)`` as the walk tables hold it: the
     largest size of its partner at which the partner's walk lists it."""
-    a = arc_ids(problem).index((cid, x))
     (y,) = (z for z in problem.constraints[cid].scope if z != x)
     walk = problem.tables.walk[y]
-    return max(s for s in range(len(walk)) if a in [e[0] for e in walk[s]])
+    return max(s for s in range(len(walk)) if (cid, x) in [e[:2] for e in walk[s]])
 
 
 def test_slack_of_ne_is_one():
@@ -514,14 +514,14 @@ def test_non_binary_arcs_are_never_skippable():
         ),
     )
     tables = p.tables
-    for a in range(len(arc_ids(p))):
-        assert tables.arc_partner[a] == -1
-    # the unary arc 0 is revised at the root; ternary arcs 1..3, at a, b and
-    # c, are listed in the other two variables' walks at every size
-    assert [e[0] for e in tables.unary] == [0]
+    for e in arc_entries(p):
+        assert e[2] is None and e[4] == -1
+    # the unary arc is revised at the root; the ternary arcs at a, b and c
+    # are listed in the other two variables' walks at every size
+    assert [e[:2] for e in tables.unary] == [(0, 0)]
     for x in range(3):
         for s in range(len(p.domains[x]) + 1):
-            assert [e[0] for e in tables.walk[x][s]] == [1 + z for z in range(3) if z != x]
+            assert [e[:2] for e in tables.walk[x][s]] == [(1, z) for z in range(3) if z != x]
 
 
 def test_skip_fires_only_where_revise_removes_nothing():
@@ -535,18 +535,18 @@ def test_skip_fires_only_where_revise_removes_nothing():
             values = domain_values(st, x)
             reduce_domain(st, x, r.sample(values, r.randint(1, len(values))))
         tables = p.tables
-        for a, (cid, x) in enumerate(arc_ids(p)):
-            partner = tables.arc_partner[a]
+        for e in arc_entries(p):
+            cid, x, _, _, partner = e
             if partner < 0:
                 continue
             listed = tables.walk[partner][st.masks[partner].bit_count()]
-            if a not in [e[0] for e in listed]:
+            if not any(f is e for f in listed):
                 assert st.masks[partner].bit_count() > binary_slack(
                     p.constraints[cid], p.domains, x
                 )
                 fired += 1
                 before = domain_values(st, x)
-                assert not revise(st, a)
+                assert not revise(st, e)
                 assert domain_values(st, x) == before
     assert fired >= 100
 
@@ -567,7 +567,6 @@ def _reversed_binary_scopes(problem):
 
 def _check_every_arc(st, r, counts):
     p = st.problem
-    tables = p.tables
     for x in range(p.n_vars):
         values = domain_values(st, x)
         # every third variable becomes a singleton, giving binary arcs a
@@ -575,18 +574,19 @@ def _check_every_arc(st, r, counts):
         k = 1 if r.randrange(3) == 0 else r.randint(1, len(values))
         reduce_domain(st, x, r.sample(values, k))
     domains = current_domains(st, p.n_vars)
-    for a, (cid, x) in enumerate(arc_ids(p)):
+    for e in arc_entries(p):
+        cid, x, _, _, partner = e
         c = p.constraints[cid]
         expected = supported_values(c, domains, x)
         token = st.push_level()
-        changed = revise(st, a)
+        changed = revise(st, e)
         assert domain_values(st, x) == expected, (c, x, domains)
         assert changed == (expected != domains[x])
         assert current_domains(st, p.n_vars) == domains[:x] + [expected] + domains[x + 1:]
         st.undo_to(token)
         assert current_domains(st, p.n_vars) == domains
         if len(c.scope) == 2:
-            single = st.masks[tables.arc_partner[a]].bit_count() == 1
+            single = st.masks[partner].bit_count() == 1
             key = ("high-to-low" if c.scope[0] > c.scope[1] else "low-to-high", single)
             counts[key + (changed,)] += 1
         else:
@@ -607,6 +607,59 @@ def test_revise_every_arc_matches_the_support_oracle():
                 assert counts[order, single, changed] >= 50, (order, single, changed)
     for arity in (1, 3):
         assert counts[arity, True] >= 50 and counts[arity, False] >= 50
+
+
+def _rotated_scopes(problem):
+    """The same problem with every scope of two or more variables rotated
+    right by one, so its last variable comes first and no such scope is
+    ascending: ``(v0,v1,v2)`` becomes ``(v2,v0,v1)`` and ``(x0,x1)`` becomes
+    ``(x1,x0)``.  Extensional tuples rotate with the scope; an intensional
+    expression names its variables, so it stays as it is."""
+    cons = []
+    for c in problem.constraints:
+        if len(c.scope) > 1:
+            rel = c.relation
+            if not isinstance(rel, Intensional):
+                rel = type(rel)(frozenset(t[-1:] + t[:-1] for t in rel.tuples))
+            c = Constraint(c.cid, c.scope[-1:] + c.scope[:-1],
+                           c.var_names[-1:] + c.var_names[:-1], rel)
+        cons.append(c)
+    return Problem(problem.names, problem.domains, tuple(cons))
+
+
+def test_walks_and_search_ignore_the_order_a_scope_is_written_in(revise_calls):
+    """Written with no scope of two or more variables ascending, a problem
+    compiles walks that list its arcs in ascending ``(cid, var)`` order, each
+    entry at its own variable with its own partner, as the ascending problem
+    does; so every scheme searches it with the same status, counters, trace
+    and ``revise`` calls."""
+    problems = [parse_instance((GOLDEN / "nary.csp").read_text()), gen_langford(5)]
+    problems += [random_problem(seed, max_vars=7, max_dom=6) for seed in range(30)]
+    nodes = ternary = 0
+    for ascending in problems:
+        rotated = _rotated_scopes(ascending)
+        for x in range(rotated.n_vars):
+            walk, expected = rotated.tables.walk[x], ascending.tables.walk[x]
+            for s in range(len(walk)):
+                listed = [e[:2] for e in walk[s]]
+                assert listed == sorted(listed) == [e[:2] for e in expected[s]]
+                for cid, y, opp, _, partner in walk[s]:
+                    scope = rotated.constraints[cid].scope
+                    assert y in scope and y != x and x in scope
+                    assert partner == (x if len(scope) == 2 else -1)
+                    assert (opp is None) == (len(scope) != 2)
+                    ternary += len(scope) == 3
+        for name in SCHEME_NAMES:
+            runs = []
+            for p in (ascending, rotated):
+                trace = []
+                revise_calls.clear()
+                out = solve(p, parse_scheme(name), trace=trace)
+                stats = dataclasses.replace(out.stats, elapsed_ms=0.0)
+                runs.append((out.status, out.assignment, stats, trace, revise_calls[:]))
+            assert runs[0] == runs[1]
+            nodes += runs[0][2].nodes
+    assert ternary >= 1000 and nodes >= 500
 
 
 def _wide_problem(r, arity):
@@ -653,7 +706,7 @@ def test_revise_matches_the_support_oracle_across_chunk_boundaries():
         arity = 2 if seed % 3 else 3
         p = _wide_problem(r, arity)
         c = p.constraints[0]
-        tables = p.tables
+        entries = arc_entries(p)
         for _ in range(6):
             st = SearchState(p)
             shapes = [r.choice(("one", "high", "some", "some")) for _ in range(arity)]
@@ -661,10 +714,11 @@ def test_revise_matches_the_support_oracle_across_chunk_boundaries():
                 kept = _wide_mask(r, len(p.domains[z]), shape)
                 reduce_domain(st, z, mask_values(p.domains[z], kept))
             domains = current_domains(st, arity)
-            for a, x in enumerate(tables.arc_var):
+            for e in entries:
+                x = e[1]
                 expected = supported_values(c, domains, x)
                 token = st.push_level()
-                changed = revise(st, a)
+                changed = revise(st, e)
                 assert domain_values(st, x) == expected, (c, x, domains)
                 assert changed == (expected != domains[x])
                 st.undo_to(token)
@@ -690,9 +744,8 @@ def test_revise_reads_the_tables_of_its_own_side():
         ((0,), (0, 1, 2, 3, 4, 5), (1, 2, 3)),
         (Constraint(0, (2, 1), ("y", "x"), shift),),
     )
-    tables = p.tables
-    at_x, at_y = range(2)
-    assert (tables.arc_var[at_x], tables.arc_var[at_y]) == (1, 2)
+    at_x, at_y = arc_entries(p)
+    assert (at_x[1], at_y[1]) == (1, 2)
     st = SearchState(p)
     assert revise(st, at_x)
     assert domain_values(st, 1) == [0, 1, 2]

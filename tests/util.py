@@ -99,9 +99,23 @@ def walk_states(p: Problem, r: random.Random, steps: int):
 
 
 def arc_ids(problem: Problem) -> list[tuple[int, int]]:
-    """``(cid, var)`` of every arc by its id: the arcs are numbered in
-    ascending ``(cid, var)`` order."""
+    """``(cid, var)`` of every arc, in the order the walks list arcs:
+    ascending ``(cid, var)``.  Arcs have no number; a list index here only
+    names that position."""
     return sorted((c.cid, x) for c in problem.constraints for x in c.scope)
+
+
+def arc_entries(problem: Problem) -> list[tuple]:
+    """Every arc's entry, one object each, in :func:`arc_ids` order: the
+    unary ones from ``tables.unary``, every other one from the walk of a
+    variable on its constraint at size 0, which lists all of them."""
+    tables = problem.tables
+    found = {e[:2]: e for e in tables.unary}
+    for walk in tables.walk:
+        for e in walk[0]:
+            assert found.setdefault(e[:2], e) is e
+    assert sorted(found) == arc_ids(problem)
+    return [found[arc] for arc in arc_ids(problem)]
 
 
 def make_binary(names, domains, pairs_with_relations) -> Problem:
