@@ -16,11 +16,11 @@ list back.  The compiled tables on the problem (one entry per arc, which
 holds a binary arc's support masks and their unions per chunk of the
 partner's domain or any other arc's rows of bit masks grouped by value;
 per-variable walk lists of those entries by domain size; neighbour tables)
-are built in one pass over the constraints.  The one exception is the singleton
-rows, one per variable and value, which propagation builds from the walk
-lists the first time it walks that variable with that one value, and which
-the problem then keeps for every later solve.  So the tables are a
-deterministic cache, filled lazily, and a pure indexing layer: they change
+are built in one pass over the constraints.  The one exception is the
+singleton rows, one per variable and value, which propagation builds from
+the walk lists the first time it walks that variable with that one value,
+and which the problem then keeps for every later solve.  So the tables are
+a deterministic cache, filled lazily, and a pure indexing layer: they change
 nothing about constraint semantics, which are always those of
 :func:`check_tuple`.
 

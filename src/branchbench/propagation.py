@@ -28,16 +28,17 @@ over the partner's current domain.  :func:`revise` reads that union from the
 entry's cover tables, one lookup per ``model.CHUNK_BITS`` bits of the
 partner's mask, each table entry holding the union over one subset of that
 chunk (the word-level revision of AC3bit, Lecoutre & Vion 2008, and the
-union of supports of Compact-Table, Demeulenaere et al. 2016).  A value is in the union exactly when some
-current partner value supports it, so the result is that of testing each
-value.  Every other arc (unary or n-ary, of any relation kind) scans its
-compiled rows, one per satisfying tuple of the constraint, grouped by the
-variable's value: a current value is kept at the first of its rows that
-has every other scope variable's bit in that variable's current domain, and
-its other rows are not read.  The rows are built once per problem, so a
-revision never calls ``check_tuple`` and costs at most one pass over a table
-of at most ``model.MAX_TABLE_TUPLES`` rows for a forbidden or intensional
-relation.  All removed values leave the domain in one store of its mask.
+union of supports of Compact-Table, Demeulenaere et al. 2016).  A value is
+in the union exactly when some current partner value supports it, so the
+result is that of testing each value.  Every other arc (unary or n-ary, of
+any relation kind) scans its compiled rows, one per satisfying tuple of the
+constraint, grouped by the variable's value: a current value is kept at the
+first of its rows that has every other scope variable's bit in that
+variable's current domain, and its other rows are not read.  The rows are
+built once per problem, so a revision never calls ``check_tuple`` and costs
+at most one pass over a table of at most ``model.MAX_TABLE_TUPLES`` rows for
+a forbidden or intensional relation.  All removed values leave the domain in
+one store of its mask.
 
 Most revisions remove nothing, and many of them are never made.  A binary
 arc's *slack* is the largest number of original partner values that any
