@@ -23,7 +23,6 @@ task's search fingerprint.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import re
 import statistics
@@ -33,7 +32,7 @@ import tempfile
 from itertools import zip_longest
 from pathlib import Path
 
-from perf import ROOT, git, run
+from perf import ROOT, benchmark, git, run, uncommitted
 
 WORKLOADS = ("proof", "sets", "sweep")
 PAIRS = 10
@@ -130,12 +129,9 @@ def main(argv=None) -> int:
                     help="also fail when a pair's nodes or search digests differ "
                          "between the sides")
     args = ap.parse_args(argv)
-    changed = git("status", "--porcelain", "--", "src", "perfbench", "BENCHMARK.json")
-    if changed:
-        print(f"pairs: uncommitted changes; commit them first:\n{changed}", file=sys.stderr)
+    if uncommitted("pairs"):
         return 1
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = spec["run_seconds"]
+    seconds, spec = benchmark()
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     base_rev, head_rev = git("rev-parse", args.base), git("rev-parse", "HEAD")
     print(f"base {base_rev}\nchange {head_rev}\n{PAIRS} pairs of "

@@ -44,6 +44,23 @@ def git(*args: str) -> str:
     ).stdout.rstrip()
 
 
+def uncommitted(prog: str) -> bool:
+    """True when ``git status --porcelain`` shows a change under ``src``,
+    ``perfbench`` or ``BENCHMARK.json``, which a recorded hash would not
+    name; the changes then go to stderr, after ``prog``'s prefix."""
+    changed = git("status", "--porcelain", "--", "src", "perfbench", "BENCHMARK.json")
+    if changed:
+        print(f"{prog}: uncommitted changes; commit them first:\n{changed}", file=sys.stderr)
+    return bool(changed)
+
+
+def benchmark() -> tuple[float, dict]:
+    """``run_seconds`` from ``BENCHMARK.json``, each run's ``--seconds``, and
+    the whole file."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return spec["run_seconds"], spec
+
+
 def parse_result(returncode: int, stdout: str) -> dict | None:
     """The final JSON line of one ``run.py`` output, or None if the run exited
     non-zero or its last line is not JSON."""
@@ -73,11 +90,9 @@ def run(tree: Path, workload: str, seed: int, seconds: float, trace: int
 
 
 def main() -> int:
-    changed = git("status", "--porcelain", "--", "src", "perfbench", "BENCHMARK.json")
-    if changed:
-        print(f"perf: uncommitted changes; commit them first:\n{changed}", file=sys.stderr)
+    if uncommitted("perf"):
         return 1
-    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    seconds = benchmark()[0]
     untraced = run(ROOT, "all", SEED, seconds, 0)[0]
     traced = run(ROOT, "all", SEED, seconds, 1)[0] if untraced is not None else None
     if traced is None:

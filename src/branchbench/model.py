@@ -12,17 +12,17 @@ value heuristic cheap.  Every shrink of a domain, whatever number of values
 it removes, is one store into ``SearchState.masks`` and records nothing:
 each restoration level saves a copy of the whole mask list when it opens
 (copying rather than trailing, Schulte 1999), and undoing it copies that
-list back.  The compiled tables on the problem (one entry per arc, which
-holds a binary arc's support masks and their unions per chunk of the
-partner's domain or any other arc's rows of bit masks grouped by value;
-per-variable walk lists of those entries by domain size; neighbour tables)
-are built in one pass over the constraints.  The one exception is the
-singleton rows, one per variable and value, which propagation builds from
-the walk lists the first time it walks that variable with that one value,
-and which the problem then keeps for every later solve.  So the tables are
-a deterministic cache, filled lazily, and a pure indexing layer: they change
-nothing about constraint semantics, which are always those of
-:func:`check_tuple`.
+list back.  The compiled tables on the problem (the root domains, which the
+unary constraints cut; one entry per other arc, which holds a binary arc's
+support masks and their unions per chunk of the partner's domain or an
+n-ary arc's rows of bit masks grouped by value; per-variable walk lists of
+those entries by domain size; neighbour tables) are built in one pass over
+the constraints.  The one exception is the singleton rows, one per variable
+and value, which propagation builds from the walk lists the first time it
+walks that variable with that one value, and which the problem then keeps
+for every later solve.  So the tables are a deterministic cache, filled
+lazily, and a pure indexing layer: they change nothing about constraint
+semantics, which are always those of :func:`check_tuple`.
 
 A constraint is compiled once into its satisfying tuples over the original
 domains: an extensional relation by mapping its tuples to positions, any
@@ -144,7 +144,7 @@ class _Tables:
     the singleton rows are filled in after construction, each once."""
 
     __slots__ = (
-        "values", "pos", "full_masks", "unary", "walk", "rows", "_nsup",
+        "values", "pos", "root_masks", "walk", "rows", "_nsup",
         "neighbors", "var_binary", "var_constraints",
     )
 
@@ -152,14 +152,16 @@ class _Tables:
         n = len(problem.names)
         self.values = [problem.domains[x] for x in range(n)]
         self.pos = [{v: i for i, v in enumerate(dom)} for dom in self.values]
-        self.full_masks = [(1 << len(dom)) - 1 for dom in self.values]
+        # the original domains cut by every unary constraint, which has no
+        # arc and no var_constraints row: it can cut only the root domain
+        self.root_masks = [(1 << len(dom)) - 1 for dom in self.values]
 
         # an arc revises one constraint at one scope variable x, and is one
         # entry (cid, x, opp, table, partner).  A binary arc keeps in opp the
         # supports of each partner value (bit of the partner -> mask of x
         # values), in table their unions per chunk of the partner's domain
         # (one table per CHUNK_BITS partner bits, entry s -> the union of opp
-        # over the set bits of s) and its partner variable.  Any other arc has
+        # over the set bits of s) and its partner variable.  An n-ary arc has
         # opp None, partner -1 and, in table, its satisfying tuples grouped by
         # the value of x, ascending: (bit of x, rows), a row being ((z, bit of
         # z) for the other scope variables).  on_var[x]: (slack, entry) of
@@ -167,9 +169,8 @@ class _Tables:
         # ascending (cid, var), the arcs x's walk may list; a non-binary arc's
         # slack exceeds every domain size.
         on_var: list[list] = [[] for _ in range(n)]
-        unary = []
         # the constraints on x, for the wdeg cache: binary ones as (cid,
-        # partner), every other one as (cid, the other scope variables)
+        # partner), n-ary ones as (cid, the other scope variables)
         var_binary: list[list] = [[] for _ in range(n)]
         var_constraints: list[list] = [[] for _ in range(n)]
         # binary supports, slacks and cover tables, shared by relations equal
@@ -209,6 +210,9 @@ class _Tables:
                 var_binary[v].append((cid, u))
                 continue
             tuples = self._satisfying_positions(c)
+            if len(scope) == 1:
+                self.root_masks[scope[0]] &= sum(1 << i for (i,) in tuples)
+                continue
             for x in sorted(scope):
                 k = scope.index(x)
                 by_value: dict[int, list] = {}
@@ -219,16 +223,11 @@ class _Tables:
                 entry = (cid, x, None, tuple(
                     (1 << i, tuple(rows)) for i, rows in sorted(by_value.items())
                 ), -1)
-                if len(scope) == 1:
-                    unary.append(entry)
                 for z in scope:
                     if z != x:
                         on_var[z].append((_NEVER_SKIP, entry))
             for x in scope:
                 var_constraints[x].append((cid, tuple(z for z in scope if z != x)))
-        # unary: the entries of the unary constraints' arcs, in cid order,
-        # which no walk lists; root GAC revises each of them once
-        self.unary = tuple(unary)
         # walk[x][s]: the entries of on_var[x] that the walk of x lists
         # while x has s values, those with slack at least s, in the same
         # order; the sizes between two slacks share one tuple
@@ -286,8 +285,8 @@ class _Tables:
         # allowed pairs set bits in empty rows, forbidden pairs clear bits in
         # full rows; Problem keeps every tuple value inside its domain
         forbidden = isinstance(rel, ExtensionalForbidden)
-        sup_u = [self.full_masks[v] if forbidden else 0] * len(du)
-        sup_v = [self.full_masks[u] if forbidden else 0] * len(dv)
+        sup_u = [(1 << len(dv)) - 1 if forbidden else 0] * len(du)
+        sup_v = [(1 << len(du)) - 1 if forbidden else 0] * len(dv)
         for i, j in pairs:
             sup_u[i] ^= 1 << j
             sup_v[j] ^= 1 << i
@@ -429,9 +428,10 @@ class Problem:
 class SearchState:
     """Mutable per-run state: domain masks, weights, assignment flags and
     the trail.  A domain is its mask, and its size is read from it as
-    ``masks[x].bit_count()``.  ``trail`` holds one saved copy of ``masks``
-    per open level; ``masks`` itself stays one list object for the whole
-    run, so propagation and search may hold it across an undo.
+    ``masks[x].bit_count()``; the masks start as ``tables.root_masks``.
+    ``trail`` holds one saved copy of ``masks`` per open level; ``masks``
+    itself stays one list object for the whole run, so propagation and
+    search may hold it across an undo.
 
     ``assigned[x]`` is True while search has committed ``x``; the value is
     its singleton domain.  A branch commits ``x`` only once its propagation
@@ -450,12 +450,11 @@ class SearchState:
         t = problem.tables
         self.problem = problem
         self.tables = t
-        self.masks = list(t.full_masks)
+        self.masks = list(t.root_masks)
         self.weights = [1] * len(problem.constraints)
         self.assigned = [False] * problem.n_vars
         self.wdeg = [
-            len(pairs) + sum(1 for _, others in cons if others)
-            for pairs, cons in zip(t.var_binary, t.var_constraints)
+            len(pairs) + len(cons) for pairs, cons in zip(t.var_binary, t.var_constraints)
         ]
         self.trail: list[list[int]] = []  # the masks as each open level began
 
@@ -489,12 +488,8 @@ class SearchState:
                     wdeg[z] -= w
 
     def unassign(self, x: int) -> None:
-        """Undo :meth:`assign` of ``x``; nothing if ``x`` is not assigned.
-        Search calls it only for an assigned ``x``: the backtrack of a
-        branch whose propagation failed, most of them, never assigned it."""
+        """Undo :meth:`assign` of the assigned ``x``."""
         assigned = self.assigned
-        if not assigned[x]:
-            return
         assigned[x] = False
         weights = self.weights
         wdeg = self.wdeg

@@ -7,9 +7,9 @@ constraint over the current domains of the other scope variables.  The FIFO
 queue of ``propagate`` holds variables whose domains shrank, each at most
 once, as in variable-oriented AC-3 (McGregor 1979; Boussemart, Hemery,
 Lecoutre & Sais 2004).  Root GAC and every decision run the same queue.
-The root first revises each unary arc, in ``tables.unary``, since no
-variable's walk lists it, and then queues every variable; a decision on
-``x`` queues ``x``.  Popping ``x`` revises, in ascending ``(cid, var)``
+A unary constraint is compiled into the root domains that a state starts
+from, so the root queues every variable once no domain is empty; a decision
+on ``x`` queues ``x``.  Popping ``x`` revises, in ascending ``(cid, var)``
 order, the arcs of the constraints on ``x`` at their other scope variables
 that could remove a value (see below).  A revision by constraint
 ``c`` that shrinks ``y`` queues ``y`` with ``c`` excluded from its walk; if
@@ -30,8 +30,8 @@ partner's mask, each table entry holding the union over one subset of that
 chunk (the word-level revision of AC3bit, Lecoutre & Vion 2008, and the
 union of supports of Compact-Table, Demeulenaere et al. 2016).  A value is
 in the union exactly when some current partner value supports it, so the
-result is that of testing each value.  Every other arc (unary or n-ary, of
-any relation kind) scans its compiled rows, one per satisfying tuple of the
+result is that of testing each value.  Every other arc (n-ary, of any
+relation kind) scans its compiled rows, one per satisfying tuple of the
 constraint, grouped by the variable's value: a current value is kept at the
 first of its rows that has every other scope variable's bit in that
 variable's current domain, and its other rows are not read.  The rows are
@@ -68,11 +68,11 @@ entry: a binary one past the exclusion test stores ``m & ~nsup`` itself, with
 no :func:`revise` call, and any other one (its ``nsup`` of -1 always goes on)
 is sent to :func:`revise`.  The walk of a variable with more values is a
 second loop, which sends every arc to :func:`revise`.  So :func:`revise` runs
-only for an arc that one AND cannot decide (a unary arc at the root, a
-non-binary arc, or the walk of a variable with more values), and the
-singleton loop reads an entry's kind only when its AND leaves values to
-remove.  Neither records a removal: the level that search opened before its
-branch holds a copy of every mask, and restores them all.
+only for an arc that one AND cannot decide (a non-binary arc, or the walk
+of a variable with more values), and the singleton loop reads an entry's
+kind only when its AND leaves values to remove.  Neither records a removal:
+the level that search opened before its branch holds a copy of every mask,
+and restores them all.
 """
 
 from __future__ import annotations
@@ -123,10 +123,10 @@ def revise(state: SearchState, e: tuple) -> bool:
 def propagate(state: SearchState, x: Optional[int] = None) -> bool:
     """Run the variable queue to fixpoint after a change to ``x``'s domain;
     True means consistent, False a wipeout, whose constraint has had its
-    weight bumped.  With ``x`` left as None (root GAC), each unary arc is
-    revised first, through :func:`revise`, and the queue starts as every
-    variable in index order; otherwise it starts as ``x`` alone.  Nothing
-    is excluded at the start.
+    weight bumped.  With ``x`` left as None (root GAC), the queue starts as
+    every variable in index order once no domain is empty, otherwise as
+    ``x`` alone; nothing is excluded at the start.  An empty root domain,
+    cut by unary constraints, bumps no weight: the run stops there.
 
     A revision by ``cid`` that shrinks ``y`` queues ``y``, unless it is
     queued already, and records ``cid`` as its excluded constraint, or -1
@@ -147,10 +147,8 @@ def propagate(state: SearchState, x: Optional[int] = None) -> bool:
     masks = state.masks
     # queued[y]: the constraint excluded at y's walk, or -1 for none
     if x is None:
-        for e in tables.unary:
-            if revise(state, e) and not masks[e[1]]:
-                state.bump_weight(e[0])
-                return False
+        if not all(masks):
+            return False
         queued = dict.fromkeys(range(len(masks)), -1)
     else:
         queued = {x: -1}
@@ -206,6 +204,6 @@ def propagate(state: SearchState, x: Optional[int] = None) -> bool:
 
 
 def establish_root_gac(state: SearchState) -> bool:
-    """Root GAC: revise every unary arc, then run the queue from every
-    variable (see :func:`propagate`); False at a wipeout."""
+    """Root GAC: run the queue from every variable of the root domains (see
+    :func:`propagate`); False at a wipeout."""
     return propagate(state)

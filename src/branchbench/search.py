@@ -35,7 +35,7 @@ only its variable's domain, so it is propagated as that one change,
 ``propagate(state, x)``.  A frame opens one level per branch, saving every
 mask before the branch is applied, and its token restores them.  Each ``solve``
 builds its own :class:`SearchState` and leaves it as the search stopped; the
-problem is not changed, so re-running on it starts from the original domains.
+problem is not changed, so re-running on it starts from the same root domains.
 """
 
 from __future__ import annotations

@@ -277,10 +277,11 @@ def reference_propagate(
     """The plain variable queue over ``(cid, var)`` arcs, revising by
     enumeration.
 
-    With ``changed`` None (root GAC), each unary constraint's arc is
-    revised first, in ascending cid, since no variable's walk lists it;
-    then the queue starts as every variable in index order, with no
-    constraint excluded.  Otherwise the queue starts as ``[changed]`` with
+    With ``changed`` None (root GAC), unary constraints cut the domains
+    (each by ``supported_values``), then every variable is queued in index
+    order, with no constraint excluded; a domain a unary constraint empties
+    is a wipeout that names no constraint, ``(variable, None)``, and bumps
+    no weight.  Otherwise the queue starts as ``[changed]`` with
     no constraint excluded.  The queue is a FIFO
     ``deque`` of variables with a ``dict`` from each queued variable to its
     excluded constraint.  A revision by constraint ``c`` that shrinks ``x``
@@ -297,14 +298,16 @@ def reference_propagate(
 
     A binary arc whose partner's current domain is larger than its
     ``binary_slack`` is not revised: every value keeps a support.  When
-    given, ``revisions`` collects the arcs revised, in order: every unary
-    arc of the root, and, once the queue runs, every one but the binary
-    arcs whose partner (the popped variable) has one value, which the
-    library's walk revises itself, removals included, with no ``revise``
-    call.
+    given, ``revisions`` collects the arcs revised, in order: every one but
+    the binary arcs whose partner (the popped variable) has one value, which
+    the library's walk revises itself, removals included, with no ``revise``
+    call.  A unary constraint's cut is no revision, and no removal.
     """
     follows: list[list[tuple[int, int]]] = [[] for _ in range(problem.n_vars)]
     for c in problem.constraints:
+        if changed is None and len(c.scope) == 1:
+            (x,) = c.scope
+            domains[x] = supported_values(c, domains, x)
         for x in c.scope:
             follows[x].extend((c.cid, y) for y in c.scope if y != x)
     for f in follows:
@@ -342,12 +345,9 @@ def reference_propagate(
         return None
 
     if changed is None:
-        for c in problem.constraints:
-            wiped = len(c.scope) == 1 and revise((c.cid, c.scope[0]))
-            if wiped:
-                return wiped
-        queue.clear()
-        excluded.clear()
+        for x, dom in enumerate(domains):
+            if not dom:
+                return (x, None)
     for y in range(problem.n_vars) if changed is None else (changed,):
         queue.append(y)
         excluded[y] = -1

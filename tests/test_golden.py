@@ -98,16 +98,22 @@ def test_walk_tables_list_the_arcs_the_slack_test_keeps(source):
     """``walk[x][s]`` lists, in ascending ``(cid, var)`` order, the entries
     of the arcs of every constraint on ``x`` at its other scope variables
     whose slack (by ``oracles.binary_slack``) ``s`` does not exceed, for
-    every size ``s`` of ``x``; ``tables.unary`` lists the unary arcs; each
-    entry carries the arc's own fields, and equal tuples are one object."""
-    from branchbench.model import CHUNK_BITS
+    every size ``s`` of ``x``; a unary constraint has no arc and cuts its
+    variable's root mask instead; each entry carries the arc's own fields,
+    and equal tuples are one object."""
+    from branchbench.model import CHUNK_BITS, check_tuple
     from oracles import binary_slack
     from util import arc_entries
 
     problem = write_golden.load_source(source, GOLDEN)
     tables = problem.tables
     entries = arc_entries(problem)
-    assert list(tables.unary) == [e for e in entries if len(problem.constraints[e[0]].scope) == 1]
+    assert all(len(problem.constraints[e[0]].scope) > 1 for e in entries)
+    assert tables.root_masks == [
+        sum(1 << i for i, v in enumerate(dom)
+            if all(check_tuple(c, (v,)) for c in problem.constraints if c.scope == (x,)))
+        for x, dom in enumerate(problem.domains)
+    ]
     for cid, y, opp, table, partner in entries:
         scope = problem.constraints[cid].scope
         if len(scope) != 2:

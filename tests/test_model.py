@@ -20,6 +20,7 @@ from branchbench.model import (
     check_tuple,
 )
 from branchbench.propagation import revise
+from oracles import reference_wdeg
 from util import arc_entries, domain_values, ne_rel, random_problem, reduce_domain, remove_values
 
 
@@ -207,6 +208,31 @@ def test_state_initial_view():
     assert 2 in domain_values(st, 0)
     assert 7 not in domain_values(st, 0)
     assert select_variable(st) >= 0  # the solution test: not every domain is one value
+
+
+def test_a_state_starts_from_the_original_domains_cut_by_every_unary_constraint():
+    """``SearchState(p).masks`` are the root masks: each original domain
+    without the values that a unary constraint on its variable rejects.  A
+    unary constraint has no arc and no ``var_constraints`` row, so no wdeg
+    counts it."""
+    cut = emptied = 0
+    for seed in range(300):
+        p = random_problem(seed)
+        unary = [c for c in p.constraints if len(c.scope) == 1]
+        expected = [
+            [v for v in dom if all(check_tuple(c, (v,)) for c in unary if c.scope == (x,))]
+            for x, dom in enumerate(p.domains)
+        ]
+        st = SearchState(p)
+        assert [domain_values(st, x) for x in range(p.n_vars)] == expected
+        assert st.masks == p.tables.root_masks and st.masks is not p.tables.root_masks
+        rows = {cid for cons in p.tables.var_constraints for cid, _ in cons}
+        assert rows.isdisjoint(c.cid for c in unary)
+        assert all(len(p.constraints[e[0]].scope) > 1 for e in arc_entries(p))
+        assert st.wdeg == reference_wdeg(st)
+        cut += expected != [list(dom) for dom in p.domains]
+        emptied += [] in expected
+    assert cut >= 50 and emptied >= 10
 
 
 def test_remove_and_undo_roundtrip():
@@ -442,12 +468,13 @@ def test_trail_restores_snapshots_on_random_walks():
             values = domain_values(st, x)
             sizes = [m.bit_count() for m in st.masks]  # before this step
             before = len(st.trail)
-            if op in (1, 2):
+            if op in (1, 2) and entries:
                 e = entries[r.randrange(len(entries))]
                 x = e[1]
                 assert revise(st, e) == (st.masks[x].bit_count() < sizes[x])
                 how = "revise"
-            elif op == 3:
+            elif op in (1, 2, 3):
+                # a problem of unary constraints only has no arc to revise
                 reduce_domain(st, x, r.sample(values, r.randint(1, len(values))))
                 how = "reduce_domain"
             elif op == 4:

@@ -249,12 +249,17 @@ def test_gac_subset_of_original(seed):
 def _wipeout_pair(st, consistent, weights_before):
     """None if ``consistent``; else the wipeout as ``(variable, constraint)``,
     read off the state: the one emptied domain and the one weight raised by
-    one since ``weights_before``."""
+    one since ``weights_before``.  A root domain that unary constraints
+    emptied raises no weight, and is ``(variable, None)``, the first such
+    variable."""
     emptied = [x for x, m in enumerate(st.masks) if not m]
     raised = [c for c, (w, was) in enumerate(zip(st.weights, weights_before)) if w != was]
     if consistent:
         assert emptied == raised == []
         return None
+    if not raised:
+        assert emptied and st.masks == st.tables.root_masks
+        return emptied[0], None
     assert len(emptied) == len(raised) == 1
     assert st.weights[raised[0]] == weights_before[raised[0]] + 1
     return emptied[0], raised[0]
@@ -516,12 +521,23 @@ def test_non_binary_arcs_are_never_skippable():
     tables = p.tables
     for e in arc_entries(p):
         assert e[2] is None and e[4] == -1
-    # the unary arc is revised at the root; the ternary arcs at a, b and c
-    # are listed in the other two variables' walks at every size
-    assert [e[:2] for e in tables.unary] == [(0, 0)]
+    # the unary constraint has no arc: it cuts a's root mask to its value 1;
+    # the ternary arcs at a, b and c are listed in the other two variables'
+    # walks at every size
+    assert [e[:2] for e in arc_entries(p)] == [(1, 0), (1, 1), (1, 2)]
+    assert tables.root_masks == [0b10, 0b11, 0b11]
     for x in range(3):
         for s in range(len(p.domains[x]) + 1):
             assert [e[:2] for e in tables.walk[x][s]] == [(1, z) for z in range(3) if z != x]
+
+
+def _state_over_original_domains(p):
+    """A state of ``p`` whose masks are the whole original domains, not the
+    root masks that unary constraints cut: an arc's revision is defined over
+    any subsets of them."""
+    st = SearchState(p)
+    st.masks[:] = [(1 << len(dom)) - 1 for dom in p.domains]
+    return st
 
 
 def test_skip_fires_only_where_revise_removes_nothing():
@@ -530,7 +546,7 @@ def test_skip_fires_only_where_revise_removes_nothing():
     for seed in range(300):
         r = random.Random(seed)
         p = random_problem(seed, max_vars=6, max_dom=6)
-        st = SearchState(p)
+        st = _state_over_original_domains(p)
         for x in range(p.n_vars):
             values = domain_values(st, x)
             reduce_domain(st, x, r.sample(values, r.randint(1, len(values))))
@@ -574,6 +590,17 @@ def _check_every_arc(st, r, counts):
         k = 1 if r.randrange(3) == 0 else r.randint(1, len(values))
         reduce_domain(st, x, r.sample(values, k))
     domains = current_domains(st, p.n_vars)
+    # a unary constraint has no arc: ANDing a domain with the root mask cuts
+    # it as every unary constraint on its variable does
+    for x in range(p.n_vars):
+        unary = [c for c in p.constraints if c.scope == (x,)]
+        if unary:
+            cut = list(domains)
+            for c in unary:
+                cut[x] = supported_values(c, cut, x)
+            kept = st.masks[x] & p.tables.root_masks[x]
+            assert list(mask_values(p.domains[x], kept)) == cut[x]
+            counts[1, cut[x] != domains[x]] += 1
     for e in arc_entries(p):
         cid, x, _, _, partner = e
         c = p.constraints[cid]
@@ -598,7 +625,7 @@ def test_revise_every_arc_matches_the_support_oracle():
     for seed in range(200):
         r = random.Random(seed)
         for p in (random_problem(seed), _reversed_binary_scopes(random_problem(seed))):
-            st = SearchState(p)
+            st = _state_over_original_domains(p)
             st.push_level()
             _check_every_arc(st, r, counts)
     for order in ("high-to-low", "low-to-high"):

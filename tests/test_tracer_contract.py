@@ -74,9 +74,9 @@ def test_traced_solve_counts_set_plans_and_runs_the_same_search(monkeypatch):
 )
 def test_traced_solve_makes_the_pinned_revise_calls(monkeypatch, source, scheme):
     """Every revise call counts, including those that remove nothing: the
-    root's unary arcs, the walks of variables with more than one value and
-    every non-binary arc make them.  A singleton's walk revises its binary
-    arcs itself, with one AND, and makes no revise call for them.
+    walks of variables with more than one value and every non-binary arc
+    make them.  A singleton's walk revises its binary arcs itself, with one
+    AND, and makes no revise call for them.
 
     The removals show only the revisions that remove values; the number of
     revise calls is pinned in ``tests/golden/pins.json``, so a queue change

@@ -94,23 +94,27 @@ def walk_states(p: Problem, r: random.Random, steps: int):
             st.assign(x)
         if not consistent or r.randrange(4) == 0:
             token, x = levels.pop()
-            st.unassign(x)
+            if st.assigned[x]:
+                st.unassign(x)
             st.undo_to(token)
 
 
 def arc_ids(problem: Problem) -> list[tuple[int, int]]:
     """``(cid, var)`` of every arc, in the order the walks list arcs:
-    ascending ``(cid, var)``.  Arcs have no number; a list index here only
-    names that position."""
-    return sorted((c.cid, x) for c in problem.constraints for x in c.scope)
+    ascending ``(cid, var)``.  Only a constraint of arity 2 or more has
+    arcs: a unary one is compiled into the root masks.  Arcs have no
+    number; a list index here only names that position."""
+    return sorted(
+        (c.cid, x) for c in problem.constraints if len(c.scope) > 1 for x in c.scope
+    )
 
 
 def arc_entries(problem: Problem) -> list[tuple]:
-    """Every arc's entry, one object each, in :func:`arc_ids` order: the
-    unary ones from ``tables.unary``, every other one from the walk of a
-    variable on its constraint at size 0, which lists all of them."""
+    """Every arc's entry, one object each, in :func:`arc_ids` order, each
+    from the walk of a variable on its constraint at size 0, which lists all
+    of them."""
     tables = problem.tables
-    found = {e[:2]: e for e in tables.unary}
+    found: dict = {}
     for walk in tables.walk:
         for e in walk[0]:
             assert found.setdefault(e[:2], e) is e
