@@ -13,9 +13,10 @@ it removes, is one store into ``SearchState.masks`` and records nothing:
 each restoration level saves a copy of the whole mask list when it opens
 (copying rather than trailing, Schulte 1999), and undoing it copies that
 list back.  The compiled tables on the problem (the root domains, which the
-unary constraints cut; one entry per other arc, which holds a binary arc's
-support masks and their unions per chunk of the partner's domain or an
-n-ary arc's rows of bit masks grouped by value; per-variable walk lists of
+unary constraints cut; one entry per other arc, which holds for a binary arc
+the values that each partner value does not support and the unions of the
+supports per chunk of the partner's domain, or an n-ary arc's rows of bit
+masks grouped by value; per-variable walk lists of
 those entries by domain size; neighbour tables) are built in one pass over
 the constraints.  The one exception is the singleton rows, one per variable
 and value, which propagation builds from the walk lists the first time it
@@ -144,7 +145,7 @@ class _Tables:
     the singleton rows are filled in after construction, each once."""
 
     __slots__ = (
-        "values", "pos", "root_masks", "walk", "rows", "_nsup",
+        "values", "pos", "root_masks", "walk", "rows",
         "neighbors", "var_binary", "var_constraints",
     )
 
@@ -157,12 +158,13 @@ class _Tables:
         self.root_masks = [(1 << len(dom)) - 1 for dom in self.values]
 
         # an arc revises one constraint at one scope variable x, and is one
-        # entry (cid, x, opp, table, partner).  A binary arc keeps in opp the
-        # supports of each partner value (bit of the partner -> mask of x
-        # values), in table their unions per chunk of the partner's domain
-        # (one table per CHUNK_BITS partner bits, entry s -> the union of opp
-        # over the set bits of s) and its partner variable.  An n-ary arc has
-        # opp None, partner -1 and, in table, its satisfying tuples grouped by
+        # entry (cid, x, nsup, table, partner).  A binary arc keeps in nsup
+        # the values of x that each partner value does not support (bit of
+        # the partner -> ~mask of its supports in x), in table the unions of
+        # those supports per chunk of the partner's domain (one table per
+        # CHUNK_BITS partner bits, entry s -> the union of the supports of
+        # the set bits of s) and its partner variable.  An n-ary arc has nsup
+        # None, partner -1 and, in table, its satisfying tuples grouped by
         # the value of x, ascending: (bit of x, rows), a row being ((z, bit of
         # z) for the other scope variables).  on_var[x]: (slack, entry) of
         # every arc of a constraint on x at its other scope variables,
@@ -173,8 +175,8 @@ class _Tables:
         # partner), n-ary ones as (cid, the other scope variables)
         var_binary: list[list] = [[] for _ in range(n)]
         var_constraints: list[list] = [[] for _ in range(n)]
-        # binary supports, slacks and cover tables, shared by relations equal
-        # up to renaming over the same domains
+        # binary supports, their complements, cover tables and slacks,
+        # shared by relations equal up to renaming over the same domains
         sup_cache: dict = {}
         # combined binary compatibility per ordered variable pair, used by
         # the value heuristic: comb[bit of x] = mask of compatible values of y
@@ -186,22 +188,22 @@ class _Tables:
                 key = (_relation_signature(c), self.values[u], self.values[v])
                 got = sup_cache.get(key)
                 if got is None:
-                    sup_u, sup_v = self._build_binary_support(c)
-                    # the arc on u reads v's supports, and the arc on v u's;
-                    # slack per arc: the most partner values that any value
-                    # of its variable conflicts with
+                    by_u, by_v = self._build_binary_support(c)
+                    # the arc on u reads the supports of v's values, and the
+                    # arc on v those of u's; slack per arc: the most partner
+                    # values that any value of its variable conflicts with
                     got = sup_cache[key] = (
-                        (sup_v, _chunk_unions(sup_v),
-                         len(self.values[v]) - min(map(int.bit_count, sup_u))),
-                        (sup_u, _chunk_unions(sup_u),
-                         len(self.values[u]) - min(map(int.bit_count, sup_v))),
+                        (by_v, tuple(~s for s in by_v), _chunk_unions(by_v),
+                         len(self.values[v]) - min(map(int.bit_count, by_u))),
+                        (by_u, tuple(~s for s in by_u), _chunk_unions(by_u),
+                         len(self.values[u]) - min(map(int.bit_count, by_v))),
                     )
-                (opp_u, cover_u, slack_u), (opp_v, cover_v, slack_v) = got
+                (sup_u, nsup_u, cover_u, slack_u), (sup_v, nsup_v, cover_v, slack_v) = got
                 # each arc is listed by its partner's walk only
-                on_var[v].append((slack_u, (cid, u, opp_u, cover_u, v)))
-                on_var[u].append((slack_v, (cid, v, opp_v, cover_v, u)))
+                on_var[v].append((slack_u, (cid, u, nsup_u, cover_u, v)))
+                on_var[u].append((slack_v, (cid, v, nsup_v, cover_v, u)))
                 # the arc on v maps each bit of u to its supports in v
-                for a, b, rows in ((u, v, opp_v), (v, u, opp_u)):
+                for a, b, rows in ((u, v, sup_v), (v, u, sup_u)):
                     comb = pair_comb.get((a, b))
                     if comb is not None:
                         rows = tuple(old & r for old, r in zip(comb, rows))
@@ -240,10 +242,8 @@ class _Tables:
                 kept[s:] = [tuple(e for slack, e in listed if s <= slack)] * (top + 1 - s)
             self.walk.append(kept)
         # rows[y][b]: the singleton row of y at bit b (see row), None until
-        # y's first walk with that one value builds it; _nsup: ~opp of each
-        # distinct binary support table opp, by value, which the rows share
+        # y's first walk with that one value builds it
         self.rows = [[None] * len(dom) for dom in self.values]
-        self._nsup: dict[tuple[int, ...], tuple[int, ...]] = {}
         self.var_binary = [tuple(v) for v in var_binary]
         self.var_constraints = [tuple(v) for v in var_constraints]
         grouped: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(n)]
@@ -255,22 +255,13 @@ class _Tables:
         """The singleton row of ``y`` at bit ``b``: the entries of
         ``walk[y][1]`` in the same order, each as ``(z, nsup, entry)``, with
         ``nsup`` the values of ``z`` that ``y``'s value does not support,
-        ``~opp[b]``, for a binary entry and -1 for any other.  Built on the
-        first call and kept in ``rows``."""
+        the entry's ``nsup[b]``, for a binary entry and -1 for any other.
+        Built on the first call and kept in ``rows``."""
         row = self.rows[y][b]
         if row is None:
-            nsups = self._nsup
-            out = []
-            for entry in self.walk[y][1]:
-                opp = entry[2]
-                if opp is None:
-                    out.append((entry[1], -1, entry))
-                    continue
-                nsup = nsups.get(opp)
-                if nsup is None:
-                    nsup = nsups[opp] = tuple(~s for s in opp)
-                out.append((entry[1], nsup[b], entry))
-            row = self.rows[y][b] = tuple(out)
+            row = self.rows[y][b] = tuple(
+                (e[1], -1 if e[2] is None else e[2][b], e) for e in self.walk[y][1]
+            )
         return row
 
     def _build_binary_support(self, c: Constraint):
@@ -309,16 +300,16 @@ class _Tables:
         ]
 
 
-def _chunk_unions(opp: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Cover tables of a binary arc whose ``opp[j]`` is the mask of the arc
+def _chunk_unions(sup: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Cover tables of a binary arc whose ``sup[j]`` is the mask of the arc
     variable's values that partner value ``j`` supports: one table per chunk
     of :data:`CHUNK_BITS` partner bits, whose entry ``s`` is the union of
-    ``opp`` over the set bits of ``s`` (the last table is shorter when the
+    ``sup`` over the set bits of ``s`` (the last table is shorter when the
     partner's domain size is not a multiple of the chunk width)."""
     out = []
-    for base in range(0, len(opp), CHUNK_BITS):
+    for base in range(0, len(sup), CHUNK_BITS):
         union = [0]
-        for row in opp[base:base + CHUNK_BITS]:
+        for row in sup[base:base + CHUNK_BITS]:
             union += [u | row for u in union]
         out.append(tuple(union))
     return tuple(out)

@@ -21,10 +21,9 @@ empties a domain bumps the weight of exactly that constraint by one and
 stops propagation immediately: :func:`propagate` returns False, and True at
 a fixpoint.  Propagation counts nothing; search counts the wipeouts.
 
-A binary arc is revised a whole domain at once from its entry: ``opp`` maps
-each partner bit to the mask of the variable's values it supports, so the
-values to keep are the variable's domain ANDed with the union of ``opp``
-over the partner's current domain.  :func:`revise` reads that union from the
+A binary arc is revised a whole domain at once from its entry: the values
+to keep are the variable's domain ANDed with the union of the supports of
+the partner's current values.  :func:`revise` reads that union from the
 entry's cover tables, one lookup per ``model.CHUNK_BITS`` bits of the
 partner's mask, each table entry holding the union over one subset of that
 chunk (the word-level revision of AC3bit, Lecoutre & Vion 2008, and the
@@ -55,24 +54,24 @@ always listed.
 
 The walk of a singleton revises its binary arcs itself, with one AND, in a
 loop of its own over a per-value row.  When the walked variable ``y`` has a
-single value, of bit ``b``, the values of a binary arc's variable to keep are
-``m & opp[b]``, ``m`` being that variable's mask: every arc of ``walk[y]``
-has ``y`` as its partner, so ``opp[b]`` is the whole union of supports over
+single value, of bit ``b``, the values of a binary arc's variable to remove
+are ``m & nsup[b]``, ``m`` being that variable's mask and ``nsup[b]`` the
+values that ``b`` does not support: every arc of ``walk[y]`` has ``y`` as
+its partner, so ``b``'s supports are the whole union of supports over
 ``y``'s domain.  ``tables.row(y, b)`` lists the entries of ``walk[y][1]`` in
-the same order as ``(z, nsup, entry)``, ``nsup`` being ``~opp[b]``, the
-values of ``z`` that ``y``'s value does not support, for a binary entry and
--1 for any other.  The loop ANDs ``z``'s mask with ``nsup`` first, before the
-entry's kind and exclusion are tested, and an entry whose AND is empty could
-remove nothing and stops there: most entries do.  Only the rest read the
-entry: a binary one past the exclusion test stores ``m & ~nsup`` itself, with
-no :func:`revise` call, and any other one (its ``nsup`` of -1 always goes on)
-is sent to :func:`revise`.  The walk of a variable with more values is a
-second loop, which sends every arc to :func:`revise`.  So :func:`revise` runs
-only for an arc that one AND cannot decide (a non-binary arc, or the walk
-of a variable with more values), and the singleton loop reads an entry's
-kind only when its AND leaves values to remove.  Neither records a removal:
-the level that search opened before its branch holds a copy of every mask,
-and restores them all.
+the same order as ``(z, nsup, entry)``, ``nsup`` being the entry's
+``nsup[b]`` for a binary entry and -1 for any other.  The loop ANDs ``z``'s
+mask with ``nsup`` first, before the entry's kind and exclusion are tested,
+and an entry whose AND is empty could remove nothing and stops there: most
+entries do.  Only the rest read the entry: a binary one past the exclusion
+test stores ``m & ~nsup`` itself, with no :func:`revise` call, and any other
+one (its ``nsup`` of -1 always goes on) is sent to :func:`revise`.  The walk
+of a variable with more values is a second loop, which sends every arc to
+:func:`revise`.  So :func:`revise` runs only for an arc that one AND cannot
+decide (a non-binary arc, or the walk of a variable with more values), and
+the singleton loop reads an entry's kind only when its AND leaves values to
+remove.  Neither records a removal: the level that search opened before its
+branch holds a copy of every mask, and restores them all.
 """
 
 from __future__ import annotations
@@ -90,12 +89,13 @@ def revise(state: SearchState, e: tuple) -> bool:
     """Revise the arc of entry ``e`` (see ``model._Tables``); True iff at
     least one value was removed.  A binary arc reads the union of its
     partner's supports from its cover tables, one chunk of the partner's mask
-    at a time, whatever the partner's size; any other arc scans its compiled
-    rows."""
+    at a time, whatever the partner's size, and leaves its ``nsup`` to the
+    singleton walk; any other arc, whose ``nsup`` is None, scans its
+    compiled rows."""
     masks = state.masks
-    _, x, opp, table, partner = e
+    _, x, nsup, table, partner = e
     m = masks[x]
-    if opp is None:
+    if nsup is None:
         new = 0
         for b, rows in table:
             if m & b:

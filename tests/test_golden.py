@@ -114,16 +114,16 @@ def test_walk_tables_list_the_arcs_the_slack_test_keeps(source):
             if all(check_tuple(c, (v,)) for c in problem.constraints if c.scope == (x,)))
         for x, dom in enumerate(problem.domains)
     ]
-    for cid, y, opp, table, partner in entries:
+    for cid, y, nsup, table, partner in entries:
         scope = problem.constraints[cid].scope
         if len(scope) != 2:
-            assert (opp, partner) == (None, -1)
+            assert (nsup, partner) == (None, -1)
             continue
         (other,) = (z for z in scope if z != y)
         assert partner == other
-        # opp[j], the supports of partner bit j, is the cover entry of that bit alone
-        assert opp == tuple(
-            table[j // CHUNK_BITS][1 << j % CHUNK_BITS] for j in range(len(opp))
+        # ~nsup[j], the supports of partner bit j, is the cover entry of that bit alone
+        assert tuple(~s for s in nsup) == tuple(
+            table[j // CHUNK_BITS][1 << j % CHUNK_BITS] for j in range(len(nsup))
         )
     # a non-binary arc has no slack: every size lists it
     slack = [

@@ -18,6 +18,7 @@ from branchbench.model import (
     Intensional,
     Problem,
     SearchState,
+    check_tuple,
     mask_values,
 )
 from branchbench.propagation import establish_root_gac, propagate, revise
@@ -439,7 +440,8 @@ def _row_problems():
 def test_a_singleton_row_lists_the_size_one_walk_with_each_arcs_unsupported_values():
     """``row(y, b)`` holds the entries of ``walk[y][1]``, the same objects in
     the same order, each with its target variable and the values of it that
-    ``y``'s value ``b`` does not support: ``~opp[b]`` for a binary entry
+    ``y``'s value ``b`` does not support: for a binary entry, the complement
+    of the target values that ``check_tuple`` accepts beside ``y``'s value
     (-1 where ``b`` supports nothing), -1 for any other."""
     kinds = Counter()
     for p in _row_problems():
@@ -452,13 +454,17 @@ def test_a_singleton_row_lists_the_size_one_walk_with_each_arcs_unsupported_valu
                 assert len(row) == len(entries)
                 for (z, nsup, e), entry in zip(row, entries):
                     assert e is entry and z == entry[1]
-                    opp = entry[2]
-                    if opp is None:
+                    if entry[2] is None:
                         assert nsup == -1
                         kinds["other"] += 1
-                    else:
-                        assert nsup == ~opp[b]
-                        kinds["binary", opp[b] == 0] += 1
+                        continue
+                    c = p.constraints[entry[0]]
+                    supported = sum(
+                        1 << i for i, v in enumerate(p.domains[z])
+                        if check_tuple(c, (v, dom[b]) if c.scope == (z, y) else (dom[b], v))
+                    )
+                    assert nsup == ~supported
+                    kinds["binary", supported == 0] += 1
     assert kinds["binary", False] >= 1000 and kinds["other"] >= 100
     assert kinds["binary", True] >= 10
 
@@ -474,6 +480,24 @@ def test_a_singleton_row_is_built_on_its_first_walk_and_kept_across_solves():
     solve(p, parse_scheme("dway"))
     assert p.tables.rows is rows
     assert all(rows[y][b] is r for (y, b), r in built.items())
+
+
+def test_solves_write_no_table_but_the_singleton_rows():
+    """Solving under every scheme leaves each ``_Tables`` slot but ``rows``
+    the object it was, equal to a fresh compile's."""
+    fresh = (lambda: gen_langford(6), lambda: parse_instance((GOLDEN / "nary.csp").read_text()))
+    for make in fresh:
+        p = make()
+        tables = p.tables
+        slots = [s for s in type(tables).__slots__ if s != "rows"]
+        before = {s: getattr(tables, s) for s in slots}
+        for name in SCHEME_NAMES:
+            solve(p, parse_scheme(name))
+        assert p.tables is tables
+        compiled = make().tables
+        for s in slots:
+            assert getattr(tables, s) is before[s], s
+            assert getattr(tables, s) == getattr(compiled, s), s
 
 
 def _slack_of(problem, cid, x):
@@ -670,11 +694,11 @@ def test_walks_and_search_ignore_the_order_a_scope_is_written_in(revise_calls):
             for s in range(len(walk)):
                 listed = [e[:2] for e in walk[s]]
                 assert listed == sorted(listed) == [e[:2] for e in expected[s]]
-                for cid, y, opp, _, partner in walk[s]:
+                for cid, y, nsup, _, partner in walk[s]:
                     scope = rotated.constraints[cid].scope
                     assert y in scope and y != x and x in scope
                     assert partner == (x if len(scope) == 2 else -1)
-                    assert (opp is None) == (len(scope) != 2)
+                    assert (nsup is None) == (len(scope) != 2)
                     ternary += len(scope) == 3
         for name in SCHEME_NAMES:
             runs = []
