@@ -13,12 +13,11 @@ it removes, is one store into ``SearchState.masks`` and records nothing:
 each restoration level saves a copy of the whole mask list when it opens
 (copying rather than trailing, Schulte 1999), and undoing it copies that
 list back.  The compiled tables on the problem (the root domains, which the
-unary constraints cut; one entry per other arc, which holds for a binary arc
-the values that each partner value does not support and the unions of the
-supports per chunk of the partner's domain, or an n-ary arc's rows of bit
-masks grouped by value; per-variable walk lists of
-those entries by domain size; neighbour tables) are built in one pass over
-the constraints.  The one exception is the singleton rows, one per variable
+unary constraints cut; one entry per other arc, which holds a binary arc's
+unsupported values per partner value and its supports' unions per chunk of
+the partner's domain or an n-ary arc's rows of bit masks grouped by value;
+per-variable walk lists of those entries by domain size; neighbour tables)
+are built in one pass over the constraints.  The one exception is the singleton rows, one per variable
 and value, which propagation builds from the walk lists the first time it
 walks that variable with that one value, and which the problem then keeps
 for every later solve.  So the tables are a deterministic cache, filled

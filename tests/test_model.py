@@ -169,8 +169,7 @@ def test_binary_tables_are_shared_by_relations_equal_up_to_renaming():
         for i, (s, r) in enumerate(zip(scopes, rels))
     ))
     # entries 2c and 2c + 1 revise constraint c at its first and second
-    # variable; both the unsupported values (nsup) and the cover tables are
-    # shared
+    # variable; their unsupported values (nsup) and cover tables are shared
     entries = arc_entries(p)
     for field in (2, 3):
         table = [e[field] for e in entries]

@@ -485,8 +485,8 @@ def test_a_singleton_row_is_built_on_its_first_walk_and_kept_across_solves():
 def test_solves_write_no_table_but_the_singleton_rows():
     """Solving under every scheme leaves each ``_Tables`` slot but ``rows``
     the object it was, equal to a fresh compile's."""
-    fresh = (lambda: gen_langford(6), lambda: parse_instance((GOLDEN / "nary.csp").read_text()))
-    for make in fresh:
+    makers = (lambda: gen_langford(6), lambda: parse_instance((GOLDEN / "nary.csp").read_text()))
+    for make in makers:
         p = make()
         tables = p.tables
         slots = [s for s in type(tables).__slots__ if s != "rows"]
