@@ -127,7 +127,7 @@ def _value_sets(scheme: Scheme, state: SearchState, x: int, scored: Scored) -> l
 
     # splitting engages only while the domain is still large
     tf = scheme.threshold_fraction
-    if state.masks[x].bit_count() * tf.denominator <= tf.numerator * len(state.tables.values[x]):
+    if state.masks[x].bit_count() * tf.denominator <= tf.numerator * len(state.problem.domains[x]):
         return None
 
     if partition == "split":
@@ -150,7 +150,7 @@ def plan(scheme: Scheme, state: SearchState, x: int) -> BranchPlan:
     """Build the branch plan for ``x`` under ``scheme`` on the current state."""
     scored = score_domain(state, x)
     masks = _value_sets(scheme, state, x, scored)
-    values = state.tables.values[x]
+    values = state.problem.domains[x]
     # a binary plan keeps only its first set, so build no others
     if scheme.binary:
         return BranchPlan((1 << scored[0][0] if masks is None else masks[0],), values)

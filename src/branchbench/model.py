@@ -2,9 +2,9 @@
 
 A :class:`Problem` is immutable after construction and safely shareable
 between solver runs.  Variables are identified by index; original domains
-are kept sorted ascending and duplicate-free.  Mutable search data (current
-domains, constraint weights, assignments and the restoration trail) lives in
-:class:`SearchState`; the search counters are ``solve``'s own.
+are ints, kept sorted ascending and duplicate-free.  Mutable search data
+(current domains, constraint weights, assignments and the restoration trail)
+lives in :class:`SearchState`; the search counters are ``solve``'s own.
 
 Current domains are bitmasks over positions in the original domain, which
 keeps membership tests, removals, and the compatibility counting done by the
@@ -13,21 +13,22 @@ it removes, is one store into ``SearchState.masks`` and records nothing:
 each restoration level saves a copy of the whole mask list when it opens
 (copying rather than trailing, Schulte 1999), and undoing it copies that
 list back.  The compiled tables on the problem (the root domains, which the
-unary constraints cut; one entry per other arc, which holds a binary arc's
-unsupported values per partner value and its supports' unions per chunk of
-the partner's domain or an n-ary arc's rows of bit masks grouped by value;
-per-variable walk lists of those entries by domain size; neighbour tables)
-are built in one pass over the constraints.  The one exception is the singleton rows, one per variable
-and value, which propagation builds from the walk lists the first time it
-walks that variable with that one value, and which the problem then keeps
-for every later solve.  So the tables are a deterministic cache, filled
-lazily, and a pure indexing layer: they change nothing about constraint
-semantics, which are always those of :func:`check_tuple`.
+unary constraints cut; one entry ``(cid, x, table, partner)`` per other arc,
+whose table holds a binary arc's values of ``x`` that each subset of a chunk
+of the partner's domain leaves unsupported, or an n-ary arc's rows of bit
+masks grouped by value, its partner being None; per-variable walk lists of
+those entries by domain size; neighbour tables) are built in one pass over
+the constraints, each fact once.  The one exception is the singleton rows,
+one per variable and value, which propagation builds from the walk lists the
+first time it walks that variable with that one value, and which the problem
+then keeps for every later solve.  So the tables are a deterministic cache,
+filled lazily, and a pure indexing layer: they change nothing about
+constraint semantics, which are always those of :func:`check_tuple`.
 
 A constraint is compiled once into its satisfying tuples over the original
 domains: an extensional relation by mapping its tuples to positions, any
 other relation (intensional, or forbidden of arity other than 2) by one
-function, ``_Tables._satisfying_positions``, calling :func:`check_tuple` on
+function, ``_satisfying_positions``, calling :func:`check_tuple` on
 every candidate tuple.  For arity other than 2 that enumeration is bounded by
 :data:`MAX_TABLE_TUPLES`; a problem that exceeds it is rejected when built,
 so it fails at load rather than during a solve.  Binary tables are shared,
@@ -55,16 +56,13 @@ from .exprs import (
 
 logger = logging.getLogger(__name__)
 
-# arc slack of non-binary arcs: larger than any domain size, so never skipped
-_NEVER_SKIP = 1 << 62
-
 # most candidate tuples (product of original domain sizes) that a forbidden
 # or intensional constraint of arity other than 2 may span; compiling it calls
 # check_tuple on each of them
 MAX_TABLE_TUPLES = 1 << 16
 
-# partner bits per chunk of a binary arc's cover tables: one lookup per chunk
-# of the partner's domain mask, in a table of 2**CHUNK_BITS entries
+# partner bits per chunk of a binary arc's table: one lookup per chunk of the
+# partner's domain mask, in a chunk of 2**CHUNK_BITS entries
 CHUNK_BITS = 4
 
 
@@ -144,73 +142,67 @@ class _Tables:
     the singleton rows are filled in after construction, each once."""
 
     __slots__ = (
-        "values", "pos", "root_masks", "walk", "rows",
-        "neighbors", "var_binary", "var_constraints",
+        "root_masks", "walk", "rows", "neighbors", "var_binary", "var_constraints",
     )
 
     def __init__(self, problem: "Problem") -> None:
-        n = len(problem.names)
-        self.values = [problem.domains[x] for x in range(n)]
-        self.pos = [{v: i for i, v in enumerate(dom)} for dom in self.values]
+        domains = problem.domains
+        n = len(domains)
+        pos = [{v: i for i, v in enumerate(dom)} for dom in domains]
         # the original domains cut by every unary constraint, which has no
         # arc and no var_constraints row: it can cut only the root domain
-        self.root_masks = [(1 << len(dom)) - 1 for dom in self.values]
+        self.root_masks = [(1 << len(dom)) - 1 for dom in domains]
 
         # an arc revises one constraint at one scope variable x, and is one
-        # entry (cid, x, nsup, table, partner).  A binary arc keeps in nsup
-        # the values of x that each partner value does not support (bit of
-        # the partner -> ~mask of its supports in x), in table the unions of
-        # those supports per chunk of the partner's domain (one table per
-        # CHUNK_BITS partner bits, entry s -> the union of the supports of
-        # the set bits of s) and its partner variable.  An n-ary arc has nsup
-        # None, partner -1 and, in table, its satisfying tuples grouped by
-        # the value of x, ascending: (bit of x, rows), a row being ((z, bit of
-        # z) for the other scope variables).  on_var[x]: (slack, entry) of
-        # every arc of a constraint on x at its other scope variables,
-        # ascending (cid, var), the arcs x's walk may list; a non-binary arc's
-        # slack exceeds every domain size.
+        # entry (cid, x, table, partner).  A binary arc's table holds, per
+        # chunk of CHUNK_BITS partner bits, entry s -> the values of x that
+        # no partner value at a set bit of s supports (-1 at s = 0).  An
+        # n-ary arc has partner None and, in table, its satisfying tuples
+        # grouped by the value of x, ascending: (bit of x, rows), a row being
+        # ((z, bit of z) for the other scope variables).  on_var[y]: (slack,
+        # entry) of every arc of a constraint on y at its other scope
+        # variables, ascending (cid, var), the arcs y's walk may list; a
+        # non-binary arc's slack is y's domain size, which no size exceeds.
         on_var: list[list] = [[] for _ in range(n)]
         # the constraints on x, for the wdeg cache: binary ones as (cid,
         # partner), n-ary ones as (cid, the other scope variables)
         var_binary: list[list] = [[] for _ in range(n)]
         var_constraints: list[list] = [[] for _ in range(n)]
-        # binary supports, their complements, cover tables and slacks,
-        # shared by relations equal up to renaming over the same domains
+        # binary supports, tables and slacks per direction, shared by
+        # relations equal up to renaming over the same domains
         sup_cache: dict = {}
-        # combined binary compatibility per ordered variable pair, used by
-        # the value heuristic: comb[bit of x] = mask of compatible values of y
-        pair_comb: dict[tuple[int, int], tuple[int, ...]] = {}
+        # combined binary compatibility per ordered variable pair, used by the
+        # value heuristic: comb[x][y][bit of x] = mask of compatible values of y
+        comb: list[dict[int, tuple[int, ...]]] = [{} for _ in range(n)]
         for c in problem.constraints:
             cid, scope = c.cid, c.scope
             if len(scope) == 2:
                 u, v = scope
-                key = (_relation_signature(c), self.values[u], self.values[v])
+                key = (_relation_signature(c), domains[u], domains[v])
                 got = sup_cache.get(key)
                 if got is None:
-                    by_u, by_v = self._build_binary_support(c)
+                    by_u, by_v = _binary_supports(c, domains, pos)
                     # the arc on u reads the supports of v's values, and the
                     # arc on v those of u's; slack per arc: the most partner
                     # values that any value of its variable conflicts with
                     got = sup_cache[key] = (
-                        (by_v, tuple(~s for s in by_v), _chunk_unions(by_v),
-                         len(self.values[v]) - min(map(int.bit_count, by_u))),
-                        (by_u, tuple(~s for s in by_u), _chunk_unions(by_u),
-                         len(self.values[u]) - min(map(int.bit_count, by_v))),
+                        (by_v, _unsupported_chunks(by_v),
+                         len(domains[v]) - min(map(int.bit_count, by_u))),
+                        (by_u, _unsupported_chunks(by_u),
+                         len(domains[u]) - min(map(int.bit_count, by_v))),
                     )
-                (sup_u, nsup_u, cover_u, slack_u), (sup_v, nsup_v, cover_v, slack_v) = got
+                (sup_u, table_u, slack_u), (sup_v, table_v, slack_v) = got
                 # each arc is listed by its partner's walk only
-                on_var[v].append((slack_u, (cid, u, nsup_u, cover_u, v)))
-                on_var[u].append((slack_v, (cid, v, nsup_v, cover_v, u)))
+                on_var[v].append((slack_u, (cid, u, table_u, v)))
+                on_var[u].append((slack_v, (cid, v, table_v, u)))
                 # the arc on v maps each bit of u to its supports in v
                 for a, b, rows in ((u, v, sup_v), (v, u, sup_u)):
-                    comb = pair_comb.get((a, b))
-                    if comb is not None:
-                        rows = tuple(old & r for old, r in zip(comb, rows))
-                    pair_comb[(a, b)] = rows
+                    old = comb[a].get(b)
+                    comb[a][b] = rows if old is None else tuple(map(int.__and__, old, rows))
                 var_binary[u].append((cid, v))
                 var_binary[v].append((cid, u))
                 continue
-            tuples = self._satisfying_positions(c)
+            tuples = _satisfying_positions(c, domains, pos)
             if len(scope) == 1:
                 self.root_masks[scope[0]] &= sum(1 << i for (i,) in tuples)
                 continue
@@ -221,12 +213,12 @@ class _Tables:
                     by_value.setdefault(t[k], []).append(
                         tuple((scope[j], 1 << i) for j, i in enumerate(t) if j != k)
                     )
-                entry = (cid, x, None, tuple(
+                entry = (cid, x, tuple(
                     (1 << i, tuple(rows)) for i, rows in sorted(by_value.items())
-                ), -1)
+                ), None)
                 for z in scope:
                     if z != x:
-                        on_var[z].append((_NEVER_SKIP, entry))
+                        on_var[z].append((len(domains[z]), entry))
             for x in scope:
                 var_constraints[x].append((cid, tuple(z for z in scope if z != x)))
         # walk[x][s]: the entries of on_var[x] that the walk of x lists
@@ -235,82 +227,86 @@ class _Tables:
         self.walk = []
         for x, listed in enumerate(on_var):
             entries = tuple(e for _, e in listed)
-            top = len(self.values[x])
+            top = len(domains[x])
             kept = [entries] * (top + 1)
             for s in sorted({slack + 1 for slack, _ in listed if slack < top}):
                 kept[s:] = [tuple(e for slack, e in listed if s <= slack)] * (top + 1 - s)
             self.walk.append(kept)
         # rows[y][b]: the singleton row of y at bit b (see row), None until
         # y's first walk with that one value builds it
-        self.rows = [[None] * len(dom) for dom in self.values]
+        self.rows = [[None] * len(dom) for dom in domains]
         self.var_binary = [tuple(v) for v in var_binary]
         self.var_constraints = [tuple(v) for v in var_constraints]
-        grouped: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(n)]
-        for (a, b), comb in sorted(pair_comb.items()):
-            grouped[a].append((b, comb))
-        self.neighbors = [tuple(g) for g in grouped]
+        # a score is an exact product, so the neighbours' order is free
+        self.neighbors = [tuple(d.items()) for d in comb]
 
     def row(self, y: int, b: int) -> tuple:
         """The singleton row of ``y`` at bit ``b``: the entries of
         ``walk[y][1]`` in the same order, each as ``(z, nsup, entry)``, with
         ``nsup`` the values of ``z`` that ``y``'s value does not support,
-        the entry's ``nsup[b]``, for a binary entry and -1 for any other.
+        a binary entry's table at ``b`` alone, and -1 for any other entry.
         Built on the first call and kept in ``rows``."""
         row = self.rows[y][b]
         if row is None:
+            c, s = b // CHUNK_BITS, 1 << b % CHUNK_BITS
             row = self.rows[y][b] = tuple(
-                (e[1], -1 if e[2] is None else e[2][b], e) for e in self.walk[y][1]
+                (e[1], -1 if e[3] is None else e[2][c][s], e) for e in self.walk[y][1]
             )
         return row
 
-    def _build_binary_support(self, c: Constraint):
-        u, v = c.scope
-        du, dv = self.values[u], self.values[v]
-        rel = c.relation
-        if isinstance(rel, Intensional):
-            pairs = self._satisfying_positions(c)
-        else:
-            pu, pv = self.pos[u], self.pos[v]
-            pairs = [(pu[a], pv[b]) for a, b in rel.tuples]
-        # allowed pairs set bits in empty rows, forbidden pairs clear bits in
-        # full rows; Problem keeps every tuple value inside its domain
-        forbidden = isinstance(rel, ExtensionalForbidden)
-        sup_u = [(1 << len(dv)) - 1 if forbidden else 0] * len(du)
-        sup_v = [(1 << len(du)) - 1 if forbidden else 0] * len(dv)
-        for i, j in pairs:
-            sup_u[i] ^= 1 << j
-            sup_v[j] ^= 1 << i
-        return (tuple(sup_u), tuple(sup_v))
 
-    def _satisfying_positions(self, c: Constraint) -> list[tuple[int, ...]]:
-        """Every tuple over the original domains that satisfies ``c``, as
-        value positions, one per scope variable."""
-        rel = c.relation
-        if isinstance(rel, ExtensionalAllowed):
-            pos = [self.pos[x] for x in c.scope]
-            return [tuple(p[v] for p, v in zip(pos, t)) for t in rel.tuples]
-        doms = [self.values[x] for x in c.scope]
-        return [
-            idx
-            for idx, values in zip(
-                itertools.product(*map(range, map(len, doms))), itertools.product(*doms)
-            )
-            if check_tuple(c, values)
-        ]
+def _binary_supports(c: Constraint, domains, pos):
+    """Per value of each scope variable of binary ``c``, the mask of the
+    other's values that ``c`` allows beside it; ``pos[x]``: value -> bit."""
+    u, v = c.scope
+    du, dv = domains[u], domains[v]
+    rel = c.relation
+    if isinstance(rel, Intensional):
+        pairs = _satisfying_positions(c, domains, pos)
+    else:
+        pu, pv = pos[u], pos[v]
+        pairs = [(pu[a], pv[b]) for a, b in rel.tuples]
+    # allowed pairs set bits in empty rows, forbidden pairs clear bits in
+    # full rows; Problem keeps every tuple value inside its domain
+    forbidden = isinstance(rel, ExtensionalForbidden)
+    sup_u = [(1 << len(dv)) - 1 if forbidden else 0] * len(du)
+    sup_v = [(1 << len(du)) - 1 if forbidden else 0] * len(dv)
+    for i, j in pairs:
+        sup_u[i] ^= 1 << j
+        sup_v[j] ^= 1 << i
+    return (tuple(sup_u), tuple(sup_v))
 
 
-def _chunk_unions(sup: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Cover tables of a binary arc whose ``sup[j]`` is the mask of the arc
-    variable's values that partner value ``j`` supports: one table per chunk
-    of :data:`CHUNK_BITS` partner bits, whose entry ``s`` is the union of
-    ``sup`` over the set bits of ``s`` (the last table is shorter when the
-    partner's domain size is not a multiple of the chunk width)."""
+def _satisfying_positions(c: Constraint, domains, pos) -> list[tuple[int, ...]]:
+    """Every tuple over the original ``domains`` that satisfies ``c``, as
+    value positions (``pos[x]``: value -> bit), one per scope variable."""
+    rel = c.relation
+    if isinstance(rel, ExtensionalAllowed):
+        scope_pos = [pos[x] for x in c.scope]
+        return [tuple(p[v] for p, v in zip(scope_pos, t)) for t in rel.tuples]
+    doms = [domains[x] for x in c.scope]
+    return [
+        idx
+        for idx, values in zip(
+            itertools.product(*map(range, map(len, doms))), itertools.product(*doms)
+        )
+        if check_tuple(c, values)
+    ]
+
+
+def _unsupported_chunks(sup: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The table of a binary arc whose ``sup[j]`` is the mask of the arc
+    variable's values that partner value ``j`` supports: one chunk per
+    :data:`CHUNK_BITS` partner bits, whose entry ``s`` is the AND of ``~sup``
+    over the set bits of ``s``, the values that none of them supports, -1 at
+    ``s = 0`` (the last chunk is shorter when the partner's domain size is
+    not a multiple of the chunk width)."""
     out = []
     for base in range(0, len(sup), CHUNK_BITS):
-        union = [0]
+        left = [-1]
         for row in sup[base:base + CHUNK_BITS]:
-            union += [u | row for u in union]
-        out.append(tuple(union))
+            left += [m & ~row for m in left]
+        out.append(tuple(left))
     return tuple(out)
 
 
@@ -330,6 +326,8 @@ def _normalize_domain(dom: Iterable[int]) -> tuple[int, ...]:
     if not out:
         raise ValueError("empty domain")
     for v in out:
+        if type(v) is not int:
+            raise ValueError(f"domain value {v!r} is not an int")
         if not INT64_MIN <= v <= INT64_MAX:
             raise ValueError(f"domain value {v} outside 64-bit range")
     return out
@@ -455,7 +453,7 @@ class SearchState:
         m = self.masks[x]
         if m.bit_count() != 1:
             raise ValueError(f"variable {x} is not singleton")
-        return self.tables.values[x][m.bit_length() - 1]
+        return self.problem.domains[x][m.bit_length() - 1]
 
     # -- assignments and weights -------------------------------------------
 

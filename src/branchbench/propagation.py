@@ -21,23 +21,23 @@ empties a domain bumps the weight of exactly that constraint by one and
 stops propagation immediately: :func:`propagate` returns False, and True at
 a fixpoint.  Propagation counts nothing; search counts the wipeouts.
 
-A binary arc is revised a whole domain at once from its entry: the values
-to keep are the variable's domain ANDed with the union of the supports of
-the partner's current values.  :func:`revise` reads that union from the
-entry's cover tables, one lookup per ``model.CHUNK_BITS`` bits of the
-partner's mask, each table entry holding the union over one subset of that
-chunk (the word-level revision of AC3bit, Lecoutre & Vion 2008, and the
-union of supports of Compact-Table, Demeulenaere et al. 2016).  A value is
-in the union exactly when some current partner value supports it, so the
-result is that of testing each value.  Every other arc (n-ary, of any
-relation kind) scans its compiled rows, one per satisfying tuple of the
-constraint, grouped by the variable's value: a current value is kept at the
-first of its rows that has every other scope variable's bit in that
-variable's current domain, and its other rows are not read.  The rows are
-built once per problem, so a revision never calls ``check_tuple`` and costs
-at most one pass over a table of at most ``model.MAX_TABLE_TUPLES`` rows for
-a forbidden or intensional relation.  All removed values leave the domain in
-one store of its mask.
+A binary arc is revised a whole domain at once from its entry's one table,
+whose entries hold, per subset of one ``model.CHUNK_BITS``-bit chunk of the
+partner's domain, the values that no partner value of the subset supports:
+:func:`revise` ANDs one lookup per chunk of the partner's mask and removes
+what is left.  These are the unions of supports of the word-level revision
+of AC3bit (Lecoutre & Vion 2008) and of Compact-Table (Demeulenaere et al.
+2016), stored complemented (De Morgan) so that the singleton rows below read
+the same table.  A value is removed exactly when no current partner value
+supports it, so the result is that of testing each value.  Every other arc
+(n-ary, of any relation kind) scans its compiled rows, one per satisfying
+tuple of the constraint, grouped by the variable's value: a current value is
+kept at the first of its rows that has every other scope variable's bit in
+that variable's current domain, and its other rows are not read.  The rows
+are built once per problem, so a revision never calls ``check_tuple`` and
+costs at most one pass over a table of at most ``model.MAX_TABLE_TUPLES``
+rows for a forbidden or intensional relation.  All removed values leave the
+domain in one store of its mask.
 
 Most revisions remove nothing, and many of them are never made.  A binary
 arc's *slack* is the largest number of original partner values that any
@@ -55,23 +55,23 @@ always listed.
 The walk of a singleton revises its binary arcs itself, with one AND, in a
 loop of its own over a per-value row.  When the walked variable ``y`` has a
 single value, of bit ``b``, the values of a binary arc's variable to remove
-are ``m & nsup[b]``, ``m`` being that variable's mask and ``nsup[b]`` the
-values that ``b`` does not support: every arc of ``walk[y]`` has ``y`` as
-its partner, so ``b``'s supports are the whole union of supports over
-``y``'s domain.  ``tables.row(y, b)`` lists the entries of ``walk[y][1]`` in
-the same order as ``(z, nsup, entry)``, ``nsup`` being the entry's
-``nsup[b]`` for a binary entry and -1 for any other.  The loop ANDs ``z``'s
-mask with ``nsup`` first, before the entry's kind and exclusion are tested,
-and an entry whose AND is empty could remove nothing and stops there: most
-entries do.  Only the rest read the entry: a binary one past the exclusion
-test stores ``m & ~nsup`` itself, with no :func:`revise` call, and any other
-one (its ``nsup`` of -1 always goes on) is sent to :func:`revise`.  The walk
-of a variable with more values is a second loop, which sends every arc to
-:func:`revise`.  So :func:`revise` runs only for an arc that one AND cannot
-decide (a non-binary arc, or the walk of a variable with more values), and
-the singleton loop reads an entry's kind only when its AND leaves values to
-remove.  Neither records a removal: the level that search opened before its
-branch holds a copy of every mask, and restores them all.
+are ``m & nsup``, ``m`` being that variable's mask and ``nsup`` the values
+that ``b`` does not support, which is the entry of the subset ``{b}`` in the
+arc's table: every arc of ``walk[y]`` has ``y`` as its partner.
+``tables.row(y, b)`` lists the entries of ``walk[y][1]`` in the same order
+as ``(z, nsup, entry)``, ``nsup`` being read from a binary entry's table and
+-1 for any other.  The loop ANDs ``z``'s mask with ``nsup`` first, before
+the entry's kind and exclusion are tested, and an entry whose AND is empty
+could remove nothing and stops there: most entries do.  Only the rest read
+the entry: a binary one past the exclusion test stores ``m & ~nsup`` itself,
+with no :func:`revise` call, and any other one (its ``nsup`` of -1 always
+goes on) is sent to :func:`revise`.  The walk of a variable with more values
+is a second loop, which sends every arc to :func:`revise`.  So
+:func:`revise` runs only for an arc that one AND cannot decide (a non-binary
+arc, or the walk of a variable with more values), and the singleton loop
+reads an entry's kind only when its AND leaves values to remove.  Neither
+records a removal: the level that search opened before its branch holds a
+copy of every mask, and restores them all.
 """
 
 from __future__ import annotations
@@ -87,15 +87,14 @@ _CHUNK_MASK = (1 << CHUNK_BITS) - 1
 
 def revise(state: SearchState, e: tuple) -> bool:
     """Revise the arc of entry ``e`` (see ``model._Tables``); True iff at
-    least one value was removed.  A binary arc reads the union of its
-    partner's supports from its cover tables, one chunk of the partner's mask
-    at a time, whatever the partner's size, and leaves its ``nsup`` to the
-    singleton walk; any other arc, whose ``nsup`` is None, scans its
-    compiled rows."""
+    least one value was removed.  A binary arc reads the values that no
+    current partner value supports from its table, one chunk of the
+    partner's mask at a time, whatever the partner's size, and keeps the
+    rest; any other arc, whose partner is None, scans its compiled rows."""
     masks = state.masks
-    _, x, nsup, table, partner = e
+    _, x, table, partner = e
     m = masks[x]
-    if nsup is None:
+    if partner is None:
         new = 0
         for b, rows in table:
             if m & b:
@@ -107,13 +106,13 @@ def revise(state: SearchState, e: tuple) -> bool:
                         new |= b
                         break
     else:
-        # the union of the supports of every partner value, a chunk at a time
+        # the values that no partner value supports, a chunk at a time
         pm = masks[partner]
-        new = 0
-        for union in table:
-            new |= union[pm & _CHUNK_MASK]
+        left = -1
+        for chunk in table:
+            left &= chunk[pm & _CHUNK_MASK]
             pm >>= CHUNK_BITS
-        new &= m
+        new = m & ~left
     if new == m:
         return False
     masks[x] = new
@@ -173,7 +172,7 @@ def propagate(state: SearchState, x: Optional[int] = None) -> bool:
                 cid = e[0]
                 if cid == skip:
                     continue
-                if e[2] is None:
+                if e[3] is None:
                     if not revise(state, e):
                         continue
                 else:

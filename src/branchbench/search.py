@@ -116,7 +116,7 @@ def solve(
     max_nodes = limits.max_nodes if limits else None
     wall_ms = limits.wall_time_ms if limits else None
     names = problem.names
-    values_of = state.tables.values
+    values_of = problem.domains
     binary = scheme.binary
     stack: list[_Frame] = []
     status = Status.UNSAT

@@ -101,7 +101,7 @@ def test_walk_tables_list_the_arcs_the_slack_test_keeps(source):
     every size ``s`` of ``x``; a unary constraint has no arc and cuts its
     variable's root mask instead; each entry carries the arc's own fields,
     and equal tuples are one object."""
-    from branchbench.model import CHUNK_BITS, check_tuple
+    from branchbench.model import check_tuple
     from oracles import binary_slack
     from util import arc_entries
 
@@ -114,21 +114,17 @@ def test_walk_tables_list_the_arcs_the_slack_test_keeps(source):
             if all(check_tuple(c, (v,)) for c in problem.constraints if c.scope == (x,)))
         for x, dom in enumerate(problem.domains)
     ]
-    for cid, y, nsup, table, partner in entries:
+    for cid, y, _, partner in entries:
         scope = problem.constraints[cid].scope
         if len(scope) != 2:
-            assert (nsup, partner) == (None, -1)
+            assert partner is None
             continue
         (other,) = (z for z in scope if z != y)
         assert partner == other
-        # ~nsup[j], the supports of partner bit j, is the cover entry of that bit alone
-        assert tuple(~s for s in nsup) == tuple(
-            table[j // CHUNK_BITS][1 << j % CHUNK_BITS] for j in range(len(nsup))
-        )
     # a non-binary arc has no slack: every size lists it
     slack = [
         binary_slack(problem.constraints[e[0]], problem.domains, e[1])
-        if e[2] is not None else float("inf")
+        if e[3] is not None else float("inf")
         for e in entries
     ]
     for x in range(problem.n_vars):
@@ -137,7 +133,7 @@ def test_walk_tables_list_the_arcs_the_slack_test_keeps(source):
             if e[1] != x and x in problem.constraints[e[0]].scope
         ]
         walk = tables.walk[x]
-        for s in range(1, len(tables.values[x]) + 1):
+        for s in range(1, len(problem.domains[x]) + 1):
             listed = [e for e, sl in arcs if s <= sl]
             assert len(walk[s]) == len(listed)
             assert all(got is e for got, e in zip(walk[s], listed))

@@ -49,7 +49,7 @@ def lt_problem():
 
 def scored_values(state, x):
     """``score_domain`` with each bit read as its value, in its order."""
-    values = state.tables.values[x]
+    values = state.problem.domains[x]
     return [(values[bit], score) for bit, score in score_domain(state, x)]
 
 

@@ -37,6 +37,13 @@ def test_domains_normalized_sorted_unique():
     assert p.domains == ((1, 2, 3),)
 
 
+@pytest.mark.parametrize("dom", [(0.5, 1.5), (1.0, 2), (True, 2), ("4", "5")])
+def test_domain_values_other_than_int_rejected(dom):
+    # the instance format writes integers only: 0.5..1.5 would not parse back
+    with pytest.raises(ValueError, match="not an int"):
+        Problem(("a",), (dom,), ())
+
+
 def test_empty_domain_rejected():
     with pytest.raises(ValueError):
         Problem(("a",), ((),), ())
@@ -148,17 +155,17 @@ def test_table_tuple_cap_rejects_large_non_binary_enumerations():
 def test_binary_tables_are_shared_by_relations_equal_up_to_renaming():
     p = gen_langford(6)
 
-    def covers(op):
+    def tables(op):
         arcs = [e for e in arc_entries(p) if p.constraints[e[0]].relation.expr.op == op]
-        return len(arcs), {id(e[3]) for e in arcs}
+        return len(arcs), {id(e[2]) for e in arcs}
 
-    n_ne, ne_covers = covers("ne")
-    n_eq, eq_covers = covers("eq")
-    # every ne(x,y) over 0..11 is one relation: one cover table per side
-    assert (n_ne, len(ne_covers)) == (132, 2)
+    n_ne, ne_tables = tables("ne")
+    n_eq, eq_tables = tables("eq")
+    # every ne(x,y) over 0..11 is one relation: one table per side
+    assert (n_ne, len(ne_tables)) == (132, 2)
     # eq(add(x,i+1),y) differs in its constant for each pair i
-    assert (n_eq, len(eq_covers)) == (12, 12)
-    assert not ne_covers & eq_covers
+    assert (n_eq, len(eq_tables)) == (12, 12)
+    assert not ne_tables & eq_tables
 
     pairs = frozenset({(0, 1), (1, 2)})
     rels = (ExtensionalForbidden(pairs), ExtensionalForbidden(pairs), ExtensionalAllowed(pairs))
@@ -169,12 +176,10 @@ def test_binary_tables_are_shared_by_relations_equal_up_to_renaming():
         for i, (s, r) in enumerate(zip(scopes, rels))
     ))
     # entries 2c and 2c + 1 revise constraint c at its first and second
-    # variable; their unsupported values (nsup) and cover tables are shared
-    entries = arc_entries(p)
-    for field in (2, 3):
-        table = [e[field] for e in entries]
-        assert table[0] is table[2] and table[1] is table[3]
-        assert table[4] is not table[0] and table[5] is not table[1]
+    # variable; their tables are shared
+    table = [e[2] for e in arc_entries(p)]
+    assert table[0] is table[2] and table[1] is table[3]
+    assert table[4] is not table[0] and table[5] is not table[1]
 
 
 def test_check_tuple_three_relation_kinds():

@@ -12,6 +12,7 @@ from branchbench.exprs import Call, Const, VarRef
 from branchbench.generators import gen_langford, gen_randomb
 from branchbench.instance_io import parse_instance
 from branchbench.model import (
+    CHUNK_BITS,
     Constraint,
     ExtensionalAllowed,
     ExtensionalForbidden,
@@ -148,7 +149,7 @@ def test_decision_arcs_cover_other_scope_vars_sorted():
         for entry in walked:
             # one entry object per arc, whose partner is the walked variable
             assert entries.setdefault(entry[:2], entry) is entry
-            assert entry[4] == x
+            assert entry[3] == x
         return [entry[:2] for entry in walked]
 
     # the walk of x lists every arc at its size 1; ne has slack 1, so none at 2
@@ -400,7 +401,7 @@ def test_a_singleton_walk_makes_no_revise_call(revise_calls, monkeypatch):
 
     def observing_revise(state, e):
         nonlocal revise_removals
-        partner = e[4]
+        partner = e[3]
         before = len(state.masks.removals)
         removed = recorded(state, e)
         revise_removals += len(state.masks.removals) - before
@@ -454,7 +455,7 @@ def test_a_singleton_row_lists_the_size_one_walk_with_each_arcs_unsupported_valu
                 assert len(row) == len(entries)
                 for (z, nsup, e), entry in zip(row, entries):
                     assert e is entry and z == entry[1]
-                    if entry[2] is None:
+                    if entry[3] is None:
                         assert nsup == -1
                         kinds["other"] += 1
                         continue
@@ -467,6 +468,40 @@ def test_a_singleton_row_lists_the_size_one_walk_with_each_arcs_unsupported_valu
                     kinds["binary", supported == 0] += 1
     assert kinds["binary", False] >= 1000 and kinds["other"] >= 100
     assert kinds["binary", True] >= 10
+
+
+def test_a_binary_table_holds_the_values_no_partner_subset_supports():
+    """A binary entry's ``table[c][s]`` is the AND, over the set bits ``j``
+    of ``s``, of the values of its variable that partner value
+    ``c * CHUNK_BITS + j`` does not support by ``check_tuple``; -1 at
+    ``s = 0``; and the last chunk has ``2 ** (bits left)`` entries."""
+    checked = Counter()
+    for p in _row_problems():
+        for cid, x, table, partner in arc_entries(p):
+            if partner is None:
+                continue
+            c = p.constraints[cid]
+            dom, pdom = p.domains[x], p.domains[partner]
+            nsup = [
+                ~sum(1 << i for i, v in enumerate(dom)
+                     if check_tuple(c, (v, w) if c.scope == (x, partner) else (w, v)))
+                for w in pdom
+            ]
+            chunks = -(-len(pdom) // CHUNK_BITS)
+            assert len(table) == chunks
+            left = len(pdom) - (chunks - 1) * CHUNK_BITS
+            assert [len(t) for t in table] == [2 ** CHUNK_BITS] * (chunks - 1) + [2 ** left]
+            for k, chunk in enumerate(table):
+                assert chunk[0] == -1
+                for s_bits, got in enumerate(chunk):
+                    expected = -1
+                    for j in range(CHUNK_BITS):
+                        if s_bits >> j & 1:
+                            expected &= nsup[k * CHUNK_BITS + j]
+                    assert got == expected
+                    checked[len(pdom) > CHUNK_BITS, expected == -1] += 1
+    assert checked[True, False] >= 1000 and checked[False, False] >= 1000
+    assert checked[True, True] >= 10 and checked[False, True] >= 10
 
 
 def test_a_singleton_row_is_built_on_its_first_walk_and_kept_across_solves():
@@ -489,6 +524,9 @@ def test_solves_write_no_table_but_the_singleton_rows():
     for make in makers:
         p = make()
         tables = p.tables
+        assert type(tables).__slots__ == (
+            "root_masks", "walk", "rows", "neighbors", "var_binary", "var_constraints",
+        )
         slots = [s for s in type(tables).__slots__ if s != "rows"]
         before = {s: getattr(tables, s) for s in slots}
         for name in SCHEME_NAMES:
@@ -544,7 +582,7 @@ def test_non_binary_arcs_are_never_skippable():
     )
     tables = p.tables
     for e in arc_entries(p):
-        assert e[2] is None and e[4] == -1
+        assert e[3] is None
     # the unary constraint has no arc: it cuts a's root mask to its value 1;
     # the ternary arcs at a, b and c are listed in the other two variables'
     # walks at every size
@@ -576,8 +614,8 @@ def test_skip_fires_only_where_revise_removes_nothing():
             reduce_domain(st, x, r.sample(values, r.randint(1, len(values))))
         tables = p.tables
         for e in arc_entries(p):
-            cid, x, _, _, partner = e
-            if partner < 0:
+            cid, x, _, partner = e
+            if partner is None:
                 continue
             listed = tables.walk[partner][st.masks[partner].bit_count()]
             if not any(f is e for f in listed):
@@ -626,7 +664,7 @@ def _check_every_arc(st, r, counts):
             assert list(mask_values(p.domains[x], kept)) == cut[x]
             counts[1, cut[x] != domains[x]] += 1
     for e in arc_entries(p):
-        cid, x, _, _, partner = e
+        cid, x, _, partner = e
         c = p.constraints[cid]
         expected = supported_values(c, domains, x)
         token = st.push_level()
@@ -694,11 +732,10 @@ def test_walks_and_search_ignore_the_order_a_scope_is_written_in(revise_calls):
             for s in range(len(walk)):
                 listed = [e[:2] for e in walk[s]]
                 assert listed == sorted(listed) == [e[:2] for e in expected[s]]
-                for cid, y, nsup, _, partner in walk[s]:
+                for cid, y, _, partner in walk[s]:
                     scope = rotated.constraints[cid].scope
                     assert y in scope and y != x and x in scope
-                    assert partner == (x if len(scope) == 2 else -1)
-                    assert (nsup is None) == (len(scope) != 2)
+                    assert partner == (x if len(scope) == 2 else None)
                     ternary += len(scope) == 3
         for name in SCHEME_NAMES:
             runs = []

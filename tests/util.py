@@ -29,18 +29,17 @@ TRACE_LINE = re.compile(r"^\d+ \S+ \{-?\d+(,-?\d+)*\} (L|R|E#\d+|F)$")
 
 def domain_values(state: SearchState, x: int) -> list[int]:
     """Current domain of ``x`` in ascending value order."""
-    values = state.tables.values[x]
+    values = state.problem.domains[x]
     return [v for i, v in enumerate(values) if state.masks[x] >> i & 1]
 
 
 def _mask_of(state: SearchState, x: int, values) -> int:
-    pos = state.tables.pos[x]
+    dom = state.problem.domains[x]
     mask = 0
     for v in values:
-        bit = pos.get(v)
-        if bit is None:
+        if v not in dom:
             raise ValueError(f"value {v} not in original domain of variable {x}")
-        mask |= 1 << bit
+        mask |= 1 << dom.index(v)
     return mask
 
 
